@@ -84,11 +84,17 @@ def _pct(value, base):
     return 100.0 * (value - base) / base
 
 
+# Prices are ranked after rounding to this many decimals (EUR/MWh), so that
+# hours whose prices differ only by solver round-off count as ties.
+RANK_DECIMALS = 6
+
+
 def _cheapest_hours(prices, share=0.7):
-    """Indices of the cheapest share of hours; stable tie-break by hour."""
+    """Indices of the cheapest share of hours; ties (equal to RANK_DECIMALS
+    decimals) break by hour."""
     t = len(prices)
     k = max(1, int(round(share * t)))
-    order = np.argsort(prices, kind="stable")
+    order = np.argsort(np.round(prices, RANK_DECIMALS), kind="stable")
     return np.sort(order[:k])
 
 

@@ -100,6 +100,22 @@ class TestElectrolyzerLoads:
         assert np.count_nonzero(rt[:, 0]) == 7
         assert np.all(rt[7:, 0] == 0.0)
 
+    def test_real_time_hours_ignore_round_off(self):
+        # hours 5-8 tie at 40 EUR/MWh; the cheapest seven are hours 0-6
+        # whatever last-bit noise a solver leaves on the tied prices
+        system = tiny_system(hours=10)
+        prices = np.array([10.0] * 5 + [40.0] * 4 + [100.0])
+        noisy = prices.copy()
+        noisy[[7, 8]] -= 1e-12
+        noisy[5] += 1e-12
+        design = make_design({0: 50_400.0})
+        exact, perturbed = (
+            electrolyzer_loads(design, Scenario(temporal=REAL_TIME), system,
+                               ProductionParams(), FakeSummary(p))
+            for p in (prices, noisy))
+        assert np.array_equal(np.flatnonzero(exact[:, 0]), np.arange(7))
+        assert np.array_equal(perturbed, exact)
+
     def test_real_time_needs_series(self):
         system = tiny_system()
         with pytest.raises(MissingSeries):
