@@ -10,7 +10,7 @@ capture) so a run shows the acceptance status at a glance:
 5. end-use cost orderings across tariff designs,
 6. two-node redispatch micro oracle,
 7. solver invariants (duality, zero sum, boxes, balances, link big-M),
-8. byte-identical outputs across repeated study runs.
+8. repeated study runs reproduce the golden output tree byte for byte.
 """
 
 import contextlib
@@ -274,17 +274,28 @@ def test_criterion_7_solver_invariants():
             check_chain_properties(solve_chain(problem), sinks, production)
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden",
+                          "congested10_168h")
+GOLDEN_CONFIG = {
+    "fixture": "congested10", "hours": 168,
+    "scenarios": [{"spatial": s, "temporal": t, "carrier": "LH2"}
+                  for s in ("uniform", "nodal")
+                  for t in ("flat", "real_time")]}
+
+
 def test_criterion_8_study_determinism(tmp_path):
-    with criterion(8, "repeated study runs are byte-identical"):
+    with criterion(8, "repeated study runs match the golden tree byte for "
+                      "byte"):
         config = tmp_path / "study.yaml"
         with open(config, "w") as fh:
-            yaml.safe_dump({"fixture": "congested10", "hours": 168}, fh)
-        out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
-        for out in (out_a, out_b):
+            yaml.safe_dump(GOLDEN_CONFIG, fh)
+        golden = sorted(os.listdir(GOLDEN_DIR))
+        for run in ("run_a", "run_b"):
+            out = tmp_path / run
             assert main(["study", "--config", str(config),
                          "--out", str(out)]) == 0
-        names_a = sorted(os.listdir(out_a))
-        assert names_a == sorted(os.listdir(out_b))
-        for name in names_a:
-            assert filecmp.cmp(out_a / name, out_b / name,
-                               shallow=False), name
+            assert sorted(os.listdir(out)) == golden
+            for name in golden:
+                assert filecmp.cmp(out / name,
+                                   os.path.join(GOLDEN_DIR, name),
+                                   shallow=False), (run, name)
