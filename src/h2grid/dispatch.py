@@ -5,7 +5,12 @@ Three per-hour models share one immutable PowerSystem:
 * uniform merit-order dispatch for the single-price zone (no grid limits),
 * cost-based redispatch restoring line-limit feasibility from the market
   allocation, and
-* nodal DC-OPF whose node-balance duals are the locational prices.
+* nodal DC-OPF, whose locational prices follow from the duals of the zonal
+  balance and the corridor limits by the PTDF price decomposition.
+
+Redispatch and nodal dispatch solve one PTDF-form LP over generator changes
+(``_network_lp``).  Nodal dispatch is that LP taken from zero generation, so
+uniform cost + redispatch cost = nodal cost holds by construction.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleHour, InfeasibleRedispatch
-from .lp import GE, LE, EQ, ProblemBuilder, solve_lp
+from .lp import EQ, GE, LE, LinearProblem, solve_lp
 
 BALANCE_TOL = 1e-6
 FLOW_TOL = 1e-6
@@ -65,6 +70,38 @@ def _injections(system, hour, generation):
     return inj
 
 
+def _network_lp(system, hour, q0, balance):
+    """Solve the PTDF-form network LP around the generation *q0*.
+
+    Variables are generator changes x with ``0 <= q0 + x <= capacity`` and
+    cost ``c'x``.  Row 0 is the zonal balance ``sum x = balance``; then each
+    corridor k gets an LE row and a GE row bounding its flow at ``q0 + x``
+    to ``+-limit``: ``PTDF[k, gen_nodes] x`` against ``+-limit - base_flow``,
+    where base_flow is the corridor flow at *q0*.
+    """
+    ptdf = system.ptdf
+    caps = _capacities(system, hour)
+    costs = np.array([g.marginal_cost for g in system.generators])
+    gen_nodes = np.array([g.node for g in system.generators], dtype=int)
+    base_flows = ptdf.flows(_injections(system, hour, q0))
+    limit = ptdf.merged_capacity
+    sens = ptdf.entries[:, gen_nodes]
+    n_corridors = sens.shape[0]
+
+    a = np.empty((1 + 2 * n_corridors, len(costs)))
+    a[0] = 1.0
+    a[1::2] = sens
+    a[2::2] = sens
+    rhs = np.empty(a.shape[0])
+    rhs[0] = balance
+    rhs[1::2] = limit - base_flows
+    rhs[2::2] = -limit - base_flows
+    rows, cols = np.nonzero(a)
+    return solve_lp(LinearProblem(
+        costs, -q0, caps - q0, rows, cols, a[rows, cols],
+        (EQ,) + (LE, GE) * n_corridors, rhs))
+
+
 def uniform_dispatch(system, hour):
     """Merit-order dispatch of the whole zone; price is the marginal unit's
     cost (the dual of the zonal balance constraint)."""
@@ -103,27 +140,14 @@ def redispatch(system, hour, market):
     cost is the signed optimal objective (net extra production cost).
     """
     ptdf = system.ptdf
-    caps = _capacities(system, hour)
     q0 = market.generation_mw
-    base_inj = _injections(system, hour, q0)
-    base_flows = ptdf.flows(base_inj)
+    base_flows = ptdf.flows(_injections(system, hour, q0))
 
     if np.all(np.abs(base_flows) <= ptdf.merged_capacity + FLOW_TOL):
-        return RedispatchAdjustment(hour=hour, delta_mw=np.zeros(len(caps)),
+        return RedispatchAdjustment(hour=hour, delta_mw=np.zeros(len(q0)),
                                     cost_eur=0.0)
 
-    builder = ProblemBuilder()
-    deltas = [builder.add_var(cost=system.generators[g].marginal_cost,
-                              lb=-q0[g], ub=caps[g] - q0[g])
-              for g in range(len(caps))]
-    builder.add_constraint([(d, 1.0) for d in deltas], EQ, 0.0)
-    for k in range(ptdf.entries.shape[0]):
-        coeffs = [(deltas[g], ptdf.entries[k, system.generators[g].node])
-                  for g in range(len(caps))]
-        limit = ptdf.merged_capacity[k]
-        builder.add_constraint(coeffs, LE, limit - base_flows[k])
-        builder.add_constraint(coeffs, GE, -limit - base_flows[k])
-    sol = solve_lp(builder.build())
+    sol = _network_lp(system, hour, q0, 0.0)
     if sol.status != "Optimal":
         raise InfeasibleRedispatch(
             f"hour {hour}: no feasible redispatch within capacities",
@@ -133,39 +157,25 @@ def redispatch(system, hour, market):
 
 
 def nodal_dispatch(system, hour):
-    """Network-constrained dispatch; per-node prices are the duals of the
-    node balance constraints."""
-    ptdf = system.ptdf
-    caps = _capacities(system, hour)
+    """Network-constrained dispatch: the redispatch LP taken from zero
+    generation, with the whole demand as the balance.
+
+    The nodal price is the cost of one more MW of demand at the node.
+    Demand there raises the balance rhs by one and, by lowering the base
+    flows, raises the rhs of both rows of corridor k by ``PTDF[k, node]``.
+    Duals are d(objective)/d(rhs) (LE rows <= 0, GE rows >= 0), so the
+    price is ``duals[0] + PTDF.T @ (duals[1::2] + duals[2::2])``: the zonal
+    price minus the PTDF-weighted corridor congestion rents.
+    """
     demand = system.demand[hour]
-    n = system.n_nodes
-
-    builder = ProblemBuilder()
-    gen_vars = [builder.add_var(cost=g.marginal_cost, lb=0.0, ub=caps[i])
-                for i, g in enumerate(system.generators)]
-    inj_vars = [builder.add_var(lb=-np.inf, ub=np.inf) for _ in range(n)]
-
-    balance_rows = []
-    for node in range(n):
-        coeffs = [(gen_vars[i], 1.0)
-                  for i, g in enumerate(system.generators) if g.node == node]
-        coeffs.append((inj_vars[node], -1.0))
-        balance_rows.append(
-            builder.add_constraint(coeffs, EQ, float(demand[node])))
-    builder.add_constraint([(v, 1.0) for v in inj_vars], EQ, 0.0)
-    for k in range(ptdf.entries.shape[0]):
-        coeffs = [(inj_vars[node], ptdf.entries[k, node]) for node in range(n)]
-        limit = ptdf.merged_capacity[k]
-        builder.add_constraint(coeffs, LE, limit)
-        builder.add_constraint(coeffs, GE, -limit)
-
-    sol = solve_lp(builder.build())
+    sol = _network_lp(system, hour, np.zeros(len(system.generators)),
+                      float(demand.sum()))
     if sol.status != "Optimal":
         raise InfeasibleHour(f"hour {hour}: nodal dispatch infeasible",
                              hour=hour)
-    q = sol.x[: len(gen_vars)]
-    prices = np.array([sol.duals[r] for r in balance_rows])
-    return HourDispatch(hour=hour, generation_mw=q, price=None,
+    prices = sol.duals[0] + system.ptdf.entries.T @ (sol.duals[1::2]
+                                                     + sol.duals[2::2])
+    return HourDispatch(hour=hour, generation_mw=sol.x, price=None,
                         nodal_prices=prices, served_mw=float(demand.sum()),
                         cost_eur=float(sol.objective))
 

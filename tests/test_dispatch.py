@@ -16,6 +16,7 @@ from h2grid.dispatch import (MODE_NODAL, MODE_UNIFORM_REDISPATCH,
 from h2grid.errors import InfeasibleHour
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
+from h2grid.lp import EQ, GE, LE, ProblemBuilder, solve_lp
 from h2grid.synth import SyntheticSpec, generate_synthetic_system
 
 
@@ -108,10 +109,42 @@ class TestNodalDispatch:
             nodal.cost_eur, rel=1e-9)
 
 
+def injection_form_nodal(system, hour):
+    """Reference nodal LP in injection form: generator outputs plus one free
+    injection per node, a balance row per node, zero net injection and the
+    corridor limits on PTDF @ injection.  Returns (objective, node-balance
+    duals); the duals are the nodal prices by definition."""
+    ptdf = system.ptdf
+    demand = system.demand[hour]
+    n = system.n_nodes
+    builder = ProblemBuilder()
+    gen_vars = [builder.add_var(cost=g.marginal_cost, lb=0.0,
+                                ub=g.capacity_at(hour))
+                for g in system.generators]
+    inj_vars = [builder.add_var(lb=-np.inf, ub=np.inf) for _ in range(n)]
+    balance_rows = []
+    for node in range(n):
+        coeffs = [(gen_vars[i], 1.0)
+                  for i, g in enumerate(system.generators) if g.node == node]
+        coeffs.append((inj_vars[node], -1.0))
+        balance_rows.append(
+            builder.add_constraint(coeffs, EQ, float(demand[node])))
+    builder.add_constraint([(v, 1.0) for v in inj_vars], EQ, 0.0)
+    for k in range(ptdf.entries.shape[0]):
+        coeffs = [(inj_vars[node], ptdf.entries[k, node]) for node in range(n)]
+        limit = ptdf.merged_capacity[k]
+        builder.add_constraint(coeffs, LE, limit)
+        builder.add_constraint(coeffs, GE, -limit)
+    sol = solve_lp(builder.build())
+    assert sol.optimal
+    return sol.objective, sol.duals[balance_rows]
+
+
 class TestCostEquivalenceProperty:
     def test_random_systems(self):
         # uniform cost + redispatch objective equals the nodal optimum on
-        # every hour of every random system
+        # every hour of every random system, and the nodal prices equal the
+        # node-balance duals of the injection-form reference LP
         rng = np.random.default_rng(1234)
         for trial in range(25):
             n = int(rng.integers(3, 9))
@@ -127,6 +160,11 @@ class TestCostEquivalenceProperty:
                 nodal = nodal_dispatch(system, hour)
                 assert market.cost_eur + adj.cost_eur == pytest.approx(
                     nodal.cost_eur, rel=1e-5, abs=1e-4)
+                ref_cost, ref_prices = injection_form_nodal(system, hour)
+                assert nodal.cost_eur == pytest.approx(ref_cost, rel=1e-9,
+                                                       abs=1e-6)
+                np.testing.assert_allclose(nodal.nodal_prices, ref_prices,
+                                           rtol=0.0, atol=1e-9)
 
 
 class TestRunYear:
