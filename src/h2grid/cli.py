@@ -29,7 +29,8 @@ from .errors import (ChainInfeasible, ConfigError, H2GridError,
                      InfeasibleHour, InfeasibleRedispatch, IoError,
                      StructurallyInfeasible)
 from .pipeline import Scenario, StudyCase, run_full_study
-from .synth import SyntheticSpec, congested_fixture, generate_synthetic_system
+from .synth import (SyntheticSpec, congested_fixture, fixture_sinks,
+                    generate_synthetic_system)
 
 _INFEASIBLE = (InfeasibleHour, InfeasibleRedispatch, StructurallyInfeasible,
                ChainInfeasible)
@@ -75,8 +76,7 @@ def _build_sinks(cfg, system):
         return iomod.read_consumption(cfg.inputs.consumption)
     if cfg.fixture == "congested10" and not (cfg.inputs.industrial_sites
                                              or cfg.inputs.station_candidates):
-        return congested_fixture(hours=cfg.hours, seed=cfg.seed,
-                                 h2_demand_kg_day=cfg.h2_demand_kg_day).sinks
+        return fixture_sinks(system, cfg.h2_demand_kg_day)
     sites = (iomod.read_industrial_sites(cfg.inputs.industrial_sites)
              if cfg.inputs.industrial_sites else ())
     plan = []
@@ -153,17 +153,12 @@ def cmd_chain(args):
 def cmd_study(args):
     cfg = _load(args)
     out = _out_dir(args)
-    if cfg.fixture == "congested10":
-        case = congested_fixture(hours=cfg.hours, seed=cfg.seed,
-                                 h2_demand_kg_day=cfg.h2_demand_kg_day)
-    else:
-        system = _build_system(cfg)
-        sinks = _build_sinks(cfg, system)
-        case = StudyCase(system=system, sinks=sinks,
-                         candidates=tuple(system.nodes), hours=cfg.hours,
-                         production=cfg.production, transport=cfg.transport,
-                         import_spec=cfg.import_spec(), ngp=cfg.ngp,
-                         cheap_share=cfg.cheap_share)
+    system = _build_system(cfg)
+    case = StudyCase(system=system, sinks=_build_sinks(cfg, system),
+                     candidates=tuple(system.nodes), hours=cfg.hours,
+                     production=cfg.production, transport=cfg.transport,
+                     import_spec=cfg.import_spec(), ngp=cfg.ngp,
+                     cheap_share=cfg.cheap_share)
     scenarios = [Scenario(spatial=s.spatial, temporal=s.temporal,
                           carrier=s.carrier, hours=cfg.hours)
                  for s in cfg.scenarios]

@@ -59,7 +59,6 @@ class ImportConfig:
 class StationConfig:
     cars_twh: float = 0.0
     trucks_twh: float = 0.0
-    kind: str = "station_cars"
 
 
 @dataclass(frozen=True)

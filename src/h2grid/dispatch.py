@@ -56,7 +56,6 @@ class AnnualDispatchSummary:
     redispatch_cost_series: np.ndarray       # per hour (zeros for nodal mode)
     total_energy_mwh: float
     generation_mwh: np.ndarray               # per generator
-    hourly: tuple = None                     # per-hour results, optional
 
 
 def _capacities(system, hour):
@@ -184,7 +183,7 @@ MODE_UNIFORM_REDISPATCH = "uniform+redispatch"
 MODE_NODAL = "nodal"
 
 
-def run_year(system, hours, mode, keep_hourly=False):
+def run_year(system, hours, mode):
     """Aggregate per-hour dispatch over *hours* independent hours."""
     if hours > system.horizon:
         raise InfeasibleHour(
@@ -195,7 +194,6 @@ def run_year(system, hours, mode, keep_hourly=False):
     redispatch_series = np.zeros(hours)
     generation = np.zeros(n_gen)
     total_energy = 0.0
-    hourly = [] if keep_hourly else None
 
     if mode == MODE_UNIFORM_REDISPATCH:
         for t in range(hours):
@@ -205,8 +203,6 @@ def run_year(system, hours, mode, keep_hourly=False):
             redispatch_series[t] = adj.cost_eur
             generation += market.generation_mw + adj.delta_mw
             total_energy += market.served_mw
-            if keep_hourly:
-                hourly.append((market, adj))
     elif mode == MODE_NODAL:
         nodal_series = np.zeros((hours, system.n_nodes))
         for t in range(hours):
@@ -214,8 +210,6 @@ def run_year(system, hours, mode, keep_hourly=False):
             nodal_series[t] = result.nodal_prices
             generation += result.generation_mw
             total_energy += result.served_mw
-            if keep_hourly:
-                hourly.append(result)
     else:
         raise ValueError(f"unknown dispatch mode {mode!r}")
 
@@ -232,5 +226,4 @@ def run_year(system, hours, mode, keep_hourly=False):
         redispatch_cost_series=redispatch_series,
         total_energy_mwh=float(total_energy),
         generation_mwh=generation,
-        hourly=tuple(hourly) if keep_hourly else None,
     )

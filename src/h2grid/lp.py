@@ -121,25 +121,6 @@ class Solution:
         return self.status == "Optimal"
 
 
-def dump_problem(problem, stream=None):
-    """Write a plain-text dump: one line per objective entry, bound pair and
-    constraint triple, for external cross-checking.
-    """
-    lines = [f"problem vars={problem.n_vars} cons={problem.n_cons}"]
-    for j in range(problem.n_vars):
-        tag = " binary" if j in problem.binaries else ""
-        lines.append(f"var {j} cost {problem.c[j]!r} lb {problem.lb[j]!r} "
-                     f"ub {problem.ub[j]!r}{tag}")
-    for i in range(problem.n_cons):
-        lines.append(f"row {i} sense {problem.senses[i]} rhs {problem.rhs[i]!r}")
-    for r, c, v in zip(problem.a_rows, problem.a_cols, problem.a_vals):
-        lines.append(f"triple {r} {c} {v!r}")
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
-
-
 def _pow2_scale(v):
     """Nearest power of two to 1/v; exact in binary arithmetic."""
     if v <= 0 or not np.isfinite(v):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ProductionParams, TransportParams
 from .demand import INDUSTRY, ConsumptionLocation
 from .errors import InvalidSpec
 from .grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem, SOLAR,
@@ -133,6 +132,19 @@ def generate_synthetic_system(spec):
                        demand, ptdf)
 
 
+def fixture_sinks(system, h2_demand_kg_day):
+    """The fixture's hydrogen sinks on an already built fixture system:
+    three equal industry sinks at the first three nodes of the
+    demand-heavy south."""
+    south = [node for node in system.nodes
+             if node.id >= system.n_nodes // 2]
+    share = h2_demand_kg_day / 3.0
+    return tuple(
+        ConsumptionLocation(id=i, kind=INDUSTRY, hd_kg_per_day=share,
+                            node=node.id, x=node.x, y=node.y)
+        for i, node in enumerate(south[:3]))
+
+
 def congested_fixture(hours=168, seed=20240, congestion=0.85,
                       h2_demand_kg_day=90_000.0):
     """The shipped 10-node / 168-hour study fixture.
@@ -144,13 +156,6 @@ def congested_fixture(hours=168, seed=20240, congestion=0.85,
     spec = SyntheticSpec(seed=seed, n_nodes=10, n_lines=13, hours=hours,
                          congestion=congestion)
     system = generate_synthetic_system(spec)
-    south = [node for node in system.nodes if node.id >= 5]
-    share = h2_demand_kg_day / 3.0
-    sinks = tuple(
-        ConsumptionLocation(id=i, kind=INDUSTRY, hd_kg_per_day=share,
-                            node=node.id, x=node.x, y=node.y)
-        for i, node in enumerate(south[:3]))
-    return StudyCase(system=system, sinks=sinks,
-                     candidates=tuple(system.nodes), hours=hours,
-                     production=ProductionParams(),
-                     transport=TransportParams())
+    return StudyCase(system=system,
+                     sinks=fixture_sinks(system, h2_demand_kg_day),
+                     candidates=tuple(system.nodes), hours=hours)

@@ -32,6 +32,11 @@ class TestConfigParsing:
                            match="unknown key production.electrolyser_cost"):
             parse_config({"production": {"electrolyser_cost": 100}})
 
+    def test_station_kind_is_rejected(self):
+        # station kinds follow from cars_twh / trucks_twh; no key selects one
+        with pytest.raises(ConfigError, match="unknown key stations.kind"):
+            parse_config({"stations": {"kind": "station_trucks"}})
+
     def test_unknown_fixture(self):
         with pytest.raises(ConfigError, match="unknown fixture"):
             parse_config({"fixture": "no_such_fixture"})
@@ -138,6 +143,24 @@ class TestOutputs:
         assert "report.csv" in names
         assert "siting_uniform_flat_LH2.csv" in names
         assert "breakdown_uniform_flat_LH2.csv" in names
+
+    def test_fixture_study_honours_economics(self, tmp_path):
+        base = {"fixture": "congested10", "hours": 24,
+                "scenarios": [{"spatial": "nodal", "temporal": "real_time",
+                               "carrier": "LH2"}]}
+        econ = dict(base, ngp=0.5, cheap_share=0.3,
+                    production={"ic_eur_per_kw": 2250.0})
+        outs = []
+        for tag, data in (("base", base), ("econ", econ)):
+            cfg = write_yaml(tmp_path / f"{tag}.yaml", data)
+            outs.append(tmp_path / tag)
+            assert main(["study", "--config", cfg,
+                         "--out", str(outs[-1])]) == 0
+        changed = [name for name in sorted(os.listdir(outs[0]))
+                   if not filecmp.cmp(outs[0] / name, outs[1] / name,
+                                      shallow=False)]
+        assert changed == ["breakdown_nodal_real_time_LH2.csv",
+                           "effective_config.yaml", "report.csv"]
 
     def test_seed_and_hours_override_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "synth.yaml",
