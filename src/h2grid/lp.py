@@ -5,7 +5,19 @@ form ``min c'x  s.t.  Ax + s = b,  lb <= (x, s) <= ub``.  Every constraint
 row gets a slack column whose bounds encode its sense, so the dual of row i
 is simply the i-th simplex multiplier.  Pivoting uses Dantzig's rule with a
 lowest-index tie-break and falls back to Bland's rule after a run of
-degenerate pivots, which makes every solve deterministic and finite.
+degenerate pivots, which makes every solve deterministic and finite.  The
+ratio test lets the entering bound flip win unless a row blocks it by more
+than 1e-11, and otherwise takes the lowest basic index among the rows
+within 1e-11 of the shortest step.
+
+The solver keeps a dense inverse of the basis matrix.  It starts exact (the
+first basis is the diagonal +-1 artificials), takes a rank-one product-form
+update per basis change and is recomputed from scratch every
+``_REFACTOR_PERIOD`` updates.  Multipliers and the entering column are one
+matrix-vector product each, and pricing and the ratio test are array
+operations.  ``Solution.stats`` reports the iterations of both phases
+(``iterations``), those of phase 1 (``phase1_iterations``) and the number
+of refactorizations.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
@@ -23,6 +35,7 @@ OPT_TOL = 1e-6
 INT_TOL = 1e-6
 
 _DEGENERATE_LIMIT = 40  # consecutive degenerate pivots before Bland's rule
+_REFACTOR_PERIOD = 64   # basis updates between fresh inversions of the basis
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -122,10 +135,14 @@ class Solution:
 
 
 def _pow2_scale(v):
-    """Nearest power of two to 1/v; exact in binary arithmetic."""
-    if v <= 0 or not np.isfinite(v):
-        return 1.0
-    return 2.0 ** (-round(np.log2(v)))
+    """Nearest power of two to 1/v, elementwise; exact in binary arithmetic.
+
+    Entries that are zero or not finite get scale 1.
+    """
+    scale = np.ones(v.shape)
+    ok = (v > 0) & np.isfinite(v)
+    scale[ok] = np.ldexp(1.0, -np.rint(np.log2(v[ok])).astype(int))
+    return scale
 
 
 class _Simplex:
@@ -141,23 +158,15 @@ class _Simplex:
         self.row_scale = np.ones(m)
         self.col_scale = np.ones(n)
         if a.size:
-            for i in range(m):
-                self.row_scale[i] = _pow2_scale(np.abs(a[i]).max(initial=0.0))
+            self.row_scale = _pow2_scale(np.abs(a).max(axis=1))
             a = a * self.row_scale[:, None]
-            for j in range(n):
-                self.col_scale[j] = _pow2_scale(np.abs(a[:, j]).max(initial=0.0))
+            self.col_scale = _pow2_scale(np.abs(a).max(axis=0))
             a = a * self.col_scale[None, :]
 
         # Slack columns: sense is encoded in the slack bounds.
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, s in enumerate(problem.senses):
-            if s == LE:
-                slack_lb[i], slack_ub[i] = 0.0, np.inf
-            elif s == GE:
-                slack_lb[i], slack_ub[i] = -np.inf, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
+        senses = np.array(problem.senses, dtype="U2")
+        slack_lb = np.where(senses == GE, -np.inf, 0.0)
+        slack_ub = np.where(senses == LE, np.inf, 0.0)
 
         self.m, self.n_struct = m, n
         self.a = np.hstack([a, np.eye(m)]) if m else a.reshape(0, n)
@@ -165,45 +174,59 @@ class _Simplex:
         self.ub = np.concatenate([problem.ub / self.col_scale, slack_ub])
         self.c = np.concatenate([problem.c * self.col_scale, np.zeros(m)])
         self.b = problem.rhs * self.row_scale
-        self.n_art = 0
         self.iterations = 0
+        self.refactorizations = 0
 
     # -- state helpers ------------------------------------------------------
 
-    def _nearest_bound_value(self, j):
-        lo, hi = self.lb[j], self.ub[j]
-        if np.isfinite(lo) and (lo >= 0 or not np.isfinite(hi)):
-            return lo, _AT_LB
-        if np.isfinite(hi) and hi <= 0:
-            return hi, _AT_UB
-        if np.isfinite(lo):
-            return lo, _AT_LB
-        return 0.0, _FREE  # free variable rests at zero
-
     def _init_basis(self):
+        """Rest every column at its bound nearest zero; artificials take up
+        the residual, so the starting basis is diagonal with entries +-1."""
         ncols = self.a.shape[1]
-        self.status = np.empty(ncols + self.m, dtype=int)
-        self.x = np.zeros(ncols + self.m)
-        for j in range(ncols):
-            self.x[j], self.status[j] = self._nearest_bound_value(j)
+        lo, hi = self.lb, self.ub
+        lo_fin = np.isfinite(lo)
+        # a finite upper bound <= 0 wins unless the lower bound is >= 0
+        at_ub = np.isfinite(hi) & (hi <= 0) & ~(lo_fin & (lo >= 0))
+        at_lb = lo_fin & ~at_ub
+        status = np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
+        x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
 
-        resid = self.b - self.a @ self.x[:ncols]
-        art = np.zeros((self.m, self.m))
-        for i in range(self.m):
-            art[i, i] = 1.0 if resid[i] >= 0 else -1.0
-        self.a = np.hstack([self.a, art])
+        resid = self.b - self.a @ x
+        sign = np.where(resid >= 0, 1.0, -1.0)
+        self.a = np.hstack([self.a, np.diag(sign)])
         self.lb = np.concatenate([self.lb, np.zeros(self.m)])
         self.ub = np.concatenate([self.ub, np.full(self.m, np.inf)])
         self.c = np.concatenate([self.c, np.zeros(self.m)])
-        self.n_art = self.m
         self.art_start = ncols
         self.basis = np.arange(ncols, ncols + self.m)
-        self.x[ncols:] = np.abs(resid)
-        self.status[ncols:] = _BASIC
+        self.status = np.concatenate([status, np.full(self.m, _BASIC)])
+        self.x = np.concatenate([x, np.abs(resid)])
+        self.binv = np.diag(sign)  # exact inverse of the artificial basis
+        self.updates = 0
+
+    def _refactor(self, phase):
+        try:
+            self.binv = np.linalg.inv(self.a[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise InvalidProblem(
+                f"singular basis in {phase} at iteration {self.iterations}"
+            ) from exc
+        self.updates = 0
+        self.refactorizations += 1
+
+    def _replace(self, pos, enter, w, phase):
+        """Make *enter* basic in row *pos*; ``w`` is ``binv @ a[:, enter]``."""
+        self.basis[pos] = enter
+        row = self.binv[pos] / w[pos]
+        self.binv -= np.outer(w, row)
+        self.binv[pos] = row
+        self.updates += 1
+        if self.updates >= _REFACTOR_PERIOD:
+            self._refactor(phase)
 
     # -- core iteration -----------------------------------------------------
 
-    def _optimize(self, cost):
+    def _optimize(self, cost, phase):
         """Run primal simplex for the given cost vector; returns status."""
         degenerate_run = 0
         bland = False
@@ -213,58 +236,46 @@ class _Simplex:
             if self.iterations > max_iter:
                 raise InvalidProblem("simplex iteration limit exceeded")
 
-            bmat = self.a[:, self.basis]
-            if self.m:
-                y = np.linalg.solve(bmat.T, cost[self.basis])
-            else:
-                y = np.zeros(0)
+            y = cost[self.basis] @ self.binv
             d = cost - self.a.T @ y
 
-            # entering variable
-            enter, enter_dir, best = -1, 0, OPT_TOL
-            for j in range(self.a.shape[1]):
-                st = self.status[j]
-                if st == _BASIC:
-                    continue
-                if st == _AT_LB and d[j] < -OPT_TOL:
-                    score = -d[j]
-                    direction = +1
-                elif st == _AT_UB and d[j] > OPT_TOL:
-                    score = d[j]
-                    direction = -1
-                elif st == _FREE and abs(d[j]) > OPT_TOL:
-                    score = abs(d[j])
-                    direction = +1 if d[j] < 0 else -1
-                else:
-                    continue
-                if bland:
-                    enter, enter_dir = j, direction
-                    break
-                if score > best:
-                    enter, enter_dir, best = j, direction, score
-            if enter < 0:
+            # entering variable: Dantzig's largest |d| with the lowest index
+            # on ties, or Bland's lowest eligible index
+            st = self.status
+            eligible = (((st == _AT_LB) & (d < -OPT_TOL))
+                        | ((st == _AT_UB) & (d > OPT_TOL))
+                        | ((st == _FREE) & (np.abs(d) > OPT_TOL)))
+            if not eligible.any():
                 return "Optimal"
+            if bland:
+                enter = int(eligible.argmax())
+            else:
+                enter = int(np.where(eligible, np.abs(d), 0.0).argmax())
+            enter_dir = 1 if d[enter] < 0 else -1
 
-            w = np.linalg.solve(bmat, self.a[:, enter]) if self.m else np.zeros(0)
+            w = self.binv @ self.a[:, enter]
 
-            # ratio test: entering moves by t >= 0 in direction enter_dir
-            t = self.ub[enter] - self.lb[enter]  # bound-to-bound flip
+            # ratio test: entering moves by t >= 0 in direction enter_dir;
+            # the bound-to-bound flip wins unless a row blocks it by more
+            # than 1e-11, otherwise the lowest basic index among the rows
+            # within 1e-11 of the shortest step
+            t = self.ub[enter] - self.lb[enter]
             leave_pos = -1
-            for i in range(self.m):
-                delta = -enter_dir * w[i]
-                bi = self.basis[i]
-                if delta > 1e-9:
-                    room = (self.ub[bi] - self.x[bi]) / delta
-                    hit = _AT_UB
-                elif delta < -1e-9:
-                    room = (self.x[bi] - self.lb[bi]) / (-delta)
-                    hit = _AT_LB
-                else:
-                    continue
-                room = max(room, 0.0)
-                if room < t - 1e-11 or (room < t + 1e-11 and leave_pos >= 0
-                                        and bi < self.basis[leave_pos]):
-                    t, leave_pos, leave_hit = room, i, hit
+            delta = -enter_dir * w
+            xb = self.x[self.basis]
+            rising, falling = delta > 1e-9, delta < -1e-9
+            room = np.full(self.m, np.inf)
+            room[rising] = ((self.ub[self.basis[rising]] - xb[rising])
+                            / delta[rising])
+            room[falling] = ((xb[falling] - self.lb[self.basis[falling]])
+                             / -delta[falling])
+            room = np.maximum(room, 0.0)
+            shortest = room.min(initial=np.inf)
+            if shortest < t - 1e-11:
+                near = np.flatnonzero(room < shortest + 1e-11)
+                leave_pos = int(near[self.basis[near].argmin()])
+                t = room[leave_pos]
+                leave_hit = _AT_UB if rising[leave_pos] else _AT_LB
 
             if not np.isfinite(t):
                 return "Unbounded"
@@ -278,8 +289,7 @@ class _Simplex:
 
             # apply the step
             self.x[enter] += enter_dir * t
-            if self.m:
-                self.x[self.basis] -= enter_dir * t * w
+            self.x[self.basis] -= enter_dir * t * w
 
             if leave_pos < 0:
                 # entering flipped from one of its bounds to the other
@@ -289,57 +299,55 @@ class _Simplex:
                 out = self.basis[leave_pos]
                 self.status[out] = leave_hit
                 self.x[out] = self.ub[out] if leave_hit == _AT_UB else self.lb[out]
-                self.basis[leave_pos] = enter
                 self.status[enter] = _BASIC
+                self._replace(leave_pos, enter, w, phase)
 
     def _purge_artificials(self):
         """Pivot basic artificials out where possible; fix all to zero."""
-        for j in range(self.art_start, self.a.shape[1]):
-            self.lb[j] = self.ub[j] = 0.0
+        self.lb[self.art_start:] = 0.0
+        self.ub[self.art_start:] = 0.0
+        structural = self.a[:, : self.art_start]
         for i in range(self.m):
             bi = self.basis[i]
             if bi < self.art_start:
                 continue
-            bmat = self.a[:, self.basis]
-            found = -1
-            for j in range(self.art_start):
-                if self.status[j] == _BASIC:
-                    continue
-                w = np.linalg.solve(bmat, self.a[:, j])
-                if abs(w[i]) > 1e-9:
-                    found = j
-                    break
-            if found >= 0:
-                self.status[bi] = _AT_LB
-                self.x[bi] = 0.0
-                self.basis[i] = found
-                self.status[found] = _BASIC
-            # else: redundant row, artificial stays basic pinned at zero
+            # row i of binv @ a: the pivot element of every candidate column
+            pivots = np.abs(self.binv[i] @ structural) > 1e-9
+            pivots &= self.status[: self.art_start] != _BASIC
+            if not pivots.any():
+                continue  # redundant row, artificial stays basic pinned at zero
+            found = int(pivots.argmax())
+            self.status[bi] = _AT_LB
+            self.x[bi] = 0.0
+            self.status[found] = _BASIC
+            self._replace(i, found, self.binv @ self.a[:, found], "phase 1")
 
     # -- driver --------------------------------------------------------------
+
+    def _stats(self):
+        return {"iterations": self.iterations,
+                "phase1_iterations": self.phase1_iterations,
+                "refactorizations": self.refactorizations}
 
     def solve(self):
         self._init_basis()
         phase1_cost = np.zeros(self.a.shape[1])
         phase1_cost[self.art_start:] = 1.0
-        status = self._optimize(phase1_cost)
+        status = self._optimize(phase1_cost, "phase 1")
+        self.phase1_iterations = self.iterations
         if status != "Optimal":  # phase 1 is bounded below by zero
             raise InvalidProblem("phase 1 terminated abnormally")
         if float(phase1_cost @ self.x) > 1e-7:
-            return Solution(status="Infeasible",
-                            stats={"iterations": self.iterations})
+            return Solution(status="Infeasible", stats=self._stats())
         self._purge_artificials()
 
-        status = self._optimize(self.c)
+        status = self._optimize(self.c, "phase 2")
         if status == "Unbounded":
-            return Solution(status="Unbounded",
-                            stats={"iterations": self.iterations})
+            return Solution(status="Unbounded", stats=self._stats())
 
         # unscale primal, duals and reduced costs
         x = self.x[: self.n_struct] * self.col_scale
-        bmat = self.a[:, self.basis]
-        y_scaled = (np.linalg.solve(bmat.T, self.c[self.basis])
-                    if self.m else np.zeros(0))
+        y_scaled = self.c[self.basis] @ self.binv
         duals = y_scaled * self.row_scale
         d_scaled = self.c[: self.n_struct] - self.a[:, : self.n_struct].T @ y_scaled
         reduced = d_scaled / self.col_scale
@@ -348,20 +356,20 @@ class _Simplex:
         gap = self._duality_gap(objective, duals, reduced)
         return Solution(status="Optimal", x=x, objective=objective,
                         duals=duals, reduced_costs=reduced, duality_gap=gap,
-                        stats={"iterations": self.iterations})
+                        stats=self._stats())
 
     def _duality_gap(self, objective, duals, reduced):
         p = self.problem
         dual_obj = float(duals @ p.rhs) if p.n_cons else 0.0
         # slack reduced costs are -duals; only rows whose slack can move a
         # finite amount contribute nothing (slack bounds are 0 or infinite)
-        for j in range(p.n_vars):
-            dj = reduced[j]
-            if dj > 0 and np.isfinite(p.lb[j]):
-                dual_obj += dj * p.lb[j]
-            elif dj < 0 and np.isfinite(p.ub[j]):
-                dual_obj += dj * p.ub[j]
-        return objective - dual_obj
+        at_lb = (reduced > 0) & np.isfinite(p.lb)
+        at_ub = (reduced < 0) & np.isfinite(p.ub)
+        terms = np.zeros(p.n_vars)
+        terms[at_lb] = reduced[at_lb] * p.lb[at_lb]
+        terms[at_ub] = reduced[at_ub] * p.ub[at_ub]
+        # accumulate left to right, in the order a scalar loop would
+        return objective - float(np.cumsum(np.append(dual_obj, terms))[-1])
 
 
 class ProblemBuilder:

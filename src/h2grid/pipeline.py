@@ -19,7 +19,8 @@ from .chain import (CARRIER_DEFAULTS, ImportSpec, ProductionParams,
                     TariffMap, TransportParams, build_chain_problem,
                     end_use_cost, solve_chain)
 from .dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
-from .errors import CannotScale, IncompleteBaseline, MissingSeries
+from .errors import (CannotScale, H2GridError, IncompleteBaseline,
+                     MissingSeries)
 from .grid import RENEWABLE_KINDS, Generator
 
 UNIFORM, NODAL = "uniform", "nodal"
@@ -253,8 +254,12 @@ def run_full_study(case, scenarios):
         try:
             results.append(run_scenario(case, scenario, baseline_uniform,
                                         baseline_nodal))
-        except Exception as exc:
-            raise type(exc)(f"scenario {scenario.name}: {exc}") from exc
+        except H2GridError as exc:
+            # prefix the message in place, so that the hour, incumbent or
+            # bound an error carries survives (add_note needs Python 3.11)
+            message = exc.args[0] if exc.args else ""
+            exc.args = (f"scenario {scenario.name}: {message}",) + exc.args[1:]
+            raise
 
     spread = {
         n.id: float(baseline_uniform.mean_price

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from h2grid.errors import InvalidProblem
-from h2grid.lp import (EQ, GE, LE, LinearProblem, ProblemBuilder, solve_lp,
-                       solve_milp)
+from h2grid.lp import (EQ, GE, LE, LinearProblem, ProblemBuilder, _Simplex,
+                       solve_lp, solve_milp)
 
 
 def vertex_oracle(c, a, senses, b, lb, ub, tol=1e-7):
@@ -185,6 +185,159 @@ class TestKnownLPs:
                           ub=np.ones(1), a_rows=np.zeros(0, dtype=int),
                           a_cols=np.zeros(0, dtype=int), a_vals=np.zeros(0),
                           senses=(), rhs=np.zeros(0))
+
+
+def bounded_instance(rng, m, n):
+    """Dense, fully bounded random LP, feasible by construction: every row
+    holds at an interior point x0 with a random margin on its inequality."""
+    c = rng.uniform(-5, 5, n)
+    a = rng.uniform(-3, 3, (m, n))
+    lb = rng.uniform(-3, 0, n)
+    ub = lb + rng.uniform(0.5, 6, n)
+    x0 = lb + rng.uniform(0.1, 0.9, n) * (ub - lb)
+    senses = [str(s) for s in rng.choice([LE, GE, EQ], m, p=[0.45, 0.4, 0.15])]
+    margin = rng.uniform(0, 2, m)
+    sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
+    b = a @ x0 + sign * margin
+    return c, a, senses, b, lb, ub
+
+
+class TestRefactorization:
+    """LPs with more than 64 basis changes, so the basis inverse is rebuilt
+    from scratch at least once during the solve."""
+
+    SIZE = (40, 60)
+
+    def instances(self, count):
+        rng = np.random.default_rng(64)
+        return [bounded_instance(rng, *self.SIZE) for _ in range(count)]
+
+    def test_refactored_solves_stay_optimal(self):
+        refactored = 0
+        for c, a, senses, b, lb, ub in self.instances(12):
+            problem = build_problem(c, a, senses, b, lb, ub)
+            sol = solve_lp(problem)
+            assert sol.status == "Optimal"
+            stats = sol.stats
+            refactored += stats["refactorizations"] >= 1
+            assert 0 < stats["phase1_iterations"] <= stats["iterations"]
+            assert solve_lp(problem).stats == stats  # counters repeat
+            assert abs(sol.duality_gap) < 1e-9 * (1 + abs(sol.objective))
+            ax = a @ sol.x
+            assert np.all(sol.x >= lb - 1e-7) and np.all(sol.x <= ub + 1e-7)
+            for i, s in enumerate(senses):
+                if s == LE:
+                    assert ax[i] <= b[i] + 1e-7
+                    assert sol.duals[i] <= 1e-7
+                elif s == GE:
+                    assert ax[i] >= b[i] - 1e-7
+                    assert sol.duals[i] >= -1e-7
+                else:
+                    assert ax[i] == pytest.approx(b[i], abs=1e-7)
+        assert refactored > 0
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for c, a, senses, b, lb, ub in self.instances(6):
+            sol = solve_lp(build_problem(c, a, senses, b, lb, ub))
+            kind = np.array(senses)
+            sign = np.where(kind == GE, -1.0, 1.0)[:, None]
+            ineq = kind != EQ
+            ref = optimize.linprog(
+                c, A_ub=(sign * a)[ineq], b_ub=(sign[:, 0] * b)[ineq],
+                A_eq=a[~ineq], b_eq=b[~ineq], bounds=list(zip(lb, ub)),
+                method="highs")
+            assert ref.status == 0
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+
+    def test_singular_basis_is_invalid_problem(self, monkeypatch):
+        problem = build_problem(*self.instances(1)[0])
+
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(InvalidProblem,
+                           match=r"singular basis in phase \d at iteration \d+"):
+            solve_lp(problem)
+
+
+def scalar_pow2_scale(v):
+    if v <= 0 or not np.isfinite(v):
+        return 1.0
+    return 2.0 ** (-round(np.log2(v)))
+
+
+def scalar_rest(lo, hi):
+    """Starting value and status of one column, as the loop version set it."""
+    if np.isfinite(lo) and (lo >= 0 or not np.isfinite(hi)):
+        return lo, 0
+    if np.isfinite(hi) and hi <= 0:
+        return hi, 1
+    if np.isfinite(lo):
+        return lo, 0
+    return 0.0, 3
+
+
+BOUND_PAIRS = [(-np.inf, np.inf), (-np.inf, -1.0), (-np.inf, 0.0),
+               (-np.inf, 2.0), (-2.0, np.inf), (-2.0, -1.0), (-2.0, 0.0),
+               (-2.0, 3.0), (0.0, 0.0), (0.0, 4.0), (0.0, np.inf),
+               (1.5, 2.0), (1.5, np.inf), (-0.0, 1.0)]
+
+
+class TestSetupArrays:
+    """The array set-up of the simplex against the scalar loops it replaced:
+    equilibration, slack bounds, starting point and duality gap must agree
+    to the bit."""
+
+    def test_matches_scalar_loops(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, n = (int(k) for k in rng.integers(1, 9, 2))
+            a = rng.uniform(-3, 3, (m, n)) * 10.0 ** rng.integers(-6, 7, (m, n))
+            a[rng.random((m, n)) < 0.3] = 0.0
+            pairs = [BOUND_PAIRS[k] for k in rng.integers(len(BOUND_PAIRS),
+                                                          size=n)]
+            lb, ub = np.array(pairs).T
+            senses = [str(s) for s in rng.choice([LE, GE, EQ], m)]
+            b = rng.uniform(-5, 5, m)
+            problem = build_problem(rng.uniform(-5, 5, n), a, senses, b, lb, ub)
+            simplex = _Simplex(problem)
+
+            dense = problem.dense_matrix()
+            row = np.array([scalar_pow2_scale(np.abs(dense[i]).max(initial=0.0))
+                            for i in range(m)])
+            dense = dense * row[:, None]
+            col = np.array([scalar_pow2_scale(np.abs(dense[:, j]).max(initial=0.0))
+                            for j in range(n)])
+            assert simplex.row_scale.tobytes() == row.tobytes()
+            assert simplex.col_scale.tobytes() == col.tobytes()
+
+            slack = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
+            slack_lb, slack_ub = np.array([slack[s] for s in senses]).T
+            assert simplex.lb[n:].tobytes() == slack_lb.tobytes()
+            assert simplex.ub[n:].tobytes() == slack_ub.tobytes()
+
+            rest = [scalar_rest(lo, hi)
+                    for lo, hi in zip(simplex.lb, simplex.ub)]
+            x = np.array([v for v, _ in rest])
+            status = np.array([s for _, s in rest])
+            simplex._init_basis()
+            assert simplex.x[: n + m].tobytes() == x.tobytes()
+            assert np.array_equal(simplex.status[: n + m], status)
+            sign = np.where(simplex.b - simplex.a[:, : n + m] @ x >= 0, 1.0, -1.0)
+            assert np.array_equal(simplex.a[:, n + m:], np.diag(sign))
+            assert np.array_equal(simplex.binv, np.diag(sign))
+
+            duals = rng.uniform(-2, 2, m)
+            reduced = rng.uniform(-2, 2, n) * (rng.random(n) < 0.7)
+            expected = float(duals @ problem.rhs)
+            for j in range(n):
+                if reduced[j] > 0 and np.isfinite(lb[j]):
+                    expected += reduced[j] * lb[j]
+                elif reduced[j] < 0 and np.isfinite(ub[j]):
+                    expected += reduced[j] * ub[j]
+            assert simplex._duality_gap(1.25, duals, reduced) == 1.25 - expected
 
 
 def knapsack_enumeration(values, weights, capacity):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from h2grid import pipeline
 from h2grid.chain import ChainDesign, ProductionParams
 from h2grid.dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
-from h2grid.errors import CannotScale, IncompleteBaseline, MissingSeries
+from h2grid.errors import (CannotScale, IncompleteBaseline, InfeasibleHour,
+                           MissingSeries, ResourceLimit)
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          WIND, compute_ptdf)
 from h2grid.pipeline import (FLAT, NODAL, REAL_TIME, Scenario, StudyCase,
@@ -171,3 +173,21 @@ class TestFullStudy:
         assert len(rows[1]) == 7
         # hydrogen load increases system demand
         assert rows[1][1] > rows[0][1]
+
+    @pytest.mark.parametrize("kind, context", [
+        (InfeasibleHour, {"hour": 5, "deficit_mw": 2.0}),
+        (ResourceLimit, {"incumbent": "best", "bound": -1.0}),
+    ])
+    def test_scenario_error_keeps_context(self, monkeypatch, kind, context):
+        def fail(*args):
+            raise kind("x", **context)
+
+        monkeypatch.setattr(pipeline, "run_year", lambda *args: None)
+        monkeypatch.setattr(pipeline, "run_scenario", fail)
+        scenario = Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2",
+                            hours=12)
+        with pytest.raises(kind) as info:
+            run_full_study(congested_fixture(hours=12), [scenario])
+        assert str(info.value) == f"scenario {scenario.name}: x"
+        for name, value in context.items():
+            assert getattr(info.value, name) == value
