@@ -12,7 +12,7 @@ variables, with big-M links tying route flows to their binary connections.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .demand import (DAYS_PER_YEAR, INDUSTRY, LHV_KWH_PER_KG,
                      station_investment_cost)
 from .errors import (ChainInfeasible, ConfigError, DivisionDomain,
                      InvalidDepreciation, StructurallyInfeasible)
-from .lp import EQ, GE, LE, ProblemBuilder, solve_milp
+from .lp import EQ, GE, LE, LinearProblem, solve_milp
 
 CARRIERS = ("LH2", "GH2", "LOHC")
 
@@ -177,15 +177,16 @@ class ChainProblem:
     transport: TransportParams
     tariffs: TariffMap
     import_spec: object
-    x_vars: tuple
-    hp_vars: tuple              # per candidate; import HP var appended if any
-    import_hp_var: int
-    y_vars: dict                # (source index, sink index) -> var
-    ht_vars: dict
-    hp_cost: dict = field(default_factory=dict)   # per-source per-kg/day cost split
-    route_cost: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-    total_demand_kg_day: float = 0.0
+    x_vars: np.ndarray          # column per candidate
+    hp_vars: np.ndarray         # column per source: candidates, then import
+    y_vars: np.ndarray          # column per route, sources x sinks
+    ht_vars: np.ndarray
+    route_vars: np.ndarray      # per route: y if paid per day, else ht
+    hp_cost: np.ndarray         # sources x (PCC, POC, COC), EUR/yr per kg/day
+    route_cost: np.ndarray      # sources x sinks x (TOC, TCC, truck hours/day)
+                                # per unit of the route's activity column
+    constants: dict
+    total_demand_kg_day: float
 
     @property
     def sources(self):
@@ -240,7 +241,13 @@ def _trip_cost_bundle(dist_km, transport, carrier, wacc):
 
 def build_chain_problem(sinks, candidates, tariffs, carrier, production,
                         transport=None, import_spec=None):
-    """Assemble the siting MILP for one carrier state and tariff map."""
+    """Assemble the siting MILP for one carrier state and tariff map.
+
+    Columns: ``(x, hp)`` per candidate, the import ``hp``, then ``(y, ht)``
+    per route, routes in row-major (source, sink) order.  Rows: demand
+    balance, capacity pair per candidate, outflow per source, inflow per
+    sink, big-M link per route.
+    """
     transport = transport or TransportParams()
     sinks = tuple(sinks)
     candidates = tuple(candidates)
@@ -259,6 +266,11 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
 
     wacc = production.wacc
     af_prod = annuity_factor(wacc, production.depreciation_years)
+    n_cand, n_sinks = len(candidates), len(sinks)
+    points = candidates + ((import_spec,) if import_spec is not None else ())
+    n_src = len(points)
+    demand = np.array([s.hd_kg_per_day for s in sinks])
+    ep = np.array([tariffs.ep_node[node.id] for node in candidates])
 
     # HP cost coefficients, EUR/year per kg/day, split by component
     pcc_coeff = (DAYS_PER_YEAR * production.ed_kwh_per_kg
@@ -269,110 +281,84 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
         (step.ec_kwh_per_kg * tariffs.ep_uniform
          + step.ngc_kwh_per_kg * tariffs.ngp) * (1.0 + step.loss)
         for step in carrier.consumption_steps) * DAYS_PER_YEAR
-
-    hp_cost = {}
-    for node in candidates:
-        ep = tariffs.ep_node[node.id]
-        coc_production = sum(
-            (step.ec_kwh_per_kg * ep + step.ngc_kwh_per_kg * tariffs.ngp)
-            * (1.0 + step.loss)
-            for step in carrier.production_steps) * DAYS_PER_YEAR
-        hp_cost[node.id] = {
-            "PCC": pcc_coeff,
-            "POC": production.ec_kwh_per_kg * ep * DAYS_PER_YEAR,
-            "COC": coc_production + coc_downstream,
-        }
+    coc_production = sum(
+        (step.ec_kwh_per_kg * ep + step.ngc_kwh_per_kg * tariffs.ngp)
+        * (1.0 + step.loss)
+        for step in carrier.production_steps) * DAYS_PER_YEAR
+    hp_cost = np.empty((n_src, 3))
+    hp_cost[:n_cand, 0] = pcc_coeff
+    hp_cost[:n_cand, 1] = production.ec_kwh_per_kg * ep * DAYS_PER_YEAR
+    hp_cost[:n_cand, 2] = coc_production + coc_downstream
     if import_spec is not None:
         # imports arrive already converted: no production-side step
-        hp_cost["import"] = {
-            "PCC": 0.0,
-            "POC": import_spec.cost_eur_per_kg * DAYS_PER_YEAR,
-            "COC": coc_downstream,
-        }
+        hp_cost[n_cand] = (0.0, import_spec.cost_eur_per_kg * DAYS_PER_YEAR,
+                           coc_downstream)
 
-    builder = ProblemBuilder()
-    x_vars = []
-    hp_vars = []
-    for node in candidates:
-        x_vars.append(builder.add_var(binary=True))
-        hp_vars.append(builder.add_var(lb=0.0, ub=production.cap_max_kg_day))
-    import_hp_var = None
+    # route costs per trip, then per kg where trips scale with the volume:
+    # every kg implies 1 / trailer capacity trips per day (a product, not a
+    # division, which would round differently); routes whose cost rides on
+    # the flow need no integer link, which keeps the tree small
+    dist = np.array([[_distance(p, sink) for sink in sinks] for p in points])
+    hours, money, vehicle = _trip_cost_bundle(
+        dist.reshape(n_src, n_sinks), transport, carrier, wacc)
+    route_cost = np.stack(
+        (money * DAYS_PER_YEAR, hours / 24.0 * vehicle, hours), axis=-1)
+    per_day = np.array([s.kind == INDUSTRY for s in sinks], dtype=bool)
+    per_day &= not transport.industry_frequency_by_volume
+    route_cost[:, ~per_day] *= 1.0 / carrier.trailer_capacity_kg
+
+    x_vars = 2 * np.arange(n_cand)
+    first_route = 2 * n_cand + (import_spec is not None)
+    hp_vars = np.append(x_vars + 1, np.arange(2 * n_cand, first_route))
+    y_vars = first_route + 2 * np.arange(n_src * n_sinks).reshape(
+        n_src, n_sinks)
+    ht_vars = y_vars + 1
+    route_vars = np.where(per_day, y_vars, ht_vars)
+    n_vars = first_route + 2 * y_vars.size
+
+    c = np.zeros(n_vars)
+    c[hp_vars] = hp_cost[:, 0] + hp_cost[:, 1] + hp_cost[:, 2]
+    c[route_vars] = route_cost[..., 0] + route_cost[..., 1]
+    ub = np.ones(n_vars)
+    ub[hp_vars[:n_cand]] = production.cap_max_kg_day
     if import_spec is not None:
-        import_hp_var = builder.add_var(lb=0.0, ub=import_spec.cap_kg_per_day)
+        ub[hp_vars[n_cand]] = import_spec.cap_kg_per_day
+    ub[ht_vars] = demand
 
-    sources = list(candidates) + (["import"] if import_spec is not None else [])
-    source_hp = hp_vars + ([import_hp_var] if import_spec is not None else [])
-
-    # route variables and their cost coefficients
-    y_vars, ht_vars, route_cost = {}, {}, {}
-    for pi, source in enumerate(sources):
-        src_node = import_spec if source == "import" else source
-        for ci, sink in enumerate(sinks):
-            hours, money, vehicle = _trip_cost_bundle(
-                _distance(src_node, sink), transport, carrier, wacc)
-            per_trip_toc = money * DAYS_PER_YEAR
-            per_trip_tcc = hours / 24.0 * vehicle
-            fixed_daily = (sink.kind == INDUSTRY
-                           and not transport.industry_frequency_by_volume)
-            # routes whose cost rides on the flow variable need no integer
-            # link decision; a continuous indicator keeps the tree small
-            y = builder.add_var(lb=0.0, ub=1.0, binary=fixed_daily)
-            ht = builder.add_var(lb=0.0, ub=sink.hd_kg_per_day)
-            y_vars[(pi, ci)] = y
-            ht_vars[(pi, ci)] = ht
-            if fixed_daily:
-                route_cost[(pi, ci)] = {
-                    "var": y, "kind": "per_day",
-                    "TOC": per_trip_toc, "TCC": per_trip_tcc,
-                    "hours_per_day": hours}
-            else:
-                # trips scale with delivered volume: every kg implies
-                # 1 / trailer capacity trips per day
-                trips_per_kg = 1.0 / carrier.trailer_capacity_kg
-                route_cost[(pi, ci)] = {
-                    "var": ht, "kind": "per_kg",
-                    "TOC": per_trip_toc * trips_per_kg,
-                    "TCC": per_trip_tcc * trips_per_kg,
-                    "hours_per_day": hours * trips_per_kg}
-
-    # objective coefficients
-    for pi, source in enumerate(sources):
-        label = source.id if source != "import" else "import"
-        builder.set_cost(source_hp[pi], sum(hp_cost[label].values()))
-    for rc in route_cost.values():
-        builder.set_cost(rc["var"], rc["TOC"] + rc["TCC"])
-
-    # constraints
-    builder.add_constraint([(v, 1.0) for v in source_hp], EQ, total_demand)
-    for i, node in enumerate(candidates):
-        builder.add_constraint(
-            [(hp_vars[i], 1.0), (x_vars[i], -production.cap_min_kg_day)],
-            GE, 0.0)
-        builder.add_constraint(
-            [(hp_vars[i], 1.0), (x_vars[i], -production.cap_max_kg_day)],
-            LE, 0.0)
-    for pi in range(len(sources)):
-        builder.add_constraint(
-            [(ht_vars[(pi, ci)], 1.0) for ci in range(len(sinks))]
-            + [(source_hp[pi], -1.0)], LE, 0.0)
-    for ci, sink in enumerate(sinks):
-        builder.add_constraint(
-            [(ht_vars[(pi, ci)], 1.0) for pi in range(len(sources))],
-            GE, sink.hd_kg_per_day)
-    for (pi, ci), ht in ht_vars.items():
-        big_m = max(sinks[ci].hd_kg_per_day, 1.0)
-        builder.add_constraint([(ht, 1.0), (y_vars[(pi, ci)], -big_m)],
-                               LE, 0.0)
+    n_rows = 1 + 2 * n_cand + n_src + n_sinks + y_vars.size
+    box = 1 + 2 * np.arange(n_cand)[:, None] + (0, 1)  # (GE, LE) pairs
+    outflow = 1 + 2 * n_cand + np.arange(n_src)
+    inflow = 1 + 2 * n_cand + n_src + np.arange(n_sinks)
+    links = n_rows - y_vars.size + np.arange(y_vars.size).reshape(
+        y_vars.shape)
+    a = np.zeros((n_rows, n_vars))
+    a[0, hp_vars] = 1.0
+    a[box, x_vars[:, None] + 1] = 1.0
+    a[box, x_vars[:, None]] = (-production.cap_min_kg_day,
+                               -production.cap_max_kg_day)
+    a[outflow[:, None], ht_vars] = 1.0
+    a[outflow, hp_vars] = -1.0
+    a[inflow, ht_vars] = 1.0
+    a[links, ht_vars] = 1.0
+    a[links, y_vars] = -np.maximum(demand, 1.0)
+    rhs = np.zeros(n_rows)
+    rhs[0] = total_demand
+    rhs[inflow] = demand
+    rows, cols = np.nonzero(a)
+    lp = LinearProblem(
+        c, np.zeros(n_vars), ub, rows, cols, a[rows, cols],
+        (EQ,) + (GE, LE) * n_cand + (LE,) * n_src + (GE,) * n_sinks
+        + (LE,) * y_vars.size, rhs,
+        np.append(x_vars, y_vars[:, per_day]).tolist())
 
     constants = _constant_costs(sinks, carrier, tariffs, wacc, total_demand,
                                 import_spec)
 
     return ChainProblem(
-        lp=builder.build(), candidates=candidates, sinks=sinks,
-        carrier=carrier, production=production, transport=transport,
-        tariffs=tariffs, import_spec=import_spec,
-        x_vars=tuple(x_vars), hp_vars=tuple(hp_vars),
-        import_hp_var=import_hp_var, y_vars=y_vars, ht_vars=ht_vars,
+        lp=lp, candidates=candidates, sinks=sinks, carrier=carrier,
+        production=production, transport=transport, tariffs=tariffs,
+        import_spec=import_spec, x_vars=x_vars, hp_vars=hp_vars,
+        y_vars=y_vars, ht_vars=ht_vars, route_vars=route_vars,
         hp_cost=hp_cost, route_cost=route_cost, constants=constants,
         total_demand_kg_day=total_demand)
 
@@ -416,47 +402,44 @@ def solve_chain(problem, node_limit=200000):
     return decode_design(problem, sol.x, sol.objective)
 
 
+def _sums_in_order(terms):
+    """Column sums of *terms*, added top to bottom from 0.0 as a loop of
+    ``+=`` adds them (``np.sum`` pairs terms up)."""
+    start = np.zeros((1, terms.shape[1]))
+    return np.cumsum(np.vstack((start, terms)), axis=0)[-1].tolist()
+
+
 def decode_design(problem, values, lp_objective):
-    candidates = problem.candidates
-    sinks = problem.sinks
     tol = 1e-6 * (1.0 + problem.total_demand_kg_day)
-
-    def _clamp(v):
-        return 0.0 if abs(v) < 1e-9 else float(v)
-
-    x = {node.id: int(round(values[problem.x_vars[i]]))
-         for i, node in enumerate(candidates)}
-    hp = {node.id: _clamp(values[problem.hp_vars[i]])
-          for i, node in enumerate(candidates)}
-    import_kg = (_clamp(values[problem.import_hp_var])
-                 if problem.import_hp_var is not None else 0.0)
+    ids = [node.id for node in problem.candidates]
+    source_hp = values[problem.hp_vars]
+    source_hp = np.where(np.abs(source_hp) < 1e-9, 0.0, source_hp)
+    opened = np.rint(values[problem.x_vars]).astype(int)
+    x = dict(zip(ids, opened.tolist()))
+    hp = dict(zip(ids, source_hp.tolist()))      # zip stops before import
+    import_kg = float(source_hp[len(ids):].sum())
 
     sources = problem.sources
+    flow = values[problem.ht_vars]
+    link = np.rint(values[problem.y_vars]).astype(int)
+    link[flow > 1e-9] = 1
     flows, links = {}, {}
-    for (pi, ci), var in problem.ht_vars.items():
-        v = float(values[var])
-        yv = int(round(values[problem.y_vars[(pi, ci)]]))
-        if v > 1e-9 or yv:
-            flows[(sources[pi], sinks[ci].id)] = v
-            links[(sources[pi], sinks[ci].id)] = 1 if v > 1e-9 else yv
+    for pi, ci in zip(*np.nonzero(link)):
+        key = (sources[pi], problem.sinks[ci].id)
+        flows[key] = float(flow[pi, ci])
+        links[key] = int(link[pi, ci])
 
-    _check_feasibility(problem, x, hp, import_kg, values, tol)
+    _check_feasibility(problem, opened, source_hp, flow,
+                       values[problem.y_vars], tol)
 
     # recompute cost components from the decision values
-    components = {name: 0.0 for name in COMPONENTS}
-    components.update(problem.constants)
-    for node in candidates:
-        for name in ("PCC", "POC", "COC"):
-            components[name] += problem.hp_cost[node.id][name] * hp[node.id]
-    if problem.import_spec is not None:
-        for name in ("PCC", "POC", "COC"):
-            components[name] += problem.hp_cost["import"][name] * import_kg
-    truck_hours = 0.0
-    for key, rc in problem.route_cost.items():
-        activity = float(values[rc["var"]])
-        components["TOC"] += rc["TOC"] * activity
-        components["TCC"] += rc["TCC"] * activity
-        truck_hours += rc["hours_per_day"] * activity
+    pcc, poc, coc = _sums_in_order(problem.hp_cost * source_hp[:, None])
+    activity = values[problem.route_vars][..., None]
+    toc, tcc, truck_hours = _sums_in_order(
+        (problem.route_cost * activity).reshape(-1, 3))
+    components = dict.fromkeys(COMPONENTS, 0.0)
+    components.update(problem.constants, PCC=pcc, POC=poc, COC=coc,
+                      TOC=toc, TCC=tcc)
 
     objective = lp_objective + sum(problem.constants.values())
     recomputed = sum(components.values())
@@ -477,36 +460,31 @@ def decode_design(problem, values, lp_objective):
         annual_kg=annual_kg)
 
 
-def _check_feasibility(problem, x, hp, import_kg, values, tol):
+def _check_feasibility(problem, opened, source_hp, flow, y, tol):
     production = problem.production
-    total = sum(hp.values()) + import_kg
-    if abs(total - problem.total_demand_kg_day) > tol:
+    if abs(source_hp.sum() - problem.total_demand_kg_day) > tol:
         raise ChainInfeasible("production does not balance demand")
-    for node in problem.candidates:
-        if x[node.id]:
-            if not (production.cap_min_kg_day - tol <= hp[node.id]
-                    <= production.cap_max_kg_day + tol):
-                raise ChainInfeasible(f"capacity box violated at {node.id}")
-        elif hp[node.id] > tol:
-            raise ChainInfeasible(f"production without siting at {node.id}")
-    sources = problem.sources
-    source_hp = list(hp.values()) + ([import_kg] if problem.import_spec else [])
-    n_sinks = len(problem.sinks)
-    for pi in range(len(sources)):
-        out = sum(float(values[problem.ht_vars[(pi, ci)]])
-                  for ci in range(n_sinks))
-        if out > source_hp[pi] + tol:
-            raise ChainInfeasible(f"transport exceeds production at {sources[pi]}")
-    for ci, sink in enumerate(problem.sinks):
-        inflow = sum(float(values[problem.ht_vars[(pi, ci)]])
-                     for pi in range(len(sources)))
-        if inflow + tol < sink.hd_kg_per_day:
-            raise ChainInfeasible(f"demand unmet at sink {sink.id}")
-    binary_links = set(problem.lp.binaries)
-    for key, ht in problem.ht_vars.items():
-        y = problem.y_vars[key]
-        if y in binary_links and float(values[ht]) > tol and values[y] < 0.5:
-            raise ChainInfeasible("flow on a closed connection")
+    hp = source_hp[:len(opened)]
+    in_box = ((production.cap_min_kg_day - tol <= hp)
+              & (hp <= production.cap_max_kg_day + tol))
+    bad = np.flatnonzero(np.where(opened != 0, ~in_box, hp > tol))
+    if bad.size:
+        node = problem.candidates[bad[0]].id
+        if opened[bad[0]]:
+            raise ChainInfeasible(f"capacity box violated at {node}")
+        raise ChainInfeasible(f"production without siting at {node}")
+    over = np.flatnonzero(flow.sum(axis=1) > source_hp + tol)
+    if over.size:
+        raise ChainInfeasible(
+            f"transport exceeds production at {problem.sources[over[0]]}")
+    demand = np.array([s.hd_kg_per_day for s in problem.sinks])
+    unmet = np.flatnonzero(flow.sum(axis=0) + tol < demand)
+    if unmet.size:
+        raise ChainInfeasible(
+            f"demand unmet at sink {problem.sinks[unmet[0]].id}")
+    per_day = problem.route_vars == problem.y_vars    # binary links
+    if np.any(per_day & (flow > tol) & (y < 0.5)):
+        raise ChainInfeasible("flow on a closed connection")
 
 
 def end_use_cost(design, served_kg_per_year=None, include_stations=False):

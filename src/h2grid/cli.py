@@ -160,8 +160,7 @@ def cmd_study(args):
                      import_spec=cfg.import_spec(), ngp=cfg.ngp,
                      cheap_share=cfg.cheap_share)
     scenarios = [Scenario(spatial=s.spatial, temporal=s.temporal,
-                          carrier=s.carrier, hours=cfg.hours)
-                 for s in cfg.scenarios]
+                          carrier=s.carrier) for s in cfg.scenarios]
     report = run_full_study(case, scenarios)
     iomod.write_report(out, report)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .chain import ImportSpec, ProductionParams, TransportParams
+from .chain import CARRIERS, ImportSpec, ProductionParams, TransportParams
 from .errors import ConfigError
 
 FIXTURES = ("congested10",)
@@ -147,6 +147,9 @@ def parse_config(data):
             raise ConfigError(f"scenarios[{i}].spatial: {sc.spatial!r}")
         if sc.temporal not in ("flat", "real_time"):
             raise ConfigError(f"scenarios[{i}].temporal: {sc.temporal!r}")
+        if sc.carrier not in CARRIERS:
+            raise ConfigError(f"scenarios[{i}].carrier: {sc.carrier!r}; "
+                              f"known: {', '.join(CARRIERS)}")
     return cfg
 
 

@@ -1,11 +1,13 @@
 """CSV input and output.
 
 All numeric output is formatted to six significant digits so repeated runs
-produce byte-identical files.  Readers validate headers and raise IoError
-with the offending file and column.
+produce byte-identical files.  Readers validate headers, numbers (finite)
+and positional indices (in range, never negative) and raise IoError with
+the offending file and column.
 """
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -47,10 +49,24 @@ def _read_rows(path, required):
 
 def _num(row, col, path, cast=float):
     try:
-        return cast(row[col])
+        value = cast(row[col])
     except (TypeError, ValueError) as exc:
         raise IoError(f"{path}: bad value {row.get(col)!r} "
                       f"in column {col}") from exc
+    if not math.isfinite(value):
+        raise IoError(f"{path}: non-finite value {row[col]!r} "
+                      f"in column {col}")
+    return value
+
+
+def _index(row, col, path, stop=math.inf):
+    """A 0-based integer index below *stop*; negatives never wrap."""
+    value = _num(row, col, path, int)
+    if value < 0:
+        raise IoError(f"{path}: negative index {value} in column {col}")
+    if value >= stop:
+        raise IoError(f"{path}: index {value} >= {stop} in column {col}")
+    return value
 
 
 # -- network ----------------------------------------------------------------
@@ -101,20 +117,30 @@ def read_profile(path, hours):
     if len(rows) < hours:
         raise IoError(f"{path}: profile has {len(rows)} hours, "
                       f"need {hours}")
-    values = np.zeros(len(rows))
+    values = np.full(len(rows), np.nan)
     for r in rows:
-        values[_num(r, "hour", path, int)] = _num(r, "mw", path)
+        t = _index(r, "hour", path, len(rows))
+        if not np.isnan(values[t]):
+            raise IoError(f"{path}: duplicate hour {t} in column hour")
+        values[t] = _num(r, "mw", path)
     return values
 
 
 def read_demand(path, n_nodes, hours):
+    """Hourly MW per node; rows for hours at or past *hours* are skipped."""
     rows = _read_rows(path, ("hour", "node", "mw"))
     demand = np.zeros((hours, n_nodes))
+    seen = set()
     for r in rows:
-        t = _num(r, "hour", path, int)
-        if t >= hours:
-            continue
-        demand[t, _num(r, "node", path, int)] = _num(r, "mw", path)
+        t = _index(r, "hour", path)
+        n = _index(r, "node", path, n_nodes)
+        mw = _num(r, "mw", path)
+        if (t, n) in seen:
+            raise IoError(f"{path}: duplicate row for hour {t}, node {n} "
+                          f"in columns hour, node")
+        seen.add((t, n))
+        if t < hours:
+            demand[t, n] = mw
     return demand
 
 

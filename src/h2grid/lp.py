@@ -337,7 +337,7 @@ class _Simplex:
         self.phase1_iterations = self.iterations
         if status != "Optimal":  # phase 1 is bounded below by zero
             raise InvalidProblem("phase 1 terminated abnormally")
-        if float(phase1_cost @ self.x) > 1e-7:
+        if float(phase1_cost @ self.x) > FEAS_TOL:
             return Solution(status="Infeasible", stats=self._stats())
         self._purge_artificials()
 
@@ -396,9 +396,6 @@ class ProblemBuilder:
         if binary:
             self._binaries.append(j)
         return j
-
-    def set_cost(self, var, cost):
-        self._cost[var] = float(cost)
 
     def add_constraint(self, coeffs, sense, rhs):
         """coeffs: iterable of (var index, coefficient)."""

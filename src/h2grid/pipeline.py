@@ -32,7 +32,6 @@ class Scenario:
     spatial: str = UNIFORM          # uniform | nodal
     temporal: str = FLAT            # flat | real_time
     carrier: str = "LH2"
-    hours: int = None               # defaults to the study horizon
 
     @property
     def name(self):
@@ -205,24 +204,18 @@ class StudyCase:
     production: ProductionParams = ProductionParams()
     transport: TransportParams = TransportParams()
     import_spec: ImportSpec = None
-    carriers: dict = None            # carrier name -> CarrierParams
     ngp: float = 0.03
     cheap_share: float = 0.7
 
-    def carrier_params(self, name):
-        table = self.carriers or CARRIER_DEFAULTS
-        return table[name]
-
 
 def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
-    hours = scenario.hours or case.hours
     node_ids = [n.id for n in case.candidates]
     tariffs = derive_tariffs(baseline_uniform, baseline_nodal, scenario,
                              node_ids, ngp=case.ngp,
                              cheap_share=case.cheap_share)
     problem = build_chain_problem(
         case.sinks, case.candidates, tariffs,
-        case.carrier_params(scenario.carrier), case.production,
+        CARRIER_DEFAULTS[scenario.carrier], case.production,
         case.transport, case.import_spec)
     design = solve_chain(problem)
     include_stations = any(s.kind != "industry" for s in case.sinks)
@@ -234,7 +227,7 @@ def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
     added_mwh = float(loads.sum())
     scaled = additionality_scale(case.system, added_mwh)
     fed_back = scaled.with_demand(scaled.demand + loads)
-    summary = run_year(fed_back, hours, MODE_UNIFORM_REDISPATCH)
+    summary = run_year(fed_back, case.hours, MODE_UNIFORM_REDISPATCH)
     return ScenarioResult(
         scenario=scenario, tariffs=tariffs, design=design,
         breakdown=breakdown, summary=summary, added_energy_mwh=added_mwh,

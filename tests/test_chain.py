@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from h2grid.chain import (CARRIER_DEFAULTS, ImportSpec, ProductionParams,
-                          TariffMap, TransportParams, annuity_factor,
-                          build_chain_problem, end_use_cost, solve_chain)
-from h2grid.demand import INDUSTRY, ConsumptionLocation
+                          TariffMap, TransportParams, _distance,
+                          _trip_cost_bundle, annuity_factor,
+                          build_chain_problem, decode_design, end_use_cost,
+                          solve_chain)
+from h2grid.demand import (DAYS_PER_YEAR, INDUSTRY, STATION_CARS,
+                           STATION_TRUCKS, ConsumptionLocation)
 from h2grid.errors import (ChainInfeasible, ConfigError, InvalidDepreciation,
                            StructurallyInfeasible)
 from h2grid.grid import Node
-from h2grid.lp import solve_lp
+from h2grid.lp import EQ, GE, LE, ProblemBuilder, solve_lp, solve_milp
 
 
 class TestAnnuity:
@@ -199,6 +202,154 @@ class TestChainMILP:
             ProductionParams()))
         assert sum(design.components.values()) == pytest.approx(
             design.objective_eur_year, rel=1e-9)
+
+
+def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
+                         transport, import_spec):
+    """The siting LP built one variable and one triplet at a time, as
+    ``build_chain_problem`` did before it assembled arrays."""
+    wacc = production.wacc
+    total_demand = sum(s.hd_kg_per_day for s in sinks)
+    pcc = (DAYS_PER_YEAR * production.ed_kwh_per_kg * production.ic_eur_per_kw
+           / (production.flh * production.ee) * (1.0 + production.o_and_m)
+           * annuity_factor(wacc, production.depreciation_years))
+    coc_downstream = sum(
+        (step.ec_kwh_per_kg * tariffs.ep_uniform
+         + step.ngc_kwh_per_kg * tariffs.ngp) * (1.0 + step.loss)
+        for step in carrier.consumption_steps) * DAYS_PER_YEAR
+    source_cost = []
+    for node in candidates:
+        ep = tariffs.ep_node[node.id]
+        coc_production = sum(
+            (step.ec_kwh_per_kg * ep + step.ngc_kwh_per_kg * tariffs.ngp)
+            * (1.0 + step.loss)
+            for step in carrier.production_steps) * DAYS_PER_YEAR
+        source_cost.append(sum((
+            pcc, production.ec_kwh_per_kg * ep * DAYS_PER_YEAR,
+            coc_production + coc_downstream)))
+    if import_spec is not None:
+        source_cost.append(sum((
+            0.0, import_spec.cost_eur_per_kg * DAYS_PER_YEAR,
+            coc_downstream)))
+
+    builder = ProblemBuilder()
+    x_vars, hp_vars = [], []
+    for cost in source_cost[:len(candidates)]:
+        x_vars.append(builder.add_var(binary=True))
+        hp_vars.append(builder.add_var(cost, ub=production.cap_max_kg_day))
+    points = list(candidates)
+    if import_spec is not None:
+        hp_vars.append(builder.add_var(source_cost[-1],
+                                       ub=import_spec.cap_kg_per_day))
+        points.append(import_spec)
+    y_vars, ht_vars = {}, {}
+    for pi, point in enumerate(points):
+        for ci, sink in enumerate(sinks):
+            hours, money, vehicle = _trip_cost_bundle(
+                _distance(point, sink), transport, carrier, wacc)
+            toc = money * DAYS_PER_YEAR
+            tcc = hours / 24.0 * vehicle
+            per_day = (sink.kind == INDUSTRY
+                       and not transport.industry_frequency_by_volume)
+            trips_per_kg = 1.0 / carrier.trailer_capacity_kg
+            y_vars[(pi, ci)] = builder.add_var(
+                toc + tcc if per_day else 0.0, ub=1.0, binary=per_day)
+            ht_vars[(pi, ci)] = builder.add_var(
+                0.0 if per_day else toc * trips_per_kg + tcc * trips_per_kg,
+                ub=sink.hd_kg_per_day)
+
+    builder.add_constraint([(v, 1.0) for v in hp_vars], EQ, total_demand)
+    for x, hp in zip(x_vars, hp_vars):
+        builder.add_constraint([(hp, 1.0), (x, -production.cap_min_kg_day)],
+                               GE, 0.0)
+        builder.add_constraint([(hp, 1.0), (x, -production.cap_max_kg_day)],
+                               LE, 0.0)
+    for pi, hp in enumerate(hp_vars):
+        builder.add_constraint(
+            [(ht_vars[(pi, ci)], 1.0) for ci in range(len(sinks))]
+            + [(hp, -1.0)], LE, 0.0)
+    for ci, sink in enumerate(sinks):
+        builder.add_constraint(
+            [(ht_vars[(pi, ci)], 1.0) for pi in range(len(points))],
+            GE, sink.hd_kg_per_day)
+    for (pi, ci), ht in ht_vars.items():
+        big_m = max(sinks[ci].hd_kg_per_day, 1.0)
+        builder.add_constraint([(ht, 1.0), (y_vars[(pi, ci)], -big_m)],
+                               LE, 0.0)
+    return builder.build()
+
+
+class TestArrayAssembly:
+    """The array-built siting LP equals the per-triplet build exactly."""
+
+    @pytest.mark.parametrize("by_volume", [True, False])
+    @pytest.mark.parametrize("with_import", [True, False])
+    @pytest.mark.parametrize("cap_min_mw", [0.0, 10.0])
+    def test_matches_per_triplet_build(self, by_volume, with_import,
+                                       cap_min_mw):
+        rng = np.random.default_rng(
+            [int(by_volume), int(with_import), int(cap_min_mw)])
+        production = ProductionParams(cap_min_mw=cap_min_mw)
+        transport = TransportParams(industry_frequency_by_volume=by_volume)
+        kinds = (INDUSTRY, STATION_CARS, INDUSTRY, STATION_TRUCKS)
+        for trial in range(10):
+            n_cand = int(rng.integers(1, 6))
+            nodes = tuple(Node(i, float(rng.uniform(0, 400)),
+                               float(rng.uniform(0, 400)))
+                          for i in range(n_cand))
+            shares = rng.dirichlet(np.ones(int(rng.integers(1, 6))))
+            demand = (float(rng.uniform(0.2, 0.9)) * n_cand
+                      * production.cap_max_kg_day * shares)
+            demand[0] = 0.5 if trial % 4 == 0 else demand[0]  # big-M of 1
+            sinks = tuple(ConsumptionLocation(
+                j, kinds[(trial + j) % 4], float(kg),
+                x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)))
+                for j, kg in enumerate(demand))
+            tariffs = TariffMap(
+                ep_node={i: float(rng.uniform(0.01, 0.09))
+                         for i in range(n_cand)},
+                ep_uniform=float(rng.uniform(0.02, 0.08)),
+                ngp=float(rng.uniform(0.01, 0.05)))
+            imp = (ImportSpec(node=0, x=float(rng.uniform(0, 400)),
+                              y=float(rng.uniform(0, 400)))
+                   if with_import else None)
+            carrier = CARRIER_DEFAULTS[("GH2", "LH2", "LOHC")[trial % 3]]
+            args = (sinks, nodes, tariffs, carrier, production, transport,
+                    imp)
+            got = build_chain_problem(*args).lp
+            want = per_triplet_chain_lp(*args)
+            for name in ("c", "lb", "ub", "rhs"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+            assert np.array_equal(got.dense_matrix(), want.dense_matrix())
+            assert got.senses == want.senses
+            assert got.binaries == want.binaries
+
+
+class TestDecodeChecks:
+    """A tampered MILP solution fails the decoder's feasibility checks."""
+
+    @pytest.mark.parametrize("column, change, message", [
+        ("hp_vars", 1000.0, "production does not balance demand"),
+        ("x_vars", -1.0, "production without siting at 0"),
+        ("ht_vars", 1000.0, "transport exceeds production at 0"),
+        ("ht_vars", -1000.0, "demand unmet at sink 0"),
+        ("y_vars", -1.0, "flow on a closed connection"),
+    ])
+    def test_tampered_solution(self, column, change, message):
+        nodes = (Node(0, 0.0, 0.0), Node(1, 400.0, 0.0))
+        sinks = (industry_sink(0, 20_000.0, 10.0, 0.0),
+                 industry_sink(1, 8_000.0, 390.0, 0.0))
+        problem = build_chain_problem(
+            sinks, nodes, flat_tariffs([0, 1]), CARRIER_DEFAULTS["GH2"],
+            ProductionParams(),
+            TransportParams(industry_frequency_by_volume=False))
+        sol = solve_milp(problem.lp)
+        assert decode_design(problem, sol.x, sol.objective).x[0] == 1
+        values = sol.x.copy()
+        values[getattr(problem, column).flat[0]] += change
+        with pytest.raises(ChainInfeasible, match=message):
+            decode_design(problem, values, sol.objective)
 
 
 class TestEndUseCost:

@@ -47,6 +47,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"scenarios\[0\].temporal"):
             parse_config({"scenarios": [{"temporal": "hourly"}]})
 
+    def test_unknown_carrier(self):
+        with pytest.raises(ConfigError, match=r"scenarios\[1\].carrier"):
+            parse_config({"scenarios": [{"carrier": "GH2"},
+                                        {"carrier": "H2X"}]})
+
     def test_scenarios_must_be_list(self):
         with pytest.raises(ConfigError, match="expected a list"):
             parse_config({"scenarios": {"spatial": "uniform"}})
@@ -90,6 +95,15 @@ class TestExitCodes:
         cfg = write_yaml(tmp_path / "empty.yaml", {})
         assert main(["dispatch", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["chain", "study"])
+    def test_unknown_carrier_is_2(self, tmp_path, capsys, command):
+        cfg = write_yaml(tmp_path / "h2x.yaml", {
+            "fixture": "congested10", "hours": 24,
+            "scenarios": [{"carrier": "H2X"}]})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "scenarios[0].carrier" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,

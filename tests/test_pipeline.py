@@ -165,8 +165,7 @@ class TestFullStudy:
     def test_scenario_row_shape(self):
         case = congested_fixture(hours=12)
         report = run_full_study(
-            case, [Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2",
-                            hours=12)])
+            case, [Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2")])
         rows = report.rows()
         assert rows[0][0] == "baseline"
         assert rows[1][0] == "uniform_flat_GH2"
@@ -184,8 +183,7 @@ class TestFullStudy:
 
         monkeypatch.setattr(pipeline, "run_year", lambda *args: None)
         monkeypatch.setattr(pipeline, "run_scenario", fail)
-        scenario = Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2",
-                            hours=12)
+        scenario = Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2")
         with pytest.raises(kind) as info:
             run_full_study(congested_fixture(hours=12), [scenario])
         assert str(info.value) == f"scenario {scenario.name}: x"
