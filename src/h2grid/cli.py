@@ -73,7 +73,8 @@ def _build_system(cfg):
 
 def _build_sinks(cfg, system):
     if cfg.inputs.consumption:
-        return iomod.read_consumption(cfg.inputs.consumption)
+        return iomod.read_consumption(cfg.inputs.consumption,
+                                      system.n_nodes)
     if cfg.fixture == "congested10" and not (cfg.inputs.industrial_sites
                                              or cfg.inputs.station_candidates):
         return fixture_sinks(system, cfg.h2_demand_kg_day)

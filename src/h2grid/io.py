@@ -59,6 +59,11 @@ def _num(row, col, path, cast=float):
     return value
 
 
+def _opt_num(row, col, path):
+    """An optional numeric column; absent or blank reads as 0."""
+    return _num(row, col, path) if row.get(col) else 0.0
+
+
 def _index(row, col, path, stop=math.inf):
     """A 0-based integer index below *stop*; negatives never wrap."""
     value = _num(row, col, path, int)
@@ -72,25 +77,32 @@ def _index(row, col, path, stop=math.inf):
 # -- network ----------------------------------------------------------------
 
 def read_nodes(path):
+    """Nodes CSV; ids are positions, so they must be 0..n-1 in file order."""
     rows = _read_rows(path, ("id", "x", "y"))
-    return tuple(Node(_num(r, "id", path, int), _num(r, "x", path),
-                      _num(r, "y", path)) for r in rows)
+    nodes = []
+    for k, r in enumerate(rows):
+        node_id = _num(r, "id", path, int)
+        if node_id != k:
+            raise IoError(f"{path}: id {node_id} in row {k + 1} should be "
+                          f"{k} (ids are 0..n-1 in file order) in column id")
+        nodes.append(Node(node_id, _num(r, "x", path), _num(r, "y", path)))
+    return tuple(nodes)
 
 
-def read_lines(path):
+def read_lines(path, n_nodes):
     rows = _read_rows(path, ("id", "from", "to", "capacity_mw",
                              "reactance_pu"))
     lines = []
     for r in rows:
         lines.append(Line(
-            _num(r, "id", path, int), _num(r, "from", path, int),
-            _num(r, "to", path, int), _num(r, "capacity_mw", path),
+            _num(r, "id", path, int), _index(r, "from", path, n_nodes),
+            _index(r, "to", path, n_nodes), _num(r, "capacity_mw", path),
             _num(r, "reactance_pu", path),
             voltage_class=r.get("voltage_class") or "kV380"))
     return tuple(lines)
 
 
-def read_generators(path, hours):
+def read_generators(path, hours, n_nodes):
     """Generators CSV; renewables reference a profile CSV of hourly MW."""
     rows = _read_rows(path, ("id", "node", "kind", "marginal_cost",
                              "capacity_mw"))
@@ -106,7 +118,7 @@ def read_generators(path, hours):
                               "needs a profile file")
             profile = read_profile(os.path.join(base, ref), hours)
         gens.append(Generator(
-            _num(r, "id", path, int), _num(r, "node", path, int), kind,
+            _num(r, "id", path, int), _index(r, "node", path, n_nodes), kind,
             _num(r, "marginal_cost", path), _num(r, "capacity_mw", path),
             profile))
     return tuple(gens)
@@ -147,8 +159,8 @@ def read_demand(path, n_nodes, hours):
 def read_system(nodes_path, lines_path, generators_path, demand_path,
                 hours, slack=0):
     nodes = read_nodes(nodes_path)
-    lines = read_lines(lines_path)
-    generators = read_generators(generators_path, hours)
+    lines = read_lines(lines_path, len(nodes))
+    generators = read_generators(generators_path, hours, len(nodes))
     demand = read_demand(demand_path, len(nodes), hours)
     ptdf = compute_ptdf(nodes, lines, slack=slack)
     return PowerSystem(nodes, lines, generators, demand, ptdf)
@@ -190,8 +202,8 @@ def read_industrial_sites(path):
         sites.append(IndustrialSite(
             name=r["name"], sector=r["sector"], basis_kind=r["basis_kind"],
             basis_value=_num(r, "basis_value", path),
-            deduction_kg_per_hour=float(r.get("deduction_kg_per_hour") or 0),
-            x=float(r.get("x") or 0), y=float(r.get("y") or 0)))
+            deduction_kg_per_hour=_opt_num(r, "deduction_kg_per_hour", path),
+            x=_opt_num(r, "x", path), y=_opt_num(r, "y", path)))
     return tuple(sites)
 
 
@@ -201,15 +213,16 @@ def read_station_candidates(path):
              _num(r, "y", path), _num(r, "weight", path)) for r in rows]
 
 
-def read_consumption(path):
+def read_consumption(path, n_nodes):
+    """Consumption CSV; every ``node`` must be a node of the network."""
     rows = _read_rows(path, ("id", "kind", "node", "kg_per_day"))
     out = []
     for r in rows:
         out.append(ConsumptionLocation(
             id=_num(r, "id", path, int), kind=r["kind"],
             hd_kg_per_day=_num(r, "kg_per_day", path),
-            node=_num(r, "node", path, int),
-            x=float(r.get("x") or 0), y=float(r.get("y") or 0)))
+            node=_index(r, "node", path, n_nodes),
+            x=_opt_num(r, "x", path), y=_opt_num(r, "y", path)))
     return tuple(out)
 
 

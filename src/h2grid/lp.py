@@ -10,14 +10,24 @@ ratio test lets the entering bound flip win unless a row blocks it by more
 than 1e-11, and otherwise takes the lowest basic index among the rows
 within 1e-11 of the shortest step.
 
+The start is a slack crash basis (Bixby, "Solving real-world linear
+programs", Oper. Res. 2002).  Every column rests at a bound; a row whose
+slack bounds hold the residual ``b - A x`` starts with its slack basic, and
+only the other rows get a +-1 artificial column.  Phase 1 minimizes the sum
+of those artificials and is skipped when there are none.  After it, the
+artificials still basic are pivoted out where a structural or slack column
+can replace them; any left (redundant rows) stay pinned at zero, and phase 2
+prices only the columns before the artificials, so none enters again.
+
 The solver keeps a dense inverse of the basis matrix.  It starts exact (the
-first basis is the diagonal +-1 artificials), takes a rank-one product-form
+first basis is diagonal with entries +-1), takes a rank-one product-form
 update per basis change and is recomputed from scratch every
 ``_REFACTOR_PERIOD`` updates.  Multipliers and the entering column are one
 matrix-vector product each, and pricing and the ratio test are array
 operations.  ``Solution.stats`` reports the iterations of both phases
-(``iterations``), those of phase 1 (``phase1_iterations``) and the number
-of refactorizations.
+(``iterations``), those of phase 1 (``phase1_iterations``), the number of
+refactorizations and the number of rows that started on an artificial
+(``artificials``).
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
@@ -180,28 +190,41 @@ class _Simplex:
     # -- state helpers ------------------------------------------------------
 
     def _init_basis(self):
-        """Rest every column at its bound nearest zero; artificials take up
-        the residual, so the starting basis is diagonal with entries +-1."""
+        """Rest every column at a bound (free ones at zero); crash the slacks.
+
+        A row whose slack bounds hold the residual ``b - A x`` starts with
+        its slack basic at that value; every other row gets a +-1 artificial
+        column, so the starting basis is diagonal with entries +-1.
+        """
         ncols = self.a.shape[1]
         lo, hi = self.lb, self.ub
         lo_fin = np.isfinite(lo)
-        # a finite upper bound <= 0 wins unless the lower bound is >= 0
-        at_ub = np.isfinite(hi) & (hi <= 0) & ~(lo_fin & (lo >= 0))
+        # the upper bound wins when it is the only finite one, or when it
+        # is <= 0 and the lower bound is < 0
+        at_ub = np.isfinite(hi) & (~lo_fin | ((hi <= 0) & (lo < 0)))
         at_lb = lo_fin & ~at_ub
         status = np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
         x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
 
         resid = self.b - self.a @ x
+        slack = np.arange(self.n_struct, ncols)
+        fits = (lo[slack] <= resid) & (resid <= hi[slack])
+        rows = np.flatnonzero(~fits)
         sign = np.where(resid >= 0, 1.0, -1.0)
-        self.a = np.hstack([self.a, np.diag(sign)])
-        self.lb = np.concatenate([self.lb, np.zeros(self.m)])
-        self.ub = np.concatenate([self.ub, np.full(self.m, np.inf)])
-        self.c = np.concatenate([self.c, np.zeros(self.m)])
+        art = np.zeros((self.m, rows.size))
+        art[rows, np.arange(rows.size)] = sign[rows]
+        self.a = np.hstack([self.a, art])
+        self.lb = np.concatenate([self.lb, np.zeros(rows.size)])
+        self.ub = np.concatenate([self.ub, np.full(rows.size, np.inf)])
+        self.c = np.concatenate([self.c, np.zeros(rows.size)])
         self.art_start = ncols
-        self.basis = np.arange(ncols, ncols + self.m)
-        self.status = np.concatenate([status, np.full(self.m, _BASIC)])
-        self.x = np.concatenate([x, np.abs(resid)])
-        self.binv = np.diag(sign)  # exact inverse of the artificial basis
+        self.basis = slack.copy()
+        self.basis[rows] = ncols + np.arange(rows.size)
+        status[slack[fits]] = _BASIC
+        x[slack[fits]] = resid[fits]
+        self.status = np.concatenate([status, np.full(rows.size, _BASIC)])
+        self.x = np.concatenate([x, np.abs(resid[rows])])
+        self.binv = np.diag(np.where(fits, 1.0, sign))  # exact inverse
         self.updates = 0
 
     def _refactor(self, phase):
@@ -226,8 +249,9 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
-    def _optimize(self, cost, phase):
-        """Run primal simplex for the given cost vector; returns status."""
+    def _optimize(self, cost, phase, priced):
+        """Run primal simplex for the given cost vector, pricing only the
+        first *priced* columns; returns status."""
         degenerate_run = 0
         bland = False
         max_iter = 2000 + 200 * (self.m + self.a.shape[1])
@@ -237,11 +261,11 @@ class _Simplex:
                 raise InvalidProblem("simplex iteration limit exceeded")
 
             y = cost[self.basis] @ self.binv
-            d = cost - self.a.T @ y
+            d = cost[:priced] - self.a[:, :priced].T @ y
 
             # entering variable: Dantzig's largest |d| with the lowest index
             # on ties, or Bland's lowest eligible index
-            st = self.status
+            st = self.status[:priced]
             eligible = (((st == _AT_LB) & (d < -OPT_TOL))
                         | ((st == _AT_UB) & (d > OPT_TOL))
                         | ((st == _FREE) & (np.abs(d) > OPT_TOL)))
@@ -307,10 +331,8 @@ class _Simplex:
         self.lb[self.art_start:] = 0.0
         self.ub[self.art_start:] = 0.0
         structural = self.a[:, : self.art_start]
-        for i in range(self.m):
+        for i in np.flatnonzero(self.basis >= self.art_start):
             bi = self.basis[i]
-            if bi < self.art_start:
-                continue
             # row i of binv @ a: the pivot element of every candidate column
             pivots = np.abs(self.binv[i] @ structural) > 1e-9
             pivots &= self.status[: self.art_start] != _BASIC
@@ -327,21 +349,26 @@ class _Simplex:
     def _stats(self):
         return {"iterations": self.iterations,
                 "phase1_iterations": self.phase1_iterations,
-                "refactorizations": self.refactorizations}
+                "refactorizations": self.refactorizations,
+                "artificials": self.a.shape[1] - self.art_start}
 
     def solve(self):
         self._init_basis()
-        phase1_cost = np.zeros(self.a.shape[1])
-        phase1_cost[self.art_start:] = 1.0
-        status = self._optimize(phase1_cost, "phase 1")
-        self.phase1_iterations = self.iterations
-        if status != "Optimal":  # phase 1 is bounded below by zero
-            raise InvalidProblem("phase 1 terminated abnormally")
-        if float(phase1_cost @ self.x) > FEAS_TOL:
-            return Solution(status="Infeasible", stats=self._stats())
-        self._purge_artificials()
+        ncols = self.a.shape[1]
+        self.phase1_iterations = 0
+        if ncols > self.art_start:
+            phase1_cost = np.zeros(ncols)
+            phase1_cost[self.art_start:] = 1.0
+            status = self._optimize(phase1_cost, "phase 1", ncols)
+            self.phase1_iterations = self.iterations
+            if status != "Optimal":  # phase 1 is bounded below by zero
+                raise InvalidProblem("phase 1 terminated abnormally")
+            if float(phase1_cost @ self.x) > FEAS_TOL:
+                return Solution(status="Infeasible", stats=self._stats())
+            self._purge_artificials()
 
-        status = self._optimize(self.c, "phase 2")
+        # a nonbasic artificial never enters again
+        status = self._optimize(self.c, "phase 2", self.art_start)
         if status == "Unbounded":
             return Solution(status="Unbounded", stats=self._stats())
 

@@ -179,6 +179,20 @@ class TestKnownLPs:
         assert sol.x[0] == pytest.approx(-1.0)
         assert sol.x[1] == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("sense, x, objective", [
+        (EQ, [2.0, 3.0], 1.0), (LE, [2.0, 0.0], -2.0), (GE, [2.0, 3.0], 1.0)])
+    def test_upper_bounded_only_column(self, sense, x, objective):
+        # min -x + y s.t. x + y (sense) 5, x <= 2 with no lower bound: the
+        # column must never step past its upper bound
+        builder = ProblemBuilder()
+        builder.add_var(cost=-1.0, lb=-np.inf, ub=2.0)
+        builder.add_var(cost=1.0, lb=0.0, ub=10.0)
+        builder.add_constraint([(0, 1.0), (1, 1.0)], sense, 5.0)
+        sol = solve_lp(builder.build())
+        assert sol.status == "Optimal"
+        assert sol.x == pytest.approx(x)
+        assert sol.objective == pytest.approx(objective)
+
     def test_validation(self):
         with pytest.raises(InvalidProblem):
             LinearProblem(c=np.array([np.nan]), lb=np.zeros(1),
@@ -200,6 +214,65 @@ def bounded_instance(rng, m, n):
     sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
     b = a @ x0 + sign * margin
     return c, a, senses, b, lb, ub
+
+
+def highs(optimize, c, a, senses, b, lb, ub):
+    """The same LP solved by scipy's HiGHS."""
+    kind = np.array(senses)
+    sign = np.where(kind == GE, -1.0, 1.0)[:, None]
+    ineq = kind != EQ
+    return optimize.linprog(
+        c, A_ub=(sign * a)[ineq], b_ub=(sign[:, 0] * b)[ineq],
+        A_eq=a[~ineq], b_eq=b[~ineq], bounds=list(zip(lb, ub)),
+        method="highs")
+
+
+def mixed_instance(rng, infeasible):
+    """Random LP with LE/GE/EQ rows and boxed, lower-only, upper-only and
+    free columns; feasible at an interior point unless *infeasible*, which
+    adds a GE copy of one row whose rhs exceeds the row's LE rhs."""
+    m, n = (int(k) for k in rng.integers(3, 13, 2))
+    c = rng.uniform(-5, 5, n)
+    a = rng.uniform(-3, 3, (m, n)) * (rng.random((m, n)) < 0.7)
+    kind = rng.choice(4, n, p=[0.4, 0.2, 0.2, 0.2])  # box, lower, upper, free
+    lo = rng.uniform(-3, 0, n)
+    hi = lo + rng.uniform(0.5, 6, n)
+    lb = np.where(kind <= 1, lo, -np.inf)
+    ub = np.where(kind % 2 == 0, hi, np.inf)
+    x0 = lo + rng.uniform(0.1, 0.9, n) * (hi - lo)
+    senses = [str(s) for s in rng.choice([LE, GE, EQ], m, p=[0.45, 0.4, 0.15])]
+    sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
+    b = a @ x0 + sign * rng.uniform(0, 2, m)
+    if infeasible:
+        i = int(rng.integers(m))
+        senses[i] = LE
+        a = np.vstack([a, a[i]])
+        b = np.append(b, b[i] + rng.uniform(0.5, 2))
+        senses.append(GE)
+    return c, a, senses, b, lb, ub
+
+
+class TestMixedLPsAgainstHighs:
+    """Status and objective against HiGHS on LPs with every row sense and
+    every kind of column bound, including infeasible and unbounded ones.
+    Infeasibility is found by phase 1 over only the rows that started on
+    an artificial."""
+
+    STATUS = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        seen = set()
+        for k in range(60):
+            instance = mixed_instance(rng, infeasible=k % 4 == 3)
+            sol = solve_lp(build_problem(*instance))
+            ref = highs(optimize, *instance)
+            assert sol.status == self.STATUS[ref.status]
+            if sol.optimal:
+                assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+            seen.add(sol.status)
+        assert seen == {"Optimal", "Infeasible", "Unbounded"}
 
 
 class TestRefactorization:
@@ -238,15 +311,9 @@ class TestRefactorization:
 
     def test_matches_highs(self):
         optimize = pytest.importorskip("scipy.optimize")
-        for c, a, senses, b, lb, ub in self.instances(6):
-            sol = solve_lp(build_problem(c, a, senses, b, lb, ub))
-            kind = np.array(senses)
-            sign = np.where(kind == GE, -1.0, 1.0)[:, None]
-            ineq = kind != EQ
-            ref = optimize.linprog(
-                c, A_ub=(sign * a)[ineq], b_ub=(sign[:, 0] * b)[ineq],
-                A_eq=a[~ineq], b_eq=b[~ineq], bounds=list(zip(lb, ub)),
-                method="highs")
+        for instance in self.instances(6):
+            sol = solve_lp(build_problem(*instance))
+            ref = highs(optimize, *instance)
             assert ref.status == 0
             assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
 
@@ -269,13 +336,13 @@ def scalar_pow2_scale(v):
 
 
 def scalar_rest(lo, hi):
-    """Starting value and status of one column, as the loop version set it."""
-    if np.isfinite(lo) and (lo >= 0 or not np.isfinite(hi)):
+    """Starting value and status of one column: the lower bound unless the
+    upper one is the only finite bound or both are finite, <= 0 and < 0;
+    free columns rest at zero."""
+    if np.isfinite(lo) and (lo >= 0 or not np.isfinite(hi) or hi > 0):
         return lo, 0
-    if np.isfinite(hi) and hi <= 0:
+    if np.isfinite(hi):
         return hi, 1
-    if np.isfinite(lo):
-        return lo, 0
     return 0.0, 3
 
 
@@ -286,9 +353,9 @@ BOUND_PAIRS = [(-np.inf, np.inf), (-np.inf, -1.0), (-np.inf, 0.0),
 
 
 class TestSetupArrays:
-    """The array set-up of the simplex against the scalar loops it replaced:
-    equilibration, slack bounds, starting point and duality gap must agree
-    to the bit."""
+    """The array set-up of the simplex against scalar loops: equilibration,
+    slack bounds, the slack crash start and duality gap must agree to the
+    bit."""
 
     def test_matches_scalar_loops(self):
         rng = np.random.default_rng(5)
@@ -320,14 +387,34 @@ class TestSetupArrays:
 
             rest = [scalar_rest(lo, hi)
                     for lo, hi in zip(simplex.lb, simplex.ub)]
-            x = np.array([v for v, _ in rest])
-            status = np.array([s for _, s in rest])
+            x = [v for v, _ in rest]
+            status = [s for _, s in rest]
+            resid = simplex.b - simplex.a @ np.array(x)
+            basis, art_cols, inverse = [], [], []
+            for i in range(m):
+                if slack_lb[i] <= resid[i] <= slack_ub[i]:
+                    basis.append(n + i)
+                    x[n + i], status[n + i] = resid[i], 2
+                    inverse.append(1.0)
+                else:
+                    sign = 1.0 if resid[i] >= 0 else -1.0
+                    col = np.zeros(m)
+                    col[i] = sign
+                    basis.append(n + m + len(art_cols))
+                    art_cols.append(col)
+                    x.append(abs(resid[i]))
+                    status.append(2)
+                    inverse.append(sign)
             simplex._init_basis()
-            assert simplex.x[: n + m].tobytes() == x.tobytes()
-            assert np.array_equal(simplex.status[: n + m], status)
-            sign = np.where(simplex.b - simplex.a[:, : n + m] @ x >= 0, 1.0, -1.0)
-            assert np.array_equal(simplex.a[:, n + m:], np.diag(sign))
-            assert np.array_equal(simplex.binv, np.diag(sign))
+            assert simplex.art_start == n + m
+            assert simplex.x.tobytes() == np.array(x).tobytes()
+            assert np.array_equal(simplex.status, status)
+            assert np.array_equal(simplex.basis, basis)
+            assert np.array_equal(simplex.a[:, n + m:],
+                                  np.array(art_cols).reshape(-1, m).T)
+            assert np.array_equal(simplex.binv, np.diag(inverse))
+            assert np.array_equal(simplex.a[:, simplex.basis] @ simplex.binv,
+                                  np.eye(m))
 
             duals = rng.uniform(-2, 2, m)
             reduced = rng.uniform(-2, 2, n) * (rng.random(n) < 0.7)
@@ -338,6 +425,56 @@ class TestSetupArrays:
                 elif reduced[j] < 0 and np.isfinite(ub[j]):
                     expected += reduced[j] * ub[j]
             assert simplex._duality_gap(1.25, duals, reduced) == 1.25 - expected
+
+
+class ColumnLog(np.ndarray):
+    """A coefficient matrix that logs every single column read ``a[:, j]``,
+    which is how the simplex fetches its entering column."""
+
+    def __getitem__(self, key):
+        if (isinstance(key, tuple) and len(key) == 2
+                and isinstance(key[1], (int, np.integer))):
+            self.log.append(int(key[1]))
+        return super().__getitem__(key)
+
+
+class PhaseTwoLog(_Simplex):
+    """Records the entering column of every phase-2 iteration."""
+
+    def _purge_artificials(self):
+        super()._purge_artificials()
+        self.entered = []
+        self.a = self.a.view(ColumnLog)
+        self.a.log = self.entered
+
+
+class TestCrashStart:
+    def test_feasible_slack_start_skips_phase_1(self):
+        # at rest (x = y = 0) every slack holds its row's residual, the EQ
+        # row's exactly 0
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=-1.0, lb=0.0, ub=10.0)
+        y = builder.add_var(cost=-2.0, lb=0.0, ub=5.0)
+        builder.add_constraint([(x, 1.0), (y, -1.0)], EQ, 0.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 8.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, -1.0)
+        sol = solve_lp(builder.build())
+        assert sol.status == "Optimal"
+        assert sol.x == pytest.approx([4.0, 4.0])
+        assert sol.stats["phase1_iterations"] == 0
+        assert sol.stats["artificials"] == 0
+        assert sol.stats["iterations"] > 0
+
+    def test_artificials_never_enter_in_phase_2(self):
+        rng = np.random.default_rng(64)
+        entered = 0
+        for _ in range(20):
+            simplex = PhaseTwoLog(build_problem(*random_instance(rng)))
+            simplex.solve()
+            log = getattr(simplex, "entered", [])
+            entered += len(log)
+            assert all(j < simplex.art_start for j in log)
+        assert entered > 0
 
 
 def knapsack_enumeration(values, weights, capacity):
