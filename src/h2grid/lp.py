@@ -24,14 +24,30 @@ first basis is diagonal with entries +-1), takes a rank-one product-form
 update per basis change and is recomputed from scratch every
 ``_REFACTOR_PERIOD`` updates.  Multipliers and the entering column are one
 matrix-vector product each, and pricing and the ratio test are array
-operations.  ``Solution.stats`` reports the iterations of both phases
-(``iterations``), those of phase 1 (``phase1_iterations``), the number of
-refactorizations and the number of rows that started on an artificial
-(``artificials``).
+operations.  ``Solution.stats`` reports all iterations (``iterations``),
+those of phase 1 (``phase1_iterations``) and of the dual simplex
+(``dual_iterations``), the number of refactorizations and the number of
+rows that started on an artificial (``artificials``).
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
-64 nodes.
+64 nodes.  One ``_Simplex`` serves a whole tree and solves the root
+relaxation once.  A child differs from its parent only in the bounds of
+the binaries it fixes, so the parent's optimal basis stays dual feasible:
+``_Simplex.resolve`` refactors that basis, puts every nonbasic column at its
+new bound and runs a bounded dual simplex (Koberstein, "The dual simplex
+method, techniques for a fast and stable implementation", PhD thesis,
+2005) until the basis is primal feasible, then ends through the same phase
+2 and unscaling as a cold solve.  The dual leaves on the largest bound
+violation (lowest basis position on ties) and enters the movable nonbasic
+column with the smallest ``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``,
+ties to the largest ``|alpha_rj|`` and then the lowest index; after a run of
+zero-length steps it switches to lowest-index choices.  A violated row
+that no column can repair proves the child infeasible.  An open node keeps
+only its parent's basis and bound statuses, so a tree's state comes from
+that tree alone.  The result's ``stats`` report ``nodes``, ``lp_solves``,
+``iterations`` and ``dual_iterations`` summed over the node LPs, and
+``max_duality_gap``, the worst ``|gap| / max(1, |objective|)`` among them.
 """
 
 from dataclasses import dataclass, field
@@ -184,7 +200,7 @@ class _Simplex:
         self.ub = np.concatenate([problem.ub / self.col_scale, slack_ub])
         self.c = np.concatenate([problem.c * self.col_scale, np.zeros(m)])
         self.b = problem.rhs * self.row_scale
-        self.iterations = 0
+        self.iterations = self.dual_iterations = 0
         self.refactorizations = 0
 
     # -- state helpers ------------------------------------------------------
@@ -249,16 +265,18 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
+    def _count_iteration(self):
+        self.iterations += 1
+        if self.iterations > 2000 + 200 * (self.m + self.a.shape[1]):
+            raise InvalidProblem("simplex iteration limit exceeded")
+
     def _optimize(self, cost, phase, priced):
         """Run primal simplex for the given cost vector, pricing only the
         first *priced* columns; returns status."""
         degenerate_run = 0
         bland = False
-        max_iter = 2000 + 200 * (self.m + self.a.shape[1])
         while True:
-            self.iterations += 1
-            if self.iterations > max_iter:
-                raise InvalidProblem("simplex iteration limit exceeded")
+            self._count_iteration()
 
             y = cost[self.basis] @ self.binv
             d = cost[:priced] - self.a[:, :priced].T @ y
@@ -326,6 +344,82 @@ class _Simplex:
                 self.status[enter] = _BASIC
                 self._replace(leave_pos, enter, w, phase)
 
+    def _dual(self):
+        """Run a bounded dual simplex from a dual feasible basis until the
+        basis is primal feasible; returns "Optimal" then, or "Infeasible"
+        when a violated row has no entering column."""
+        priced = self.art_start
+        movable = self.lb[:priced] < self.ub[:priced]
+        y = self.c[self.basis] @ self.binv
+        d = self.c[:priced] - self.a[:, :priced].T @ y  # updated per pivot
+        degenerate_run = 0
+        bland = False
+        while True:
+            xb = self.x[self.basis]
+            below = self.lb[self.basis] - xb
+            viol = np.maximum(below, xb - self.ub[self.basis])
+            bad = viol > FEAS_TOL
+            if not bad.any():
+                return "Optimal"
+            self._count_iteration()
+            self.dual_iterations += 1
+
+            # leaving row: the largest violation with the lowest position on
+            # ties, or the lowest basic index
+            if bland:
+                rows = np.flatnonzero(bad)
+                r = int(rows[self.basis[rows].argmin()])
+            else:
+                r = int(viol.argmax())
+            rising = below[r] > 0  # x_B[r] rises to its lower bound
+
+            # entering column: column j moves x_B[r] by -alpha_j per unit;
+            # sigma > 0 means a column at its lower bound can repair row r
+            alpha = self.binv[r] @ self.a[:, :priced]
+            sigma = -alpha if rising else alpha
+            st = self.status[:priced]
+            eligible = movable & (((st == _AT_LB) & (sigma > 1e-9))
+                                  | ((st == _AT_UB) & (sigma < -1e-9))
+                                  | ((st == _FREE) & (np.abs(sigma) > 1e-9)))
+            if not eligible.any():
+                return "Infeasible"
+            cols = np.flatnonzero(eligible)
+            size = np.abs(alpha[cols])
+            ratio = np.abs(d[cols]) / size
+            step = ratio.min()
+            near = ratio <= step + 1e-11
+            if bland:
+                enter = int(cols[near][0])
+            else:
+                enter = int(cols[near][size[near].argmax()])
+
+            if step < 1e-11:
+                degenerate_run += 1
+                if degenerate_run >= _DEGENERATE_LIMIT:
+                    bland = True
+            else:
+                degenerate_run = 0
+
+            # update the reduced costs; a fixed column never enters, so rest
+            # it at the bound its new reduced cost prefers and phase 2 has
+            # nothing to flip
+            d -= d[enter] / alpha[enter] * alpha
+            fixed = ~movable & (st != _BASIC)
+            st[fixed & (d < 0)] = _AT_UB
+            st[fixed & (d > 0)] = _AT_LB
+
+            # move the entering column until x_B[r] sits at its bound
+            w = self.binv @ self.a[:, enter]
+            out = self.basis[r]
+            bound = self.lb[out] if rising else self.ub[out]
+            t = (xb[r] - bound) / w[r]
+            self.x[enter] += t
+            self.x[self.basis] -= t * w
+            self.status[out] = _AT_LB if rising else _AT_UB
+            self.x[out] = bound
+            self.status[enter] = _BASIC
+            self._replace(r, enter, w, "dual")
+
     def _purge_artificials(self):
         """Pivot basic artificials out where possible; fix all to zero."""
         self.lb[self.art_start:] = 0.0
@@ -349,6 +443,7 @@ class _Simplex:
     def _stats(self):
         return {"iterations": self.iterations,
                 "phase1_iterations": self.phase1_iterations,
+                "dual_iterations": self.dual_iterations,
                 "refactorizations": self.refactorizations,
                 "artificials": self.a.shape[1] - self.art_start}
 
@@ -366,7 +461,34 @@ class _Simplex:
             if float(phase1_cost @ self.x) > FEAS_TOL:
                 return Solution(status="Infeasible", stats=self._stats())
             self._purge_artificials()
+        return self._phase2()
 
+    def resolve(self, lb, ub, basis, status):
+        """Re-solve for new structural bounds *lb*, *ub* from an optimal
+        ``(basis, status)`` of an earlier solve of this simplex.
+
+        That basis stays dual feasible when only bounds change, so the
+        nonbasic columns are put at their new bounds and a bounded dual
+        simplex repairs primal feasibility; phase 2 then checks optimality.
+        """
+        n = self.n_struct
+        self.lb[:n] = lb / self.col_scale
+        self.ub[:n] = ub / self.col_scale
+        self.basis = basis.copy()
+        self.status = status.copy()
+        self.iterations = self.phase1_iterations = self.dual_iterations = 0
+        self.refactorizations = 0
+        self._refactor("dual")
+
+        st = self.status
+        self.x = np.where(st == _AT_LB, self.lb,
+                          np.where(st == _AT_UB, self.ub, 0.0))
+        self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
+        if self._dual() == "Infeasible":
+            return Solution(status="Infeasible", stats=self._stats())
+        return self._phase2()
+
+    def _phase2(self):
         # a nonbasic artificial never enters again
         status = self._optimize(self.c, "phase 2", self.art_start)
         if status == "Unbounded":
@@ -388,13 +510,16 @@ class _Simplex:
     def _duality_gap(self, objective, duals, reduced):
         p = self.problem
         dual_obj = float(duals @ p.rhs) if p.n_cons else 0.0
-        # slack reduced costs are -duals; only rows whose slack can move a
-        # finite amount contribute nothing (slack bounds are 0 or infinite)
-        at_lb = (reduced > 0) & np.isfinite(p.lb)
-        at_ub = (reduced < 0) & np.isfinite(p.ub)
+        # the bounds of this solve, unscaled exactly (powers of two); slack
+        # reduced costs are -duals; only rows whose slack can move a finite
+        # amount contribute nothing (slack bounds are 0 or infinite)
+        lb = self.lb[: self.n_struct] * self.col_scale
+        ub = self.ub[: self.n_struct] * self.col_scale
+        at_lb = (reduced > 0) & np.isfinite(lb)
+        at_ub = (reduced < 0) & np.isfinite(ub)
         terms = np.zeros(p.n_vars)
-        terms[at_lb] = reduced[at_lb] * p.lb[at_lb]
-        terms[at_ub] = reduced[at_ub] * p.ub[at_ub]
+        terms[at_lb] = reduced[at_lb] * lb[at_lb]
+        terms[at_ub] = reduced[at_ub] * ub[at_ub]
         # accumulate left to right, in the order a scalar loop would
         return objective - float(np.cumsum(np.append(dual_obj, terms))[-1])
 
@@ -462,41 +587,61 @@ def solve_milp(problem, node_limit=100000):
 
     Branching picks the most fractional binary (lowest index on ties);
     the search is depth-first with a best-bound re-sort of the open stack
-    every 64 expanded nodes.  Raises ResourceLimit past *node_limit*.
+    every 64 expanded nodes.  One simplex serves the whole tree: the root
+    relaxation is solved once, and every child is re-solved warm from its
+    parent's optimal basis.  Raises ResourceLimit past *node_limit*.
     """
     if not problem.binaries:
         return solve_lp(problem)
     relaxation = _relaxed(problem)
-    binaries = problem.binaries
+    binaries = list(problem.binaries)
+    simplex = _Simplex(relaxation)
+    stats = {"nodes": 0, "lp_solves": 0, "iterations": 0,
+             "dual_iterations": 0, "max_duality_gap": 0.0}
 
-    root = solve_lp(relaxation)
+    def record(sol):
+        stats["lp_solves"] += 1
+        stats["iterations"] += sol.stats["iterations"]
+        stats["dual_iterations"] += sol.stats["dual_iterations"]
+        if sol.optimal:
+            gap = abs(sol.duality_gap) / max(1.0, abs(sol.objective))
+            stats["max_duality_gap"] = max(stats["max_duality_gap"], gap)
+        return sol
+
+    root = record(simplex.solve())
     if root.status != "Optimal":
-        return Solution(status=root.status, stats=dict(root.stats, nodes=1))
+        return Solution(status=root.status, stats=dict(stats, nodes=1))
 
     incumbent = None
     incumbent_obj = np.inf
-    # each open node: (bound, fixes) with fixes = tuple of (var, value)
-    stack = [(root.objective, ())]
-    nodes = 0
+    # each open node: (bound, fixes, parent basis and status) with fixes a
+    # tuple of (var, value); the root's entry carries no parent
+    stack = [(root.objective, (), None)]
 
     while stack:
-        if nodes and nodes % 64 == 0:
+        if stats["nodes"] and stats["nodes"] % 64 == 0:
             # keep the best-bound node on the pop side
             stack.sort(key=lambda item: (-item[0], item[1]))
-        bound, fixes = stack.pop()
+        bound, fixes, parent = stack.pop()
         if bound >= incumbent_obj - 1e-9:
             continue
-        nodes += 1
-        if nodes > node_limit:
+        if stats["nodes"] >= node_limit:
+            if incumbent is not None:
+                incumbent.stats = dict(stats)
+            open_bounds = [item[0] for item in stack]
             raise ResourceLimit("branch-and-bound node limit reached",
                                 incumbent=incumbent,
-                                bound=min([bound] + [b for b, _ in stack]))
+                                bound=min([bound] + open_bounds))
+        stats["nodes"] += 1
 
-        lb = relaxation.lb.copy()
-        ub = relaxation.ub.copy()
-        for var, val in fixes:
-            lb[var] = ub[var] = float(val)
-        sol = solve_lp(relaxation.with_bounds(lb, ub))
+        if parent is None:
+            sol = root
+        else:
+            lb = relaxation.lb.copy()
+            ub = relaxation.ub.copy()
+            for var, val in fixes:
+                lb[var] = ub[var] = float(val)
+            sol = record(simplex.resolve(lb, ub, *parent))
         if sol.status != "Optimal" or sol.objective >= incumbent_obj - 1e-9:
             continue
 
@@ -507,19 +652,20 @@ def solve_milp(problem, node_limit=100000):
                 frac_var, frac_score = j, f
         if frac_var < 0:
             x = sol.x.copy()
-            x[list(binaries)] = np.round(x[list(binaries)])
+            x[binaries] = np.round(x[binaries])
             incumbent = Solution(status="Optimal", x=x,
-                                 objective=sol.objective,
-                                 stats={"nodes": nodes})
+                                 objective=sol.objective)
             incumbent_obj = sol.objective
             continue
 
-        # explore the rounding of the fractional value first (pushed last)
+        # explore the rounding of the fractional value first (pushed last);
+        # both children start from this node's basis
         first = 1 if sol.x[frac_var] >= 0.5 else 0
-        stack.append((sol.objective, fixes + ((frac_var, 1 - first),)))
-        stack.append((sol.objective, fixes + ((frac_var, first),)))
+        warm = (simplex.basis.copy(), simplex.status.copy())
+        stack.append((sol.objective, fixes + ((frac_var, 1 - first),), warm))
+        stack.append((sol.objective, fixes + ((frac_var, first),), warm))
 
     if incumbent is None:
-        return Solution(status="Infeasible", stats={"nodes": nodes})
-    incumbent.stats["nodes"] = nodes
+        return Solution(status="Infeasible", stats=stats)
+    incumbent.stats = stats
     return incumbent

@@ -204,6 +204,76 @@ class TestChainMILP:
             design.objective_eur_year, rel=1e-9)
 
 
+def random_chain(seed, by_volume, with_import, n_cand=20, n_sink=6):
+    """A seeded siting instance whose sinks alternate industry and station
+    kinds; the carrier cycles with the seed."""
+    rng = np.random.default_rng(seed)
+    nodes = tuple(Node(i, float(rng.uniform(0, 400)),
+                       float(rng.uniform(0, 400))) for i in range(n_cand))
+    kinds = (INDUSTRY, STATION_CARS, INDUSTRY, STATION_TRUCKS)
+    sinks = []
+    for j in range(n_sink):
+        kind = kinds[j % 4]
+        low, high = (5000.0, 30000.0) if kind == INDUSTRY else (300.0, 1500.0)
+        sinks.append(ConsumptionLocation(
+            j, kind, float(rng.uniform(low, high)),
+            x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400))))
+    tariffs = TariffMap(ep_node={i: float(rng.uniform(0.02, 0.08))
+                                 for i in range(n_cand)},
+                        ep_uniform=0.05, ngp=0.03)
+    imp = (ImportSpec(node=0, x=float(rng.uniform(0, 400)),
+                      y=float(rng.uniform(0, 400))) if with_import else None)
+    return build_chain_problem(
+        tuple(sinks), nodes, tariffs,
+        CARRIER_DEFAULTS[("GH2", "LH2", "LOHC")[seed % 3]],
+        ProductionParams(),
+        TransportParams(industry_frequency_by_volume=by_volume), imp)
+
+
+def highs_milp(optimize, lp):
+    """The same MILP solved by scipy's HiGHS to a relative gap of 1e-10."""
+    kind = np.array(lp.senses)
+    integrality = np.zeros(lp.n_vars)
+    integrality[list(lp.binaries)] = 1
+    return optimize.milp(
+        lp.c, integrality=integrality, bounds=optimize.Bounds(lp.lb, lp.ub),
+        constraints=optimize.LinearConstraint(
+            lp.dense_matrix(), np.where(kind == LE, -np.inf, lp.rhs),
+            np.where(kind == GE, np.inf, lp.rhs)),
+        options={"mip_rel_gap": 1e-10})
+
+
+# 20 candidates x 6 sinks, beyond subset enumeration: both
+# industry_frequency_by_volume settings, import on and off
+LARGE_CASES = [(200 + k, bool(k % 2), bool(k // 2 % 2)) for k in range(8)]
+
+
+class TestSitingAgainstHighs:
+    @pytest.mark.parametrize("seed, by_volume, with_import", LARGE_CASES)
+    def test_matches_scipy_milp(self, seed, by_volume, with_import):
+        optimize = pytest.importorskip("scipy.optimize")
+        problem = random_chain(seed, by_volume, with_import)
+        ref = highs_milp(optimize, problem.lp)
+        assert ref.status == 0  # HiGHS proved optimality
+        design = solve_chain(problem)  # raises unless "Optimal"
+        lp_part = design.objective_eur_year - sum(problem.constants.values())
+        assert lp_part == pytest.approx(ref.fun, rel=1e-6)
+
+    @pytest.mark.parametrize("seed, by_volume, with_import", LARGE_CASES)
+    def test_work_counters(self, seed, by_volume, with_import):
+        problem = random_chain(seed, by_volume, with_import)
+        sol = solve_milp(problem.lp)
+        stats = sol.stats
+        assert set(stats) == {"nodes", "lp_solves", "iterations",
+                              "dual_iterations", "max_duality_gap"}
+        assert stats["lp_solves"] == stats["nodes"]  # the root solved once
+        assert 0 < stats["dual_iterations"] < stats["iterations"]
+        assert stats["max_duality_gap"] <= 1e-9
+        again = solve_milp(problem.lp)  # the tree repeats bit for bit
+        assert again.stats == stats
+        assert again.x.tobytes() == sol.x.tobytes()
+
+
 def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
                          transport, import_spec):
     """The siting LP built one variable and one triplet at a time, as

@@ -5,14 +5,17 @@ of fully bounded random problems, so it is independent of the simplex code
 under test.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from h2grid.errors import InvalidProblem
+import h2grid.lp
+from h2grid.errors import InvalidProblem, ResourceLimit
 from h2grid.lp import (EQ, GE, LE, LinearProblem, ProblemBuilder, _Simplex,
                        solve_lp, solve_milp)
+from test_chain import random_chain
 
 
 def vertex_oracle(c, a, senses, b, lb, ub, tol=1e-7):
@@ -565,6 +568,34 @@ class TestMILP:
             assert sol.status == "Optimal"
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
+    def test_node_limit(self):
+        rng = np.random.default_rng(12)
+        values = rng.uniform(1, 10, 14)
+        weights = rng.uniform(1, 5, 14)
+        capacity = 0.5 * float(weights.sum())
+        builder = ProblemBuilder()
+        xs = [builder.add_var(cost=-v, binary=True) for v in values]
+        builder.add_constraint([(x, w) for x, w in zip(xs, weights)],
+                               LE, capacity)
+        problem = builder.build()
+        optimum = -knapsack_enumeration(list(values), list(weights), capacity)
+        nodes = solve_milp(problem).stats["nodes"]
+        incumbents = []
+        for limit in (1, 2, nodes // 2, nodes - 1):
+            with pytest.raises(ResourceLimit) as info:
+                solve_milp(problem, node_limit=limit)
+            assert info.value.bound <= optimum + 1e-9
+            incumbent = info.value.incumbent
+            incumbents.append(incumbent is not None)
+            if incumbent is not None:
+                x = incumbent.x
+                assert np.array_equal(x, np.round(x))
+                assert weights @ x <= capacity + 1e-9
+                assert incumbent.objective == pytest.approx(-values @ x)
+                assert incumbent.objective >= optimum - 1e-9
+                assert incumbent.stats["nodes"] == limit
+        assert incumbents[0] is False and incumbents[-1] is True
+
     def test_milp_determinism(self):
         rng = np.random.default_rng(55)
         values = rng.uniform(1, 10, 8)
@@ -579,3 +610,69 @@ class TestMILP:
             again = solve_milp(p)
             assert np.array_equal(again.x, first.x)
             assert again.objective == first.objective
+
+
+class TestWarmResolve:
+    """Re-solves from an optimal basis after binaries are fixed, as branch
+    and bound does, against cold solves of the same bounds."""
+
+    @pytest.mark.parametrize("degenerate_limit", [None, 1])
+    def test_matches_cold_solve(self, degenerate_limit, monkeypatch):
+        if degenerate_limit is not None:  # lowest-index choices early on
+            monkeypatch.setattr(h2grid.lp, "_DEGENERATE_LIMIT",
+                                degenerate_limit)
+        rng = np.random.default_rng(808)
+        seen = set()
+        for k in range(4):
+            chain = random_chain(300 + k, bool(k % 2), bool(k // 2),
+                                 n_cand=10, n_sink=4)
+            relaxation = dataclasses.replace(chain.lp, binaries=())
+            binaries = np.array(chain.lp.binaries)
+            simplex = _Simplex(relaxation)
+            assert simplex.solve().optimal
+            start = (simplex.basis.copy(), simplex.status.copy())
+            for _ in range(12):
+                fixed = binaries[rng.random(binaries.size)
+                                 < rng.uniform(0.05, 0.5)]
+                lb, ub = relaxation.lb.copy(), relaxation.ub.copy()
+                lb[fixed] = ub[fixed] = rng.integers(0, 2, fixed.size)
+                warm = simplex.resolve(lb, ub, *start)
+                cold = solve_lp(relaxation.with_bounds(lb, ub))
+                assert warm.status == cold.status
+                assert warm.stats["phase1_iterations"] == 0
+                seen.add(warm.status)
+                if cold.optimal:
+                    assert warm.objective == pytest.approx(cold.objective,
+                                                           rel=1e-9)
+                    assert (abs(warm.duality_gap)
+                            <= 1e-9 * max(1.0, abs(warm.objective)))
+                    assert np.all(warm.x >= lb - 1e-6)
+                    assert np.all(warm.x <= ub + 1e-6)
+        assert seen == {"Optimal", "Infeasible"}
+
+    def test_fixing_leaves_no_entering_column(self):
+        # min x1 + 2 x2 s.t. x1 + x2 >= 1; fixing both to 0 violates the
+        # row, and no column may move to repair it
+        builder = ProblemBuilder()
+        builder.add_var(cost=1.0, ub=1.0)
+        builder.add_var(cost=2.0, ub=1.0)
+        builder.add_constraint([(0, 1.0), (1, 1.0)], GE, 1.0)
+        simplex = _Simplex(builder.build())
+        assert simplex.solve().objective == pytest.approx(1.0)
+        sol = simplex.resolve(np.zeros(2), np.zeros(2),
+                              simplex.basis.copy(), simplex.status.copy())
+        assert sol.status == "Infeasible"
+        assert sol.stats["dual_iterations"] == 1
+        assert sol.stats["phase1_iterations"] == 0
+
+    def test_integer_infeasible_with_feasible_root(self):
+        # x1 + x2 = 1.5 holds in the relaxation but at no binary point
+        builder = ProblemBuilder()
+        x1 = builder.add_var(cost=1.0, binary=True)
+        x2 = builder.add_var(cost=1.0, binary=True)
+        builder.add_constraint([(x1, 1.0), (x2, 1.0)], EQ, 1.5)
+        problem = builder.build()
+        assert solve_lp(dataclasses.replace(problem, binaries=())).optimal
+        sol = solve_milp(problem)
+        assert sol.status == "Infeasible"
+        assert sol.stats["nodes"] >= 3  # the root and both of its children
