@@ -8,7 +8,9 @@ for transport-sector sinks.
 
 Conversion and station capital blocks depend only on exogenous totals, so
 they enter as constants; everything else is linear in the decision
-variables, with big-M links tying route flows to their binary connections.
+variables.  A route charged per kg carries its cost on its flow; only a
+route charged per day has a binary connection, tied to its flow by a big-M
+link.
 """
 
 import math
@@ -179,8 +181,9 @@ class ChainProblem:
     import_spec: object
     x_vars: np.ndarray          # column per candidate
     hp_vars: np.ndarray         # column per source: candidates, then import
-    y_vars: np.ndarray          # column per route, sources x sinks
-    ht_vars: np.ndarray
+    ht_vars: np.ndarray         # flow column per route, sources x sinks
+    y_vars: np.ndarray          # link column per per-day route, sources x
+                                # per-day sinks
     route_vars: np.ndarray      # per route: y if paid per day, else ht
     hp_cost: np.ndarray         # sources x (PCC, POC, COC), EUR/yr per kg/day
     route_cost: np.ndarray      # sources x sinks x (TOC, TCC, truck hours/day)
@@ -204,8 +207,7 @@ class ChainDesign:
     hp_kg_day: dict             # candidate node -> kg/day
     import_node: int
     import_kg_day: float
-    flows: dict                 # (source label, sink id) -> kg/day
-    links: dict                 # (source label, sink id) -> 0/1
+    flows: dict                 # (source label, sink id) -> kg/day > 0
     truck_hours_per_day: float
     n_trucks: float             # continuous, used in the cost accounting
     n_trucks_rounded: int
@@ -243,10 +245,10 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
                         transport=None, import_spec=None):
     """Assemble the siting MILP for one carrier state and tariff map.
 
-    Columns: ``(x, hp)`` per candidate, the import ``hp``, then ``(y, ht)``
-    per route, routes in row-major (source, sink) order.  Rows: demand
-    balance, capacity pair per candidate, outflow per source, inflow per
-    sink, big-M link per route.
+    Columns: ``(x, hp)`` per candidate, the import ``hp``, ``ht`` per
+    route, then ``y`` per route paid per day, routes in row-major (source,
+    sink) order.  Rows: demand balance, capacity pair per candidate, outflow
+    per source, inflow per sink, big-M link per route paid per day.
     """
     transport = transport or TransportParams()
     sinks = tuple(sinks)
@@ -310,11 +312,14 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
     x_vars = 2 * np.arange(n_cand)
     first_route = 2 * n_cand + (import_spec is not None)
     hp_vars = np.append(x_vars + 1, np.arange(2 * n_cand, first_route))
-    y_vars = first_route + 2 * np.arange(n_src * n_sinks).reshape(
+    ht_vars = first_route + np.arange(n_src * n_sinks).reshape(
         n_src, n_sinks)
-    ht_vars = y_vars + 1
-    route_vars = np.where(per_day, y_vars, ht_vars)
-    n_vars = first_route + 2 * y_vars.size
+    n_day = int(per_day.sum())
+    y_vars = first_route + ht_vars.size + np.arange(
+        n_src * n_day).reshape(n_src, n_day)
+    route_vars = ht_vars.copy()
+    route_vars[:, per_day] = y_vars
+    n_vars = first_route + ht_vars.size + y_vars.size
 
     c = np.zeros(n_vars)
     c[hp_vars] = hp_cost[:, 0] + hp_cost[:, 1] + hp_cost[:, 2]
@@ -329,8 +334,7 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
     box = 1 + 2 * np.arange(n_cand)[:, None] + (0, 1)  # (GE, LE) pairs
     outflow = 1 + 2 * n_cand + np.arange(n_src)
     inflow = 1 + 2 * n_cand + n_src + np.arange(n_sinks)
-    links = n_rows - y_vars.size + np.arange(y_vars.size).reshape(
-        y_vars.shape)
+    links = y_vars + (n_rows - n_vars)  # y and its link row come last
     a = np.zeros((n_rows, n_vars))
     a[0, hp_vars] = 1.0
     a[box, x_vars[:, None] + 1] = 1.0
@@ -339,8 +343,8 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
     a[outflow[:, None], ht_vars] = 1.0
     a[outflow, hp_vars] = -1.0
     a[inflow, ht_vars] = 1.0
-    a[links, ht_vars] = 1.0
-    a[links, y_vars] = -np.maximum(demand, 1.0)
+    a[links, ht_vars[:, per_day]] = 1.0
+    a[links, y_vars] = -np.maximum(demand[per_day], 1.0)
     rhs = np.zeros(n_rows)
     rhs[0] = total_demand
     rhs[inflow] = demand
@@ -349,7 +353,7 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
         c, np.zeros(n_vars), ub, rows, cols, a[rows, cols],
         (EQ,) + (GE, LE) * n_cand + (LE,) * n_src + (GE,) * n_sinks
         + (LE,) * y_vars.size, rhs,
-        np.append(x_vars, y_vars[:, per_day]).tolist())
+        np.append(x_vars, y_vars).tolist())
 
     constants = _constant_costs(sinks, carrier, tariffs, wacc, total_demand,
                                 import_spec)
@@ -421,22 +425,16 @@ def decode_design(problem, values, lp_objective):
 
     sources = problem.sources
     flow = values[problem.ht_vars]
-    link = np.rint(values[problem.y_vars]).astype(int)
-    link[flow > 1e-9] = 1
-    flows, links = {}, {}
-    for pi, ci in zip(*np.nonzero(link)):
-        key = (sources[pi], problem.sinks[ci].id)
-        flows[key] = float(flow[pi, ci])
-        links[key] = int(link[pi, ci])
+    flows = {(sources[pi], problem.sinks[ci].id): float(flow[pi, ci])
+             for pi, ci in zip(*np.nonzero(flow > 1e-9))}
 
-    _check_feasibility(problem, opened, source_hp, flow,
-                       values[problem.y_vars], tol)
+    activity = values[problem.route_vars]
+    _check_feasibility(problem, opened, source_hp, flow, activity, tol)
 
     # recompute cost components from the decision values
     pcc, poc, coc = _sums_in_order(problem.hp_cost * source_hp[:, None])
-    activity = values[problem.route_vars][..., None]
     toc, tcc, truck_hours = _sums_in_order(
-        (problem.route_cost * activity).reshape(-1, 3))
+        (problem.route_cost * activity[..., None]).reshape(-1, 3))
     components = dict.fromkeys(COMPONENTS, 0.0)
     components.update(problem.constants, PCC=pcc, POC=poc, COC=coc,
                       TOC=toc, TCC=tcc)
@@ -453,14 +451,14 @@ def decode_design(problem, values, lp_objective):
         carrier=problem.carrier.state, x=x, hp_kg_day=hp,
         import_node=(problem.import_spec.node
                      if problem.import_spec is not None else None),
-        import_kg_day=import_kg, flows=flows, links=links,
+        import_kg_day=import_kg, flows=flows,
         truck_hours_per_day=truck_hours, n_trucks=truck_hours / 24.0,
         n_trucks_rounded=int(math.ceil(truck_hours / 24.0 - 1e-9)),
         components=components, objective_eur_year=objective,
         annual_kg=annual_kg)
 
 
-def _check_feasibility(problem, opened, source_hp, flow, y, tol):
+def _check_feasibility(problem, opened, source_hp, flow, activity, tol):
     production = problem.production
     if abs(source_hp.sum() - problem.total_demand_kg_day) > tol:
         raise ChainInfeasible("production does not balance demand")
@@ -482,8 +480,8 @@ def _check_feasibility(problem, opened, source_hp, flow, y, tol):
     if unmet.size:
         raise ChainInfeasible(
             f"demand unmet at sink {problem.sinks[unmet[0]].id}")
-    per_day = problem.route_vars == problem.y_vars    # binary links
-    if np.any(per_day & (flow > tol) & (y < 0.5)):
+    closed = (problem.route_vars != problem.ht_vars) & (activity < 0.5)
+    if np.any(closed & (flow > tol)):
         raise ChainInfeasible("flow on a closed connection")
 
 

@@ -2,7 +2,8 @@
 
 YAML in, dataclasses out.  Unknown keys are rejected with the full key path
 so typos (a classic: ``electrolyser_cost``) fail loudly instead of being
-silently ignored.  Every omitted economic value falls back to the package
+silently ignored, and so are known keys that another key would make the
+run ignore.  Every omitted economic value falls back to the package
 default, and the effective configuration can be echoed back to YAML; loading
 that echo reproduces the same configuration.
 """
@@ -150,7 +151,35 @@ def parse_config(data):
         if sc.carrier not in CARRIERS:
             raise ConfigError(f"scenarios[{i}].carrier: {sc.carrier!r}; "
                               f"known: {', '.join(CARRIERS)}")
+    _reject_ignored(cfg)
     return cfg
+
+
+def _reject_ignored(cfg):
+    """Raise on keys the run would echo to effective_config.yaml but never
+    read: the fixture builds its own network, stations are planned only on
+    station candidates, and a consumption set replaces every other sink
+    input."""
+    if cfg.fixture is not None and cfg.synthetic is not None:
+        raise ConfigError("synthetic: not used next to fixture")
+    for name in ("cars_twh", "trucks_twh"):
+        value = getattr(cfg.stations, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"stations.{name}: expected a number, "
+                              f"got {value!r}")
+    volumes = [f"stations.{name}" for name in ("cars_twh", "trucks_twh")
+               if getattr(cfg.stations, name) > 0]
+    if volumes and not cfg.inputs.station_candidates:
+        raise ConfigError(f"{volumes[0]}: not used without "
+                          f"inputs.station_candidates")
+    if cfg.inputs.consumption:
+        shadowed = volumes + [
+            f"inputs.{name}" for name in ("industrial_sites",
+                                          "station_candidates")
+            if getattr(cfg.inputs, name)]
+        if shadowed:
+            raise ConfigError(f"{shadowed[0]}: not used next to "
+                              f"inputs.consumption")
 
 
 def load_config(path):

@@ -50,7 +50,7 @@ that tree alone.  The result's ``stats`` report ``nodes``, ``lp_solves``,
 ``max_duality_gap``, the worst ``|gap| / max(1, |objective|)`` among them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -576,12 +576,6 @@ def solve_lp(problem):
     return _Simplex(problem).solve()
 
 
-def _relaxed(problem):
-    return LinearProblem(problem.c, problem.lb, problem.ub, problem.a_rows,
-                         problem.a_cols, problem.a_vals, problem.senses,
-                         problem.rhs, ())
-
-
 def solve_milp(problem, node_limit=100000):
     """Branch and bound over the binary variables of *problem*.
 
@@ -593,7 +587,7 @@ def solve_milp(problem, node_limit=100000):
     """
     if not problem.binaries:
         return solve_lp(problem)
-    relaxation = _relaxed(problem)
+    relaxation = replace(problem, binaries=())
     binaries = list(problem.binaries)
     simplex = _Simplex(relaxation)
     stats = {"nodes": 0, "lp_solves": 0, "iterations": 0,

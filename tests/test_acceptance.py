@@ -125,7 +125,7 @@ def two_node_system():
 
 
 def check_chain_properties(design, sinks, production):
-    """Capacity boxes, mass balances and link big-M on one solved design."""
+    """Capacity boxes and mass balances on one solved design."""
     for node_id, open_flag in design.x.items():
         hp = design.hp_kg_day[node_id]
         if open_flag:
@@ -140,9 +140,6 @@ def check_chain_properties(design, sinks, production):
         inflow = sum(kg for (_, dst), kg in design.flows.items()
                      if dst == sink.id)
         assert inflow == pytest.approx(sink.hd_kg_per_day, rel=1e-6)
-    for route, is_open in design.links.items():
-        if not is_open:
-            assert design.flows.get(route, 0.0) <= 1e-6
 
 
 def test_criterion_1_demand_reproduction():

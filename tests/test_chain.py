@@ -258,6 +258,7 @@ class TestSitingAgainstHighs:
         design = solve_chain(problem)  # raises unless "Optimal"
         lp_part = design.objective_eur_year - sum(problem.constants.values())
         assert lp_part == pytest.approx(ref.fun, rel=1e-6)
+        assert all(kg > 1e-9 for kg in design.flows.values())
 
     @pytest.mark.parametrize("seed, by_volume, with_import", LARGE_CASES)
     def test_work_counters(self, seed, by_volume, with_import):
@@ -276,8 +277,8 @@ class TestSitingAgainstHighs:
 
 def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
                          transport, import_spec):
-    """The siting LP built one variable and one triplet at a time, as
-    ``build_chain_problem`` did before it assembled arrays."""
+    """The siting LP built one variable and one triplet at a time: flows
+    for every route, then a binary link for each route paid per day."""
     wacc = production.wacc
     total_demand = sum(s.hd_kg_per_day for s in sinks)
     pcc = (DAYS_PER_YEAR * production.ed_kwh_per_kg * production.ic_eur_per_kw
@@ -312,7 +313,7 @@ def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
         hp_vars.append(builder.add_var(source_cost[-1],
                                        ub=import_spec.cap_kg_per_day))
         points.append(import_spec)
-    y_vars, ht_vars = {}, {}
+    ht_vars, per_day_cost = {}, {}
     for pi, point in enumerate(points):
         for ci, sink in enumerate(sinks):
             hours, money, vehicle = _trip_cost_bundle(
@@ -322,11 +323,13 @@ def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
             per_day = (sink.kind == INDUSTRY
                        and not transport.industry_frequency_by_volume)
             trips_per_kg = 1.0 / carrier.trailer_capacity_kg
-            y_vars[(pi, ci)] = builder.add_var(
-                toc + tcc if per_day else 0.0, ub=1.0, binary=per_day)
+            if per_day:
+                per_day_cost[(pi, ci)] = toc + tcc
             ht_vars[(pi, ci)] = builder.add_var(
                 0.0 if per_day else toc * trips_per_kg + tcc * trips_per_kg,
                 ub=sink.hd_kg_per_day)
+    y_vars = {route: builder.add_var(cost, ub=1.0, binary=True)
+              for route, cost in per_day_cost.items()}
 
     builder.add_constraint([(v, 1.0) for v in hp_vars], EQ, total_demand)
     for x, hp in zip(x_vars, hp_vars):
@@ -342,9 +345,9 @@ def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
         builder.add_constraint(
             [(ht_vars[(pi, ci)], 1.0) for pi in range(len(points))],
             GE, sink.hd_kg_per_day)
-    for (pi, ci), ht in ht_vars.items():
+    for (pi, ci), y in y_vars.items():
         big_m = max(sinks[ci].hd_kg_per_day, 1.0)
-        builder.add_constraint([(ht, 1.0), (y_vars[(pi, ci)], -big_m)],
+        builder.add_constraint([(ht_vars[(pi, ci)], 1.0), (y, -big_m)],
                                LE, 0.0)
     return builder.build()
 

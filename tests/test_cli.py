@@ -37,6 +37,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key stations.kind"):
             parse_config({"stations": {"kind": "station_trucks"}})
 
+    def test_station_volume_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="stations.cars_twh: expected"):
+            parse_config({"stations": {"cars_twh": "lots"}})
+
     def test_unknown_fixture(self):
         with pytest.raises(ConfigError, match="unknown fixture"):
             parse_config({"fixture": "no_such_fixture"})
@@ -104,6 +108,27 @@ class TestExitCodes:
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert "scenarios[0].carrier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, key", [
+        ({"fixture": "congested10", "synthetic": {"n_nodes": 30}},
+         "synthetic"),
+        ({"fixture": "congested10", "stations": {"cars_twh": 5.0}},
+         "stations.cars_twh"),
+        ({"inputs": {"industrial_sites": "sites.csv"},
+          "stations": {"trucks_twh": 1.0}}, "stations.trucks_twh"),
+        ({"inputs": {"consumption": "c.csv", "station_candidates": "s.csv"},
+          "stations": {"cars_twh": 5.0}}, "stations.cars_twh"),
+        ({"inputs": {"consumption": "c.csv", "industrial_sites": "i.csv"}},
+         "inputs.industrial_sites"),
+        ({"inputs": {"consumption": "c.csv", "station_candidates": "s.csv"}},
+         "inputs.station_candidates"),
+    ])
+    def test_ignored_key_is_2(self, tmp_path, capsys, data, key):
+        # a key the run would echo to effective_config.yaml but not read
+        cfg = write_yaml(tmp_path / "ignored.yaml", data)
+        assert main(["demand", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key}: not used" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,

@@ -1,0 +1,74 @@
+"""Property test: the echoed effective configuration reloads to the same
+configuration for any valid input."""
+
+import dataclasses
+import os
+import tempfile
+
+import pytest
+
+from h2grid.chain import CARRIERS, ProductionParams, TransportParams
+from h2grid.config import (ImportConfig, InputPaths, StationConfig,
+                           SynthConfig, dump_config, load_config,
+                           parse_config)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def section(cls):
+    """Any subset of *cls*'s keys, each with a value of its default's type;
+    keys that default to None (input paths) take a string."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if isinstance(f.default, bool):
+            values[f.name] = st.booleans()
+        elif isinstance(f.default, int):
+            values[f.name] = st.integers(1, 10**6)
+        elif isinstance(f.default, float):
+            values[f.name] = FLOATS
+        else:
+            values[f.name] = st.none() | st.text(min_size=1)
+    return st.fixed_dictionaries({}, optional=values)
+
+
+@st.composite
+def configs(draw):
+    data = draw(st.fixed_dictionaries({}, optional={
+        "hours": st.integers(1, 8760),
+        "seed": st.integers(0, 2**32 - 1),
+        "fixture": st.sampled_from([None, "congested10"]),
+        "h2_demand_kg_day": FLOATS,
+        "ngp": FLOATS,
+        "cheap_share": FLOATS,
+        "production": section(ProductionParams),
+        "transport": section(TransportParams),
+        "imports": section(ImportConfig),
+        "scenarios": st.lists(st.fixed_dictionaries({}, optional={
+            "spatial": st.sampled_from(["uniform", "nodal"]),
+            "temporal": st.sampled_from(["flat", "real_time"]),
+            "carrier": st.sampled_from(CARRIERS)}), min_size=1, max_size=4),
+    }))
+    if data.get("fixture") is None:
+        data["synthetic"] = draw(st.none() | section(SynthConfig))
+    # sink inputs in a combination the run reads in full
+    inputs = draw(section(InputPaths))
+    if inputs.get("consumption"):
+        inputs.pop("industrial_sites", None)
+        inputs.pop("station_candidates", None)
+    elif inputs.get("station_candidates"):
+        data["stations"] = draw(section(StationConfig))
+    data["inputs"] = inputs
+    return data
+
+
+@hypothesis.settings(database=None, deadline=None, derandomize=True)
+@hypothesis.given(configs())
+def test_effective_config_reloads_equal(data):
+    cfg = parse_config(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "effective_config.yaml")
+        dump_config(cfg, path)
+        assert load_config(path) == cfg

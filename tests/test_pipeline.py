@@ -29,7 +29,7 @@ def make_design(hp_by_node):
     return ChainDesign(
         carrier="GH2", x={k: int(v > 0) for k, v in hp_by_node.items()},
         hp_kg_day=hp_by_node, import_node=None, import_kg_day=0.0,
-        flows={}, links={}, truck_hours_per_day=0.0, n_trucks=0.0,
+        flows={}, truck_hours_per_day=0.0, n_trucks=0.0,
         n_trucks_rounded=0, components={}, objective_eur_year=0.0,
         annual_kg=total * 365.0)
 
