@@ -17,7 +17,7 @@ from h2grid import (FLAT, NODAL, REAL_TIME, Scenario, UNIFORM,
 
 
 def main():
-    case = congested_fixture(hours=168)
+    case = congested_fixture(seed=20240, hours=168)
     scenarios = [Scenario(spatial=s, temporal=t, carrier="LH2")
                  for s in (UNIFORM, NODAL) for t in (FLAT, REAL_TIME)]
     report = run_full_study(case, scenarios)

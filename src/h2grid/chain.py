@@ -398,9 +398,9 @@ def _constant_costs(sinks, carrier, tariffs, wacc, total_demand, import_spec):
     return {"CCC": ccc, "SCC": scc, "SOC": soc}
 
 
-def solve_chain(problem, node_limit=200000):
+def solve_chain(problem):
     """Solve the MILP and decode it into a verified ChainDesign."""
-    sol = solve_milp(problem.lp, node_limit=node_limit)
+    sol = solve_milp(problem.lp, node_limit=200_000)
     if sol.status != "Optimal":
         raise ChainInfeasible(f"chain MILP status {sol.status}")
     return decode_design(problem, sol.x, sol.objective)

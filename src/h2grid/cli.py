@@ -28,7 +28,7 @@ from .dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
 from .errors import (ChainInfeasible, ConfigError, H2GridError,
                      InfeasibleHour, InfeasibleRedispatch, IoError,
                      StructurallyInfeasible)
-from .pipeline import Scenario, StudyCase, run_full_study
+from .pipeline import StudyCase, run_full_study
 from .synth import (SyntheticSpec, congested_fixture, fixture_sinks,
                     generate_synthetic_system)
 
@@ -55,13 +55,9 @@ def _build_system(cfg):
     if cfg.fixture == "congested10":
         return congested_fixture(hours=cfg.hours, seed=cfg.seed).system
     if cfg.synthetic is not None:
-        spec = SyntheticSpec(seed=cfg.seed, hours=cfg.hours,
-                             n_nodes=cfg.synthetic.n_nodes,
-                             n_lines=cfg.synthetic.n_lines,
-                             congestion=cfg.synthetic.congestion,
-                             mean_demand_mw=cfg.synthetic.mean_demand_mw,
-                             renewable_share=cfg.synthetic.renewable_share)
-        return generate_synthetic_system(spec)
+        return generate_synthetic_system(SyntheticSpec(
+            seed=cfg.seed, hours=cfg.hours,
+            **dataclasses.asdict(cfg.synthetic)))
     required = (paths.nodes, paths.lines, paths.generators, paths.demand)
     if any(p is None for p in required):
         raise ConfigError("inputs: nodes, lines, generators and demand "
@@ -142,7 +138,7 @@ def cmd_chain(args):
                         ep_uniform=price, ngp=cfg.ngp)
     problem = build_chain_problem(
         sinks, system.nodes, tariffs, CARRIER_DEFAULTS[scenario.carrier],
-        cfg.production, cfg.transport, cfg.import_spec())
+        cfg.production, cfg.transport, cfg.imports)
     design = solve_chain(problem)
     iomod.write_chain_outputs(out, design)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
@@ -158,11 +154,9 @@ def cmd_study(args):
     case = StudyCase(system=system, sinks=_build_sinks(cfg, system),
                      candidates=tuple(system.nodes), hours=cfg.hours,
                      production=cfg.production, transport=cfg.transport,
-                     import_spec=cfg.import_spec(), ngp=cfg.ngp,
+                     import_spec=cfg.imports, ngp=cfg.ngp,
                      cheap_share=cfg.cheap_share)
-    scenarios = [Scenario(spatial=s.spatial, temporal=s.temporal,
-                          carrier=s.carrier) for s in cfg.scenarios]
-    report = run_full_study(case, scenarios)
+    report = run_full_study(case, cfg.scenarios)
     iomod.write_report(out, report)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     for row in report.rows():

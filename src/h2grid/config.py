@@ -1,6 +1,11 @@
 """Study configuration.
 
-YAML in, dataclasses out.  Unknown keys are rejected with the full key path
+YAML in, the library's own types out: ``scenarios`` parse into
+``pipeline.Scenario``, ``imports`` into a ``chain.ImportSpec`` (None when
+absent or null), and ``production`` and ``transport`` into the chain's
+parameter types.  The defaults of ``synthetic``, ``ngp`` and
+``cheap_share`` are read from ``synth.SyntheticSpec`` and
+``pipeline.StudyCase``.  Unknown keys are rejected with the full key path
 so typos (a classic: ``electrolyser_cost``) fail loudly instead of being
 silently ignored, and so are known keys that another key would make the
 run ignore.  Every omitted economic value falls back to the package
@@ -9,12 +14,14 @@ that echo reproduces the same configuration.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
 from .chain import CARRIERS, ImportSpec, ProductionParams, TransportParams
 from .errors import ConfigError
+from .pipeline import FLAT, NODAL, REAL_TIME, UNIFORM, Scenario, StudyCase
+from .synth import FIXTURE_H2_KG_DAY, SyntheticSpec
 
 FIXTURES = ("congested10",)
 
@@ -32,28 +39,12 @@ class InputPaths:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_nodes: int = 10
-    n_lines: int = 13
-    congestion: float = 0.7
-    mean_demand_mw: float = 180.0
-    renewable_share: float = 0.55
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    spatial: str = "uniform"
-    temporal: str = "flat"
-    carrier: str = "LH2"
-
-
-@dataclass(frozen=True)
-class ImportConfig:
-    enabled: bool = False
-    node: int = 0
-    x: float = 0.0
-    y: float = 0.0
-    cap_kg_per_day: float = ImportSpec.cap_kg_per_day
-    cost_eur_per_kg: float = ImportSpec.cost_eur_per_kg
+    """``SyntheticSpec`` without the run-wide ``seed`` and ``hours``."""
+    n_nodes: int = SyntheticSpec.n_nodes
+    n_lines: int = SyntheticSpec.n_lines
+    congestion: float = SyntheticSpec.congestion
+    mean_demand_mw: float = SyntheticSpec.mean_demand_mw
+    renewable_share: float = SyntheticSpec.renewable_share
 
 
 @dataclass(frozen=True)
@@ -67,24 +58,16 @@ class StudyConfig:
     hours: int = 168
     seed: int = 42
     fixture: str = None              # name of a shipped study fixture
-    h2_demand_kg_day: float = 90_000.0
-    ngp: float = 0.03
-    cheap_share: float = 0.7
+    h2_demand_kg_day: float = FIXTURE_H2_KG_DAY
+    ngp: float = StudyCase.ngp
+    cheap_share: float = StudyCase.cheap_share
     inputs: InputPaths = InputPaths()
     synthetic: SynthConfig = None
-    scenarios: tuple = (ScenarioConfig(),)
+    scenarios: tuple = (Scenario(),)
     production: ProductionParams = ProductionParams()
     transport: TransportParams = TransportParams()
-    imports: ImportConfig = ImportConfig()
+    imports: ImportSpec = None
     stations: StationConfig = StationConfig()
-
-    def import_spec(self):
-        if not self.imports.enabled:
-            return None
-        return ImportSpec(node=self.imports.node, x=self.imports.x,
-                          y=self.imports.y,
-                          cap_kg_per_day=self.imports.cap_kg_per_day,
-                          cost_eur_per_kg=self.imports.cost_eur_per_kg)
 
 
 _SECTIONS = {
@@ -92,9 +75,10 @@ _SECTIONS = {
     "synthetic": SynthConfig,
     "production": ProductionParams,
     "transport": TransportParams,
-    "imports": ImportConfig,
+    "imports": ImportSpec,
     "stations": StationConfig,
 }
+_NULLABLE = ("synthetic", "imports")  # null: no network block, no terminal
 _SCALARS = ("hours", "seed", "fixture", "h2_demand_kg_day", "ngp",
             "cheap_share")
 
@@ -127,7 +111,7 @@ def parse_config(data):
         if key in _SCALARS:
             kwargs[key] = value
         elif key in _SECTIONS:
-            if key == "synthetic" and value is None:
+            if key in _NULLABLE and value is None:
                 kwargs[key] = None
             else:
                 kwargs[key] = _build_section(_SECTIONS[key], value, key)
@@ -135,7 +119,7 @@ def parse_config(data):
             if not isinstance(value, list):
                 raise ConfigError("scenarios: expected a list")
             kwargs["scenarios"] = tuple(
-                _build_section(ScenarioConfig, item, f"scenarios[{i}]")
+                _build_section(Scenario, item, f"scenarios[{i}]")
                 for i, item in enumerate(value))
         else:
             raise ConfigError(f"unknown key {key}")
@@ -144,9 +128,9 @@ def parse_config(data):
         raise ConfigError(f"fixture: unknown fixture {cfg.fixture!r}; "
                           f"known: {', '.join(FIXTURES)}")
     for i, sc in enumerate(cfg.scenarios):
-        if sc.spatial not in ("uniform", "nodal"):
+        if sc.spatial not in (UNIFORM, NODAL):
             raise ConfigError(f"scenarios[{i}].spatial: {sc.spatial!r}")
-        if sc.temporal not in ("flat", "real_time"):
+        if sc.temporal not in (FLAT, REAL_TIME):
             raise ConfigError(f"scenarios[{i}].temporal: {sc.temporal!r}")
         if sc.carrier not in CARRIERS:
             raise ConfigError(f"scenarios[{i}].carrier: {sc.carrier!r}; "
@@ -157,11 +141,18 @@ def parse_config(data):
 
 def _reject_ignored(cfg):
     """Raise on keys the run would echo to effective_config.yaml but never
-    read: the fixture builds its own network, stations are planned only on
-    station candidates, and a consumption set replaces every other sink
-    input."""
+    read: a fixture or synthetic block builds its own network, stations are
+    planned only on station candidates for a positive volume, and a
+    consumption set replaces every other sink input."""
     if cfg.fixture is not None and cfg.synthetic is not None:
         raise ConfigError("synthetic: not used next to fixture")
+    network = [key for key in ("fixture", "synthetic")
+               if getattr(cfg, key) is not None]
+    paths = [f"inputs.{name}" for name in ("nodes", "lines", "generators",
+                                           "demand")
+             if getattr(cfg.inputs, name)]
+    if network and paths:
+        raise ConfigError(f"{paths[0]}: not used next to {network[0]}")
     for name in ("cars_twh", "trucks_twh"):
         value = getattr(cfg.stations, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -180,6 +171,9 @@ def _reject_ignored(cfg):
         if shadowed:
             raise ConfigError(f"{shadowed[0]}: not used next to "
                               f"inputs.consumption")
+    if cfg.inputs.station_candidates and not volumes:
+        raise ConfigError("inputs.station_candidates: not used without a "
+                          "stations.cars_twh or stations.trucks_twh above 0")
 
 
 def load_config(path):

@@ -157,12 +157,12 @@ def read_demand(path, n_nodes, hours):
 
 
 def read_system(nodes_path, lines_path, generators_path, demand_path,
-                hours, slack=0):
+                hours):
     nodes = read_nodes(nodes_path)
     lines = read_lines(lines_path, len(nodes))
     generators = read_generators(generators_path, hours, len(nodes))
     demand = read_demand(demand_path, len(nodes), hours)
-    ptdf = compute_ptdf(nodes, lines, slack=slack)
+    ptdf = compute_ptdf(nodes, lines, slack=0)
     return PowerSystem(nodes, lines, generators, demand, ptdf)
 
 
@@ -260,19 +260,19 @@ def write_dispatch_outputs(out_dir, summary):
 
 # -- chain outputs ------------------------------------------------------------
 
-def write_chain_outputs(out_dir, design, prefix=""):
+def write_chain_outputs(out_dir, design):
     design_rows = [(node, int(design.x[node]), design.hp_kg_day[node])
                    for node in sorted(design.hp_kg_day)]
     if design.import_node is not None:
         design_rows.append(("import", int(design.import_kg_day > 0),
                             design.import_kg_day))
-    write_csv(os.path.join(out_dir, f"{prefix}chain_design.csv"),
+    write_csv(os.path.join(out_dir, "chain_design.csv"),
               ("source", "open", "kg_per_day"), design_rows)
-    write_csv(os.path.join(out_dir, f"{prefix}chain_flows.csv"),
+    write_csv(os.path.join(out_dir, "chain_flows.csv"),
               ("source", "sink", "kg_per_day"),
               [(src, snk, kg) for (src, snk), kg in
                sorted(design.flows.items(), key=lambda kv: str(kv[0]))])
-    write_csv(os.path.join(out_dir, f"{prefix}cost_breakdown.csv"),
+    write_csv(os.path.join(out_dir, "cost_breakdown.csv"),
               ("component", "eur_per_year"),
               [(k, design.components[k]) for k in sorted(design.components)])
 

@@ -140,10 +140,6 @@ class LinearProblem:
         np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
         return a
 
-    def with_bounds(self, lb, ub):
-        return LinearProblem(self.c, lb, ub, self.a_rows, self.a_cols,
-                             self.a_vals, self.senses, self.rhs, self.binaries)
-
 
 @dataclass
 class Solution:

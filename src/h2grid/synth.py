@@ -132,6 +132,10 @@ def generate_synthetic_system(spec):
                        demand, ptdf)
 
 
+# total hydrogen demand of the fixture's three sinks
+FIXTURE_H2_KG_DAY = 90_000.0
+
+
 def fixture_sinks(system, h2_demand_kg_day):
     """The fixture's hydrogen sinks on an already built fixture system:
     three equal industry sinks at the first three nodes of the
@@ -145,17 +149,16 @@ def fixture_sinks(system, h2_demand_kg_day):
         for i, node in enumerate(south[:3]))
 
 
-def congested_fixture(hours=168, seed=20240, congestion=0.85,
-                      h2_demand_kg_day=90_000.0):
-    """The shipped 10-node / 168-hour study fixture.
+def congested_fixture(seed, hours=168):
+    """The shipped 10-node / 168-hour study fixture on network *seed*.
 
     Hydrogen sinks sit in the demand-heavy south; all grid nodes are
     electrolyzer candidates.  Corridors are tight enough that the baseline
     has nonzero redispatch cost in windy hours.
     """
     spec = SyntheticSpec(seed=seed, n_nodes=10, n_lines=13, hours=hours,
-                         congestion=congestion)
+                         congestion=0.85)
     system = generate_synthetic_system(spec)
     return StudyCase(system=system,
-                     sinks=fixture_sinks(system, h2_demand_kg_day),
+                     sinks=fixture_sinks(system, FIXTURE_H2_KG_DAY),
                      candidates=tuple(system.nodes), hours=hours)

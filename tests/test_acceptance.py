@@ -56,7 +56,7 @@ def criterion(num, detail):
 
 @pytest.fixture(scope="module")
 def fixture_study():
-    case = congested_fixture(hours=168)
+    case = congested_fixture(seed=20240, hours=168)
     scenarios = [Scenario(spatial=s, temporal=t, carrier="LH2")
                  for s in (UNIFORM, NODAL) for t in (FLAT, REAL_TIME)]
     report = run_full_study(case, scenarios)
@@ -108,7 +108,7 @@ def subset_oracle(problem):
         for i, v in enumerate(pattern):
             lb[problem.x_vars[i]] = v
             ub[problem.x_vars[i]] = v
-        sol = solve_lp(lp.with_bounds(lb, ub))
+        sol = solve_lp(dataclasses.replace(lp, lb=lb, ub=ub))
         if sol.status == "Optimal" and (best is None or sol.objective < best):
             best = sol.objective
     return best

@@ -58,7 +58,7 @@ def subset_oracle(problem):
         for i, v in enumerate(pattern):
             lb[problem.x_vars[i]] = v
             ub[problem.x_vars[i]] = v
-        sol = solve_lp(lp.with_bounds(lb, ub))
+        sol = solve_lp(dataclasses.replace(lp, lb=lb, ub=ub))
         if sol.status != "Optimal":
             continue
         if best is None or sol.objective < best - 1e-9:

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 
 import pytest
 import yaml
@@ -10,6 +11,8 @@ from h2grid.cli import main
 from h2grid.config import (StudyConfig, effective_config, load_config,
                            parse_config)
 from h2grid.errors import ConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_yaml(path, data):
@@ -65,9 +68,18 @@ class TestConfigParsing:
             "hours": 24, "seed": 7, "fixture": "congested10",
             "scenarios": [{"spatial": "nodal", "temporal": "real_time",
                            "carrier": "GH2"}],
-            "imports": {"enabled": True, "cost_eur_per_kg": 4.5}})
+            "imports": {"node": 0, "cost_eur_per_kg": 4.5}})
         echoed = write_yaml(tmp_path / "echo.yaml", effective_config(cfg))
         assert load_config(echoed) == cfg
+
+    def test_readme_configs_parse(self):
+        # every YAML block the README documents must be a valid config
+        with open(README) as fh:
+            blocks = re.findall(r"^```yaml\n(.*?)^```", fh.read(),
+                                re.M | re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(yaml.safe_load(block))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -122,6 +134,17 @@ class TestExitCodes:
          "inputs.industrial_sites"),
         ({"inputs": {"consumption": "c.csv", "station_candidates": "s.csv"}},
          "inputs.station_candidates"),
+        ({"synthetic": {"n_nodes": 6},
+          "inputs": {"nodes": "n.csv", "station_candidates": "s.csv"}},
+         "inputs.nodes"),
+        ({"fixture": "congested10", "inputs": {"demand": "d.csv"}},
+         "inputs.demand"),
+        ({"synthetic": {"n_nodes": 6},
+          "inputs": {"station_candidates": "s.csv"}},
+         "inputs.station_candidates"),
+        ({"fixture": "congested10",
+          "inputs": {"station_candidates": "s.csv"},
+          "stations": {"cars_twh": 0.0}}, "inputs.station_candidates"),
     ])
     def test_ignored_key_is_2(self, tmp_path, capsys, data, key):
         # a key the run would echo to effective_config.yaml but not read
@@ -129,6 +152,19 @@ class TestExitCodes:
         assert main(["demand", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key}: not used" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("imports, message", [
+        ({"enabled": False}, "unknown key imports.enabled"),
+        ({"cost_eur_per_kg": 4.5}, "imports: .*'node'"),
+        ({}, "imports: .*'node'"),
+    ])
+    def test_bad_imports_is_2(self, tmp_path, capsys, imports, message):
+        # an imports block always means a terminal, so it must name a node
+        cfg = write_yaml(tmp_path / "imports.yaml", {
+            "fixture": "congested10", "hours": 24, "imports": imports})
+        assert main(["chain", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,
@@ -173,6 +209,18 @@ class TestOutputs:
                      "--flat-price", "45"]) == 0
         assert {"chain_design.csv", "chain_flows.csv",
                 "cost_breakdown.csv"} <= set(os.listdir(out))
+
+    def test_chain_uses_import_terminal(self, tmp_path):
+        cfg = write_yaml(tmp_path / "imports.yaml", {
+            "fixture": "congested10", "hours": 24,
+            "imports": {"node": 0, "cost_eur_per_kg": 4.5}})
+        out = tmp_path / "chain"
+        assert main(["chain", "--config", cfg, "--out", str(out),
+                     "--flat-price", "200"]) == 0
+        with open(out / "chain_design.csv") as fh:
+            assert fh.read().splitlines()[-1] == "import,1,90000"
+        assert load_config(str(out / "effective_config.yaml")) \
+            == load_config(cfg)
 
     def test_study_outputs(self, tmp_path, fixture_config):
         out = tmp_path / "study"

@@ -7,10 +7,10 @@ import tempfile
 
 import pytest
 
-from h2grid.chain import CARRIERS, ProductionParams, TransportParams
-from h2grid.config import (ImportConfig, InputPaths, StationConfig,
-                           SynthConfig, dump_config, load_config,
-                           parse_config)
+from h2grid.chain import (CARRIERS, ImportSpec, ProductionParams,
+                          TransportParams)
+from h2grid.config import (InputPaths, StationConfig, SynthConfig,
+                           dump_config, load_config, parse_config)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -20,10 +20,13 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 def section(cls):
     """Any subset of *cls*'s keys, each with a value of its default's type;
-    keys that default to None (input paths) take a string."""
-    values = {}
+    keys that default to None (input paths) take a string, and keys without
+    a default (the import node) are always present with an integer."""
+    required, values = {}, {}
     for f in dataclasses.fields(cls):
-        if isinstance(f.default, bool):
+        if f.default is dataclasses.MISSING:
+            required[f.name] = st.integers(0, 10**6)
+        elif isinstance(f.default, bool):
             values[f.name] = st.booleans()
         elif isinstance(f.default, int):
             values[f.name] = st.integers(1, 10**6)
@@ -31,7 +34,7 @@ def section(cls):
             values[f.name] = FLOATS
         else:
             values[f.name] = st.none() | st.text(min_size=1)
-    return st.fixed_dictionaries({}, optional=values)
+    return st.fixed_dictionaries(required, optional=values)
 
 
 @st.composite
@@ -45,7 +48,7 @@ def configs(draw):
         "cheap_share": FLOATS,
         "production": section(ProductionParams),
         "transport": section(TransportParams),
-        "imports": section(ImportConfig),
+        "imports": st.none() | section(ImportSpec),
         "scenarios": st.lists(st.fixed_dictionaries({}, optional={
             "spatial": st.sampled_from(["uniform", "nodal"]),
             "temporal": st.sampled_from(["flat", "real_time"]),
@@ -53,13 +56,18 @@ def configs(draw):
     }))
     if data.get("fixture") is None:
         data["synthetic"] = draw(st.none() | section(SynthConfig))
-    # sink inputs in a combination the run reads in full
+    # network and sink inputs in a combination the run reads in full
     inputs = draw(section(InputPaths))
+    if data.get("fixture") is not None or data.get("synthetic") is not None:
+        for name in ("nodes", "lines", "generators", "demand"):
+            inputs.pop(name, None)
     if inputs.get("consumption"):
         inputs.pop("industrial_sites", None)
         inputs.pop("station_candidates", None)
     elif inputs.get("station_candidates"):
         data["stations"] = draw(section(StationConfig))
+        if not any(v > 0 for v in data["stations"].values()):
+            inputs.pop("station_candidates")
     data["inputs"] = inputs
     return data
 

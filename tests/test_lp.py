@@ -637,7 +637,7 @@ class TestWarmResolve:
                 lb, ub = relaxation.lb.copy(), relaxation.ub.copy()
                 lb[fixed] = ub[fixed] = rng.integers(0, 2, fixed.size)
                 warm = simplex.resolve(lb, ub, *start)
-                cold = solve_lp(relaxation.with_bounds(lb, ub))
+                cold = solve_lp(dataclasses.replace(relaxation, lb=lb, ub=ub))
                 assert warm.status == cold.status
                 assert warm.stats["phase1_iterations"] == 0
                 seen.add(warm.status)

@@ -155,7 +155,7 @@ class TestAdditionality:
 
 class TestFullStudy:
     def test_empty_scenario_list(self):
-        case = congested_fixture(hours=12)
+        case = congested_fixture(seed=20240, hours=12)
         report = run_full_study(case, [])
         assert report.results == ()
         assert report.baseline_demand_mwh > 0
@@ -163,7 +163,7 @@ class TestFullStudy:
             n.id for n in case.candidates}
 
     def test_scenario_row_shape(self):
-        case = congested_fixture(hours=12)
+        case = congested_fixture(seed=20240, hours=12)
         report = run_full_study(
             case, [Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2")])
         rows = report.rows()
@@ -185,7 +185,7 @@ class TestFullStudy:
         monkeypatch.setattr(pipeline, "run_scenario", fail)
         scenario = Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2")
         with pytest.raises(kind) as info:
-            run_full_study(congested_fixture(hours=12), [scenario])
+            run_full_study(congested_fixture(seed=20240, hours=12), [scenario])
         assert str(info.value) == f"scenario {scenario.name}: x"
         for name, value in context.items():
             assert getattr(info.value, name) == value
