@@ -67,6 +67,13 @@ def _build_system(cfg):
                              paths.demand, cfg.hours)
 
 
+def _check_import_node(cfg, system):
+    if cfg.imports is not None and cfg.imports.node not in {
+            n.id for n in system.nodes}:
+        raise ConfigError(f"imports.node: {cfg.imports.node} is not a node "
+                          f"of the network")
+
+
 def _build_sinks(cfg, system):
     if cfg.inputs.consumption:
         return iomod.read_consumption(cfg.inputs.consumption,
@@ -131,6 +138,7 @@ def cmd_chain(args):
     cfg = _load(args)
     out = _out_dir(args)
     system = _build_system(cfg)
+    _check_import_node(cfg, system)
     sinks = _build_sinks(cfg, system)
     scenario = cfg.scenarios[0]
     price = args.flat_price / 1000.0
@@ -151,6 +159,7 @@ def cmd_study(args):
     cfg = _load(args)
     out = _out_dir(args)
     system = _build_system(cfg)
+    _check_import_node(cfg, system)
     case = StudyCase(system=system, sinks=_build_sinks(cfg, system),
                      candidates=tuple(system.nodes), hours=cfg.hours,
                      production=cfg.production, transport=cfg.transport,

@@ -8,9 +8,11 @@ parameter types.  The defaults of ``synthetic``, ``ngp`` and
 ``pipeline.StudyCase``.  Unknown keys are rejected with the full key path
 so typos (a classic: ``electrolyser_cost``) fail loudly instead of being
 silently ignored, and so are known keys that another key would make the
-run ignore.  Every omitted economic value falls back to the package
-default, and the effective configuration can be echoed back to YAML; loading
-that echo reproduces the same configuration.
+run ignore.  A scalar or section value must match its field's type: a
+number for a float field (an int or a float, not a bool), an integer for an
+int field and true or false for a bool field.  Every omitted economic value
+falls back to the package default, and the effective configuration can be
+echoed back to YAML; loading that echo reproduces the same configuration.
 """
 
 import dataclasses
@@ -83,16 +85,29 @@ _SCALARS = ("hours", "seed", "fixture", "h2_demand_kg_day", "ngp",
             "cheap_share")
 
 
+# the values a field of each type takes (a bool is an int to Python)
+_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+          bool: ((bool,), "true or false")}
+
+
+def _check_type(path, value, field_type):
+    kind = _KINDS.get(field_type)
+    if kind and (not isinstance(value, kind[0])
+                 or isinstance(value, bool) != (field_type is bool)):
+        raise ConfigError(f"{path}: expected {kind[1]}, got {value!r}")
+
+
 def _build_section(cls, data, path):
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in names:
+        if key not in types:
             raise ConfigError(f"unknown key {path}.{key}")
+        _check_type(f"{path}.{key}", value, types[key])
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -106,9 +121,11 @@ def parse_config(data):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a mapping")
+    types = {f.name: f.type for f in dataclasses.fields(StudyConfig)}
     kwargs = {}
     for key, value in data.items():
         if key in _SCALARS:
+            _check_type(key, value, types[key])
             kwargs[key] = value
         elif key in _SECTIONS:
             if key in _NULLABLE and value is None:
@@ -153,11 +170,6 @@ def _reject_ignored(cfg):
              if getattr(cfg.inputs, name)]
     if network and paths:
         raise ConfigError(f"{paths[0]}: not used next to {network[0]}")
-    for name in ("cars_twh", "trucks_twh"):
-        value = getattr(cfg.stations, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"stations.{name}: expected a number, "
-                              f"got {value!r}")
     volumes = [f"stations.{name}" for name in ("cars_twh", "trucks_twh")
                if getattr(cfg.stations, name) > 0]
     if volumes and not cfg.inputs.station_candidates:

@@ -10,7 +10,14 @@ Three per-hour models share one immutable PowerSystem:
 
 Redispatch and nodal dispatch solve one PTDF-form LP over generator changes
 (``_network_lp``).  Nodal dispatch is that LP taken from zero generation, so
-uniform cost + redispatch cost = nodal cost holds by construction.
+uniform cost + redispatch cost = nodal cost holds by construction.  Few
+corridors bind in an hour, so the LP starts from the balance row and the
+corridor directions that the hour's merit-order dispatch overloads; the
+other corridor rows are lazy rows, which the solver adds once an optimum
+violates them (Zhai et al., "Fast identification of inactive security
+constraints in SCUC problems", IEEE Trans. Power Syst. 2010).  The seed is
+the market dispatch for redispatch and ``_merit_order`` of the same hour
+for nodal dispatch, so no hour depends on another.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -63,26 +70,48 @@ def _capacities(system, hour):
 
 
 def _injections(system, hour, generation):
-    inj = -system.demand[hour].astype(float).copy()
-    for g, q in zip(system.generators, generation):
-        inj[g.node] += q
+    inj = -system.demand[hour].astype(float)
+    np.add.at(inj, [g.node for g in system.generators], generation)
     return inj
 
 
-def _network_lp(system, hour, q0, balance):
+def _merit_order(system, hour):
+    """Fill the hour's zonal demand in order of marginal cost (lowest index
+    on ties), as far as capacity goes.
+
+    Returns the generation and the price: the cost of the last unit that
+    runs, or of the cheapest unit when none does.
+    """
+    caps = np.maximum(_capacities(system, hour), 0.0)
+    costs = np.array([g.marginal_cost for g in system.generators])
+    order = np.lexsort((np.arange(costs.size), costs))
+    demand = float(system.demand[hour].sum())
+    # demand left before each unit, subtracted unit by unit in merit order
+    remaining = np.cumsum(np.append(demand, -caps[order]))[:-1]
+    take = np.minimum(caps[order], np.maximum(remaining, 0.0))
+    q = np.zeros(costs.size)
+    q[order] = take
+    running = np.flatnonzero(take > 0)
+    price = (float(costs[order[running[-1] if running.size else 0]])
+             if costs.size else 0.0)
+    return q, price
+
+
+def _network_lp(system, hour, q0, balance, base_flows, seed_flows):
     """Solve the PTDF-form network LP around the generation *q0*.
 
     Variables are generator changes x with ``0 <= q0 + x <= capacity`` and
     cost ``c'x``.  Row 0 is the zonal balance ``sum x = balance``; then each
     corridor k gets an LE row and a GE row bounding its flow at ``q0 + x``
     to ``+-limit``: ``PTDF[k, gen_nodes] x`` against ``+-limit - base_flow``,
-    where base_flow is the corridor flow at *q0*.
+    where *base_flows* are the corridor flows at *q0*.  The solver starts
+    from the corridor directions that *seed_flows* overload and adds the
+    others only once an optimum violates them (``lazy_rows``).
     """
     ptdf = system.ptdf
     caps = _capacities(system, hour)
     costs = np.array([g.marginal_cost for g in system.generators])
     gen_nodes = np.array([g.node for g in system.generators], dtype=int)
-    base_flows = ptdf.flows(_injections(system, hour, q0))
     limit = ptdf.merged_capacity
     sens = ptdf.entries[:, gen_nodes]
     n_corridors = sens.shape[0]
@@ -95,10 +124,14 @@ def _network_lp(system, hour, q0, balance):
     rhs[0] = balance
     rhs[1::2] = limit - base_flows
     rhs[2::2] = -limit - base_flows
+    overloaded = np.empty(2 * n_corridors, dtype=bool)
+    overloaded[0::2] = seed_flows > limit + FLOW_TOL
+    overloaded[1::2] = seed_flows < -limit - FLOW_TOL
     rows, cols = np.nonzero(a)
     return solve_lp(LinearProblem(
         costs, -q0, caps - q0, rows, cols, a[rows, cols],
-        (EQ,) + (LE, GE) * n_corridors, rhs))
+        (EQ,) + (LE, GE) * n_corridors, rhs,
+        lazy_rows=1 + np.flatnonzero(~overloaded)))
 
 
 def uniform_dispatch(system, hour):
@@ -110,24 +143,10 @@ def uniform_dispatch(system, hour):
         raise InfeasibleHour(
             f"hour {hour}: demand exceeds available capacity",
             hour=hour, deficit_mw=demand - caps.sum())
-
-    order = sorted(range(len(caps)),
-                   key=lambda g: (system.generators[g].marginal_cost, g))
-    q = np.zeros(len(caps))
-    remaining = demand
-    price = min(system.generators[g].marginal_cost for g in order) \
-        if order else 0.0
-    for g in order:
-        if remaining <= 0:
-            break
-        take = min(caps[g], remaining)
-        if take <= 0:
-            continue
-        q[g] = take
-        remaining -= take
-        price = system.generators[g].marginal_cost
-    cost = float(sum(q[g] * system.generators[g].marginal_cost
-                     for g in range(len(caps))))
+    q, price = _merit_order(system, hour)
+    costs = np.array([g.marginal_cost for g in system.generators])
+    # summed left to right, as a scalar loop over the generators would
+    cost = float(np.cumsum(q * costs)[-1]) if q.size else 0.0
     return HourDispatch(hour=hour, generation_mw=q, price=price,
                         nodal_prices=None, served_mw=demand, cost_eur=cost)
 
@@ -146,7 +165,7 @@ def redispatch(system, hour, market):
         return RedispatchAdjustment(hour=hour, delta_mw=np.zeros(len(q0)),
                                     cost_eur=0.0)
 
-    sol = _network_lp(system, hour, q0, 0.0)
+    sol = _network_lp(system, hour, q0, 0.0, base_flows, base_flows)
     if sol.status != "Optimal":
         raise InfeasibleRedispatch(
             f"hour {hour}: no feasible redispatch within capacities",
@@ -167,8 +186,11 @@ def nodal_dispatch(system, hour):
     price minus the PTDF-weighted corridor congestion rents.
     """
     demand = system.demand[hour]
+    ptdf = system.ptdf
+    merit = _merit_order(system, hour)[0]
     sol = _network_lp(system, hour, np.zeros(len(system.generators)),
-                      float(demand.sum()))
+                      float(demand.sum()), ptdf.flows(-demand),
+                      ptdf.flows(_injections(system, hour, merit)))
     if sol.status != "Optimal":
         raise InfeasibleHour(f"hour {hour}: nodal dispatch infeasible",
                              hour=hour)

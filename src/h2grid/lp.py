@@ -26,8 +26,25 @@ update per basis change and is recomputed from scratch every
 matrix-vector product each, and pricing and the ratio test are array
 operations.  ``Solution.stats`` reports all iterations (``iterations``),
 those of phase 1 (``phase1_iterations``) and of the dual simplex
-(``dual_iterations``), the number of refactorizations and the number of
-rows that started on an artificial (``artificials``).
+(``dual_iterations``), the number of refactorizations, the number of
+rows that started on an artificial (``artificials``) and the number of
+rounds (``rounds``, see below).
+
+``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
+meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
+built over the whole problem: the dense matrix and its scaling come from
+every row, while the basis covers only the active rows.  The active rows are
+solved cold; then one product of the scaled matrix with ``x`` checks every
+held-back row against its slack bounds at ``FEAS_TOL``.  ``_add_rows``
+appends the violated ones with their slacks basic, so the basis inverse
+becomes ``[[B^-1, 0], [-A_N B^-1, I]]`` with ``A_N`` the new rows over the
+old basic columns.  The new multipliers are zero, so the basis stays dual
+feasible, and ``_dual`` and phase 2 finish the round with no phase 1.
+Rounds repeat until no held-back row is violated; iterations are summed
+over them, and the iteration limit counts them all.  Rows never added get a
+zero dual.  If the active rows are unbounded, every row is activated and
+the problem is solved again cold; a round whose dual simplex finds a
+violated row no column can repair proves the problem infeasible.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
@@ -74,7 +91,8 @@ class LinearProblem:
 
     Rows are ``sum_j a[k] * x[cols[k]] (sense_i) rhs_i`` for triplets with
     ``rows[k] == i``.  ``binaries`` lists variable indices restricted to
-    {0, 1}; their bounds must lie within [0, 1].
+    {0, 1}; their bounds must lie within [0, 1].  ``lazy_rows`` lists rows
+    the LP solver may leave out until a solution violates them.
     """
 
     c: np.ndarray
@@ -86,6 +104,7 @@ class LinearProblem:
     senses: tuple
     rhs: np.ndarray
     binaries: tuple = ()
+    lazy_rows: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -97,6 +116,8 @@ class LinearProblem:
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "binaries", tuple(sorted(self.binaries)))
+        object.__setattr__(self, "lazy_rows",
+                           tuple(sorted(int(i) for i in self.lazy_rows)))
         self._validate()
 
     @property
@@ -134,6 +155,11 @@ class LinearProblem:
                 raise InvalidProblem("binary index out of range")
             if self.lb[j] < -1e-12 or self.ub[j] > 1 + 1e-12:
                 raise InvalidProblem(f"binary variable {j} has bounds outside [0, 1]")
+        lazy = self.lazy_rows
+        if lazy and (lazy[0] < 0 or lazy[-1] >= m):
+            raise InvalidProblem("lazy row index out of range")
+        if len(set(lazy)) != len(lazy):
+            raise InvalidProblem("duplicate lazy row index")
 
     def dense_matrix(self):
         a = np.zeros((self.n_cons, self.n_vars))
@@ -187,17 +213,31 @@ class _Simplex:
 
         # Slack columns: sense is encoded in the slack bounds.
         senses = np.array(problem.senses, dtype="U2")
-        slack_lb = np.where(senses == GE, -np.inf, 0.0)
-        slack_ub = np.where(senses == LE, np.inf, 0.0)
+        self.slack_lb = np.where(senses == GE, -np.inf, 0.0)
+        self.slack_ub = np.where(senses == LE, np.inf, 0.0)
 
-        self.m, self.n_struct = m, n
-        self.a = np.hstack([a, np.eye(m)]) if m else a.reshape(0, n)
-        self.lb = np.concatenate([problem.lb / self.col_scale, slack_lb])
-        self.ub = np.concatenate([problem.ub / self.col_scale, slack_ub])
-        self.c = np.concatenate([problem.c * self.col_scale, np.zeros(m)])
-        self.b = problem.rhs * self.row_scale
-        self.iterations = self.dual_iterations = 0
+        # every row, scaled; the basis covers the active rows only, in the
+        # order they were added, and the held-back (lazy) rows wait outside
+        self.n_struct = n
+        self.a_all, self.b_all = a, problem.rhs * self.row_scale
+        lazy = np.zeros(m, dtype=bool)
+        lazy[list(problem.lazy_rows)] = True
+        self.held = np.flatnonzero(lazy)
+        self._set_rows(np.flatnonzero(~lazy))
+        self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
+        self.rounds = 1
+
+    def _set_rows(self, rows):
+        """Make *rows* the active rows, with no basis yet."""
+        m, n = rows.size, self.n_struct
+        p = self.problem
+        self.rows, self.m = rows, m
+        self.a = np.hstack([self.a_all[rows], np.eye(m)])
+        self.lb = np.concatenate([p.lb / self.col_scale, self.slack_lb[rows]])
+        self.ub = np.concatenate([p.ub / self.col_scale, self.slack_ub[rows]])
+        self.c = np.concatenate([p.c * self.col_scale, np.zeros(m)])
+        self.b = self.b_all[rows]
 
     # -- state helpers ------------------------------------------------------
 
@@ -441,17 +481,18 @@ class _Simplex:
                 "phase1_iterations": self.phase1_iterations,
                 "dual_iterations": self.dual_iterations,
                 "refactorizations": self.refactorizations,
-                "artificials": self.a.shape[1] - self.art_start}
+                "artificials": self.a.shape[1] - self.art_start,
+                "rounds": self.rounds}
 
     def solve(self):
         self._init_basis()
         ncols = self.a.shape[1]
-        self.phase1_iterations = 0
         if ncols > self.art_start:
             phase1_cost = np.zeros(ncols)
             phase1_cost[self.art_start:] = 1.0
+            start = self.iterations
             status = self._optimize(phase1_cost, "phase 1", ncols)
-            self.phase1_iterations = self.iterations
+            self.phase1_iterations += self.iterations - start
             if status != "Optimal":  # phase 1 is bounded below by zero
                 raise InvalidProblem("phase 1 terminated abnormally")
             if float(phase1_cost @ self.x) > FEAS_TOL:
@@ -474,6 +515,7 @@ class _Simplex:
         self.status = status.copy()
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
+        self.rounds = 1
         self._refactor("dual")
 
         st = self.status
@@ -484,16 +526,85 @@ class _Simplex:
             return Solution(status="Infeasible", stats=self._stats())
         return self._phase2()
 
-    def _phase2(self):
-        # a nonbasic artificial never enters again
-        status = self._optimize(self.c, "phase 2", self.art_start)
-        if status == "Unbounded":
-            return Solution(status="Unbounded", stats=self._stats())
+    def _violated(self):
+        """The held-back rows whose slack bounds the current x breaks."""
+        if not self.held.size:
+            return self.held
+        slack = self.b_all - self.a_all @ self.x[: self.n_struct]
+        bad = ((slack < self.slack_lb - FEAS_TOL)
+               | (slack > self.slack_ub + FEAS_TOL))
+        return self.held[bad[self.held]]
 
-        # unscale primal, duals and reduced costs
+    def _add_rows(self, new):
+        """Append the held-back rows *new* with their slacks basic.
+
+        The slacks go in before the artificials.  With ``A_N`` the new rows
+        over the old basic columns, the basis inverse becomes
+        ``[[B^-1, 0], [-A_N B^-1, I]]``; the multipliers of the new rows are
+        zero, so the reduced costs, and with them dual feasibility, stay.
+        """
+        k, m, n, art = new.size, self.m, self.n_struct, self.art_start
+        a_new = self.a_all[new]
+        a = np.zeros((m + k, self.a.shape[1] + k))
+        a[:m, :art] = self.a[:, :art]
+        a[:m, art + k:] = self.a[:, art:]
+        a[m:, :n] = a_new
+        a[m:, art:art + k] = np.eye(k)
+
+        slack = self.b_all[new] - a_new @ self.x[:n]
+        self.lb = np.insert(self.lb, art, self.slack_lb[new])
+        self.ub = np.insert(self.ub, art, self.slack_ub[new])
+        self.c = np.insert(self.c, art, np.zeros(k))
+        self.x = np.insert(self.x, art, slack)
+        self.status = np.insert(self.status, art, np.full(k, _BASIC))
+
+        structural = self.basis < n
+        a_basic = np.zeros((k, m))
+        a_basic[:, structural] = a_new[:, self.basis[structural]]
+        binv = np.zeros((m + k, m + k))
+        binv[:m, :m] = self.binv
+        binv[m:, :m] = -a_basic @ self.binv
+        binv[m:, m:] = np.eye(k)
+        self.binv = binv
+        self.basis = np.concatenate([
+            np.where(self.basis >= art, self.basis + k, self.basis),
+            art + np.arange(k)])
+
+        self.a = a
+        self.b = np.concatenate([self.b, self.b_all[new]])
+        self.rows = np.concatenate([self.rows, new])
+        self.held = np.setdiff1d(self.held, new)
+        self.m += k
+        self.art_start += k
+        self.rounds += 1
+
+    def _phase2(self):
+        """Optimize over the active rows, then add the held-back rows the
+        optimum violates and repair the basis with the dual simplex, until
+        none is violated."""
+        while True:
+            # a nonbasic artificial never enters again
+            status = self._optimize(self.c, "phase 2", self.art_start)
+            if status == "Unbounded":
+                if not self.held.size:
+                    return Solution(status="Unbounded", stats=self._stats())
+                # the basis is not dual feasible: start over on every row
+                self._set_rows(np.arange(self.problem.n_cons))
+                self.held = self.held[:0]
+                self.rounds += 1
+                return self.solve()
+            new = self._violated()
+            if not new.size:
+                break
+            self._add_rows(new)
+            if self._dual() == "Infeasible":
+                return Solution(status="Infeasible", stats=self._stats())
+
+        # unscale primal, duals and reduced costs; rows never added price 0
         x = self.x[: self.n_struct] * self.col_scale
         y_scaled = self.c[self.basis] @ self.binv
-        duals = y_scaled * self.row_scale
+        duals = np.zeros(self.problem.n_cons)
+        duals[self.rows] = y_scaled * self.row_scale[self.rows]
         d_scaled = self.c[: self.n_struct] - self.a[:, : self.n_struct].T @ y_scaled
         reduced = d_scaled / self.col_scale
 
@@ -566,7 +677,11 @@ class ProblemBuilder:
 
 
 def solve_lp(problem):
-    """Solve a pure LP; returns primal values, row duals and bound multipliers."""
+    """Solve a pure LP; returns primal values, row duals and bound multipliers.
+
+    Rows listed in ``problem.lazy_rows`` are held back until an optimum of
+    the other rows violates them (see the module docstring).
+    """
     if problem.binaries:
         raise InvalidProblem("solve_lp given a problem with binary variables")
     return _Simplex(problem).solve()
@@ -581,6 +696,8 @@ def solve_milp(problem, node_limit=100000):
     relaxation is solved once, and every child is re-solved warm from its
     parent's optimal basis.  Raises ResourceLimit past *node_limit*.
     """
+    if problem.lazy_rows:
+        raise InvalidProblem("solve_milp given a problem with lazy rows")
     if not problem.binaries:
         return solve_lp(problem)
     relaxation = replace(problem, binaries=())

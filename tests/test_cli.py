@@ -166,6 +166,41 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert re.search(message, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"imports": {"node": 0, "cap_kg_per_day": "lots"}},
+         "imports.cap_kg_per_day: expected a number, got 'lots'"),
+        ({"imports": {"node": "abc"}},
+         "imports.node: expected an integer, got 'abc'"),
+        ({"production": {"wacc": "lots"}},
+         "production.wacc: expected a number, got 'lots'"),
+        ({"production": {"wacc": True}},
+         "production.wacc: expected a number, got True"),
+        ({"production": {"depreciation_years": 2.5}},
+         "production.depreciation_years: expected an integer, got 2.5"),
+        ({"transport": {"toll_eur_per_km": "lots"}},
+         "transport.toll_eur_per_km: expected a number, got 'lots'"),
+        ({"transport": {"industry_frequency_by_volume": 1}},
+         "transport.industry_frequency_by_volume: expected true or false"),
+        ({"hours": "lots"}, "hours: expected an integer, got 'lots'"),
+    ])
+    def test_bad_value_is_2(self, tmp_path, capsys, data, message):
+        # a value of the wrong type never reaches the model
+        cfg = write_yaml(tmp_path / "bad.yaml",
+                         {"fixture": "congested10", "hours": 4, **data})
+        assert main(["chain", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chain", "study"])
+    def test_import_node_outside_network_is_2(self, tmp_path, capsys,
+                                              command):
+        cfg = write_yaml(tmp_path / "imports.yaml", {
+            "fixture": "congested10", "hours": 4, "imports": {"node": 99}})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("error: imports.node: 99 is not a node of the network"
+                in capsys.readouterr().err)
+
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,
                      "--out", str(tmp_path / "o")]) == 0

@@ -7,10 +7,13 @@ one 30 MW line.  The market sends 100 MW over the line; redispatch must move
 70 * (50 - 10) = 2800 EUR and leaves the line exactly at its limit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from h2grid.dispatch import (MODE_NODAL, MODE_UNIFORM_REDISPATCH,
+import h2grid.dispatch
+from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
                              nodal_dispatch, redispatch, run_year,
                              uniform_dispatch)
 from h2grid.errors import InfeasibleHour
@@ -29,6 +32,70 @@ def two_node_system(demand_mw=120.0, line_cap=30.0, hours=1):
     demand[:, 1] = demand_mw
     return PowerSystem(tuple(nodes), tuple(lines), tuple(gens), demand,
                        compute_ptdf(nodes, lines, slack=0))
+
+
+def three_node_system(demand_mw=(100.0,)):
+    """A triangle of equal reactances with plants of 10, 20 and 50 EUR/MWh
+    at nodes 0, 1 and 2 and the demand at node 2.
+
+    At 100 MW the market sends 66.7 MW over corridor 0-2 (limit 60) and
+    33.3 MW over 1-2 (limit 35), so only 0-2 is overloaded.  Relieving 0-2
+    alone moves 20 MW to node 1 and loads 1-2 with 40 MW; the optimum
+    (85, 10, 5 MW) binds both corridors, with nodal prices 10, 20 and 50.
+    """
+    nodes = [Node(0, 0.0, 0.0), Node(1, 100.0, 0.0), Node(2, 50.0, 80.0)]
+    lines = [Line(0, 0, 1, 100.0, 1.0), Line(1, 0, 2, 60.0, 1.0),
+             Line(2, 1, 2, 35.0, 1.0)]
+    gens = [Generator(i, i, DISPATCHABLE, cost, 200.0)
+            for i, cost in enumerate((10.0, 20.0, 50.0))]
+    demand = np.zeros((len(demand_mw), 3))
+    demand[:, 2] = demand_mw
+    return PowerSystem(tuple(nodes), tuple(lines), tuple(gens), demand,
+                       compute_ptdf(nodes, lines, slack=0))
+
+
+def loop_injections(system, hour, generation):
+    injections = -system.demand[hour].astype(float)
+    for g, q in zip(system.generators, generation):
+        injections[g.node] += q
+    return injections
+
+
+def corridor_flows(system, hour, generation):
+    return system.ptdf.flows(loop_injections(system, hour, generation))
+
+
+def loop_uniform(system, hour):
+    """The scalar merit-order loop, as a reference for the array version:
+    generation, price and cost."""
+    gens = system.generators
+    caps = [g.capacity_at(hour) for g in gens]
+    order = sorted(range(len(gens)), key=lambda g: (gens[g].marginal_cost, g))
+    q = np.zeros(len(gens))
+    remaining = float(system.demand[hour].sum())
+    price = min(gens[g].marginal_cost for g in order) if order else 0.0
+    for g in order:
+        if remaining <= 0:
+            break
+        take = min(caps[g], remaining)
+        if take <= 0:
+            continue
+        q[g] = take
+        remaining -= take
+        price = gens[g].marginal_cost
+    cost = float(sum(q[g] * gens[g].marginal_cost for g in range(len(gens))))
+    return q, price, cost
+
+
+def solve_both(log):
+    """A stand-in for dispatch's solve_lp binding that also solves each
+    network LP with every row active and logs (problem, lazy, full)."""
+    def solve(problem):
+        lazy = solve_lp(problem)
+        log.append((problem, lazy,
+                    solve_lp(dataclasses.replace(problem, lazy_rows=()))))
+        return lazy
+    return solve
 
 
 class TestUniformDispatch:
@@ -62,6 +129,19 @@ class TestUniformDispatch:
         system = two_node_system(demand_mw=250.0)
         with pytest.raises(InfeasibleHour):
             uniform_dispatch(system, 0)
+
+    def test_matches_scalar_loops_to_the_bit(self):
+        # renewables share cost 0, so ties break on the generator index
+        for seed in range(6):
+            system = generate_synthetic_system(SyntheticSpec(
+                seed=seed, n_nodes=8, n_lines=10, hours=12))
+            for hour in range(12):
+                result = uniform_dispatch(system, hour)
+                q, price, cost = loop_uniform(system, hour)
+                assert result.generation_mw.tobytes() == q.tobytes()
+                assert (result.price, result.cost_eur) == (price, cost)
+                assert (h2grid.dispatch._injections(system, hour, q).tobytes()
+                        == loop_injections(system, hour, q).tobytes())
 
 
 class TestRedispatch:
@@ -189,3 +269,108 @@ class TestRunYear:
         system = two_node_system(hours=3)
         summary = run_year(system, 3, MODE_UNIFORM_REDISPATCH)
         assert len(set(summary.price_series.tolist())) == 1
+
+
+class TestLazyCorridorRows:
+    """The network LP starts from the corridors the hour's merit-order
+    dispatch overloads and adds the others as an optimum violates them; it
+    must give what the LP with every corridor row gives."""
+
+    def test_matches_full_lp_on_random_systems(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve_both(log))
+        rng = np.random.default_rng(4242)
+        rounds, unique = [], 0
+        for n in (6, 15, 30):
+            for _ in range(3):
+                system = generate_synthetic_system(SyntheticSpec(
+                    seed=int(rng.integers(0, 10_000)), n_nodes=n,
+                    n_lines=n + n // 3, hours=6,
+                    congestion=float(rng.uniform(0.6, 0.95))))
+                limit = system.ptdf.merged_capacity + FLOW_TOL
+                del log[:]
+                for hour in range(6):
+                    nodal = nodal_dispatch(system, hour)
+                    market = uniform_dispatch(system, hour)
+                    adj = redispatch(system, hour, market)
+                    for gen in (nodal.generation_mw,
+                                market.generation_mw + adj.delta_mw):
+                        flows = corridor_flows(system, hour, gen)
+                        assert np.all(np.abs(flows) <= limit)
+                for problem, lazy, full in log:
+                    assert lazy.status == full.status == "Optimal"
+                    assert abs(lazy.objective - full.objective) <= \
+                        1e-9 * max(1.0, abs(full.objective))
+                    rounds.append(lazy.stats["rounds"])
+                    # the duals are unique at a nondegenerate vertex: as
+                    # many generators strictly inside their bounds as rows
+                    # that bind
+                    x = full.x
+                    inside = ((x > problem.lb + 1e-7)
+                              & (x < problem.ub - 1e-7)).sum()
+                    slack = problem.rhs - problem.dense_matrix() @ x
+                    if inside == (np.abs(slack) <= 1e-7).sum():
+                        unique += 1
+                        ptdf = system.ptdf.entries.T
+                        np.testing.assert_allclose(
+                            lazy.duals[0] + ptdf @ (lazy.duals[1::2]
+                                                    + lazy.duals[2::2]),
+                            full.duals[0] + ptdf @ (full.duals[1::2]
+                                                    + full.duals[2::2]),
+                            rtol=0.0, atol=1e-7)
+        assert max(rounds) >= 2 and unique > 0
+
+    def test_seed_misses_a_binding_corridor(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve_both(log))
+        system = three_node_system()
+        result = nodal_dispatch(system, 0)
+        (problem, lazy, full), = log
+        # of the six corridor rows, only the overloaded direction of 0-2
+        # starts active
+        assert len(problem.lazy_rows) == 5
+        assert lazy.stats["rounds"] == 2
+        assert result.generation_mw == pytest.approx([85.0, 10.0, 5.0])
+        np.testing.assert_allclose(result.nodal_prices, [10.0, 20.0, 50.0],
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(lazy.duals, full.duals, rtol=0.0,
+                                   atol=1e-9)
+
+
+class TestBenchmarkCountingRules:
+    """The benchmark counts one LP solve per nodal hour and per congested
+    hour and one uniform dispatch per uniform+redispatch hour, through
+    dispatch's module bindings; the lazy rounds stay inside solve_lp."""
+
+    def test_calls_per_hour(self, monkeypatch):
+        system = three_node_system((100.0, 30.0, 95.0, 100.0))
+        limit = system.ptdf.merged_capacity + FLOW_TOL
+        congested = sum(
+            bool(np.any(np.abs(corridor_flows(
+                system, t, uniform_dispatch(system, t).generation_mw))
+                > limit))
+            for t in range(4))
+        assert congested == 3
+
+        solutions, uniform_calls = [], []
+        real_solve = h2grid.dispatch.solve_lp
+        real_uniform = h2grid.dispatch.uniform_dispatch
+
+        def solve(problem):
+            solutions.append(real_solve(problem))
+            return solutions[-1]
+
+        def uniform(system, hour):
+            uniform_calls.append(hour)
+            return real_uniform(system, hour)
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+        monkeypatch.setattr(h2grid.dispatch, "uniform_dispatch", uniform)
+        run_year(system, 4, MODE_NODAL)
+        assert len(solutions) == 4 and uniform_calls == []
+        assert max(s.stats["rounds"] for s in solutions) == 2
+        del solutions[:]
+        run_year(system, 4, MODE_UNIFORM_REDISPATCH)
+        assert uniform_calls == [0, 1, 2, 3]
+        assert len(solutions) == congested
+        assert max(s.stats["rounds"] for s in solutions) == 2

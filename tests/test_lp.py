@@ -676,3 +676,86 @@ class TestWarmResolve:
         sol = solve_milp(problem)
         assert sol.status == "Infeasible"
         assert sol.stats["nodes"] >= 3  # the root and both of its children
+
+
+class AppendLog(_Simplex):
+    """Records how far the basis inverse is from exact after each append
+    of held-back rows."""
+
+    def _add_rows(self, new):
+        super()._add_rows(new)
+        self.errors.append(float(np.abs(
+            self.a[:, self.basis] @ self.binv - np.eye(self.m)).max()))
+
+
+class TestLazyRows:
+    """Rows held back until an optimum violates them, then appended to the
+    optimal basis and repaired with the dual simplex."""
+
+    def test_matches_all_rows_active(self):
+        rng = np.random.default_rng(1717)
+        seen, rounds = set(), []
+        for k in range(80):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.7)
+            full = solve_lp(problem)
+            assert full.stats["rounds"] == 1
+            simplex = AppendLog(dataclasses.replace(problem, lazy_rows=lazy))
+            simplex.errors = []
+            sol = simplex.solve()
+            assert sol.status == full.status
+            assert max(simplex.errors, default=0.0) < 1e-9
+            seen.add(sol.status)
+            rounds.append(sol.stats["rounds"])
+            if sol.optimal:
+                assert abs(sol.objective - full.objective) <= \
+                    1e-9 * max(1.0, abs(full.objective))
+                assert abs(sol.duality_gap) <= 1e-9 * max(1.0,
+                                                          abs(sol.objective))
+                assert np.all(sol.duals[simplex.held] == 0.0)
+        assert seen == {"Optimal", "Infeasible", "Unbounded"}
+        assert max(rounds) >= 3
+
+    def test_unbounded_active_rows(self):
+        # min -x - y s.t. x - y = 0 alone is unbounded; the held-back
+        # x + y <= 4 bounds it, so every row is activated and solved again
+        builder = ProblemBuilder()
+        x, y = builder.add_var(cost=-1.0), builder.add_var(cost=-1.0)
+        builder.add_constraint([(x, 1.0), (y, -1.0)], EQ, 0.0)
+        assert solve_lp(builder.build()).status == "Unbounded"
+        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 4.0)
+        problem = builder.build()
+        for lazy in ((1,), (0, 1)):
+            sol = solve_lp(dataclasses.replace(problem, lazy_rows=lazy))
+            assert sol.status == "Optimal"
+            assert sol.x == pytest.approx([2.0, 2.0])
+            assert sol.objective == pytest.approx(-4.0)
+            assert sol.stats["rounds"] == 2
+
+    def test_infeasible_in_round_two(self):
+        # x + y >= 2 holds at the first optimum, which the held-back
+        # x + y <= 1 then cuts off; no column can repair it
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, ub=5.0)
+        y = builder.add_var(cost=2.0, ub=5.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 2.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 1.0)
+        sol = solve_lp(dataclasses.replace(builder.build(), lazy_rows=(1,)))
+        assert sol.status == "Infeasible"
+        assert sol.stats["rounds"] == 2
+        assert sol.stats["dual_iterations"] == 1  # and no column could enter
+
+    def test_validation(self):
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, ub=1.0, binary=True)
+        builder.add_constraint([(x, 1.0)], LE, 1.0)
+        builder.add_constraint([(x, 1.0)], GE, 0.0)
+        problem = builder.build()
+        for lazy in ((2,), (-1,), (1, 1)):
+            with pytest.raises(InvalidProblem):
+                dataclasses.replace(problem, lazy_rows=lazy)
+        with pytest.raises(InvalidProblem, match="lazy rows"):
+            solve_milp(dataclasses.replace(problem, lazy_rows=(1,)))
+        with pytest.raises(InvalidProblem, match="lazy rows"):
+            solve_milp(dataclasses.replace(problem, binaries=(),
+                                           lazy_rows=(1,)))
