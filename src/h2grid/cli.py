@@ -35,9 +35,19 @@ from .synth import (SyntheticSpec, congested_fixture, fixture_sinks,
 _INFEASIBLE = (InfeasibleHour, InfeasibleRedispatch, StructurallyInfeasible,
                ChainInfeasible)
 
+# keys only chain and study read: the other commands echo them at their
+# defaults and reject any other value, which they would echo unread
+_STUDY_KEYS = ("scenarios", "production", "transport", "imports", "ngp",
+               "cheap_share")
+
 
 def _load(args):
     cfg = cfgmod.load_config(args.config)
+    if args.command not in ("chain", "study"):
+        defaults = cfgmod.StudyConfig()
+        for key in _STUDY_KEYS:
+            if getattr(cfg, key) != getattr(defaults, key):
+                raise ConfigError(f"{key}: not used by {args.command}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.hours is not None:

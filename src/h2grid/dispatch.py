@@ -9,15 +9,18 @@ Three per-hour models share one immutable PowerSystem:
   balance and the corridor limits by the PTDF price decomposition.
 
 Redispatch and nodal dispatch solve one PTDF-form LP over generator changes
-(``_network_lp``).  Nodal dispatch is that LP taken from zero generation, so
-uniform cost + redispatch cost = nodal cost holds by construction.  Few
+around the hour's merit-order dispatch (``_network_lp``): redispatch reports
+its objective, and nodal dispatch the generation ``merit + x`` and its cost,
+so uniform cost + redispatch cost = nodal cost holds by construction.  Few
 corridors bind in an hour, so the LP starts from the balance row and the
-corridor directions that the hour's merit-order dispatch overloads; the
-other corridor rows are lazy rows, which the solver adds once an optimum
-violates them (Zhai et al., "Fast identification of inactive security
-constraints in SCUC problems", IEEE Trans. Power Syst. 2010).  The seed is
-the market dispatch for redispatch and ``_merit_order`` of the same hour
-for nodal dispatch, so no hour depends on another.
+corridor directions that the merit-order dispatch overloads; the other
+corridor rows are lazy rows, which the solver adds once an optimum violates
+them (Zhai et al., "Fast identification of inactive security constraints in
+SCUC problems", IEEE Trans. Power Syst. 2010).  The LP also starts at the
+merit-order vertex, with the marginal unit basic in the balance row; that
+vertex is dual feasible, so the dual simplex repairs the overloaded
+corridors with no phase 1.  Everything the LP starts from comes from the
+same hour, so no hour depends on another.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -97,16 +100,23 @@ def _merit_order(system, hour):
     return q, price
 
 
-def _network_lp(system, hour, q0, balance, base_flows, seed_flows):
-    """Solve the PTDF-form network LP around the generation *q0*.
+def _network_lp(system, hour, q0, base_flows):
+    """Solve the PTDF-form network LP around the merit-order dispatch *q0*.
 
     Variables are generator changes x with ``0 <= q0 + x <= capacity`` and
-    cost ``c'x``.  Row 0 is the zonal balance ``sum x = balance``; then each
+    cost ``c'x``.  Row 0 is the zonal balance ``sum x = 0``; then each
     corridor k gets an LE row and a GE row bounding its flow at ``q0 + x``
     to ``+-limit``: ``PTDF[k, gen_nodes] x`` against ``+-limit - base_flow``,
     where *base_flows* are the corridor flows at *q0*.  The solver starts
-    from the corridor directions that *seed_flows* overload and adds the
-    others only once an optimum violates them (``lazy_rows``).
+    from the corridor directions that *q0* overloads and adds the others
+    only once an optimum violates them (``lazy_rows``).
+
+    The start is the vertex *q0* itself: every generator rests at ``x = 0``
+    and the marginal unit, the running unit last in ``(cost, index)`` order
+    or the cheapest unit when none runs, is basic in row 0.  Row 0 then
+    prices at the marginal cost and the reduced costs are ``c_j -
+    c_marginal``, so the start is dual feasible (``start_basis``) and the
+    dual simplex repairs the overloaded corridors.
     """
     ptdf = system.ptdf
     caps = _capacities(system, hour)
@@ -120,29 +130,38 @@ def _network_lp(system, hour, q0, balance, base_flows, seed_flows):
     a[0] = 1.0
     a[1::2] = sens
     a[2::2] = sens
-    rhs = np.empty(a.shape[0])
-    rhs[0] = balance
+    rhs = np.zeros(a.shape[0])
     rhs[1::2] = limit - base_flows
     rhs[2::2] = -limit - base_flows
     overloaded = np.empty(2 * n_corridors, dtype=bool)
-    overloaded[0::2] = seed_flows > limit + FLOW_TOL
-    overloaded[1::2] = seed_flows < -limit - FLOW_TOL
+    overloaded[0::2] = base_flows > limit + FLOW_TOL
+    overloaded[1::2] = base_flows < -limit - FLOW_TOL
+    order = np.lexsort((np.arange(costs.size), costs))
+    running = order[q0[order] > 0]
+    marginal = running[-1:] if running.size else order[:1]  # empty with no units
     rows, cols = np.nonzero(a)
     return solve_lp(LinearProblem(
         costs, -q0, caps - q0, rows, cols, a[rows, cols],
         (EQ,) + (LE, GE) * n_corridors, rhs,
-        lazy_rows=1 + np.flatnonzero(~overloaded)))
+        lazy_rows=1 + np.flatnonzero(~overloaded),
+        start_basis=[(0, j) for j in marginal]))
 
 
-def uniform_dispatch(system, hour):
-    """Merit-order dispatch of the whole zone; price is the marginal unit's
-    cost (the dual of the zonal balance constraint)."""
+def _check_capacity(system, hour):
+    """Raise InfeasibleHour when the hour's demand exceeds its capacity."""
     caps = _capacities(system, hour)
     demand = float(system.demand[hour].sum())
     if demand > caps.sum() + BALANCE_TOL:
         raise InfeasibleHour(
             f"hour {hour}: demand exceeds available capacity",
             hour=hour, deficit_mw=demand - caps.sum())
+
+
+def uniform_dispatch(system, hour):
+    """Merit-order dispatch of the whole zone; price is the marginal unit's
+    cost (the dual of the zonal balance constraint)."""
+    _check_capacity(system, hour)
+    demand = float(system.demand[hour].sum())
     q, price = _merit_order(system, hour)
     costs = np.array([g.marginal_cost for g in system.generators])
     # summed left to right, as a scalar loop over the generators would
@@ -154,8 +173,9 @@ def uniform_dispatch(system, hour):
 def redispatch(system, hour, market):
     """Minimum-cost generation adjustment restoring line feasibility.
 
-    Deltas sum to zero; adjusted outputs stay within [0, capacity]; the hour
-    cost is the signed optimal objective (net extra production cost).
+    *market* is the hour's uniform (merit-order) dispatch.  Deltas sum to
+    zero; adjusted outputs stay within [0, capacity]; the hour cost is the
+    signed optimal objective (net extra production cost).
     """
     ptdf = system.ptdf
     q0 = market.generation_mw
@@ -165,7 +185,7 @@ def redispatch(system, hour, market):
         return RedispatchAdjustment(hour=hour, delta_mw=np.zeros(len(q0)),
                                     cost_eur=0.0)
 
-    sol = _network_lp(system, hour, q0, 0.0, base_flows, base_flows)
+    sol = _network_lp(system, hour, q0, base_flows)
     if sol.status != "Optimal":
         raise InfeasibleRedispatch(
             f"hour {hour}: no feasible redispatch within capacities",
@@ -175,30 +195,32 @@ def redispatch(system, hour, market):
 
 
 def nodal_dispatch(system, hour):
-    """Network-constrained dispatch: the redispatch LP taken from zero
-    generation, with the whole demand as the balance.
+    """Network-constrained dispatch: the redispatch LP around the hour's
+    merit-order dispatch, whose generation is ``merit + x``.
 
     The nodal price is the cost of one more MW of demand at the node.
-    Demand there raises the balance rhs by one and, by lowering the base
-    flows, raises the rhs of both rows of corridor k by ``PTDF[k, node]``.
+    Demand there, with the merit-order dispatch held fixed, raises the
+    balance rhs by one and, by lowering the base flows, raises the rhs of
+    both rows of corridor k by ``PTDF[k, node]``.
     Duals are d(objective)/d(rhs) (LE rows <= 0, GE rows >= 0), so the
     price is ``duals[0] + PTDF.T @ (duals[1::2] + duals[2::2])``: the zonal
     price minus the PTDF-weighted corridor congestion rents.
     """
+    _check_capacity(system, hour)
     demand = system.demand[hour]
-    ptdf = system.ptdf
     merit = _merit_order(system, hour)[0]
-    sol = _network_lp(system, hour, np.zeros(len(system.generators)),
-                      float(demand.sum()), ptdf.flows(-demand),
-                      ptdf.flows(_injections(system, hour, merit)))
+    sol = _network_lp(system, hour, merit,
+                      system.ptdf.flows(_injections(system, hour, merit)))
     if sol.status != "Optimal":
         raise InfeasibleHour(f"hour {hour}: nodal dispatch infeasible",
                              hour=hour)
+    generation = merit + sol.x
+    costs = np.array([g.marginal_cost for g in system.generators])
     prices = sol.duals[0] + system.ptdf.entries.T @ (sol.duals[1::2]
                                                      + sol.duals[2::2])
-    return HourDispatch(hour=hour, generation_mw=sol.x, price=None,
+    return HourDispatch(hour=hour, generation_mw=generation, price=None,
                         nodal_prices=prices, served_mw=float(demand.sum()),
-                        cost_eur=float(sol.objective))
+                        cost_eur=float(costs @ generation))
 
 
 MODE_UNIFORM_REDISPATCH = "uniform+redispatch"

@@ -19,6 +19,16 @@ artificials still basic are pivoted out where a structural or slack column
 can replace them; any left (redundant rows) stay pinned at zero, and phase 2
 prices only the columns before the artificials, so none enters again.
 
+A problem that knows a dual feasible vertex names it in
+``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
+its row, every other active row on its slack whatever the slack's value,
+and every other column resting as in the crash.  ``_start`` builds the exact
+inverse of that basis in block form and the bounded dual simplex (below)
+repairs primal feasibility, with no artificials and no phase 1.  A start
+that is singular or not dual feasible at ``OPT_TOL`` raises
+``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
+hour's merit-order vertex.
+
 The solver keeps a dense inverse of the basis matrix.  It starts exact (the
 first basis is diagonal with entries +-1), takes a rank-one product-form
 update per basis change and is recomputed from scratch every
@@ -93,6 +103,9 @@ class LinearProblem:
     ``rows[k] == i``.  ``binaries`` lists variable indices restricted to
     {0, 1}; their bounds must lie within [0, 1].  ``lazy_rows`` lists rows
     the LP solver may leave out until a solution violates them.
+    ``start_basis`` lists ``(row, column)`` pairs: the LP solver starts each
+    column basic in its row and solves with the dual simplex (see the module
+    docstring).
     """
 
     c: np.ndarray
@@ -105,6 +118,7 @@ class LinearProblem:
     rhs: np.ndarray
     binaries: tuple = ()
     lazy_rows: tuple = ()
+    start_basis: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -118,6 +132,8 @@ class LinearProblem:
         object.__setattr__(self, "binaries", tuple(sorted(self.binaries)))
         object.__setattr__(self, "lazy_rows",
                            tuple(sorted(int(i) for i in self.lazy_rows)))
+        object.__setattr__(self, "start_basis", tuple(sorted(
+            (int(i), int(j)) for i, j in self.start_basis)))
         self._validate()
 
     @property
@@ -160,6 +176,16 @@ class LinearProblem:
             raise InvalidProblem("lazy row index out of range")
         if len(set(lazy)) != len(lazy):
             raise InvalidProblem("duplicate lazy row index")
+        if self.start_basis:
+            rows, cols = zip(*self.start_basis)
+            if min(rows) < 0 or max(rows) >= m:
+                raise InvalidProblem("start basis row index out of range")
+            if min(cols) < 0 or max(cols) >= n:
+                raise InvalidProblem("start basis column index out of range")
+            if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+                raise InvalidProblem("duplicate start basis row or column")
+            if set(rows) & set(lazy):
+                raise InvalidProblem("start basis row is a lazy row")
 
     def dense_matrix(self):
         a = np.zeros((self.n_cons, self.n_vars))
@@ -241,6 +267,19 @@ class _Simplex:
 
     # -- state helpers ------------------------------------------------------
 
+    def _rest(self):
+        """The status and value of every column resting at a bound (free
+        ones at zero)."""
+        lo, hi = self.lb, self.ub
+        lo_fin = np.isfinite(lo)
+        # the upper bound wins when it is the only finite one, or when it
+        # is <= 0 and the lower bound is < 0
+        at_ub = np.isfinite(hi) & (~lo_fin | ((hi <= 0) & (lo < 0)))
+        at_lb = lo_fin & ~at_ub
+        status = np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
+        x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
+        return status, x
+
     def _init_basis(self):
         """Rest every column at a bound (free ones at zero); crash the slacks.
 
@@ -250,13 +289,7 @@ class _Simplex:
         """
         ncols = self.a.shape[1]
         lo, hi = self.lb, self.ub
-        lo_fin = np.isfinite(lo)
-        # the upper bound wins when it is the only finite one, or when it
-        # is <= 0 and the lower bound is < 0
-        at_ub = np.isfinite(hi) & (~lo_fin | ((hi <= 0) & (lo < 0)))
-        at_lb = lo_fin & ~at_ub
-        status = np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
-        x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
+        status, x = self._rest()
 
         resid = self.b - self.a @ x
         slack = np.arange(self.n_struct, ncols)
@@ -278,6 +311,49 @@ class _Simplex:
         self.x = np.concatenate([x, np.abs(resid[rows])])
         self.binv = np.diag(np.where(fits, 1.0, sign))  # exact inverse
         self.updates = 0
+
+    def _start(self):
+        """Start from ``problem.start_basis``: each listed column basic in
+        its row, every other active row on its slack and every other column
+        resting as ``_init_basis`` rests it.
+
+        With ``R`` the listed rows, ``J`` their columns and ``N`` the slack
+        rows, the basis inverse is ``[[A_RJ^-1, 0], [-A_NJ A_RJ^-1, I]]``.
+        The start must be nonsingular and dual feasible at ``OPT_TOL``; a
+        nonbasic fixed column rests at the bound its reduced cost prefers.
+        """
+        status, x = self._rest()
+        self.art_start = self.a.shape[1]
+        rows, cols = np.array(self.problem.start_basis).T
+        pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
+        slack_rows = np.setdiff1d(np.arange(self.m), pos)
+        try:
+            inv = np.linalg.inv(self.a[np.ix_(pos, cols)])
+        except np.linalg.LinAlgError as exc:
+            raise InvalidProblem("singular start basis") from exc
+        self.binv = np.eye(self.m)
+        self.binv[np.ix_(pos, pos)] = inv
+        self.binv[np.ix_(slack_rows, pos)] = -self.a[np.ix_(slack_rows,
+                                                            cols)] @ inv
+        self.updates = 0
+        self.basis = np.arange(self.n_struct, self.art_start)
+        self.basis[pos] = cols
+        status[self.basis] = _BASIC
+        x[self.basis] = 0.0
+        x[self.basis] = self.binv @ (self.b - self.a @ x)
+
+        d = self.c - self.a.T @ (self.c[self.basis] @ self.binv)
+        movable = self.lb < self.ub
+        wrong = movable & (((status == _AT_LB) & (d < -OPT_TOL))
+                           | ((status == _AT_UB) & (d > OPT_TOL))
+                           | ((status == _FREE) & (np.abs(d) > OPT_TOL)))
+        if wrong.any():
+            raise InvalidProblem(f"start basis is not dual feasible at "
+                                 f"column {int(wrong.argmax())}")
+        fixed = ~movable & (status != _BASIC)
+        status[fixed & (d < 0)] = _AT_UB
+        status[fixed & (d > 0)] = _AT_LB
+        self.status, self.x = status, x
 
     def _refactor(self, phase):
         try:
@@ -485,6 +561,11 @@ class _Simplex:
                 "rounds": self.rounds}
 
     def solve(self):
+        if self.problem.start_basis:
+            self._start()
+            if self._dual() == "Infeasible":
+                return Solution(status="Infeasible", stats=self._stats())
+            return self._phase2()
         self._init_basis()
         ncols = self.a.shape[1]
         if ncols > self.art_start:
@@ -698,6 +779,8 @@ def solve_milp(problem, node_limit=100000):
     """
     if problem.lazy_rows:
         raise InvalidProblem("solve_milp given a problem with lazy rows")
+    if problem.start_basis:
+        raise InvalidProblem("solve_milp given a problem with a start basis")
     if not problem.binaries:
         return solve_lp(problem)
     relaxation = replace(problem, binaries=())

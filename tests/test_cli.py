@@ -153,6 +153,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key}: not used" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "dispatch", "demand"])
+    @pytest.mark.parametrize("data, key", [
+        ({"imports": {"node": 7, "cost_eur_per_kg": 99.0}}, "imports"),
+        ({"scenarios": [{"spatial": "nodal"}]}, "scenarios"),
+        ({"production": {"wacc": 0.5}}, "production"),
+        ({"transport": {"toll_eur_per_km": 0.2}}, "transport"),
+        ({"ngp": 0.05}, "ngp"),
+        ({"cheap_share": 0.5}, "cheap_share"),
+    ])
+    def test_study_key_outside_study_is_2(self, tmp_path, capsys, command,
+                                          data, key):
+        # only chain and study read these keys
+        cfg = write_yaml(tmp_path / "study_key.yaml",
+                         {"fixture": "congested10", "hours": 4, **data})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: {key}: not used by {command}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o" / "effective_config.yaml")
+
+    def test_study_keys_at_defaults_are_echoed(self, tmp_path):
+        cfg = write_yaml(tmp_path / "defaults.yaml", {
+            "fixture": "congested10", "hours": 4, "imports": None,
+            "ngp": 0.03, "production": {"wacc": 0.08},
+            "scenarios": [{"spatial": "uniform", "carrier": "LH2"}]})
+        out = tmp_path / "o"
+        assert main(["dispatch", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "effective_config.yaml") as fh:
+            echo = yaml.safe_load(fh)
+        assert echo["imports"] is None and echo["ngp"] == 0.03
+        assert echo["production"]["wacc"] == 0.08
+
     @pytest.mark.parametrize("imports, message", [
         ({"enabled": False}, "unknown key imports.enabled"),
         ({"cost_eur_per_kg": 4.5}, "imports: .*'node'"),

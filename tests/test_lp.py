@@ -759,3 +759,126 @@ class TestLazyRows:
         with pytest.raises(InvalidProblem, match="lazy rows"):
             solve_milp(dataclasses.replace(problem, binaries=(),
                                            lazy_rows=(1,)))
+
+
+def dual_feasible_start(rng, problem):
+    """Costs and a start basis that make *problem* dual feasible at the
+    start: random multipliers y on k random rows that are not lazy (<= 0 on
+    LE rows, >= 0 on GE rows, so their resting slacks price right), k
+    random columns basic in those rows with ``c_J = A_RJ' y_R``, and every
+    other column priced ``a_j' y`` plus a margin whose sign suits the bound
+    it rests at (none for a free column)."""
+    a = problem.dense_matrix()
+    m, n = a.shape
+    rows = np.setdiff1d(np.arange(m), problem.lazy_rows)
+    while True:
+        k = int(rng.integers(1, min(rows.size, n) + 1))
+        r = np.sort(rng.choice(rows, k, replace=False))
+        j = rng.choice(n, k, replace=False)
+        if np.linalg.cond(a[np.ix_(r, j)]) < 1e3:
+            break
+    sign = np.array([{LE: -1.0, GE: 1.0, EQ: rng.choice([-1.0, 1.0])}[s]
+                     for s in np.array(problem.senses)[r]])
+    y = np.zeros(m)
+    y[r] = sign * rng.uniform(0, 3, k)
+    status = np.array([scalar_rest(lo, hi)[1]
+                       for lo, hi in zip(problem.lb, problem.ub)])
+    margin = np.select([status == 0, status == 1], [1.0, -1.0], 0.0)
+    margin[j] = 0.0
+    c = a.T @ y + margin * rng.uniform(0, 2, n) * (rng.random(n) < 0.8)
+    return dataclasses.replace(problem, c=c, start_basis=tuple(zip(r, j)))
+
+
+def unique_duals(problem, sol):
+    """Whether the optimum is primal nondegenerate, so that its duals are
+    unique: as many columns strictly inside their bounds as rows that
+    bind."""
+    inside = ((sol.x > problem.lb + 1e-7) & (sol.x < problem.ub - 1e-7)).sum()
+    slack = problem.rhs - problem.dense_matrix() @ sol.x
+    return inside == (np.abs(slack) <= 1e-7).sum()
+
+
+class TestStartBasis:
+    """Solves from a given dual feasible basis, with the dual simplex and no
+    phase 1, against cold solves of the same LP."""
+
+    def test_matches_cold_solve(self):
+        rng = np.random.default_rng(2718)
+        seen, unique = set(), 0
+        for k in range(80):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            if k % 3 == 0:
+                problem = dataclasses.replace(problem, lazy_rows=np.flatnonzero(
+                    rng.random(problem.n_cons) < 0.5)[:problem.n_cons - 1])
+            problem = dual_feasible_start(rng, problem)
+            sol = solve_lp(problem)
+            cold = solve_lp(dataclasses.replace(problem, lazy_rows=(),
+                                                start_basis=()))
+            assert sol.status == cold.status
+            assert sol.stats["phase1_iterations"] == 0
+            assert sol.stats["artificials"] == 0
+            seen.add((sol.status, bool(problem.lazy_rows)))
+            if sol.optimal:
+                assert abs(sol.objective - cold.objective) <= \
+                    1e-9 * max(1.0, abs(cold.objective))
+                assert abs(sol.duality_gap) <= 1e-9 * max(1.0,
+                                                          abs(sol.objective))
+                if unique_duals(problem, cold):
+                    unique += 1
+                    np.testing.assert_allclose(sol.duals, cold.duals,
+                                               rtol=1e-7, atol=1e-7)
+        assert seen == {(status, lazy) for status in ("Optimal", "Infeasible")
+                        for lazy in (False, True)}
+        assert unique > 0
+
+    def test_merit_order_start(self):
+        # min 10 x1 + 20 x2 + 50 x3, x1 + x2 + x3 = 100, x <= 60 each: the
+        # merit order runs x1 at 60 and x2 at 40, the marginal unit; start
+        # it basic in the balance row with x1 at its upper bound
+        builder = ProblemBuilder()
+        for cost in (10.0, 20.0, 50.0):
+            builder.add_var(cost=cost, lb=0.0, ub=60.0)
+        builder.add_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], EQ, 100.0)
+        problem = dataclasses.replace(
+            builder.build(), lb=[-60.0, -40.0, 0.0], ub=[0.0, 20.0, 60.0],
+            rhs=[0.0], start_basis=((0, 1),))
+        sol = solve_lp(problem)
+        assert sol.optimal and sol.x == pytest.approx([0.0, 0.0, 0.0])
+        assert sol.duals == pytest.approx([20.0])
+        assert sol.stats["iterations"] == 1  # the optimality check alone
+        assert sol.stats["dual_iterations"] == 0
+
+    def test_invalid_starts(self):
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, ub=5.0)
+        y = builder.add_var(cost=2.0, ub=5.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 1.0)
+        builder.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
+        builder.add_constraint([(x, 1.0)], LE, 4.0)
+        problem = builder.build()
+        for start in (((3, x),), ((-1, x),), ((0, 2),), ((0, x), (0, y)),
+                      ((0, x), (1, x))):
+            with pytest.raises(InvalidProblem, match="start basis"):
+                dataclasses.replace(problem, start_basis=start)
+        with pytest.raises(InvalidProblem, match="lazy row"):
+            dataclasses.replace(problem, lazy_rows=(1,), start_basis=((1, x),))
+        # x and y have proportional coefficients in rows 0 and 1, and y has
+        # none in row 2
+        for start in (((0, x), (1, y)), ((2, y),)):
+            with pytest.raises(InvalidProblem, match="singular start basis"):
+                solve_lp(dataclasses.replace(problem, start_basis=start))
+        # y basic in row 0 prices the row at 2, so x at its lower bound
+        # has reduced cost 1 - 2 < 0
+        with pytest.raises(InvalidProblem, match="not dual feasible"):
+            solve_lp(dataclasses.replace(problem, start_basis=((0, y),)))
+        sol = solve_lp(dataclasses.replace(problem, start_basis=((0, x),)))
+        assert sol.optimal and sol.x == pytest.approx([1.0, 0.0])
+
+    def test_milp_rejects_start(self):
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, binary=True)
+        builder.add_constraint([(x, 1.0)], GE, 0.0)
+        problem = dataclasses.replace(builder.build(), start_basis=((0, x),))
+        for p in (problem, dataclasses.replace(problem, binaries=())):
+            with pytest.raises(InvalidProblem, match="start basis"):
+                solve_milp(p)
