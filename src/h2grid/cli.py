@@ -28,7 +28,7 @@ from .dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
 from .errors import (ChainInfeasible, ConfigError, H2GridError,
                      InfeasibleHour, InfeasibleRedispatch, IoError,
                      StructurallyInfeasible)
-from .pipeline import StudyCase, run_full_study
+from .pipeline import Scenario, StudyCase, run_full_study
 from .synth import (SyntheticSpec, congested_fixture, fixture_sinks,
                     generate_synthetic_system)
 
@@ -36,18 +36,37 @@ _INFEASIBLE = (InfeasibleHour, InfeasibleRedispatch, StructurallyInfeasible,
                ChainInfeasible)
 
 # keys only chain and study read: the other commands echo them at their
-# defaults and reject any other value, which they would echo unread
+# defaults and reject any other value, which they would echo unread (chain
+# reads only some of them, see _unread_by_chain)
 _STUDY_KEYS = ("scenarios", "production", "transport", "imports", "ngp",
                "cheap_share")
 
 
+def _unread_by_chain(cfg):
+    """The study keys chain echoes but never reads: it solves the first
+    scenario's carrier alone."""
+    if not cfg.scenarios:
+        raise ConfigError("scenarios: chain needs one scenario")
+    first, default = cfg.scenarios[0], Scenario()
+    unread = ["cheap_share"] if (cfg.cheap_share
+                                 != cfgmod.StudyConfig.cheap_share) else []
+    unread += [f"scenarios[0].{name}" for name in ("spatial", "temporal")
+               if getattr(first, name) != getattr(default, name)]
+    return unread + [f"scenarios[{i}]" for i in range(1, len(cfg.scenarios))]
+
+
 def _load(args):
     cfg = cfgmod.load_config(args.config)
-    if args.command not in ("chain", "study"):
+    if args.command == "chain":
+        unread = _unread_by_chain(cfg)
+    elif args.command != "study":
         defaults = cfgmod.StudyConfig()
-        for key in _STUDY_KEYS:
-            if getattr(cfg, key) != getattr(defaults, key):
-                raise ConfigError(f"{key}: not used by {args.command}")
+        unread = [key for key in _STUDY_KEYS
+                  if getattr(cfg, key) != getattr(defaults, key)]
+    else:
+        unread = []
+    if unread:
+        raise ConfigError(f"{unread[0]}: not used by {args.command}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.hours is not None:

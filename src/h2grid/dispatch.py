@@ -22,6 +22,16 @@ vertex is dual feasible, so the dual simplex repairs the overloaded
 corridors with no phase 1.  Everything the LP starts from comes from the
 same hour, so no hour depends on another.
 
+What the models read of the system and not of the hour is built once per
+PowerSystem, at its first dispatch, and kept on it
+(``PowerSystem.dispatch_tables``, a ``DispatchTables``): the marginal
+costs, generator nodes and merit order, the capacity of every generator in
+every hour, and the network LP's row senses and its dense
+``(1 + 2K) x G`` block with the block's power-of-two scaling
+(``lp.ScaledMatrix``).  An hour then sets only the LP's bounds, rhs, lazy
+rows and start basis.  A system derived with ``with_demand`` or
+``with_generators`` is a new object with tables of its own.
+
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
 """
@@ -31,10 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleHour, InfeasibleRedispatch
-from .lp import EQ, GE, LE, LinearProblem, solve_lp
+from .lp import EQ, GE, LE, LinearProblem, scale_matrix, solve_lp
 
 BALANCE_TOL = 1e-6
 FLOW_TOL = 1e-6
+
+_NO_TRIPLETS = np.zeros(0)  # the network LP gives its matrix as a block
 
 
 @dataclass(frozen=True)
@@ -68,13 +80,41 @@ class AnnualDispatchSummary:
     generation_mwh: np.ndarray               # per generator
 
 
-def _capacities(system, hour):
-    return np.array([g.capacity_at(hour) for g in system.generators])
+class DispatchTables:
+    """The hour-independent data of the dispatch models for one system.
+
+    ``costs`` and ``nodes`` per generator, ``order`` its ``(cost, index)``
+    merit order, ``capacity`` the available MW per hour and generator
+    (``Generator.capacity_at``), and the network LP's ``senses`` and
+    ``block``, its constraint matrix with scaling (see ``_network_lp``).
+    Every array is read-only.
+    """
+
+    def __init__(self, system):
+        gens = system.generators
+        self.costs = np.array([g.marginal_cost for g in gens])
+        self.nodes = np.array([g.node for g in gens], dtype=int)
+        self.order = np.lexsort((np.arange(self.costs.size), self.costs))
+        self.capacity = np.empty((system.horizon, len(gens)))
+        for j, g in enumerate(gens):
+            self.capacity[:, j] = (g.capacity_mw if g.profile is None
+                                   else g.profile[:system.horizon])
+        for arr in (self.costs, self.nodes, self.order, self.capacity):
+            arr.flags.writeable = False
+
+        sens = system.ptdf.entries[:, self.nodes]
+        a = np.empty((1 + 2 * sens.shape[0], len(gens)))
+        a[0] = 1.0
+        a[1::2] = sens
+        a[2::2] = sens
+        self.senses = (EQ,) + (LE, GE) * sens.shape[0]
+        # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
+        self.block = scale_matrix(a + 0.0)
 
 
 def _injections(system, hour, generation):
     inj = -system.demand[hour].astype(float)
-    np.add.at(inj, [g.node for g in system.generators], generation)
+    np.add.at(inj, system.dispatch_tables.nodes, generation)
     return inj
 
 
@@ -85,9 +125,9 @@ def _merit_order(system, hour):
     Returns the generation and the price: the cost of the last unit that
     runs, or of the cheapest unit when none does.
     """
-    caps = np.maximum(_capacities(system, hour), 0.0)
-    costs = np.array([g.marginal_cost for g in system.generators])
-    order = np.lexsort((np.arange(costs.size), costs))
+    tables = system.dispatch_tables
+    costs, order = tables.costs, tables.order
+    caps = np.maximum(tables.capacity[hour], 0.0)
     demand = float(system.demand[hour].sum())
     # demand left before each unit, subtracted unit by unit in merit order
     remaining = np.cumsum(np.append(demand, -caps[order]))[:-1]
@@ -118,38 +158,27 @@ def _network_lp(system, hour, q0, base_flows):
     c_marginal``, so the start is dual feasible (``start_basis``) and the
     dual simplex repairs the overloaded corridors.
     """
-    ptdf = system.ptdf
-    caps = _capacities(system, hour)
-    costs = np.array([g.marginal_cost for g in system.generators])
-    gen_nodes = np.array([g.node for g in system.generators], dtype=int)
-    limit = ptdf.merged_capacity
-    sens = ptdf.entries[:, gen_nodes]
-    n_corridors = sens.shape[0]
-
-    a = np.empty((1 + 2 * n_corridors, len(costs)))
-    a[0] = 1.0
-    a[1::2] = sens
-    a[2::2] = sens
-    rhs = np.zeros(a.shape[0])
+    tables = system.dispatch_tables
+    limit = system.ptdf.merged_capacity
+    rhs = np.zeros(len(tables.senses))
     rhs[1::2] = limit - base_flows
     rhs[2::2] = -limit - base_flows
-    overloaded = np.empty(2 * n_corridors, dtype=bool)
+    overloaded = np.empty(2 * limit.size, dtype=bool)
     overloaded[0::2] = base_flows > limit + FLOW_TOL
     overloaded[1::2] = base_flows < -limit - FLOW_TOL
-    order = np.lexsort((np.arange(costs.size), costs))
+    order = tables.order
     running = order[q0[order] > 0]
     marginal = running[-1:] if running.size else order[:1]  # empty with no units
-    rows, cols = np.nonzero(a)
     return solve_lp(LinearProblem(
-        costs, -q0, caps - q0, rows, cols, a[rows, cols],
-        (EQ,) + (LE, GE) * n_corridors, rhs,
+        tables.costs, -q0, tables.capacity[hour] - q0, _NO_TRIPLETS,
+        _NO_TRIPLETS, _NO_TRIPLETS, tables.senses, rhs,
         lazy_rows=1 + np.flatnonzero(~overloaded),
-        start_basis=[(0, j) for j in marginal]))
+        start_basis=[(0, j) for j in marginal], matrix=tables.block))
 
 
 def _check_capacity(system, hour):
     """Raise InfeasibleHour when the hour's demand exceeds its capacity."""
-    caps = _capacities(system, hour)
+    caps = system.dispatch_tables.capacity[hour]
     demand = float(system.demand[hour].sum())
     if demand > caps.sum() + BALANCE_TOL:
         raise InfeasibleHour(
@@ -163,7 +192,7 @@ def uniform_dispatch(system, hour):
     _check_capacity(system, hour)
     demand = float(system.demand[hour].sum())
     q, price = _merit_order(system, hour)
-    costs = np.array([g.marginal_cost for g in system.generators])
+    costs = system.dispatch_tables.costs
     # summed left to right, as a scalar loop over the generators would
     cost = float(np.cumsum(q * costs)[-1]) if q.size else 0.0
     return HourDispatch(hour=hour, generation_mw=q, price=price,
@@ -215,7 +244,7 @@ def nodal_dispatch(system, hour):
         raise InfeasibleHour(f"hour {hour}: nodal dispatch infeasible",
                              hour=hour)
     generation = merit + sol.x
-    costs = np.array([g.marginal_cost for g in system.generators])
+    costs = system.dispatch_tables.costs
     prices = sol.duals[0] + system.ptdf.entries.T @ (sol.duals[1::2]
                                                      + sol.duals[2::2])
     return HourDispatch(hour=hour, generation_mw=generation, price=None,

@@ -5,9 +5,11 @@ are immutable after construction and safe for concurrent reads.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .dispatch import DispatchTables
 from .errors import EmptyNetwork, InvalidLine, NetworkDisconnected
 
 # default transmission capacity per voltage class, MW
@@ -77,6 +79,12 @@ class PowerSystem:
     @property
     def horizon(self):
         return self.demand.shape[0]
+
+    @cached_property
+    def dispatch_tables(self):
+        """What the dispatch models read of this system in every hour,
+        built at the first dispatch and kept with the system."""
+        return DispatchTables(self)
 
     def with_demand(self, demand):
         return PowerSystem(self.nodes, self.lines, self.generators,

@@ -40,6 +40,14 @@ those of phase 1 (``phase1_iterations``) and of the dual simplex
 rows that started on an artificial (``artificials``) and the number of
 rounds (``rounds``, see below).
 
+The constraint matrix is equilibrated by powers of two, rows first and
+then columns, so that unscaling is exact; ``scale_matrix`` does this once
+per matrix and returns a read-only ``ScaledMatrix``.  A problem gives its
+rows as triplets, which ``_Simplex`` densifies and scales per solve, or as a
+``ScaledMatrix`` in ``LinearProblem.matrix``, which it uses as it is: the
+network LP of ``dispatch`` builds its block once per power system and hands
+the same value to the LP of every hour.
+
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
 built over the whole problem: the dense matrix and its scaling come from
@@ -96,16 +104,64 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
+class ScaledMatrix:
+    """A dense constraint matrix with its power-of-two equilibration:
+    ``scaled = row_scale[:, None] * a * col_scale[None, :]`` exactly.
+
+    Built by ``scale_matrix``, which checks that ``a`` is finite; every
+    array is read-only, so one value can serve many problems.
+    """
+
+    a: np.ndarray
+    scaled: np.ndarray
+    row_scale: np.ndarray
+    col_scale: np.ndarray
+
+
+def _pow2_scale(v):
+    """Nearest power of two to 1/v, elementwise; exact in binary arithmetic.
+
+    Entries that are zero or not finite get scale 1.
+    """
+    scale = np.ones(v.shape)
+    ok = (v > 0) & np.isfinite(v)
+    scale[ok] = np.ldexp(1.0, -np.rint(np.log2(v[ok])).astype(int))
+    return scale
+
+
+def scale_matrix(a):
+    """Equilibrate a copy of the dense matrix *a*: every row by the power of
+    two nearest the inverse of its largest magnitude, then every column of
+    the result likewise.  The chain MILP mixes EUR-millions with per-kg
+    coefficients."""
+    a = np.array(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvalidProblem("NaN or infinity in problem data")
+    m, n = a.shape
+    row_scale, col_scale, scaled = np.ones(m), np.ones(n), a
+    if a.size:
+        row_scale = _pow2_scale(np.abs(a).max(axis=1))
+        scaled = a * row_scale[:, None]
+        col_scale = _pow2_scale(np.abs(scaled).max(axis=0))
+        scaled = scaled * col_scale[None, :]
+    for arr in (a, scaled, row_scale, col_scale):
+        arr.flags.writeable = False
+    return ScaledMatrix(a, scaled, row_scale, col_scale)
+
+
+@dataclass(frozen=True)
 class LinearProblem:
-    """A minimization problem in sparse-triplet form.
+    """A minimization problem with its constraint matrix in sparse-triplet
+    form or as a dense ``ScaledMatrix``.
 
     Rows are ``sum_j a[k] * x[cols[k]] (sense_i) rhs_i`` for triplets with
-    ``rows[k] == i``.  ``binaries`` lists variable indices restricted to
-    {0, 1}; their bounds must lie within [0, 1].  ``lazy_rows`` lists rows
-    the LP solver may leave out until a solution violates them.
-    ``start_basis`` lists ``(row, column)`` pairs: the LP solver starts each
-    column basic in its row and solves with the dual simplex (see the module
-    docstring).
+    ``rows[k] == i``, or ``matrix.a[i] @ x (sense_i) rhs_i`` when ``matrix``
+    is set, and then the triplets are empty.  ``binaries`` lists variable
+    indices restricted to {0, 1}; their bounds must lie within [0, 1].
+    ``lazy_rows`` lists rows the LP solver may leave out until a solution
+    violates them.  ``start_basis`` lists ``(row, column)`` pairs: the LP
+    solver starts each column basic in its row and solves with the dual
+    simplex (see the module docstring).
     """
 
     c: np.ndarray
@@ -119,6 +175,7 @@ class LinearProblem:
     binaries: tuple = ()
     lazy_rows: tuple = ()
     start_basis: tuple = ()
+    matrix: ScaledMatrix = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -130,8 +187,8 @@ class LinearProblem:
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "binaries", tuple(sorted(self.binaries)))
-        object.__setattr__(self, "lazy_rows",
-                           tuple(sorted(int(i) for i in self.lazy_rows)))
+        object.__setattr__(self, "lazy_rows", tuple(np.sort(np.asarray(
+            self.lazy_rows, dtype=int)).tolist()))
         object.__setattr__(self, "start_basis", tuple(sorted(
             (int(i), int(j)) for i, j in self.start_basis)))
         self._validate()
@@ -155,6 +212,13 @@ class LinearProblem:
                 raise InvalidProblem(f"unknown constraint sense {s!r}")
         if not (self.a_rows.size == self.a_cols.size == self.a_vals.size):
             raise InvalidProblem("triplet arrays have inconsistent lengths")
+        if self.matrix is not None:
+            if self.a_rows.size:
+                raise InvalidProblem("constraint matrix given both as "
+                                     "triplets and as a matrix")
+            if self.matrix.a.shape != (m, n):
+                raise InvalidProblem("constraint matrix shape does not match "
+                                     "the problem")
         if self.a_rows.size and (self.a_rows.min() < 0 or self.a_rows.max() >= m):
             raise InvalidProblem("triplet row index out of range")
         if self.a_cols.size and (self.a_cols.min() < 0 or self.a_cols.max() >= n):
@@ -188,6 +252,8 @@ class LinearProblem:
                 raise InvalidProblem("start basis row is a lazy row")
 
     def dense_matrix(self):
+        if self.matrix is not None:
+            return np.array(self.matrix.a)
         a = np.zeros((self.n_cons, self.n_vars))
         np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
         return a
@@ -208,34 +274,17 @@ class Solution:
         return self.status == "Optimal"
 
 
-def _pow2_scale(v):
-    """Nearest power of two to 1/v, elementwise; exact in binary arithmetic.
-
-    Entries that are zero or not finite get scale 1.
-    """
-    scale = np.ones(v.shape)
-    ok = (v > 0) & np.isfinite(v)
-    scale[ok] = np.ldexp(1.0, -np.rint(np.log2(v[ok])).astype(int))
-    return scale
-
-
 class _Simplex:
     """Bounded-variable primal simplex on equality form with slack columns."""
 
     def __init__(self, problem):
         self.problem = problem
         m, n = problem.n_cons, problem.n_vars
-        a = problem.dense_matrix()
-
-        # Row/column equilibration with powers of two so that unscaling is
-        # exact.  The chain MILP mixes EUR-millions with per-kg coefficients.
-        self.row_scale = np.ones(m)
-        self.col_scale = np.ones(n)
-        if a.size:
-            self.row_scale = _pow2_scale(np.abs(a).max(axis=1))
-            a = a * self.row_scale[:, None]
-            self.col_scale = _pow2_scale(np.abs(a).max(axis=0))
-            a = a * self.col_scale[None, :]
+        matrix = problem.matrix
+        if matrix is None:
+            matrix = scale_matrix(problem.dense_matrix())
+        a, self.row_scale, self.col_scale = (matrix.scaled, matrix.row_scale,
+                                             matrix.col_scale)
 
         # Slack columns: sense is encoded in the slack bounds.
         senses = np.array(problem.senses, dtype="U2")
@@ -326,7 +375,9 @@ class _Simplex:
         self.art_start = self.a.shape[1]
         rows, cols = np.array(self.problem.start_basis).T
         pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
-        slack_rows = np.setdiff1d(np.arange(self.m), pos)
+        slack = np.ones(self.m, dtype=bool)
+        slack[pos] = False
+        slack_rows = np.flatnonzero(slack)
         try:
             inv = np.linalg.inv(self.a[np.ix_(pos, cols)])
         except np.linalg.LinAlgError as exc:
@@ -654,7 +705,10 @@ class _Simplex:
         self.a = a
         self.b = np.concatenate([self.b, self.b_all[new]])
         self.rows = np.concatenate([self.rows, new])
-        self.held = np.setdiff1d(self.held, new)
+        held = np.zeros(self.problem.n_cons, dtype=bool)
+        held[self.held] = True
+        held[new] = False
+        self.held = np.flatnonzero(held)
         self.m += k
         self.art_start += k
         self.rounds += 1

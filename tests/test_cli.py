@@ -173,6 +173,44 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not os.path.exists(tmp_path / "o" / "effective_config.yaml")
 
+    @pytest.mark.parametrize("data, key", [
+        ({"cheap_share": 0.5}, "cheap_share"),
+        ({"scenarios": [{"spatial": "nodal"}]}, "scenarios[0].spatial"),
+        ({"scenarios": [{"temporal": "real_time", "carrier": "GH2"}]},
+         "scenarios[0].temporal"),
+        ({"scenarios": [{"carrier": "GH2"}, {"carrier": "LOHC"}]},
+         "scenarios[1]"),
+    ])
+    def test_key_chain_does_not_read_is_2(self, tmp_path, capsys, data,
+                                          key):
+        # chain solves the first scenario's carrier alone; study reads all
+        cfg = write_yaml(tmp_path / "chain.yaml",
+                         {"fixture": "congested10", "hours": 4, **data})
+        assert main(["chain", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: {key}: not used by chain"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o" / "effective_config.yaml")
+
+    def test_chain_without_scenario_is_2(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "chain.yaml", {
+            "fixture": "congested10", "hours": 4, "scenarios": []})
+        assert main(["chain", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("error: scenarios: chain needs one scenario"
+                in capsys.readouterr().err)
+
+    def test_study_reads_what_chain_does_not(self, tmp_path):
+        cfg = write_yaml(tmp_path / "study.yaml", {
+            "fixture": "congested10", "hours": 4, "cheap_share": 0.5,
+            "scenarios": [{"spatial": "nodal", "temporal": "real_time"},
+                          {"carrier": "GH2"}]})
+        out = tmp_path / "o"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "effective_config.yaml") as fh:
+            echo = yaml.safe_load(fh)
+        assert echo["cheap_share"] == 0.5 and len(echo["scenarios"]) == 2
+
     def test_study_keys_at_defaults_are_echoed(self, tmp_path):
         cfg = write_yaml(tmp_path / "defaults.yaml", {
             "fixture": "congested10", "hours": 4, "imports": None,

@@ -267,6 +267,128 @@ class TestCostEquivalenceProperty:
                                            rtol=0.0, atol=1e-9)
 
 
+def equivalence_systems():
+    """The random systems of TestCostEquivalenceProperty, drawn the same
+    way."""
+    rng = np.random.default_rng(1234)
+    for _ in range(25):
+        n = int(rng.integers(3, 9))
+        spec = SyntheticSpec(
+            seed=int(rng.integers(0, 10_000)), n_nodes=n,
+            n_lines=min(n + int(rng.integers(0, 4)), n * (n - 1) // 2),
+            hours=4, congestion=float(rng.uniform(0.2, 0.95)),
+            mean_demand_mw=float(rng.uniform(50, 300)))
+        yield generate_synthetic_system(spec)
+
+
+class TestScaledBlock:
+    """The network LP hands the system's pre-scaled dense block to the
+    simplex; the same LP given as triplets, which the simplex densifies and
+    scales itself, is the reference and must give the same solution."""
+
+    def test_matches_triplet_form(self, monkeypatch):
+        pairs = []
+
+        def solve(problem):
+            block = problem.matrix.a
+            rows, cols = np.nonzero(block)
+            triplets = dataclasses.replace(
+                problem, a_rows=rows, a_cols=cols, a_vals=block[rows, cols],
+                matrix=None)
+            pairs.append((solve_lp(problem), solve_lp(triplets)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+        for system in equivalence_systems():
+            for hour in range(4):
+                nodal_dispatch(system, hour)
+                redispatch(system, hour, uniform_dispatch(system, hour))
+        assert len(pairs) > 100
+        for got, want in pairs:
+            assert got.status == want.status == "Optimal"
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.duals, want.duals)
+            assert got.objective == want.objective
+            assert got.stats == want.stats
+
+
+def same_summary(got, want):
+    """Every field of two AnnualDispatchSummary values, bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if b is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+class TestSystemTables:
+    """The hour-independent dispatch data is built at a system's first
+    dispatch and kept on that system alone: systems of the same shapes, one
+    derived from another and one allocated where another was freed must
+    each get their own."""
+
+    HOURS = 6
+    MODES = (MODE_NODAL, MODE_UNIFORM_REDISPATCH)
+
+    def parts(self):
+        """The generators and demand of three systems on one 12-node
+        network: a synthetic year, its generators moved one node on and
+        repriced, and its demand lowered by a tenth."""
+        year = generate_synthetic_system(SyntheticSpec(
+            seed=11, n_nodes=12, n_lines=16, hours=self.HOURS,
+            congestion=0.9))
+        moved = tuple(dataclasses.replace(
+            g, node=(g.node + 1) % year.n_nodes,
+            marginal_cost=1.5 * g.marginal_cost + 3.0)
+            for g in year.generators)
+        return year, [(year.generators, year.demand),
+                      (moved, year.demand),
+                      (year.generators, 0.9 * year.demand)]
+
+    def runs(self, system):
+        return [run_year(system, self.HOURS, mode) for mode in self.MODES]
+
+    def test_interleaved_systems_match_fresh_copies(self):
+        want = []
+        for k in range(3):
+            fresh, fresh_parts = self.parts()
+            generators, demand = fresh_parts[k]
+            want.append(self.runs(fresh.with_generators(generators)
+                                  .with_demand(demand)))
+        year, parts = self.parts()
+        systems = [year, year.with_generators(parts[1][0]),
+                   year.with_demand(parts[2][1])]
+        assert all("dispatch_tables" not in vars(s) for s in systems)
+        got = [[], [], []]
+        for mode in self.MODES:
+            for k, system in enumerate(systems):
+                got[k].append(run_year(system, self.HOURS, mode))
+        for k, system in enumerate(systems):
+            assert vars(system)["dispatch_tables"] is system.dispatch_tables
+            for g, w in zip(got[k], want[k]):
+                same_summary(g, w)
+        # each system freed before the next is made, which CPython then
+        # allocates at the same address: a cache keyed by id() would hand
+        # it the tables of the one before
+        for k in (0, 1, 2, 1, 0, 2):
+            system = PowerSystem(year.nodes, year.lines, *parts[k],
+                                 year.ptdf)
+            for g, w in zip(self.runs(system), want[k]):
+                same_summary(g, w)
+            del system
+
+    def test_tables_are_read_only(self):
+        system, _ = self.parts()
+        nodal_dispatch(system, 0)
+        tables = system.dispatch_tables
+        block = tables.block
+        for arr in (block.a, block.scaled, block.row_scale, block.col_scale,
+                    tables.capacity, tables.costs, tables.nodes,
+                    tables.order):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 class TestRunYear:
     def test_aggregation(self):
         system = two_node_system(hours=24)

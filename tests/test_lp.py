@@ -14,7 +14,7 @@ import pytest
 import h2grid.lp
 from h2grid.errors import InvalidProblem, ResourceLimit
 from h2grid.lp import (EQ, GE, LE, LinearProblem, ProblemBuilder, _Simplex,
-                       solve_lp, solve_milp)
+                       scale_matrix, solve_lp, solve_milp)
 from test_chain import random_chain
 
 
@@ -428,6 +428,51 @@ class TestSetupArrays:
                 elif reduced[j] < 0 and np.isfinite(ub[j]):
                     expected += reduced[j] * ub[j]
             assert simplex._duality_gap(1.25, duals, reduced) == 1.25 - expected
+
+
+class TestScaledMatrix:
+    """A problem may carry its dense matrix pre-scaled; it must solve as
+    the same problem given as triplets does."""
+
+    def test_matches_triplet_problem(self):
+        rng = np.random.default_rng(31)
+        for k in range(30):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            dense = problem.dense_matrix()
+            empty = np.zeros(0)
+            given = dataclasses.replace(problem, a_rows=empty, a_cols=empty,
+                                        a_vals=empty,
+                                        matrix=scale_matrix(dense))
+            assert given.dense_matrix().tobytes() == dense.tobytes()
+            simplex, reference = _Simplex(given), _Simplex(problem)
+            for name in ("row_scale", "col_scale", "a_all", "b_all"):
+                assert (getattr(simplex, name).tobytes()
+                        == getattr(reference, name).tobytes())
+            sol, want = simplex.solve(), reference.solve()
+            assert sol.status == want.status
+            assert sol.stats == want.stats
+            if want.optimal:
+                assert sol.x.tobytes() == want.x.tobytes()
+                assert sol.duals.tobytes() == want.duals.tobytes()
+
+    def test_validation(self):
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, ub=1.0)
+        builder.add_constraint([(x, 1.0)], LE, 1.0)
+        problem = builder.build()
+        with pytest.raises(InvalidProblem, match="NaN or infinity"):
+            scale_matrix(np.array([[np.inf]]))
+        with pytest.raises(InvalidProblem, match="both as triplets"):
+            dataclasses.replace(problem, matrix=scale_matrix([[1.0]]))
+        empty = np.zeros(0)
+        with pytest.raises(InvalidProblem, match="shape"):
+            dataclasses.replace(problem, a_rows=empty, a_cols=empty,
+                                a_vals=empty,
+                                matrix=scale_matrix([[1.0, 1.0]]))
+        matrix = scale_matrix([[3.0]])
+        assert matrix.scaled.tolist() == [[0.75]]
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.a[0, 0] = 1.0
 
 
 class ColumnLog(np.ndarray):
