@@ -71,6 +71,7 @@ def _load(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.hours is not None:
         cfg = dataclasses.replace(cfg, hours=args.hours)
+    cfgmod.check_ranges(cfg)
     return cfg
 
 

@@ -10,9 +10,11 @@ so typos (a classic: ``electrolyser_cost``) fail loudly instead of being
 silently ignored, and so are known keys that another key would make the
 run ignore.  A scalar or section value must match its field's type: a
 number for a float field (an int or a float, not a bool), an integer for an
-int field and true or false for a bool field.  Every omitted economic value
-falls back to the package default, and the effective configuration can be
-echoed back to YAML; loading that echo reproduces the same configuration.
+int field and true or false for a bool field; ``hours`` must be positive
+and ``seed`` non-negative, also after the command line overrides them.
+Every omitted economic value falls back to the package default, and the
+effective configuration can be echoed back to YAML; loading that echo
+reproduces the same configuration.
 """
 
 import dataclasses
@@ -152,8 +154,20 @@ def parse_config(data):
         if sc.carrier not in CARRIERS:
             raise ConfigError(f"scenarios[{i}].carrier: {sc.carrier!r}; "
                               f"known: {', '.join(CARRIERS)}")
+    check_ranges(cfg)
     _reject_ignored(cfg)
     return cfg
+
+
+def check_ranges(cfg):
+    """Raise unless the run's ``hours`` is positive and its ``seed``
+    non-negative (numpy's generators reject negative seeds)."""
+    if cfg.hours < 1:
+        raise ConfigError(f"hours: expected a positive integer, "
+                          f"got {cfg.hours!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, "
+                          f"got {cfg.seed!r}")
 
 
 def _reject_ignored(cfg):

@@ -21,24 +21,27 @@ prices only the columns before the artificials, so none enters again.
 
 A problem that knows a dual feasible vertex names it in
 ``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
-its row, every other active row on its slack whatever the slack's value,
-and every other column resting as in the crash.  ``_start`` builds the exact
-inverse of that basis in block form and the bounded dual simplex (below)
-repairs primal feasibility, with no artificials and no phase 1.  A start
-that is singular or not dual feasible at ``OPT_TOL`` raises
-``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
-hour's merit-order vertex.
+its row, every other active row on its slack whatever the slack's value, and
+every other column resting as in the crash.  ``_start`` inverts that basis
+(below) and the bounded dual simplex repairs primal feasibility, with no
+artificials and no phase 1.  A start that is singular or not dual feasible
+at ``OPT_TOL`` raises ``InvalidProblem``.  The network LP of ``dispatch``
+starts this way at the hour's merit-order vertex.
 
 The solver keeps a dense inverse of the basis matrix.  It starts exact (the
-first basis is diagonal with entries +-1), takes a rank-one product-form
-update per basis change and is recomputed from scratch every
-``_REFACTOR_PERIOD`` updates.  Multipliers and the entering column are one
-matrix-vector product each, and pricing and the ratio test are array
-operations.  ``Solution.stats`` reports all iterations (``iterations``),
-those of phase 1 (``phase1_iterations``) and of the dual simplex
-(``dual_iterations``), the number of refactorizations, the number of
-rows that started on an artificial (``artificials``) and the number of
-rounds (``rounds``, see below).
+crash basis is diagonal with entries +-1), takes a rank-one product-form
+update per basis change and is rebuilt by ``_invert`` every
+``_REFACTOR_PERIOD`` updates.  A basic slack or artificial is a signed unit
+column of its own row, so ``_invert`` inverts only the block of the
+structural basic columns over the rows no unit column covers and fills in
+the unit columns' rows by one product (Bixby 2002 on exploiting slack
+structure); bases with two unit columns in one row or a singular block are
+singular.  Multipliers and the entering column are one matrix-vector product
+each, and pricing and the ratio test are array operations.
+``Solution.stats`` reports all iterations (``iterations``), those of phase 1
+(``phase1_iterations``) and of the dual simplex (``dual_iterations``), the
+number of refactorizations, the number of rows that started on an artificial
+(``artificials``) and the number of rounds (``rounds``, see below).
 
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
@@ -65,24 +68,27 @@ the problem is solved again cold; a round whose dual simplex finds a
 violated row no column can repair proves the problem infeasible.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
-most fractional binary, with a best-bound re-sort of the open stack every
-64 nodes.  One ``_Simplex`` serves a whole tree and solves the root
-relaxation once.  A child differs from its parent only in the bounds of
-the binaries it fixes, so the parent's optimal basis stays dual feasible:
-``_Simplex.resolve`` refactors that basis, puts every nonbasic column at its
+most fractional binary, with a best-bound re-sort of the open stack every 64
+nodes.  One ``_Simplex`` serves a whole tree and solves the root relaxation
+once.  A child differs from its parent only in the bounds of the binaries it
+fixes, so the parent's optimal basis stays dual feasible:
+``_Simplex.resolve`` inverts that basis, puts every nonbasic column at its
 new bound and runs a bounded dual simplex (Koberstein, "The dual simplex
-method, techniques for a fast and stable implementation", PhD thesis,
-2005) until the basis is primal feasible, then ends through the same phase
-2 and unscaling as a cold solve.  The dual leaves on the largest bound
-violation (lowest basis position on ties) and enters the movable nonbasic
-column with the smallest ``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``,
-ties to the largest ``|alpha_rj|`` and then the lowest index; after a run of
-zero-length steps it switches to lowest-index choices.  A violated row
-that no column can repair proves the child infeasible.  An open node keeps
-only its parent's basis and bound statuses, so a tree's state comes from
-that tree alone.  The result's ``stats`` report ``nodes``, ``lp_solves``,
-``iterations`` and ``dual_iterations`` summed over the node LPs, and
-``max_duality_gap``, the worst ``|gap| / max(1, |objective|)`` among them.
+method, techniques for a fast and stable implementation", PhD thesis, 2005)
+until the basis is primal feasible, then ends through the same phase 2 and
+unscaling as a cold solve.  The dual leaves on the largest bound violation
+(lowest basis position on ties) and enters the movable nonbasic column with
+the smallest ``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the
+largest ``|alpha_rj|`` and then the lowest index; after a run of zero-length
+steps it switches to lowest-index choices.  A violated row that no column
+can repair proves the child infeasible.  An open node keeps only its
+parent's basis and bound statuses, so a tree's state comes from that tree
+alone.  The child popped right after its parent, the next step of a dive,
+finds that basis still live and keeps the live inverse and its count of
+updates; every other child refactors.  The result's ``stats`` report
+``nodes``, ``lp_solves``, ``iterations`` and ``dual_iterations`` summed over
+the node LPs, and ``max_duality_gap``, the worst
+``|gap| / max(1, |objective|)`` among them.
 """
 
 from dataclasses import dataclass, field, replace
@@ -352,6 +358,7 @@ class _Simplex:
         self.ub = np.concatenate([self.ub, np.full(rows.size, np.inf)])
         self.c = np.concatenate([self.c, np.zeros(rows.size)])
         self.art_start = ncols
+        self.unit_row = np.concatenate([np.arange(self.m), rows])
         self.basis = slack.copy()
         self.basis[rows] = ncols + np.arange(rows.size)
         status[slack[fits]] = _BASIC
@@ -366,29 +373,21 @@ class _Simplex:
         its row, every other active row on its slack and every other column
         resting as ``_init_basis`` rests it.
 
-        With ``R`` the listed rows, ``J`` their columns and ``N`` the slack
-        rows, the basis inverse is ``[[A_RJ^-1, 0], [-A_NJ A_RJ^-1, I]]``.
         The start must be nonsingular and dual feasible at ``OPT_TOL``; a
         nonbasic fixed column rests at the bound its reduced cost prefers.
         """
         status, x = self._rest()
         self.art_start = self.a.shape[1]
+        self.unit_row = np.arange(self.m)
         rows, cols = np.array(self.problem.start_basis).T
         pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
-        slack = np.ones(self.m, dtype=bool)
-        slack[pos] = False
-        slack_rows = np.flatnonzero(slack)
-        try:
-            inv = np.linalg.inv(self.a[np.ix_(pos, cols)])
-        except np.linalg.LinAlgError as exc:
-            raise InvalidProblem("singular start basis") from exc
-        self.binv = np.eye(self.m)
-        self.binv[np.ix_(pos, pos)] = inv
-        self.binv[np.ix_(slack_rows, pos)] = -self.a[np.ix_(slack_rows,
-                                                            cols)] @ inv
-        self.updates = 0
         self.basis = np.arange(self.n_struct, self.art_start)
         self.basis[pos] = cols
+        try:
+            self.binv = self._invert()
+        except np.linalg.LinAlgError as exc:
+            raise InvalidProblem("singular start basis") from exc
+        self.updates = 0
         status[self.basis] = _BASIC
         x[self.basis] = 0.0
         x[self.basis] = self.binv @ (self.b - self.a @ x)
@@ -406,9 +405,36 @@ class _Simplex:
         status[fixed & (d > 0)] = _AT_LB
         self.status, self.x = status, x
 
+    def _invert(self):
+        """The inverse of the basis matrix, in block form.
+
+        A basic slack or artificial is a unit column ``sigma_i e_i`` of its
+        row ``i``; with ``N`` those rows, ``R`` the others and ``J`` the
+        structural basic columns, only ``A_RJ`` is inverted, and the rows
+        of ``B^-1`` are ``[A_RJ^-1, 0]`` at the positions of ``J`` and
+        ``[-sigma A_NJ A_RJ^-1, sigma]`` at those of the unit columns.
+        ``np.linalg.inv`` raises ``LinAlgError`` when ``A_RJ`` is singular,
+        or not square because two unit columns share a row.
+        """
+        m, basis = self.m, self.basis
+        unit = basis >= self.n_struct
+        pos_u, pos_j = np.flatnonzero(unit), np.flatnonzero(~unit)
+        rows_u = self.unit_row[basis[pos_u] - self.n_struct]
+        sign = self.a[rows_u, basis[pos_u]]
+        covered = np.zeros(m, dtype=bool)
+        covered[rows_u] = True
+        rest = np.flatnonzero(~covered)
+        a_j = self.a[:, basis[pos_j]]
+        inv = np.linalg.inv(a_j[rest])
+        binv = np.zeros((m, m))
+        binv[pos_u, rows_u] = sign
+        binv[pos_j[:, None], rest] = inv
+        binv[pos_u[:, None], rest] = (a_j[rows_u] * -sign[:, None]) @ inv
+        return binv
+
     def _refactor(self, phase):
         try:
-            self.binv = np.linalg.inv(self.a[:, self.basis])
+            self.binv = self._invert()
         except np.linalg.LinAlgError as exc:
             raise InvalidProblem(
                 f"singular basis in {phase} at iteration {self.iterations}"
@@ -639,16 +665,20 @@ class _Simplex:
         That basis stays dual feasible when only bounds change, so the
         nonbasic columns are put at their new bounds and a bounded dual
         simplex repairs primal feasibility; phase 2 then checks optimality.
+        A basis equal to the live one keeps the live inverse and its count
+        of updates; any other is refactored.
         """
         n = self.n_struct
         self.lb[:n] = lb / self.col_scale
         self.ub[:n] = ub / self.col_scale
+        live = np.array_equal(basis, self.basis)
         self.basis = basis.copy()
         self.status = status.copy()
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
         self.rounds = 1
-        self._refactor("dual")
+        if not live:
+            self._refactor("dual")
 
         st = self.status
         self.x = np.where(st == _AT_LB, self.lb,
@@ -689,6 +719,7 @@ class _Simplex:
         self.c = np.insert(self.c, art, np.zeros(k))
         self.x = np.insert(self.x, art, slack)
         self.status = np.insert(self.status, art, np.full(k, _BASIC))
+        self.unit_row = np.insert(self.unit_row, art - n, m + np.arange(k))
 
         structural = self.basis < n
         a_basic = np.zeros((k, m))

@@ -260,6 +260,17 @@ class TestSitingAgainstHighs:
         assert lp_part == pytest.approx(ref.fun, rel=1e-6)
         assert all(kg > 1e-9 for kg in design.flows.values())
 
+    def test_matches_scipy_milp_40x10_per_day(self):
+        # 331 x 680 with 240 binaries; 71 of the 331 columns of the root
+        # basis are structural, so most of every basis is slack columns
+        optimize = pytest.importorskip("scipy.optimize")
+        problem = random_chain(5, False, False, n_cand=40, n_sink=10)
+        ref = highs_milp(optimize, problem.lp)
+        assert ref.status == 0
+        design = solve_chain(problem)
+        lp_part = design.objective_eur_year - sum(problem.constants.values())
+        assert lp_part == pytest.approx(ref.fun, rel=1e-6)
+
     @pytest.mark.parametrize("seed, by_volume, with_import", LARGE_CASES)
     def test_work_counters(self, seed, by_volume, with_import):
         problem = random_chain(seed, by_volume, with_import)

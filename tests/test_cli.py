@@ -252,6 +252,9 @@ class TestExitCodes:
         ({"transport": {"industry_frequency_by_volume": 1}},
          "transport.industry_frequency_by_volume: expected true or false"),
         ({"hours": "lots"}, "hours: expected an integer, got 'lots'"),
+        ({"hours": 0}, "hours: expected a positive integer, got 0"),
+        ({"hours": -3}, "hours: expected a positive integer, got -3"),
+        ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, data, message):
         # a value of the wrong type never reaches the model
@@ -260,6 +263,21 @@ class TestExitCodes:
         assert main(["chain", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "chain", "study"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--hours", "0"], "hours: expected a positive integer, got 0"),
+        (["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+    ])
+    def test_bad_flag_value_is_2(self, tmp_path, capsys, command, flags,
+                                 message):
+        # the command line overrides the config and is checked the same way
+        cfg = write_yaml(tmp_path / "ok.yaml",
+                         {"fixture": "congested10", "hours": 4})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o"), *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("command", ["chain", "study"])
     def test_import_node_outside_network_is_2(self, tmp_path, capsys,

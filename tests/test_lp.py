@@ -332,6 +332,78 @@ class TestRefactorization:
             solve_lp(problem)
 
 
+class InverseLog(_Simplex):
+    """Compares the block-form inverse with ``np.linalg.inv`` of the
+    explicit basis matrix after every basis change and every append of
+    held-back rows, and records which kinds of unit column the basis held:
+    ``"slack"``, ``"artificial"`` and ``"appended"`` (the slack of a row
+    ``_add_rows`` appended)."""
+
+    def _check(self):
+        full = np.linalg.inv(self.a[:, self.basis])
+        self.errors.append(float(np.abs(self._invert() - full).max()
+                                 / np.abs(full).max()))
+        unit = self.basis[self.basis >= self.n_struct]
+        if np.any(unit < self.art_start):
+            self.kinds.add("slack")
+        if np.any(unit >= self.art_start):
+            self.kinds.add("artificial")
+        if np.any(self.unit_row[unit - self.n_struct] >= self.first_rows):
+            self.kinds.add("appended")
+
+    def _replace(self, pos, enter, w, phase):
+        super()._replace(pos, enter, w, phase)
+        self._check()
+
+    def _add_rows(self, new):
+        super()._add_rows(new)
+        self._check()
+
+
+class TestBlockInverse:
+    """The basis inverse inverts only the block of the structural basic
+    columns; slacks and artificials are unit columns."""
+
+    def test_matches_full_inverse(self):
+        rng = np.random.default_rng(1212)
+        errors, kinds = [], set()
+        for k in range(60):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.5)
+            simplex = InverseLog(dataclasses.replace(problem, lazy_rows=lazy))
+            simplex.errors, simplex.kinds = errors, kinds
+            simplex.first_rows = problem.n_cons - lazy.size
+            simplex.solve()
+        assert kinds == {"slack", "artificial", "appended"}
+        assert len(errors) > 500
+        assert max(errors) <= 1e-12
+
+    def test_singular_bases(self):
+        # x and y have proportional coefficients in rows 0 and 1; at rest
+        # row 0's residual 1 does not fit its GE slack, so it starts on an
+        # artificial
+        builder = ProblemBuilder()
+        x = builder.add_var(cost=1.0, ub=5.0)
+        y = builder.add_var(cost=2.0, ub=5.0)
+        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 1.0)
+        builder.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
+        builder.add_constraint([(x, 1.0)], LE, 4.0)
+        problem = builder.build()
+        simplex = _Simplex(problem)
+        assert simplex.solve().optimal
+        n, art = simplex.n_struct, simplex.art_start
+        assert simplex.a.shape[1] == art + 1  # one artificial, row 0's
+        for basis in ([art, n, n + 2],   # two unit columns in row 0
+                      [0, 1, n + 2]):    # x and y over rows 0 and 1
+            basis = np.array(basis)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(simplex.a[:, basis])
+            with pytest.raises(InvalidProblem,
+                               match="singular basis in dual at iteration 0"):
+                simplex.resolve(problem.lb, problem.ub, basis,
+                                simplex.status)
+
+
 def scalar_pow2_scale(v):
     if v <= 0 or not np.isfinite(v):
         return 1.0
@@ -685,6 +757,41 @@ class TestWarmResolve:
                 cold = solve_lp(dataclasses.replace(relaxation, lb=lb, ub=ub))
                 assert warm.status == cold.status
                 assert warm.stats["phase1_iterations"] == 0
+                seen.add(warm.status)
+                if cold.optimal:
+                    assert warm.objective == pytest.approx(cold.objective,
+                                                           rel=1e-9)
+                    assert (abs(warm.duality_gap)
+                            <= 1e-9 * max(1.0, abs(warm.objective)))
+                    assert np.all(warm.x >= lb - 1e-6)
+                    assert np.all(warm.x <= ub + 1e-6)
+        assert seen == {"Optimal", "Infeasible"}
+
+    def test_live_basis_keeps_its_inverse(self):
+        # a child re-solved from the basis its parent left live, as the
+        # dive of branch and bound does
+        rng = np.random.default_rng(808)
+        seen = set()
+        for k in range(4):
+            chain = random_chain(300 + k, bool(k % 2), bool(k // 2),
+                                 n_cand=10, n_sink=4)
+            relaxation = dataclasses.replace(chain.lp, binaries=())
+            binaries = np.array(chain.lp.binaries)
+            simplex = _Simplex(relaxation)
+            assert simplex.solve().optimal
+            start = (simplex.basis.copy(), simplex.status.copy())
+            for _ in range(12):
+                assert simplex.resolve(relaxation.lb, relaxation.ub,
+                                       *start).optimal
+                fixed = binaries[rng.random(binaries.size)
+                                 < rng.uniform(0.05, 0.5)]
+                lb, ub = relaxation.lb.copy(), relaxation.ub.copy()
+                lb[fixed] = ub[fixed] = rng.integers(0, 2, fixed.size)
+                warm = simplex.resolve(lb, ub, simplex.basis.copy(),
+                                       simplex.status.copy())
+                cold = solve_lp(dataclasses.replace(relaxation, lb=lb, ub=ub))
+                assert warm.stats["refactorizations"] == 0
+                assert warm.status == cold.status
                 seen.add(warm.status)
                 if cold.optimal:
                     assert warm.objective == pytest.approx(cold.objective,
