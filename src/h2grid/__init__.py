@@ -22,8 +22,7 @@ from .errors import H2GridError
 from .grid import (DISPATCHABLE, SOLAR, WIND, Generator, Line, Node,
                    PowerSystem, assign_to_nearest_node, compute_ptdf,
                    merge_parallel_lines)
-from .lp import (LinearProblem, ProblemBuilder, Solution, solve_lp,
-                 solve_milp)
+from .lp import LinearProblem, Solution, solve_lp, solve_milp
 from .pipeline import (FLAT, NODAL, REAL_TIME, UNIFORM, Scenario, StudyCase,
                        StudyReport, additionality_scale, derive_tariffs,
                        electrolyzer_loads, run_full_study, run_scenario)
@@ -36,7 +35,7 @@ __all__ = [
     "ChainDesign", "ConsumptionLocation", "DISPATCHABLE", "FLAT",
     "Generator", "H2GridError", "INDUSTRY", "ImportSpec", "IndustrialSite",
     "LinearProblem", "Line", "MODE_NODAL", "MODE_UNIFORM_REDISPATCH",
-    "NODAL", "Node", "PowerSystem", "ProblemBuilder", "ProductionParams",
+    "NODAL", "Node", "PowerSystem", "ProductionParams",
     "REAL_TIME", "SOLAR", "STATION_CARS", "STATION_TRUCKS", "Scenario",
     "Solution", "StudyCase", "StudyReport", "SyntheticSpec", "TariffMap",
     "TRUCK_STATION_TURNOVER", "TransportParams", "UNIFORM", "WIND", "additionality_scale", "annuity_factor",

@@ -40,6 +40,11 @@ _INFEASIBLE = (InfeasibleHour, InfeasibleRedispatch, StructurallyInfeasible,
 # reads only some of them, see _unread_by_chain)
 _STUDY_KEYS = ("scenarios", "production", "transport", "imports", "ngp",
                "cheap_share")
+# keys only the commands that build sinks read (demand, chain and study):
+# synth and dispatch treat them as the other commands treat _STUDY_KEYS
+_SINK_KEYS = ("h2_demand_kg_day", "inputs.consumption",
+              "inputs.industrial_sites", "inputs.station_candidates",
+              "stations.cars_twh", "stations.trucks_twh")
 
 
 def _unread_by_chain(cfg):
@@ -60,9 +65,10 @@ def _load(args):
     if args.command == "chain":
         unread = _unread_by_chain(cfg)
     elif args.command != "study":
+        keys = _STUDY_KEYS + (_SINK_KEYS if args.command != "demand" else ())
         defaults = cfgmod.StudyConfig()
-        unread = [key for key in _STUDY_KEYS
-                  if getattr(cfg, key) != getattr(defaults, key)]
+        unread = [key for key in keys if cfgmod.lookup(cfg, key)
+                  != cfgmod.lookup(defaults, key)]
     else:
         unread = []
     if unread:
@@ -72,6 +78,7 @@ def _load(args):
     if args.hours is not None:
         cfg = dataclasses.replace(cfg, hours=args.hours)
     cfgmod.check_ranges(cfg)
+    cfgmod.reject_ignored(cfg)
     return cfg
 
 

@@ -10,14 +10,18 @@ so typos (a classic: ``electrolyser_cost``) fail loudly instead of being
 silently ignored, and so are known keys that another key would make the
 run ignore.  A scalar or section value must match its field's type: a
 number for a float field (an int or a float, not a bool), an integer for an
-int field and true or false for a bool field; ``hours`` must be positive
-and ``seed`` non-negative, also after the command line overrides them.
+int field and true or false for a bool field.  Values must also lie in
+their range (``check_ranges``): ``hours`` positive and ``seed``
+non-negative, also after the command line overrides them, and the economic
+values a formula divides by, or reads as a share, rate or period, before
+any model runs.
 Every omitted economic value falls back to the package default, and the
 effective configuration can be echoed back to YAML; loading that echo
 reproduces the same configuration.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import yaml
@@ -155,28 +159,66 @@ def parse_config(data):
             raise ConfigError(f"scenarios[{i}].carrier: {sc.carrier!r}; "
                               f"known: {', '.join(CARRIERS)}")
     check_ranges(cfg)
-    _reject_ignored(cfg)
+    reject_ignored(cfg)
     return cfg
 
 
+def lookup(cfg, path):
+    """The value at a dotted key path such as ``production.ee``."""
+    return functools.reduce(getattr, path.split("."), cfg)
+
+
+_SHARE = (lambda v: 0 < v <= 1, "a number in (0, 1]")
+_POSITIVE = (lambda v: v > 0, "a positive number")
+_PERIOD = (lambda v: v >= 1, "at least 1 year")
+# numpy's generators reject negative seeds; capacity factor, efficiency,
+# energy use and speed are divisors, and the annuity needs a period of a
+# year or more at a non-negative rate
+_RANGES = {
+    "hours": (lambda v: v >= 1, "a positive integer"),
+    "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "cheap_share": _SHARE,
+    "production.capacity_factor": _SHARE,
+    "production.ee": _SHARE,
+    "production.ec_kwh_per_kg": _POSITIVE,
+    "production.wacc": (lambda v: v >= 0, "a non-negative number"),
+    "production.depreciation_years": _PERIOD,
+    "transport.truck_depreciation_years": _PERIOD,
+    "transport.trailer_depreciation_years": _PERIOD,
+    "transport.speed_km_per_hour": _POSITIVE,
+}
+
+
 def check_ranges(cfg):
-    """Raise unless the run's ``hours`` is positive and its ``seed``
-    non-negative (numpy's generators reject negative seeds)."""
-    if cfg.hours < 1:
-        raise ConfigError(f"hours: expected a positive integer, "
-                          f"got {cfg.hours!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, "
-                          f"got {cfg.seed!r}")
+    """Raise on the first value of ``_RANGES`` outside its range."""
+    for path, (ok, expected) in _RANGES.items():
+        if not ok(lookup(cfg, path)):
+            raise ConfigError(f"{path}: expected {expected}, "
+                              f"got {lookup(cfg, path)!r}")
 
 
-def _reject_ignored(cfg):
+def reject_ignored(cfg):
     """Raise on keys the run would echo to effective_config.yaml but never
-    read: a fixture or synthetic block builds its own network, stations are
-    planned only on station candidates for a positive volume, and a
-    consumption set replaces every other sink input."""
+    read: a fixture or synthetic block builds its own network, from the
+    ``seed``; the fixture's own sinks alone read ``h2_demand_kg_day``;
+    stations are planned only on station candidates for a positive volume,
+    and a consumption set replaces every other sink input."""
     if cfg.fixture is not None and cfg.synthetic is not None:
         raise ConfigError("synthetic: not used next to fixture")
+    defaults = StudyConfig()
+    if (cfg.seed != defaults.seed and cfg.fixture is None
+            and cfg.synthetic is None):
+        raise ConfigError("seed: not used without fixture or synthetic")
+    if cfg.h2_demand_kg_day != defaults.h2_demand_kg_day:
+        if cfg.fixture is None:
+            raise ConfigError("h2_demand_kg_day: not used without fixture")
+        sinks = [f"inputs.{name}" for name in ("consumption",
+                                               "industrial_sites",
+                                               "station_candidates")
+                 if getattr(cfg.inputs, name)]
+        if sinks:
+            raise ConfigError(f"h2_demand_kg_day: not used next to "
+                              f"{sinks[0]}")
     network = [key for key in ("fixture", "synthetic")
                if getattr(cfg, key) is not None]
     paths = [f"inputs.{name}" for name in ("nodes", "lines", "generators",

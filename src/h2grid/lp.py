@@ -29,15 +29,16 @@ at ``OPT_TOL`` raises ``InvalidProblem``.  The network LP of ``dispatch``
 starts this way at the hour's merit-order vertex.
 
 The solver keeps a dense inverse of the basis matrix.  It starts exact (the
-crash basis is diagonal with entries +-1), takes a rank-one product-form
-update per basis change and is rebuilt by ``_invert`` every
-``_REFACTOR_PERIOD`` updates.  A basic slack or artificial is a signed unit
-column of its own row, so ``_invert`` inverts only the block of the
-structural basic columns over the rows no unit column covers and fills in
-the unit columns' rows by one product (Bixby 2002 on exploiting slack
-structure); bases with two unit columns in one row or a singular block are
-singular.  Multipliers and the entering column are one matrix-vector product
-each, and pricing and the ratio test are array operations.
+crash basis is diagonal with entries +-1) and takes a rank-one product-form
+update per basis change.  Every other inverse comes from ``_invert``: of a
+start basis, every ``_REFACTOR_PERIOD`` updates, after ``_add_rows`` and on
+a warm re-solve.  A basic slack or artificial is a signed unit column of its
+own row, so ``_invert`` inverts only the block of the structural basic
+columns over the rows no unit column covers and fills in the unit columns'
+rows by one product (Bixby 2002 on exploiting slack structure); bases with
+two unit columns in one row or a singular block are singular.  Multipliers
+and the entering column are one matrix-vector product each, and pricing
+and the ratio test are array operations.
 ``Solution.stats`` reports all iterations (``iterations``), those of phase 1
 (``phase1_iterations``) and of the dual simplex (``dual_iterations``), the
 number of refactorizations, the number of rows that started on an artificial
@@ -45,11 +46,13 @@ number of refactorizations, the number of rows that started on an artificial
 
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
-per matrix and returns a read-only ``ScaledMatrix``.  A problem gives its
+per matrix and returns a read-only ``ScaledMatrix``, which stores the
+scaled matrix and its scales and not the original.  A problem gives its
 rows as triplets, which ``_Simplex`` densifies and scales per solve, or as a
 ``ScaledMatrix`` in ``LinearProblem.matrix``, which it uses as it is: the
 network LP of ``dispatch`` builds its block once per power system and hands
-the same value to the LP of every hour.
+the same value to the LP of every hour.  ``LinearProblem.dense_matrix``
+unscales such a matrix, exactly.
 
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
@@ -57,10 +60,11 @@ built over the whole problem: the dense matrix and its scaling come from
 every row, while the basis covers only the active rows.  The active rows are
 solved cold; then one product of the scaled matrix with ``x`` checks every
 held-back row against its slack bounds at ``FEAS_TOL``.  ``_add_rows``
-appends the violated ones with their slacks basic, so the basis inverse
-becomes ``[[B^-1, 0], [-A_N B^-1, I]]`` with ``A_N`` the new rows over the
-old basic columns.  The new multipliers are zero, so the basis stays dual
-feasible, and ``_dual`` and phase 2 finish the round with no phase 1.
+appends the violated ones with their slacks basic, unit columns of their
+own rows, and rebuilds the basis inverse with ``_invert``, whose structural
+block the new rows leave as it was.  The new multipliers are zero, so the
+basis stays dual feasible, and ``_dual`` and phase 2 finish the round with
+no phase 1.
 Rounds repeat until no held-back row is violated; iterations are summed
 over them, and the iteration limit counts them all.  Rows never added get a
 zero dual.  If the active rows are unbounded, every row is activated and
@@ -111,14 +115,14 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """A dense constraint matrix with its power-of-two equilibration:
-    ``scaled = row_scale[:, None] * a * col_scale[None, :]`` exactly.
+    """A dense constraint matrix ``a`` stored only in its power-of-two
+    equilibration: ``scaled = row_scale[:, None] * a * col_scale[None, :]``
+    exactly, so ``a`` is ``scaled / col_scale / row_scale[:, None]``.
 
     Built by ``scale_matrix``, which checks that ``a`` is finite; every
     array is read-only, so one value can serve many problems.
     """
 
-    a: np.ndarray
     scaled: np.ndarray
     row_scale: np.ndarray
     col_scale: np.ndarray
@@ -136,23 +140,20 @@ def _pow2_scale(v):
 
 
 def scale_matrix(a):
-    """Equilibrate a copy of the dense matrix *a*: every row by the power of
-    two nearest the inverse of its largest magnitude, then every column of
-    the result likewise.  The chain MILP mixes EUR-millions with per-kg
-    coefficients."""
-    a = np.array(a, dtype=float)
+    """Equilibrate the dense matrix *a* into a new array: every row by the
+    power of two nearest the inverse of its largest magnitude, then every
+    column of the result likewise.  The chain MILP mixes EUR-millions with
+    per-kg coefficients."""
+    a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidProblem("NaN or infinity in problem data")
-    m, n = a.shape
-    row_scale, col_scale, scaled = np.ones(m), np.ones(n), a
-    if a.size:
-        row_scale = _pow2_scale(np.abs(a).max(axis=1))
-        scaled = a * row_scale[:, None]
-        col_scale = _pow2_scale(np.abs(scaled).max(axis=0))
-        scaled = scaled * col_scale[None, :]
-    for arr in (a, scaled, row_scale, col_scale):
+    row_scale = _pow2_scale(np.abs(a).max(axis=1, initial=0.0))
+    scaled = a * row_scale[:, None]
+    col_scale = _pow2_scale(np.abs(scaled).max(axis=0, initial=0.0))
+    scaled *= col_scale
+    for arr in (scaled, row_scale, col_scale):
         arr.flags.writeable = False
-    return ScaledMatrix(a, scaled, row_scale, col_scale)
+    return ScaledMatrix(scaled, row_scale, col_scale)
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,9 @@ class LinearProblem:
     form or as a dense ``ScaledMatrix``.
 
     Rows are ``sum_j a[k] * x[cols[k]] (sense_i) rhs_i`` for triplets with
-    ``rows[k] == i``, or ``matrix.a[i] @ x (sense_i) rhs_i`` when ``matrix``
-    is set, and then the triplets are empty.  ``binaries`` lists variable
-    indices restricted to {0, 1}; their bounds must lie within [0, 1].
+    ``rows[k] == i``, or ``dense_matrix()[i] @ x (sense_i) rhs_i`` when
+    ``matrix`` is set, and then the triplets are empty.  ``binaries`` lists
+    the variables restricted to {0, 1}; their bounds must lie in [0, 1].
     ``lazy_rows`` lists rows the LP solver may leave out until a solution
     violates them.  ``start_basis`` lists ``(row, column)`` pairs: the LP
     solver starts each column basic in its row and solves with the dual
@@ -222,7 +223,7 @@ class LinearProblem:
             if self.a_rows.size:
                 raise InvalidProblem("constraint matrix given both as "
                                      "triplets and as a matrix")
-            if self.matrix.a.shape != (m, n):
+            if self.matrix.scaled.shape != (m, n):
                 raise InvalidProblem("constraint matrix shape does not match "
                                      "the problem")
         if self.a_rows.size and (self.a_rows.min() < 0 or self.a_rows.max() >= m):
@@ -259,7 +260,8 @@ class LinearProblem:
 
     def dense_matrix(self):
         if self.matrix is not None:
-            return np.array(self.matrix.a)
+            mat = self.matrix
+            return mat.scaled / mat.col_scale / mat.row_scale[:, None]
         a = np.zeros((self.n_cons, self.n_vars))
         np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
         return a
@@ -700,9 +702,9 @@ class _Simplex:
     def _add_rows(self, new):
         """Append the held-back rows *new* with their slacks basic.
 
-        The slacks go in before the artificials.  With ``A_N`` the new rows
-        over the old basic columns, the basis inverse becomes
-        ``[[B^-1, 0], [-A_N B^-1, I]]``; the multipliers of the new rows are
+        The slacks go in before the artificials.  Each is a unit column of
+        its new row, so ``_invert`` rebuilds the inverse from the same
+        structural block as before; the multipliers of the new rows are
         zero, so the reduced costs, and with them dual feasibility, stay.
         """
         k, m, n, art = new.size, self.m, self.n_struct, self.art_start
@@ -721,14 +723,6 @@ class _Simplex:
         self.status = np.insert(self.status, art, np.full(k, _BASIC))
         self.unit_row = np.insert(self.unit_row, art - n, m + np.arange(k))
 
-        structural = self.basis < n
-        a_basic = np.zeros((k, m))
-        a_basic[:, structural] = a_new[:, self.basis[structural]]
-        binv = np.zeros((m + k, m + k))
-        binv[:m, :m] = self.binv
-        binv[m:, :m] = -a_basic @ self.binv
-        binv[m:, m:] = np.eye(k)
-        self.binv = binv
         self.basis = np.concatenate([
             np.where(self.basis >= art, self.basis + k, self.basis),
             art + np.arange(k)])
@@ -736,13 +730,12 @@ class _Simplex:
         self.a = a
         self.b = np.concatenate([self.b, self.b_all[new]])
         self.rows = np.concatenate([self.rows, new])
-        held = np.zeros(self.problem.n_cons, dtype=bool)
-        held[self.held] = True
-        held[new] = False
-        self.held = np.flatnonzero(held)
+        self.held = np.delete(self.held, np.searchsorted(self.held, new))
         self.m += k
         self.art_start += k
         self.rounds += 1
+        self.binv = self._invert()
+        self.updates = 0
 
     def _phase2(self):
         """Optimize over the active rows, then add the held-back rows the
@@ -795,51 +788,6 @@ class _Simplex:
         terms[at_ub] = reduced[at_ub] * ub[at_ub]
         # accumulate left to right, in the order a scalar loop would
         return objective - float(np.cumsum(np.append(dual_obj, terms))[-1])
-
-
-class ProblemBuilder:
-    """Incremental construction of a LinearProblem."""
-
-    def __init__(self):
-        self._cost = []
-        self._lb = []
-        self._ub = []
-        self._binaries = []
-        self._rows = []
-        self._cols = []
-        self._vals = []
-        self._senses = []
-        self._rhs = []
-
-    def add_var(self, cost=0.0, lb=0.0, ub=np.inf, binary=False):
-        j = len(self._cost)
-        if binary:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        self._cost.append(float(cost))
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        if binary:
-            self._binaries.append(j)
-        return j
-
-    def add_constraint(self, coeffs, sense, rhs):
-        """coeffs: iterable of (var index, coefficient)."""
-        i = len(self._rhs)
-        for j, v in coeffs:
-            if v != 0.0:
-                self._rows.append(i)
-                self._cols.append(j)
-                self._vals.append(float(v))
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-        return i
-
-    def build(self):
-        return LinearProblem(
-            np.array(self._cost), np.array(self._lb), np.array(self._ub),
-            np.array(self._rows, dtype=int), np.array(self._cols, dtype=int),
-            np.array(self._vals), tuple(self._senses), np.array(self._rhs),
-            tuple(self._binaries))
 
 
 def solve_lp(problem):

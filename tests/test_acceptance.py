@@ -35,11 +35,12 @@ from h2grid.dispatch import (nodal_dispatch, redispatch, uniform_dispatch)
 from h2grid.errors import InfeasibleHour
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
-from h2grid.lp import LE, ProblemBuilder, solve_lp
+from h2grid.lp import LE, solve_lp
 from h2grid.pipeline import (FLAT, NODAL, REAL_TIME, Scenario, UNIFORM,
                              run_full_study)
 from h2grid.synth import (SyntheticSpec, congested_fixture,
                           generate_synthetic_system)
+from problems import build_problem
 
 TWH = 1e9  # kWh
 
@@ -240,15 +241,15 @@ def test_criterion_7_solver_invariants():
         rng = np.random.default_rng(5150)
         for _ in range(30):
             n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            builder = ProblemBuilder()
-            xs = [builder.add_var(cost=float(rng.normal()), lb=0.0,
-                                  ub=float(rng.uniform(1.0, 5.0)))
-                  for _ in range(n)]
-            for _ in range(m):
-                coeffs = [(x, float(rng.normal())) for x in xs]
-                builder.add_constraint(coeffs, LE,
-                                       float(rng.uniform(0.5, 4.0)))
-            sol = solve_lp(builder.build())
+            # draws in the order cost, bound per column, then a row's
+            # coefficients and its rhs
+            c, ub = np.array([(rng.normal(), rng.uniform(1.0, 5.0))
+                              for _ in range(n)]).T
+            rows = np.array([np.append(rng.normal(size=n),
+                                       rng.uniform(0.5, 4.0))
+                             for _ in range(m)])
+            sol = solve_lp(build_problem(c, rows[:, :n], [LE] * m,
+                                         rows[:, n], np.zeros(n), ub))
             assert sol.status == "Optimal"
             assert abs(sol.duality_gap) <= 1e-6 * max(1.0,
                                                       abs(sol.objective))

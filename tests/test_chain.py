@@ -21,7 +21,8 @@ from h2grid.demand import (DAYS_PER_YEAR, INDUSTRY, STATION_CARS,
 from h2grid.errors import (ChainInfeasible, ConfigError, InvalidDepreciation,
                            StructurallyInfeasible)
 from h2grid.grid import Node
-from h2grid.lp import EQ, GE, LE, ProblemBuilder, solve_lp, solve_milp
+from h2grid.lp import EQ, GE, LE, solve_lp, solve_milp
+from problems import build_problem
 
 
 class TestAnnuity:
@@ -288,8 +289,9 @@ class TestSitingAgainstHighs:
 
 def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
                          transport, import_spec):
-    """The siting LP built one variable and one triplet at a time: flows
-    for every route, then a binary link for each route paid per day."""
+    """The siting LP built one variable and one coefficient at a time into
+    a dense matrix: flows for every route, then a binary link for each route
+    paid per day."""
     wacc = production.wacc
     total_demand = sum(s.hd_kg_per_day for s in sinks)
     pcc = (DAYS_PER_YEAR * production.ed_kwh_per_kg * production.ic_eur_per_kw
@@ -314,15 +316,23 @@ def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
             0.0, import_spec.cost_eur_per_kg * DAYS_PER_YEAR,
             coc_downstream)))
 
-    builder = ProblemBuilder()
+    cost, lb, ub, binaries = [], [], [], []
+
+    def add_var(c=0.0, upper=np.inf, binary=False):
+        cost.append(c)
+        lb.append(0.0)
+        ub.append(upper)
+        if binary:
+            binaries.append(len(cost) - 1)
+        return len(cost) - 1
+
     x_vars, hp_vars = [], []
-    for cost in source_cost[:len(candidates)]:
-        x_vars.append(builder.add_var(binary=True))
-        hp_vars.append(builder.add_var(cost, ub=production.cap_max_kg_day))
+    for c in source_cost[:len(candidates)]:
+        x_vars.append(add_var(upper=1.0, binary=True))
+        hp_vars.append(add_var(c, production.cap_max_kg_day))
     points = list(candidates)
     if import_spec is not None:
-        hp_vars.append(builder.add_var(source_cost[-1],
-                                       ub=import_spec.cap_kg_per_day))
+        hp_vars.append(add_var(source_cost[-1], import_spec.cap_kg_per_day))
         points.append(import_spec)
     ht_vars, per_day_cost = {}, {}
     for pi, point in enumerate(points):
@@ -336,31 +346,36 @@ def per_triplet_chain_lp(sinks, candidates, tariffs, carrier, production,
             trips_per_kg = 1.0 / carrier.trailer_capacity_kg
             if per_day:
                 per_day_cost[(pi, ci)] = toc + tcc
-            ht_vars[(pi, ci)] = builder.add_var(
+            ht_vars[(pi, ci)] = add_var(
                 0.0 if per_day else toc * trips_per_kg + tcc * trips_per_kg,
-                ub=sink.hd_kg_per_day)
-    y_vars = {route: builder.add_var(cost, ub=1.0, binary=True)
-              for route, cost in per_day_cost.items()}
+                sink.hd_kg_per_day)
+    y_vars = {route: add_var(c, 1.0, binary=True)
+              for route, c in per_day_cost.items()}
 
-    builder.add_constraint([(v, 1.0) for v in hp_vars], EQ, total_demand)
+    rows, senses, rhs = [], [], []
+
+    def add_row(coeffs, sense, value):
+        row = np.zeros(len(cost))
+        for j, v in coeffs:
+            row[j] += v
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(value)
+
+    add_row([(v, 1.0) for v in hp_vars], EQ, total_demand)
     for x, hp in zip(x_vars, hp_vars):
-        builder.add_constraint([(hp, 1.0), (x, -production.cap_min_kg_day)],
-                               GE, 0.0)
-        builder.add_constraint([(hp, 1.0), (x, -production.cap_max_kg_day)],
-                               LE, 0.0)
+        add_row([(hp, 1.0), (x, -production.cap_min_kg_day)], GE, 0.0)
+        add_row([(hp, 1.0), (x, -production.cap_max_kg_day)], LE, 0.0)
     for pi, hp in enumerate(hp_vars):
-        builder.add_constraint(
-            [(ht_vars[(pi, ci)], 1.0) for ci in range(len(sinks))]
-            + [(hp, -1.0)], LE, 0.0)
+        add_row([(ht_vars[(pi, ci)], 1.0) for ci in range(len(sinks))]
+                + [(hp, -1.0)], LE, 0.0)
     for ci, sink in enumerate(sinks):
-        builder.add_constraint(
-            [(ht_vars[(pi, ci)], 1.0) for pi in range(len(points))],
-            GE, sink.hd_kg_per_day)
+        add_row([(ht_vars[(pi, ci)], 1.0) for pi in range(len(points))],
+                GE, sink.hd_kg_per_day)
     for (pi, ci), y in y_vars.items():
         big_m = max(sinks[ci].hd_kg_per_day, 1.0)
-        builder.add_constraint([(ht_vars[(pi, ci)], 1.0), (y, -big_m)],
-                               LE, 0.0)
-    return builder.build()
+        add_row([(ht_vars[(pi, ci)], 1.0), (y, -big_m)], LE, 0.0)
+    return build_problem(cost, rows, senses, rhs, lb, ub, binaries)
 
 
 class TestArrayAssembly:

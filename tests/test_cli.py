@@ -11,6 +11,8 @@ from h2grid.cli import main
 from h2grid.config import (StudyConfig, effective_config, load_config,
                            parse_config)
 from h2grid.errors import ConfigError
+from h2grid.io import write_system
+from h2grid.synth import congested_fixture
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -90,6 +92,14 @@ class TestConfigParsing:
         path.write_text("hours: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(str(path))
+
+
+def csv_network(out_dir):
+    """The congested fixture's network written as CSV inputs to *out_dir*;
+    returns the ``inputs`` section that reads it."""
+    write_system(str(out_dir), congested_fixture(hours=4, seed=20240).system)
+    return {name: str(out_dir / f"{name}.csv")
+            for name in ("nodes", "lines", "generators", "demand")}
 
 
 @pytest.fixture
@@ -173,6 +183,70 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not os.path.exists(tmp_path / "o" / "effective_config.yaml")
 
+    @pytest.mark.parametrize("command", ["synth", "dispatch"])
+    @pytest.mark.parametrize("data, key", [
+        ({"h2_demand_kg_day": 123.0}, "h2_demand_kg_day"),
+        ({"inputs": {"consumption": "missing.csv"}}, "inputs.consumption"),
+        ({"inputs": {"industrial_sites": "i.csv"}}, "inputs.industrial_sites"),
+        ({"inputs": {"station_candidates": "s.csv"},
+          "stations": {"cars_twh": 5.0}}, "inputs.station_candidates"),
+    ])
+    def test_sink_key_outside_sink_commands_is_2(self, tmp_path, capsys,
+                                                 command, data, key):
+        # synth and dispatch build no sinks
+        cfg = write_yaml(tmp_path / "sink_key.yaml",
+                         {"fixture": "congested10", "hours": 4, **data})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: {key}: not used by {command}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o" / "effective_config.yaml")
+
+    @pytest.mark.parametrize("command", ["synth", "dispatch", "demand",
+                                         "chain", "study"])
+    @pytest.mark.parametrize("data, message", [
+        ({"synthetic": {"n_nodes": 6}}, "not used without fixture"),
+        ({"fixture": "congested10", "inputs": {"consumption": "c.csv"}},
+         "not used next to inputs.consumption"),
+        ({"fixture": "congested10", "inputs": {"industrial_sites": "i.csv"}},
+         "not used next to inputs.industrial_sites"),
+    ])
+    def test_h2_demand_without_fixture_sinks_is_2(self, tmp_path, capsys,
+                                                  command, data, message):
+        # only the fixture's own sinks read the hydrogen demand
+        cfg = write_yaml(tmp_path / "h2.yaml",
+                         {"hours": 4, "h2_demand_kg_day": 123.0, **data})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: h2_demand_kg_day: {message}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["synth", "dispatch", "demand",
+                                         "chain", "study"])
+    @pytest.mark.parametrize("seed, flags", [(5, []), (None, ["--seed", "9"])])
+    def test_seed_next_to_csv_network_is_2(self, tmp_path, capsys, command,
+                                           seed, flags):
+        # a network read from CSV draws nothing from the seed
+        data = {"hours": 4, "inputs": csv_network(tmp_path)}
+        if seed is not None:
+            data["seed"] = seed
+        cfg = write_yaml(tmp_path / "csv.yaml", data)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o"), *flags]) == 2
+        assert ("error: seed: not used without fixture or synthetic"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_csv_network_echoes_default_seed(self, tmp_path):
+        cfg = write_yaml(tmp_path / "csv.yaml",
+                         {"hours": 4, "inputs": csv_network(tmp_path)})
+        out = tmp_path / "o"
+        assert main(["synth", "--config", cfg, "--out", str(out),
+                     "--seed", "42"]) == 0
+        with open(out / "effective_config.yaml") as fh:
+            assert yaml.safe_load(fh)["seed"] == 42
+
     @pytest.mark.parametrize("data, key", [
         ({"cheap_share": 0.5}, "cheap_share"),
         ({"scenarios": [{"spatial": "nodal"}]}, "scenarios[0].spatial"),
@@ -255,9 +329,34 @@ class TestExitCodes:
         ({"hours": 0}, "hours: expected a positive integer, got 0"),
         ({"hours": -3}, "hours: expected a positive integer, got -3"),
         ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
+        ({"production": {"capacity_factor": 0.0}},
+         "production.capacity_factor: expected a number in (0, 1], got 0.0"),
+        ({"production": {"capacity_factor": 1.5}},
+         "production.capacity_factor: expected a number in (0, 1], got 1.5"),
+        ({"production": {"ee": 0.0}},
+         "production.ee: expected a number in (0, 1], got 0.0"),
+        ({"production": {"ec_kwh_per_kg": 0.0}},
+         "production.ec_kwh_per_kg: expected a positive number, got 0.0"),
+        ({"production": {"wacc": -0.01}},
+         "production.wacc: expected a non-negative number, got -0.01"),
+        ({"production": {"depreciation_years": 0}},
+         "production.depreciation_years: expected at least 1 year, got 0"),
+        ({"transport": {"truck_depreciation_years": 0}},
+         "transport.truck_depreciation_years: expected at least 1 year, "
+         "got 0"),
+        ({"transport": {"trailer_depreciation_years": 0}},
+         "transport.trailer_depreciation_years: expected at least 1 year, "
+         "got 0"),
+        ({"transport": {"speed_km_per_hour": 0.0}},
+         "transport.speed_km_per_hour: expected a positive number, got 0.0"),
+        ({"cheap_share": -0.5},
+         "cheap_share: expected a number in (0, 1], got -0.5"),
+        ({"cheap_share": 0.0},
+         "cheap_share: expected a number in (0, 1], got 0.0"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, data, message):
-        # a value of the wrong type never reaches the model
+        # a value of the wrong type or out of its range never reaches the
+        # model
         cfg = write_yaml(tmp_path / "bad.yaml",
                          {"fixture": "congested10", "hours": 4, **data})
         assert main(["chain", "--config", cfg,

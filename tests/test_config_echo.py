@@ -16,16 +16,25 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SHARES = st.floats(0.0, 1.0, exclude_min=True)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+# the values check_ranges accepts, for the section floats it checks
+RANGED = {"capacity_factor": SHARES, "ee": SHARES, "ec_kwh_per_kg": POSITIVE,
+          "speed_km_per_hour": POSITIVE,
+          "wacc": st.floats(0.0, allow_infinity=False)}
 
 
 def section(cls):
-    """Any subset of *cls*'s keys, each with a value of its default's type;
-    keys that default to None (input paths) take a string, and keys without
-    a default (the import node) are always present with an integer."""
+    """Any subset of *cls*'s keys, each with a value of its default's type
+    in the key's range; keys that default to None (input paths) take a
+    string, and keys without a default (the import node) are always present
+    with an integer."""
     required, values = {}, {}
     for f in dataclasses.fields(cls):
         if f.default is dataclasses.MISSING:
             required[f.name] = st.integers(0, 10**6)
+        elif f.name in RANGED:
+            values[f.name] = RANGED[f.name]
         elif isinstance(f.default, bool):
             values[f.name] = st.booleans()
         elif isinstance(f.default, int):
@@ -45,7 +54,7 @@ def configs(draw):
         "fixture": st.sampled_from([None, "congested10"]),
         "h2_demand_kg_day": FLOATS,
         "ngp": FLOATS,
-        "cheap_share": FLOATS,
+        "cheap_share": SHARES,
         "production": section(ProductionParams),
         "transport": section(TransportParams),
         "imports": st.none() | section(ImportSpec),
@@ -69,6 +78,14 @@ def configs(draw):
         if not any(v > 0 for v in data["stations"].values()):
             inputs.pop("station_candidates")
     data["inputs"] = inputs
+    # the seed builds a fixture or synthetic network, and the fixture's own
+    # sinks alone read the hydrogen demand
+    if data.get("fixture") is None and data.get("synthetic") is None:
+        data.pop("seed", None)
+    if data.get("fixture") is None or any(
+            inputs.get(name) for name in ("consumption", "industrial_sites",
+                                          "station_candidates")):
+        data.pop("h2_demand_kg_day", None)
     return data
 
 

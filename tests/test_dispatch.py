@@ -22,8 +22,9 @@ from h2grid.errors import InfeasibleHour
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
 from h2grid.io import write_system
-from h2grid.lp import EQ, GE, LE, ProblemBuilder, solve_lp
+from h2grid.lp import EQ, GE, LE, solve_lp
 from h2grid.synth import SyntheticSpec, generate_synthetic_system
+from problems import build_problem
 
 
 def two_node_system(demand_mw=120.0, line_cap=30.0, hours=1):
@@ -217,27 +218,27 @@ def injection_form_nodal(system, hour):
     ptdf = system.ptdf
     demand = system.demand[hour]
     n = system.n_nodes
-    builder = ProblemBuilder()
-    gen_vars = [builder.add_var(cost=g.marginal_cost, lb=0.0,
-                                ub=g.capacity_at(hour))
-                for g in system.generators]
-    inj_vars = [builder.add_var(lb=-np.inf, ub=np.inf) for _ in range(n)]
-    balance_rows = []
-    for node in range(n):
-        coeffs = [(gen_vars[i], 1.0)
-                  for i, g in enumerate(system.generators) if g.node == node]
-        coeffs.append((inj_vars[node], -1.0))
-        balance_rows.append(
-            builder.add_constraint(coeffs, EQ, float(demand[node])))
-    builder.add_constraint([(v, 1.0) for v in inj_vars], EQ, 0.0)
-    for k in range(ptdf.entries.shape[0]):
-        coeffs = [(inj_vars[node], ptdf.entries[k, node]) for node in range(n)]
-        limit = ptdf.merged_capacity[k]
-        builder.add_constraint(coeffs, LE, limit)
-        builder.add_constraint(coeffs, GE, -limit)
-    sol = solve_lp(builder.build())
+    gens = system.generators
+    n_gen, n_lines = len(gens), ptdf.entries.shape[0]
+    # columns: generator outputs, then injections; rows: node balances, zero
+    # net injection, then each corridor's upper and lower limit
+    a = np.zeros((n + 1 + 2 * n_lines, n_gen + n))
+    for i, g in enumerate(gens):
+        a[g.node, i] = 1.0
+    a[np.arange(n), n_gen + np.arange(n)] = -1.0
+    a[n, n_gen:] = 1.0
+    a[n + 1::2, n_gen:] = ptdf.entries
+    a[n + 2::2, n_gen:] = ptdf.entries
+    limit = ptdf.merged_capacity
+    sol = solve_lp(build_problem(
+        [g.marginal_cost for g in gens] + [0.0] * n, a,
+        [EQ] * (n + 1) + [LE, GE] * n_lines,
+        np.concatenate([demand, [0.0],
+                        np.stack([limit, -limit], axis=1).ravel()]),
+        [0.0] * n_gen + [-np.inf] * n,
+        [g.capacity_at(hour) for g in gens] + [np.inf] * n))
     assert sol.optimal
-    return sol.objective, sol.duals[balance_rows]
+    return sol.objective, sol.duals[:n]
 
 
 class TestCostEquivalenceProperty:
@@ -290,7 +291,7 @@ class TestScaledBlock:
         pairs = []
 
         def solve(problem):
-            block = problem.matrix.a
+            block = problem.dense_matrix()
             rows, cols = np.nonzero(block)
             triplets = dataclasses.replace(
                 problem, a_rows=rows, a_cols=cols, a_vals=block[rows, cols],
@@ -382,7 +383,7 @@ class TestSystemTables:
         nodal_dispatch(system, 0)
         tables = system.dispatch_tables
         block = tables.block
-        for arr in (block.a, block.scaled, block.row_scale, block.col_scale,
+        for arr in (block.scaled, block.row_scale, block.col_scale,
                     tables.capacity, tables.costs, tables.nodes,
                     tables.order):
             with pytest.raises(ValueError, match="read-only"):

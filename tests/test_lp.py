@@ -13,8 +13,9 @@ import pytest
 
 import h2grid.lp
 from h2grid.errors import InvalidProblem, ResourceLimit
-from h2grid.lp import (EQ, GE, LE, LinearProblem, ProblemBuilder, _Simplex,
-                       scale_matrix, solve_lp, solve_milp)
+from h2grid.lp import (EQ, GE, LE, LinearProblem, _Simplex, scale_matrix,
+                       solve_lp, solve_milp)
+from problems import build_problem
 from test_chain import random_chain
 
 
@@ -62,16 +63,6 @@ def vertex_oracle(c, a, senses, b, lb, ub, tol=1e-7):
         if best is None or val < best:
             best = val
     return best
-
-
-def build_problem(c, a, senses, b, lb, ub, binaries=()):
-    builder = ProblemBuilder()
-    cols = [builder.add_var(cost=c[j], lb=lb[j], ub=ub[j],
-                            binary=j in binaries) for j in range(len(c))]
-    for i in range(len(b)):
-        builder.add_constraint([(cols[j], a[i][j]) for j in range(len(c))],
-                               senses[i], b[i])
-    return builder.build()
 
 
 def random_instance(rng, n=5, m=4):
@@ -132,10 +123,8 @@ class TestRandomLPs:
 class TestKnownLPs:
     def test_bounded_single_var(self):
         # min -x s.t. x <= 3 on x in [0, 10]
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=-1.0, lb=0.0, ub=10.0)
-        builder.add_constraint([(x, 1.0)], LE, 3.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem([-1.0], [[1.0]], [LE], [3.0], [0.0],
+                                     [10.0]))
         assert sol.status == "Optimal"
         assert sol.x[0] == pytest.approx(3.0)
         assert sol.duals[0] == pytest.approx(-1.0)
@@ -143,41 +132,29 @@ class TestKnownLPs:
     def test_merit_order_duals(self):
         # two plants, costs 10 and 50, caps 100 each, demand 120:
         # marginal plant sets the balance dual at 50
-        builder = ProblemBuilder()
-        g1 = builder.add_var(cost=10.0, lb=0.0, ub=100.0)
-        g2 = builder.add_var(cost=50.0, lb=0.0, ub=100.0)
-        builder.add_constraint([(g1, 1.0), (g2, 1.0)], EQ, 120.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem([10.0, 50.0], [[1.0, 1.0]], [EQ],
+                                     [120.0], [0.0, 0.0], [100.0, 100.0]))
         assert sol.objective == pytest.approx(2000.0)
         assert sol.x[0] == pytest.approx(100.0)
         assert sol.duals[0] == pytest.approx(50.0)
 
     def test_infeasible(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(lb=0.0, ub=1.0)
-        builder.add_constraint([(x, 1.0)], GE, 2.0)
-        assert solve_lp(builder.build()).status == "Infeasible"
+        problem = build_problem([0.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
+        assert solve_lp(problem).status == "Infeasible"
 
     def test_unbounded(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=-1.0, lb=0.0, ub=np.inf)
-        builder.add_constraint([(x, 1.0)], GE, 0.0)
-        assert solve_lp(builder.build()).status == "Unbounded"
+        problem = build_problem([-1.0], [[1.0]], [GE], [0.0], [0.0], [np.inf])
+        assert solve_lp(problem).status == "Unbounded"
 
     def test_free_variables(self):
         # free variable must be able to go negative
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, lb=-np.inf, ub=np.inf)
-        builder.add_constraint([(x, 1.0)], LE, -5.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem([1.0], [[1.0]], [LE], [-5.0], [-np.inf],
+                                     [np.inf]))
         assert sol.status == "Unbounded"
 
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=-1.0, lb=-np.inf, ub=np.inf)
-        y = builder.add_var(cost=2.0, lb=-np.inf, ub=np.inf)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], EQ, -3.0)
-        builder.add_constraint([(x, 1.0), (y, -1.0)], LE, 1.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem([-1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]],
+                                     [EQ, LE], [-3.0, 1.0], [-np.inf] * 2,
+                                     [np.inf] * 2))
         assert sol.status == "Optimal"
         assert sol.x[0] == pytest.approx(-1.0)
         assert sol.x[1] == pytest.approx(-2.0)
@@ -187,11 +164,8 @@ class TestKnownLPs:
     def test_upper_bounded_only_column(self, sense, x, objective):
         # min -x + y s.t. x + y (sense) 5, x <= 2 with no lower bound: the
         # column must never step past its upper bound
-        builder = ProblemBuilder()
-        builder.add_var(cost=-1.0, lb=-np.inf, ub=2.0)
-        builder.add_var(cost=1.0, lb=0.0, ub=10.0)
-        builder.add_constraint([(0, 1.0), (1, 1.0)], sense, 5.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem([-1.0, 1.0], [[1.0, 1.0]], [sense],
+                                     [5.0], [-np.inf, 0.0], [2.0, 10.0]))
         assert sol.status == "Optimal"
         assert sol.x == pytest.approx(x)
         assert sol.objective == pytest.approx(objective)
@@ -360,6 +334,15 @@ class InverseLog(_Simplex):
         self._check()
 
 
+def proportional_rows():
+    """min x + 2 y s.t. x + y >= 1, 2 x + 2 y <= 8, x <= 4 on [0, 5]^2: x
+    and y have proportional coefficients in rows 0 and 1, and y has none in
+    row 2."""
+    return build_problem([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]],
+                         [GE, LE, LE], [1.0, 8.0, 4.0], np.zeros(2),
+                         np.full(2, 5.0))
+
+
 class TestBlockInverse:
     """The basis inverse inverts only the block of the structural basic
     columns; slacks and artificials are unit columns."""
@@ -382,13 +365,7 @@ class TestBlockInverse:
         # x and y have proportional coefficients in rows 0 and 1; at rest
         # row 0's residual 1 does not fit its GE slack, so it starts on an
         # artificial
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, ub=5.0)
-        y = builder.add_var(cost=2.0, ub=5.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 1.0)
-        builder.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
-        builder.add_constraint([(x, 1.0)], LE, 4.0)
-        problem = builder.build()
+        problem = proportional_rows()
         simplex = _Simplex(problem)
         assert simplex.solve().optimal
         n, art = simplex.n_struct, simplex.art_start
@@ -527,11 +504,27 @@ class TestScaledMatrix:
                 assert sol.x.tobytes() == want.x.tobytes()
                 assert sol.duals.tobytes() == want.duals.tobytes()
 
+    def test_dense_matrix_round_trips(self):
+        # a ScaledMatrix keeps only the scaled matrix; the scales are powers
+        # of two, so unscaling restores every bit, signed zeros included
+        rng = np.random.default_rng(4242)
+        signed_zeros = 0
+        for _ in range(50):
+            m, n = (int(k) for k in rng.integers(1, 9, 2))
+            spread = 10.0 ** rng.integers(-6, 7, (m, n))  # within a row
+            a = (rng.uniform(-3, 3, (m, n)) * spread
+                 * 10.0 ** rng.uniform(-150, 150, (m, 1)))
+            a[rng.random((m, n)) < 0.2] = 0.0
+            a[rng.random((m, n)) < 0.2] = -0.0
+            signed_zeros += int(np.signbit(a[a == 0.0]).sum())
+            problem = LinearProblem(np.zeros(n), np.zeros(n), np.ones(n),
+                                    [], [], [], [LE] * m, np.ones(m),
+                                    matrix=scale_matrix(a))
+            assert problem.dense_matrix().tobytes() == a.tobytes()
+        assert signed_zeros > 0
+
     def test_validation(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, ub=1.0)
-        builder.add_constraint([(x, 1.0)], LE, 1.0)
-        problem = builder.build()
+        problem = build_problem([1.0], [[1.0]], [LE], [1.0], [0.0], [1.0])
         with pytest.raises(InvalidProblem, match="NaN or infinity"):
             scale_matrix(np.array([[np.inf]]))
         with pytest.raises(InvalidProblem, match="both as triplets"):
@@ -544,7 +537,7 @@ class TestScaledMatrix:
         matrix = scale_matrix([[3.0]])
         assert matrix.scaled.tolist() == [[0.75]]
         with pytest.raises(ValueError, match="read-only"):
-            matrix.a[0, 0] = 1.0
+            matrix.scaled[0, 0] = 1.0
 
 
 class ColumnLog(np.ndarray):
@@ -572,13 +565,9 @@ class TestCrashStart:
     def test_feasible_slack_start_skips_phase_1(self):
         # at rest (x = y = 0) every slack holds its row's residual, the EQ
         # row's exactly 0
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=-1.0, lb=0.0, ub=10.0)
-        y = builder.add_var(cost=-2.0, lb=0.0, ub=5.0)
-        builder.add_constraint([(x, 1.0), (y, -1.0)], EQ, 0.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 8.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, -1.0)
-        sol = solve_lp(builder.build())
+        sol = solve_lp(build_problem(
+            [-1.0, -2.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]], [EQ, LE, GE],
+            [0.0, 8.0, -1.0], [0.0, 0.0], [10.0, 5.0]))
         assert sol.status == "Optimal"
         assert sol.x == pytest.approx([4.0, 4.0])
         assert sol.stats["phase1_iterations"] == 0
@@ -608,17 +597,21 @@ def knapsack_enumeration(values, weights, capacity):
     return best
 
 
+def knapsack(values, weights, capacity):
+    """max values @ x s.t. weights @ x <= capacity over binary x, as a
+    minimization."""
+    n = len(values)
+    return build_problem(-np.asarray(values, dtype=float), [weights], [LE],
+                         [capacity], np.zeros(n), np.ones(n), range(n))
+
+
 class TestMILP:
     def test_knapsack_small(self):
         # values (5, 4, 3), weights (2, 3, 1), capacity 4:
         # optimum picks items 1 and 3 (value 8)
         values, weights, capacity = [5.0, 4.0, 3.0], [2.0, 3.0, 1.0], 4.0
         assert knapsack_enumeration(values, weights, capacity) == 8.0
-        builder = ProblemBuilder()
-        xs = [builder.add_var(cost=-v, binary=True) for v in values]
-        builder.add_constraint([(x, w) for x, w in zip(xs, weights)],
-                               LE, capacity)
-        sol = solve_milp(builder.build())
+        sol = solve_milp(knapsack(values, weights, capacity))
         assert sol.status == "Optimal"
         assert sol.objective == pytest.approx(-8.0)
         assert [round(v) for v in sol.x] == [1, 0, 1]
@@ -632,11 +625,7 @@ class TestMILP:
             capacity = float(rng.uniform(0.3, 0.8) * weights.sum())
             expected = knapsack_enumeration(list(values), list(weights),
                                             capacity)
-            builder = ProblemBuilder()
-            xs = [builder.add_var(cost=-v, binary=True) for v in values]
-            builder.add_constraint([(x, w) for x, w in zip(xs, weights)],
-                                   LE, capacity)
-            sol = solve_milp(builder.build())
+            sol = solve_milp(knapsack(values, weights, capacity))
             assert sol.status == "Optimal"
             assert -sol.objective == pytest.approx(expected, abs=1e-6)
 
@@ -650,17 +639,13 @@ class TestMILP:
             demand = rng.uniform(1, 4, 2)
             cap = float(demand.sum())
 
+            # flow f[i * 2 + j] from facility i to client j
+            serve = np.tile(np.eye(2), 2)
+
             def inner(open_mask):
-                builder = ProblemBuilder()
-                f = [builder.add_var(
-                    cost=ship[i][j], lb=0.0,
-                    ub=cap if open_mask[i] else 0.0)
-                    for i in range(2) for j in range(2)]
-                for j in range(2):
-                    builder.add_constraint(
-                        [(f[i * 2 + j], 1.0) for i in range(2)],
-                        GE, demand[j])
-                sol = solve_lp(builder.build())
+                sol = solve_lp(build_problem(
+                    ship.ravel(), serve, [GE, GE], demand, np.zeros(4),
+                    np.repeat(np.where(open_mask, cap, 0.0), 2)))
                 if sol.status != "Optimal":
                     return None
                 return sol.objective + sum(
@@ -669,19 +654,14 @@ class TestMILP:
             oracle = min(v for v in (inner((a, b)) for a in (0, 1)
                                      for b in (0, 1)) if v is not None)
 
-            builder = ProblemBuilder()
-            ys = [builder.add_var(cost=fixed[i], binary=True)
-                  for i in range(2)]
-            fs = [[builder.add_var(cost=ship[i][j], lb=0.0, ub=cap)
-                   for j in range(2)] for i in range(2)]
-            for j in range(2):
-                builder.add_constraint([(fs[i][j], 1.0) for i in range(2)],
-                                       GE, demand[j])
-            for i in range(2):
-                for j in range(2):
-                    builder.add_constraint(
-                        [(fs[i][j], 1.0), (ys[i], -cap)], LE, 0.0)
-            sol = solve_milp(builder.build())
+            # columns y_0, y_1, then the flows; a link row per flow
+            link = np.hstack([np.repeat(-cap * np.eye(2), 2, axis=0),
+                              np.eye(4)])
+            a = np.vstack([np.hstack([np.zeros((2, 2)), serve]), link])
+            sol = solve_milp(build_problem(
+                np.concatenate([fixed, ship.ravel()]), a, [GE] * 2 + [LE] * 4,
+                np.concatenate([demand, np.zeros(4)]), np.zeros(6),
+                np.concatenate([np.ones(2), np.full(4, cap)]), (0, 1)))
             assert sol.status == "Optimal"
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
@@ -690,11 +670,7 @@ class TestMILP:
         values = rng.uniform(1, 10, 14)
         weights = rng.uniform(1, 5, 14)
         capacity = 0.5 * float(weights.sum())
-        builder = ProblemBuilder()
-        xs = [builder.add_var(cost=-v, binary=True) for v in values]
-        builder.add_constraint([(x, w) for x, w in zip(xs, weights)],
-                               LE, capacity)
-        problem = builder.build()
+        problem = knapsack(values, weights, capacity)
         optimum = -knapsack_enumeration(list(values), list(weights), capacity)
         nodes = solve_milp(problem).stats["nodes"]
         incumbents = []
@@ -717,11 +693,7 @@ class TestMILP:
         rng = np.random.default_rng(55)
         values = rng.uniform(1, 10, 8)
         weights = rng.uniform(1, 5, 8)
-        builder = ProblemBuilder()
-        xs = [builder.add_var(cost=-v, binary=True) for v in values]
-        builder.add_constraint([(x, w) for x, w in zip(xs, weights)],
-                               LE, 0.5 * float(weights.sum()))
-        p = builder.build()
+        p = knapsack(values, weights, 0.5 * float(weights.sum()))
         first = solve_milp(p)
         for _ in range(3):
             again = solve_milp(p)
@@ -805,11 +777,8 @@ class TestWarmResolve:
     def test_fixing_leaves_no_entering_column(self):
         # min x1 + 2 x2 s.t. x1 + x2 >= 1; fixing both to 0 violates the
         # row, and no column may move to repair it
-        builder = ProblemBuilder()
-        builder.add_var(cost=1.0, ub=1.0)
-        builder.add_var(cost=2.0, ub=1.0)
-        builder.add_constraint([(0, 1.0), (1, 1.0)], GE, 1.0)
-        simplex = _Simplex(builder.build())
+        simplex = _Simplex(build_problem([1.0, 2.0], [[1.0, 1.0]], [GE],
+                                         [1.0], np.zeros(2), np.ones(2)))
         assert simplex.solve().objective == pytest.approx(1.0)
         sol = simplex.resolve(np.zeros(2), np.zeros(2),
                               simplex.basis.copy(), simplex.status.copy())
@@ -819,11 +788,8 @@ class TestWarmResolve:
 
     def test_integer_infeasible_with_feasible_root(self):
         # x1 + x2 = 1.5 holds in the relaxation but at no binary point
-        builder = ProblemBuilder()
-        x1 = builder.add_var(cost=1.0, binary=True)
-        x2 = builder.add_var(cost=1.0, binary=True)
-        builder.add_constraint([(x1, 1.0), (x2, 1.0)], EQ, 1.5)
-        problem = builder.build()
+        problem = build_problem([1.0, 1.0], [[1.0, 1.0]], [EQ], [1.5],
+                                np.zeros(2), np.ones(2), (0, 1))
         assert solve_lp(dataclasses.replace(problem, binaries=())).optimal
         sol = solve_milp(problem)
         assert sol.status == "Infeasible"
@@ -871,12 +837,12 @@ class TestLazyRows:
     def test_unbounded_active_rows(self):
         # min -x - y s.t. x - y = 0 alone is unbounded; the held-back
         # x + y <= 4 bounds it, so every row is activated and solved again
-        builder = ProblemBuilder()
-        x, y = builder.add_var(cost=-1.0), builder.add_var(cost=-1.0)
-        builder.add_constraint([(x, 1.0), (y, -1.0)], EQ, 0.0)
-        assert solve_lp(builder.build()).status == "Unbounded"
-        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 4.0)
-        problem = builder.build()
+        rows = [[1.0, -1.0], [1.0, 1.0]]
+        bounds = (np.zeros(2), np.full(2, np.inf))
+        assert solve_lp(build_problem([-1.0, -1.0], rows[:1], [EQ], [0.0],
+                                      *bounds)).status == "Unbounded"
+        problem = build_problem([-1.0, -1.0], rows, [EQ, LE], [0.0, 4.0],
+                                *bounds)
         for lazy in ((1,), (0, 1)):
             sol = solve_lp(dataclasses.replace(problem, lazy_rows=lazy))
             assert sol.status == "Optimal"
@@ -887,22 +853,17 @@ class TestLazyRows:
     def test_infeasible_in_round_two(self):
         # x + y >= 2 holds at the first optimum, which the held-back
         # x + y <= 1 then cuts off; no column can repair it
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, ub=5.0)
-        y = builder.add_var(cost=2.0, ub=5.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 2.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], LE, 1.0)
-        sol = solve_lp(dataclasses.replace(builder.build(), lazy_rows=(1,)))
+        problem = build_problem([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]],
+                                [GE, LE], [2.0, 1.0], np.zeros(2),
+                                np.full(2, 5.0))
+        sol = solve_lp(dataclasses.replace(problem, lazy_rows=(1,)))
         assert sol.status == "Infeasible"
         assert sol.stats["rounds"] == 2
         assert sol.stats["dual_iterations"] == 1  # and no column could enter
 
     def test_validation(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, ub=1.0, binary=True)
-        builder.add_constraint([(x, 1.0)], LE, 1.0)
-        builder.add_constraint([(x, 1.0)], GE, 0.0)
-        problem = builder.build()
+        problem = build_problem([1.0], [[1.0], [1.0]], [LE, GE], [1.0, 0.0],
+                                [0.0], [1.0], (0,))
         for lazy in ((2,), (-1,), (1, 1)):
             with pytest.raises(InvalidProblem):
                 dataclasses.replace(problem, lazy_rows=lazy)
@@ -987,12 +948,10 @@ class TestStartBasis:
         # min 10 x1 + 20 x2 + 50 x3, x1 + x2 + x3 = 100, x <= 60 each: the
         # merit order runs x1 at 60 and x2 at 40, the marginal unit; start
         # it basic in the balance row with x1 at its upper bound
-        builder = ProblemBuilder()
-        for cost in (10.0, 20.0, 50.0):
-            builder.add_var(cost=cost, lb=0.0, ub=60.0)
-        builder.add_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], EQ, 100.0)
         problem = dataclasses.replace(
-            builder.build(), lb=[-60.0, -40.0, 0.0], ub=[0.0, 20.0, 60.0],
+            build_problem([10.0, 20.0, 50.0], [[1.0, 1.0, 1.0]], [EQ],
+                          [100.0], np.zeros(3), np.full(3, 60.0)),
+            lb=[-60.0, -40.0, 0.0], ub=[0.0, 20.0, 60.0],
             rhs=[0.0], start_basis=((0, 1),))
         sol = solve_lp(problem)
         assert sol.optimal and sol.x == pytest.approx([0.0, 0.0, 0.0])
@@ -1001,13 +960,8 @@ class TestStartBasis:
         assert sol.stats["dual_iterations"] == 0
 
     def test_invalid_starts(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, ub=5.0)
-        y = builder.add_var(cost=2.0, ub=5.0)
-        builder.add_constraint([(x, 1.0), (y, 1.0)], GE, 1.0)
-        builder.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
-        builder.add_constraint([(x, 1.0)], LE, 4.0)
-        problem = builder.build()
+        x, y = 0, 1
+        problem = proportional_rows()
         for start in (((3, x),), ((-1, x),), ((0, 2),), ((0, x), (0, y)),
                       ((0, x), (1, x))):
             with pytest.raises(InvalidProblem, match="start basis"):
@@ -1027,10 +981,9 @@ class TestStartBasis:
         assert sol.optimal and sol.x == pytest.approx([1.0, 0.0])
 
     def test_milp_rejects_start(self):
-        builder = ProblemBuilder()
-        x = builder.add_var(cost=1.0, binary=True)
-        builder.add_constraint([(x, 1.0)], GE, 0.0)
-        problem = dataclasses.replace(builder.build(), start_basis=((0, x),))
+        problem = dataclasses.replace(
+            build_problem([1.0], [[1.0]], [GE], [0.0], [0.0], [1.0], (0,)),
+            start_basis=((0, 0),))
         for p in (problem, dataclasses.replace(problem, binaries=())):
             with pytest.raises(InvalidProblem, match="start basis"):
                 solve_milp(p)
