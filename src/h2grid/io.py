@@ -1,9 +1,11 @@
 """CSV input and output.
 
 All numeric output is formatted to six significant digits so repeated runs
-produce byte-identical files.  Readers validate headers, numbers (finite)
-and positional indices (in range, never negative) and raise IoError with
-the offending file and column.
+produce byte-identical files.  Readers validate headers, numbers (finite;
+capacities, reactances and profile MW not negative, line capacities and
+reactances above zero), positional indices (in range, never negative) and
+lines (two distinct ends), and raise IoError with the offending file and
+column.
 """
 
 import csv
@@ -59,6 +61,15 @@ def _num(row, col, path, cast=float):
     return value
 
 
+def _nonneg(row, col, path, allow_zero=True):
+    """A number that is at least 0, and above 0 unless *allow_zero*."""
+    value = _num(row, col, path)
+    if value < 0 or (value == 0 and not allow_zero):
+        raise IoError(f"{path}: {'negative' if allow_zero else 'nonpositive'} "
+                      f"value {row[col]!r} in column {col}")
+    return value
+
+
 def _opt_num(row, col, path):
     """An optional numeric column; absent or blank reads as 0."""
     return _num(row, col, path) if row.get(col) else 0.0
@@ -94,10 +105,15 @@ def read_lines(path, n_nodes):
                              "reactance_pu"))
     lines = []
     for r in rows:
+        line_id = _num(r, "id", path, int)
+        ends = _index(r, "from", path, n_nodes), _index(r, "to", path, n_nodes)
+        if ends[0] == ends[1]:
+            raise IoError(f"{path}: line {line_id} connects node {ends[0]} "
+                          f"to itself in column to")
         lines.append(Line(
-            _num(r, "id", path, int), _index(r, "from", path, n_nodes),
-            _index(r, "to", path, n_nodes), _num(r, "capacity_mw", path),
-            _num(r, "reactance_pu", path),
+            line_id, *ends,
+            _nonneg(r, "capacity_mw", path, allow_zero=False),
+            _nonneg(r, "reactance_pu", path, allow_zero=False),
             voltage_class=r.get("voltage_class") or "kV380"))
     return tuple(lines)
 
@@ -119,8 +135,8 @@ def read_generators(path, hours, n_nodes):
             profile = read_profile(os.path.join(base, ref), hours)
         gens.append(Generator(
             _num(r, "id", path, int), _index(r, "node", path, n_nodes), kind,
-            _num(r, "marginal_cost", path), _num(r, "capacity_mw", path),
-            profile))
+            _num(r, "marginal_cost", path),
+            _nonneg(r, "capacity_mw", path), profile))
     return tuple(gens)
 
 
@@ -134,7 +150,7 @@ def read_profile(path, hours):
         t = _index(r, "hour", path, len(rows))
         if not np.isnan(values[t]):
             raise IoError(f"{path}: duplicate hour {t} in column hour")
-        values[t] = _num(r, "mw", path)
+        values[t] = _nonneg(r, "mw", path)
     return values
 
 

@@ -1,48 +1,58 @@
 """Self-contained dense LP / mixed-binary solver.
 
-The simplex is a two-phase primal method on the bounded-variable standard
-form ``min c'x  s.t.  Ax + s = b,  lb <= (x, s) <= ub``.  Every constraint
-row gets a slack column whose bounds encode its sense, so the dual of row i
-is simply the i-th simplex multiplier.  Pivoting uses Dantzig's rule with a
-lowest-index tie-break and falls back to Bland's rule after a run of
-degenerate pivots, which makes every solve deterministic and finite.  The
-ratio test lets the entering bound flip win unless a row blocks it by more
-than 1e-11, and otherwise takes the lowest basic index among the rows
-within 1e-11 of the shortest step.
+The simplex works on the bounded-variable standard form ``min c'x  s.t.
+Ax + s = b,  lb <= (x, s) <= ub``.  Every constraint row gets a slack column
+whose bounds encode its sense, so the dual of row i is simply the i-th
+simplex multiplier.  Primal pivoting uses Dantzig's rule with a lowest-index
+tie-break and falls back to Bland's rule after a run of degenerate pivots,
+which makes every solve deterministic and finite.  The ratio test lets the
+entering bound flip win unless a row blocks it by more than 1e-11, and
+otherwise takes the lowest basic index among the rows within 1e-11 of the
+shortest step.
 
-The start is a slack crash basis (Bixby, "Solving real-world linear
-programs", Oper. Res. 2002).  Every column rests at a bound; a row whose
-slack bounds hold the residual ``b - A x`` starts with its slack basic, and
-only the other rows get a +-1 artificial column.  Phase 1 minimizes the sum
-of those artificials and is skipped when there are none.  After it, the
-artificials still basic are pivoted out where a structural or slack column
-can replace them; any left (redundant rows) stay pinned at zero, and phase 2
-prices only the columns before the artificials, so none enters again.
+Every solve starts on a basis that is dual feasible and repairs primal
+feasibility with the bounded dual simplex ``_dual`` (Koberstein, "The dual
+simplex method, techniques for a fast and stable implementation", PhD
+thesis, 2005), then ends with the primal simplex on the true costs (phase
+2).  The dual leaves on the largest bound violation (lowest basis position
+on ties) and enters the movable nonbasic column with the smallest
+``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the largest
+``|alpha_rj|`` and then the lowest index; after a run of zero-length steps
+it switches to lowest-index choices.  A violated row that no column can
+repair proves the problem infeasible, whatever the costs.
+
+A cold solve starts every active row on its slack, so the basis inverse is
+exactly the identity, and every column rests at a bound (free ones at
+zero).  Phase 1 is ``_dual`` on the costs with one change: a movable column
+whose cost prefers the other bound than the one it rests at, or a free
+column with a nonzero cost, gets cost 0 (the cost-modification dual phase 1
+of Koberstein & Suhl, Comput. Optim. Appl. 2007).  That start is dual
+feasible, and the primal feasible basis phase 1 ends on is where phase 2
+starts.
 
 A problem that knows a dual feasible vertex names it in
 ``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
 its row, every other active row on its slack whatever the slack's value, and
-every other column resting as in the crash.  ``_start`` inverts that basis
-(below) and the bounded dual simplex repairs primal feasibility, with no
-artificials and no phase 1.  A start that is singular or not dual feasible
-at ``OPT_TOL`` raises ``InvalidProblem``.  The network LP of ``dispatch``
-starts this way at the hour's merit-order vertex.
+every other column resting as in a cold start.  ``_start`` inverts that
+basis (below) and ``_dual`` runs on the true costs, with no phase 1.  A
+start that is singular or not dual feasible at ``OPT_TOL`` raises
+``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
+hour's merit-order vertex.
 
-The solver keeps a dense inverse of the basis matrix.  It starts exact (the
-crash basis is diagonal with entries +-1) and takes a rank-one product-form
-update per basis change.  Every other inverse comes from ``_invert``: of a
-start basis, every ``_REFACTOR_PERIOD`` updates, after ``_add_rows`` and on
-a warm re-solve.  A basic slack or artificial is a signed unit column of its
-own row, so ``_invert`` inverts only the block of the structural basic
-columns over the rows no unit column covers and fills in the unit columns'
-rows by one product (Bixby 2002 on exploiting slack structure); bases with
-two unit columns in one row or a singular block are singular.  Multipliers
-and the entering column are one matrix-vector product each, and pricing
-and the ratio test are array operations.
-``Solution.stats`` reports all iterations (``iterations``), those of phase 1
-(``phase1_iterations``) and of the dual simplex (``dual_iterations``), the
-number of refactorizations, the number of rows that started on an artificial
-(``artificials``) and the number of rounds (``rounds``, see below).
+The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
+product-form update per basis change.  Every other inverse comes from
+``_invert``: of a start basis, every ``_REFACTOR_PERIOD`` updates, after
+``_add_rows`` and on a warm re-solve.  A basic slack is the unit column of
+its own row, so ``_invert`` inverts only the block of the structural basic
+columns over the rows no basic slack covers and fills in the slacks' rows
+by one product (Bixby, "Solving real-world linear programs", Oper. Res.
+2002, on exploiting slack structure).  Multipliers and the entering column
+are one matrix-vector product each, and pricing and the ratio test are
+array operations.
+``Solution.stats`` reports all iterations (``iterations``), the dual pivots
+of phase 1 (``phase1_iterations``) and of every other dual simplex run
+(``dual_iterations``), the number of refactorizations and the number of
+rounds (``rounds``, see below).
 
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
@@ -77,15 +87,9 @@ nodes.  One ``_Simplex`` serves a whole tree and solves the root relaxation
 once.  A child differs from its parent only in the bounds of the binaries it
 fixes, so the parent's optimal basis stays dual feasible:
 ``_Simplex.resolve`` inverts that basis, puts every nonbasic column at its
-new bound and runs a bounded dual simplex (Koberstein, "The dual simplex
-method, techniques for a fast and stable implementation", PhD thesis, 2005)
-until the basis is primal feasible, then ends through the same phase 2 and
-unscaling as a cold solve.  The dual leaves on the largest bound violation
-(lowest basis position on ties) and enters the movable nonbasic column with
-the smallest ``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the
-largest ``|alpha_rj|`` and then the lowest index; after a run of zero-length
-steps it switches to lowest-index choices.  A violated row that no column
-can repair proves the child infeasible.  An open node keeps only its
+new bound and runs ``_dual`` until the basis is primal feasible, then ends
+through the same phase 2 and unscaling as a cold solve, or proves the child
+infeasible.  An open node keeps only its
 parent's basis and bound statuses, so a tree's state comes from that tree
 alone.  The child popped right after its parent, the next step of a dive,
 finds that basis still live and keeps the live inverse and its count of
@@ -282,8 +286,17 @@ class Solution:
         return self.status == "Optimal"
 
 
+def _improving(status, d):
+    """The nonbasic columns whose reduced costs *d* price a move off their
+    bound (either way for a free column) beyond ``OPT_TOL``."""
+    return (((status == _AT_LB) & (d < -OPT_TOL))
+            | ((status == _AT_UB) & (d > OPT_TOL))
+            | ((status == _FREE) & (np.abs(d) > OPT_TOL)))
+
+
 class _Simplex:
-    """Bounded-variable primal simplex on equality form with slack columns."""
+    """Bounded-variable dual and primal simplex on equality form with slack
+    columns."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -337,58 +350,29 @@ class _Simplex:
         x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
         return status, x
 
-    def _init_basis(self):
-        """Rest every column at a bound (free ones at zero); crash the slacks.
-
-        A row whose slack bounds hold the residual ``b - A x`` starts with
-        its slack basic at that value; every other row gets a +-1 artificial
-        column, so the starting basis is diagonal with entries +-1.
-        """
-        ncols = self.a.shape[1]
-        lo, hi = self.lb, self.ub
-        status, x = self._rest()
-
-        resid = self.b - self.a @ x
-        slack = np.arange(self.n_struct, ncols)
-        fits = (lo[slack] <= resid) & (resid <= hi[slack])
-        rows = np.flatnonzero(~fits)
-        sign = np.where(resid >= 0, 1.0, -1.0)
-        art = np.zeros((self.m, rows.size))
-        art[rows, np.arange(rows.size)] = sign[rows]
-        self.a = np.hstack([self.a, art])
-        self.lb = np.concatenate([self.lb, np.zeros(rows.size)])
-        self.ub = np.concatenate([self.ub, np.full(rows.size, np.inf)])
-        self.c = np.concatenate([self.c, np.zeros(rows.size)])
-        self.art_start = ncols
-        self.unit_row = np.concatenate([np.arange(self.m), rows])
-        self.basis = slack.copy()
-        self.basis[rows] = ncols + np.arange(rows.size)
-        status[slack[fits]] = _BASIC
-        x[slack[fits]] = resid[fits]
-        self.status = np.concatenate([status, np.full(rows.size, _BASIC)])
-        self.x = np.concatenate([x, np.abs(resid[rows])])
-        self.binv = np.diag(np.where(fits, 1.0, sign))  # exact inverse
-        self.updates = 0
-
     def _start(self):
-        """Start from ``problem.start_basis``: each listed column basic in
-        its row, every other active row on its slack and every other column
-        resting as ``_init_basis`` rests it.
+        """Put every active row on its slack, or on the column
+        ``problem.start_basis`` names for it, rest every other column as
+        ``_rest`` does, and return the costs ``_dual`` starts from.
 
-        The start must be nonsingular and dual feasible at ``OPT_TOL``; a
-        nonbasic fixed column rests at the bound its reduced cost prefers.
+        A named start must be nonsingular and dual feasible at ``OPT_TOL``;
+        a cold start is the identity basis, and phase 1 gives cost 0 to
+        every movable column that is not dual feasible at rest.  A nonbasic
+        fixed column rests at the bound its reduced cost prefers.
         """
         status, x = self._rest()
-        self.art_start = self.a.shape[1]
-        self.unit_row = np.arange(self.m)
-        rows, cols = np.array(self.problem.start_basis).T
-        pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
-        self.basis = np.arange(self.n_struct, self.art_start)
-        self.basis[pos] = cols
-        try:
-            self.binv = self._invert()
-        except np.linalg.LinAlgError as exc:
-            raise InvalidProblem("singular start basis") from exc
+        named = self.problem.start_basis
+        self.basis = np.arange(self.n_struct, self.a.shape[1])
+        if named:
+            rows, cols = np.array(named).T
+            # active rows are sorted here
+            self.basis[np.searchsorted(self.rows, rows)] = cols
+            try:
+                self.binv = self._invert()
+            except np.linalg.LinAlgError as exc:
+                raise InvalidProblem("singular start basis") from exc
+        else:
+            self.binv = np.eye(self.m)
         self.updates = 0
         status[self.basis] = _BASIC
         x[self.basis] = 0.0
@@ -396,42 +380,42 @@ class _Simplex:
 
         d = self.c - self.a.T @ (self.c[self.basis] @ self.binv)
         movable = self.lb < self.ub
-        wrong = movable & (((status == _AT_LB) & (d < -OPT_TOL))
-                           | ((status == _AT_UB) & (d > OPT_TOL))
-                           | ((status == _FREE) & (np.abs(d) > OPT_TOL)))
+        wrong = movable & _improving(status, d)
+        cost = self.c
         if wrong.any():
-            raise InvalidProblem(f"start basis is not dual feasible at "
-                                 f"column {int(wrong.argmax())}")
+            if named:
+                raise InvalidProblem(f"start basis is not dual feasible at "
+                                     f"column {int(wrong.argmax())}")
+            cost = np.where(wrong, 0.0, self.c)
         fixed = ~movable & (status != _BASIC)
         status[fixed & (d < 0)] = _AT_UB
         status[fixed & (d > 0)] = _AT_LB
         self.status, self.x = status, x
+        return cost
 
     def _invert(self):
         """The inverse of the basis matrix, in block form.
 
-        A basic slack or artificial is a unit column ``sigma_i e_i`` of its
-        row ``i``; with ``N`` those rows, ``R`` the others and ``J`` the
-        structural basic columns, only ``A_RJ`` is inverted, and the rows
-        of ``B^-1`` are ``[A_RJ^-1, 0]`` at the positions of ``J`` and
-        ``[-sigma A_NJ A_RJ^-1, sigma]`` at those of the unit columns.
-        ``np.linalg.inv`` raises ``LinAlgError`` when ``A_RJ`` is singular,
-        or not square because two unit columns share a row.
+        A basic slack is the unit column ``e_i`` of its row ``i``; with
+        ``N`` those rows, ``R`` the others and ``J`` the structural basic
+        columns, only ``A_RJ`` is inverted, and the rows of ``B^-1`` are
+        ``[A_RJ^-1, 0]`` at the positions of ``J`` and ``[-A_NJ A_RJ^-1,
+        e_i]`` at those of the slacks.  ``np.linalg.inv`` raises
+        ``LinAlgError`` when ``A_RJ`` is singular.
         """
         m, basis = self.m, self.basis
-        unit = basis >= self.n_struct
-        pos_u, pos_j = np.flatnonzero(unit), np.flatnonzero(~unit)
-        rows_u = self.unit_row[basis[pos_u] - self.n_struct]
-        sign = self.a[rows_u, basis[pos_u]]
+        slack = basis >= self.n_struct
+        pos_s, pos_j = np.flatnonzero(slack), np.flatnonzero(~slack)
+        rows_s = basis[pos_s] - self.n_struct
         covered = np.zeros(m, dtype=bool)
-        covered[rows_u] = True
+        covered[rows_s] = True
         rest = np.flatnonzero(~covered)
         a_j = self.a[:, basis[pos_j]]
         inv = np.linalg.inv(a_j[rest])
         binv = np.zeros((m, m))
-        binv[pos_u, rows_u] = sign
+        binv[pos_s, rows_s] = 1.0
         binv[pos_j[:, None], rest] = inv
-        binv[pos_u[:, None], rest] = (a_j[rows_u] * -sign[:, None]) @ inv
+        binv[pos_s[:, None], rest] = -a_j[rows_s] @ inv
         return binv
 
     def _refactor(self, phase):
@@ -461,23 +445,19 @@ class _Simplex:
         if self.iterations > 2000 + 200 * (self.m + self.a.shape[1]):
             raise InvalidProblem("simplex iteration limit exceeded")
 
-    def _optimize(self, cost, phase, priced):
-        """Run primal simplex for the given cost vector, pricing only the
-        first *priced* columns; returns status."""
+    def _optimize(self, cost, phase):
+        """Run primal simplex for the given cost vector; returns status."""
         degenerate_run = 0
         bland = False
         while True:
             self._count_iteration()
 
             y = cost[self.basis] @ self.binv
-            d = cost[:priced] - self.a[:, :priced].T @ y
+            d = cost - self.a.T @ y
 
             # entering variable: Dantzig's largest |d| with the lowest index
             # on ties, or Bland's lowest eligible index
-            st = self.status[:priced]
-            eligible = (((st == _AT_LB) & (d < -OPT_TOL))
-                        | ((st == _AT_UB) & (d > OPT_TOL))
-                        | ((st == _FREE) & (np.abs(d) > OPT_TOL)))
+            eligible = _improving(self.status, d)
             if not eligible.any():
                 return "Optimal"
             if bland:
@@ -535,14 +515,14 @@ class _Simplex:
                 self.status[enter] = _BASIC
                 self._replace(leave_pos, enter, w, phase)
 
-    def _dual(self):
-        """Run a bounded dual simplex from a dual feasible basis until the
-        basis is primal feasible; returns "Optimal" then, or "Infeasible"
-        when a violated row has no entering column."""
-        priced = self.art_start
-        movable = self.lb[:priced] < self.ub[:priced]
-        y = self.c[self.basis] @ self.binv
-        d = self.c[:priced] - self.a[:, :priced].T @ y  # updated per pivot
+    def _dual(self, cost, phase="dual"):
+        """Run a bounded dual simplex for the given cost vector from a dual
+        feasible basis until the basis is primal feasible; returns "Optimal"
+        then, or "Infeasible" when a violated row has no entering column.
+        Its pivots count as phase 1 or as dual iterations by *phase*."""
+        movable = self.lb < self.ub
+        y = cost[self.basis] @ self.binv
+        d = cost - self.a.T @ y  # updated per pivot
         degenerate_run = 0
         bland = False
         while True:
@@ -553,7 +533,10 @@ class _Simplex:
             if not bad.any():
                 return "Optimal"
             self._count_iteration()
-            self.dual_iterations += 1
+            if phase == "phase 1":
+                self.phase1_iterations += 1
+            else:
+                self.dual_iterations += 1
 
             # leaving row: the largest violation with the lowest position on
             # ties, or the lowest basic index
@@ -566,9 +549,9 @@ class _Simplex:
 
             # entering column: column j moves x_B[r] by -alpha_j per unit;
             # sigma > 0 means a column at its lower bound can repair row r
-            alpha = self.binv[r] @ self.a[:, :priced]
+            alpha = self.binv[r] @ self.a
             sigma = -alpha if rising else alpha
-            st = self.status[:priced]
+            st = self.status
             eligible = movable & (((st == _AT_LB) & (sigma > 1e-9))
                                   | ((st == _AT_UB) & (sigma < -1e-9))
                                   | ((st == _FREE) & (np.abs(sigma) > 1e-9)))
@@ -609,25 +592,7 @@ class _Simplex:
             self.status[out] = _AT_LB if rising else _AT_UB
             self.x[out] = bound
             self.status[enter] = _BASIC
-            self._replace(r, enter, w, "dual")
-
-    def _purge_artificials(self):
-        """Pivot basic artificials out where possible; fix all to zero."""
-        self.lb[self.art_start:] = 0.0
-        self.ub[self.art_start:] = 0.0
-        structural = self.a[:, : self.art_start]
-        for i in np.flatnonzero(self.basis >= self.art_start):
-            bi = self.basis[i]
-            # row i of binv @ a: the pivot element of every candidate column
-            pivots = np.abs(self.binv[i] @ structural) > 1e-9
-            pivots &= self.status[: self.art_start] != _BASIC
-            if not pivots.any():
-                continue  # redundant row, artificial stays basic pinned at zero
-            found = int(pivots.argmax())
-            self.status[bi] = _AT_LB
-            self.x[bi] = 0.0
-            self.status[found] = _BASIC
-            self._replace(i, found, self.binv @ self.a[:, found], "phase 1")
+            self._replace(r, enter, w, phase)
 
     # -- driver --------------------------------------------------------------
 
@@ -636,28 +601,13 @@ class _Simplex:
                 "phase1_iterations": self.phase1_iterations,
                 "dual_iterations": self.dual_iterations,
                 "refactorizations": self.refactorizations,
-                "artificials": self.a.shape[1] - self.art_start,
                 "rounds": self.rounds}
 
     def solve(self):
-        if self.problem.start_basis:
-            self._start()
-            if self._dual() == "Infeasible":
-                return Solution(status="Infeasible", stats=self._stats())
-            return self._phase2()
-        self._init_basis()
-        ncols = self.a.shape[1]
-        if ncols > self.art_start:
-            phase1_cost = np.zeros(ncols)
-            phase1_cost[self.art_start:] = 1.0
-            start = self.iterations
-            status = self._optimize(phase1_cost, "phase 1", ncols)
-            self.phase1_iterations += self.iterations - start
-            if status != "Optimal":  # phase 1 is bounded below by zero
-                raise InvalidProblem("phase 1 terminated abnormally")
-            if float(phase1_cost @ self.x) > FEAS_TOL:
-                return Solution(status="Infeasible", stats=self._stats())
-            self._purge_artificials()
+        cost = self._start()
+        phase = "dual" if self.problem.start_basis else "phase 1"
+        if self._dual(cost, phase) == "Infeasible":
+            return Solution(status="Infeasible", stats=self._stats())
         return self._phase2()
 
     def resolve(self, lb, ub, basis, status):
@@ -686,7 +636,7 @@ class _Simplex:
         self.x = np.where(st == _AT_LB, self.lb,
                           np.where(st == _AT_UB, self.ub, 0.0))
         self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
-        if self._dual() == "Infeasible":
+        if self._dual(self.c) == "Infeasible":
             return Solution(status="Infeasible", stats=self._stats())
         return self._phase2()
 
@@ -702,37 +652,31 @@ class _Simplex:
     def _add_rows(self, new):
         """Append the held-back rows *new* with their slacks basic.
 
-        The slacks go in before the artificials.  Each is a unit column of
-        its new row, so ``_invert`` rebuilds the inverse from the same
-        structural block as before; the multipliers of the new rows are
-        zero, so the reduced costs, and with them dual feasibility, stay.
+        Each slack is the unit column of its new row, so ``_invert``
+        rebuilds the inverse from the same structural block as before; the
+        multipliers of the new rows are zero, so the reduced costs, and with
+        them dual feasibility, stay.
         """
-        k, m, n, art = new.size, self.m, self.n_struct, self.art_start
+        k, m, n, ncols = new.size, self.m, self.n_struct, self.a.shape[1]
         a_new = self.a_all[new]
-        a = np.zeros((m + k, self.a.shape[1] + k))
-        a[:m, :art] = self.a[:, :art]
-        a[:m, art + k:] = self.a[:, art:]
+        a = np.zeros((m + k, ncols + k))
+        a[:m, :ncols] = self.a
         a[m:, :n] = a_new
-        a[m:, art:art + k] = np.eye(k)
+        a[m:, ncols:] = np.eye(k)
 
         slack = self.b_all[new] - a_new @ self.x[:n]
-        self.lb = np.insert(self.lb, art, self.slack_lb[new])
-        self.ub = np.insert(self.ub, art, self.slack_ub[new])
-        self.c = np.insert(self.c, art, np.zeros(k))
-        self.x = np.insert(self.x, art, slack)
-        self.status = np.insert(self.status, art, np.full(k, _BASIC))
-        self.unit_row = np.insert(self.unit_row, art - n, m + np.arange(k))
-
-        self.basis = np.concatenate([
-            np.where(self.basis >= art, self.basis + k, self.basis),
-            art + np.arange(k)])
+        self.lb = np.concatenate([self.lb, self.slack_lb[new]])
+        self.ub = np.concatenate([self.ub, self.slack_ub[new]])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.x = np.concatenate([self.x, slack])
+        self.status = np.concatenate([self.status, np.full(k, _BASIC)])
+        self.basis = np.concatenate([self.basis, ncols + np.arange(k)])
 
         self.a = a
         self.b = np.concatenate([self.b, self.b_all[new]])
         self.rows = np.concatenate([self.rows, new])
         self.held = np.delete(self.held, np.searchsorted(self.held, new))
         self.m += k
-        self.art_start += k
         self.rounds += 1
         self.binv = self._invert()
         self.updates = 0
@@ -742,8 +686,7 @@ class _Simplex:
         optimum violates and repair the basis with the dual simplex, until
         none is violated."""
         while True:
-            # a nonbasic artificial never enters again
-            status = self._optimize(self.c, "phase 2", self.art_start)
+            status = self._optimize(self.c, "phase 2")
             if status == "Unbounded":
                 if not self.held.size:
                     return Solution(status="Unbounded", stats=self._stats())
@@ -756,7 +699,7 @@ class _Simplex:
             if not new.size:
                 break
             self._add_rows(new)
-            if self._dual() == "Infeasible":
+            if self._dual(self.c) == "Infeasible":
                 return Solution(status="Infeasible", stats=self._stats())
 
         # unscale primal, duals and reduced costs; rows never added price 0

@@ -521,7 +521,7 @@ class TestBenchmarkCountingRules:
 
 class TestMeritOrderStart:
     """Every network LP starts at the hour's merit-order vertex and is
-    solved by the dual simplex alone: no artificial rows, no phase 1, and
+    solved by the dual simplex alone: no phase 1, and
     few iterations (a start from zero generation took 41, 76 and 172 per
     nodal LP on these systems)."""
 
@@ -550,6 +550,6 @@ class TestMeritOrderStart:
                 del log[:]
             assert congested
             for stats in nodal + congested:
-                assert stats["phase1_iterations"] == stats["artificials"] == 0
+                assert stats["phase1_iterations"] == 0
             assert (np.mean([stats["iterations"] for stats in nodal])
                     < self.MAX_MEAN_NODAL_ITERATIONS)

@@ -63,6 +63,7 @@ class TestReadProfile:
         ("3,5", "hour"),
         ("2,nan", "mw"),
         ("2,-inf", "mw"),
+        ("2,-1", "mw"),
     ])
     def test_bad_row(self, tmp_path, row, column):
         with pytest.raises(IoError,
@@ -111,6 +112,12 @@ class TestReadNetwork:
         ("generators", ["0,3,dispatchable,20,300"], "node"),
         ("lines", ["0,99,1,100,0.1", "1,1,2,100,0.1"], "from"),
         ("lines", ["0,0,1,100,0.1", "1,1,-1,100,0.1"], "to"),
+        ("lines", ["0,0,1,100,-1", "1,1,2,100,0.1"], "reactance_pu"),
+        ("lines", ["0,0,1,100,0", "1,1,2,100,0.1"], "reactance_pu"),
+        ("lines", ["0,0,1,0,0.1", "1,1,2,100,0.1"], "capacity_mw"),
+        ("lines", ["0,0,1,-5,0.1", "1,1,2,100,0.1"], "capacity_mw"),
+        ("lines", ["0,0,1,100,0.1", "1,1,1,100,0.1"], "to"),
+        ("generators", ["0,0,dispatchable,20,-300"], "capacity_mw"),
     ])
     def test_bad_row(self, tmp_path, name, rows, column):
         with pytest.raises(IoError, match=rf"{name}\.csv: .* column {column}"):
@@ -124,6 +131,19 @@ class TestReadNetwork:
         assert main(["dispatch", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "column node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["uniform", "nodal"])
+    def test_negative_capacity_exits_2(self, tmp_path, capsys, mode):
+        # rejected when read, before either mode clears a market
+        paths = self.write(
+            tmp_path, generators=["0,0,dispatchable,20,-300",
+                                  "1,2,dispatchable,50,300"])
+        cfg = tmp_path / "net.yaml"
+        cfg.write_text(yaml.safe_dump({"hours": 1, "inputs": paths}))
+        assert main(["dispatch", "--config", str(cfg), "--mode", mode,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "generators.csv: negative value '-300' in column capacity_mw" \
+            in capsys.readouterr().err
 
 
 class TestReadSinks:

@@ -232,8 +232,8 @@ def mixed_instance(rng, infeasible):
 class TestMixedLPsAgainstHighs:
     """Status and objective against HiGHS on LPs with every row sense and
     every kind of column bound, including infeasible and unbounded ones.
-    Infeasibility is found by phase 1 over only the rows that started on
-    an artificial."""
+    Infeasibility is found by the dual simplex of phase 1, on a violated
+    row that no column can repair."""
 
     STATUS = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
 
@@ -250,6 +250,57 @@ class TestMixedLPsAgainstHighs:
                 assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
             seen.add(sol.status)
         assert seen == {"Optimal", "Infeasible", "Unbounded"}
+
+
+class TestDualPhaseOne:
+    """Cold solves whose slack start is neither primal nor dual feasible:
+    phase 1 is the dual simplex on costs that are zero wherever a column's
+    cost prices it off its resting bound, and phase 2 restores the costs."""
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(1414)
+        kinds, seen = set(), set()
+        for k in range(80):
+            instance = mixed_instance(rng, infeasible=k % 3 == 2)
+            problem = build_problem(*instance)
+            start = _Simplex(problem)
+            cost = start._start()
+            basic = start.basis
+            xb = start.x[basic]
+            zeroed = cost != start.c
+            if not (zeroed.any() and np.any((xb < start.lb[basic] - 1e-7)
+                                            | (xb > start.ub[basic] + 1e-7))):
+                continue  # the slack start is primal or dual feasible
+            c, st = start.c[zeroed], start.status[zeroed]
+            kinds.update(kind for kind, drawn in (
+                ("lower", np.any((st == h2grid.lp._AT_LB) & (c < 0))),
+                ("upper", np.any((st == h2grid.lp._AT_UB) & (c > 0))),
+                ("free", np.any(st == h2grid.lp._FREE))) if drawn)
+            sol = solve_lp(problem)
+            ref = highs(optimize, *instance)
+            assert sol.status == TestMixedLPsAgainstHighs.STATUS[ref.status]
+            if sol.optimal:
+                assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+            assert sol.stats["phase1_iterations"] > 0
+            assert solve_lp(problem).stats == sol.stats  # counters repeat
+            seen.add(sol.status)
+        assert kinds == {"lower", "upper", "free"}
+        assert "Infeasible" in seen
+
+    def test_large_siting_root(self):
+        # the root relaxation of a 120 x 30 siting MILP by volume: 391 rows,
+        # 3,840 columns; the primal phase 1 on artificial columns this
+        # replaced took 5,472 iterations
+        optimize = pytest.importorskip("scipy.optimize")
+        lp = dataclasses.replace(random_chain(5, True, False, n_cand=120,
+                                              n_sink=30).lp, binaries=())
+        sol = solve_lp(lp)
+        ref = highs(optimize, lp.c, lp.dense_matrix(), lp.senses, lp.rhs,
+                    lp.lb, lp.ub)
+        assert sol.optimal and ref.status == 0
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        assert sol.stats["iterations"] <= 600
 
 
 class TestRefactorization:
@@ -310,19 +361,17 @@ class InverseLog(_Simplex):
     """Compares the block-form inverse with ``np.linalg.inv`` of the
     explicit basis matrix after every basis change and every append of
     held-back rows, and records which kinds of unit column the basis held:
-    ``"slack"``, ``"artificial"`` and ``"appended"`` (the slack of a row
-    ``_add_rows`` appended)."""
+    ``"slack"`` and ``"appended"`` (the slack of a row ``_add_rows``
+    appended)."""
 
     def _check(self):
         full = np.linalg.inv(self.a[:, self.basis])
         self.errors.append(float(np.abs(self._invert() - full).max()
                                  / np.abs(full).max()))
-        unit = self.basis[self.basis >= self.n_struct]
-        if np.any(unit < self.art_start):
+        rows = self.basis[self.basis >= self.n_struct] - self.n_struct
+        if np.any(rows < self.first_rows):
             self.kinds.add("slack")
-        if np.any(unit >= self.art_start):
-            self.kinds.add("artificial")
-        if np.any(self.unit_row[unit - self.n_struct] >= self.first_rows):
+        if np.any(rows >= self.first_rows):
             self.kinds.add("appended")
 
     def _replace(self, pos, enter, w, phase):
@@ -345,7 +394,7 @@ def proportional_rows():
 
 class TestBlockInverse:
     """The basis inverse inverts only the block of the structural basic
-    columns; slacks and artificials are unit columns."""
+    columns; slacks are unit columns."""
 
     def test_matches_full_inverse(self):
         rng = np.random.default_rng(1212)
@@ -357,28 +406,21 @@ class TestBlockInverse:
             simplex.errors, simplex.kinds = errors, kinds
             simplex.first_rows = problem.n_cons - lazy.size
             simplex.solve()
-        assert kinds == {"slack", "artificial", "appended"}
+        assert kinds == {"slack", "appended"}
         assert len(errors) > 500
         assert max(errors) <= 1e-12
 
     def test_singular_bases(self):
-        # x and y have proportional coefficients in rows 0 and 1; at rest
-        # row 0's residual 1 does not fit its GE slack, so it starts on an
-        # artificial
+        # x and y have proportional coefficients in rows 0 and 1
         problem = proportional_rows()
         simplex = _Simplex(problem)
         assert simplex.solve().optimal
-        n, art = simplex.n_struct, simplex.art_start
-        assert simplex.a.shape[1] == art + 1  # one artificial, row 0's
-        for basis in ([art, n, n + 2],   # two unit columns in row 0
-                      [0, 1, n + 2]):    # x and y over rows 0 and 1
-            basis = np.array(basis)
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.inv(simplex.a[:, basis])
-            with pytest.raises(InvalidProblem,
-                               match="singular basis in dual at iteration 0"):
-                simplex.resolve(problem.lb, problem.ub, basis,
-                                simplex.status)
+        basis = np.array([0, 1, simplex.n_struct + 2])  # x, y and row 2's slack
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(simplex.a[:, basis])
+        with pytest.raises(InvalidProblem,
+                           match="singular basis in dual at iteration 0"):
+            simplex.resolve(problem.lb, problem.ub, basis, simplex.status)
 
 
 def scalar_pow2_scale(v):
@@ -406,8 +448,7 @@ BOUND_PAIRS = [(-np.inf, np.inf), (-np.inf, -1.0), (-np.inf, 0.0),
 
 class TestSetupArrays:
     """The array set-up of the simplex against scalar loops: equilibration,
-    slack bounds, the slack crash start and duality gap must agree to the
-    bit."""
+    slack bounds, the slack start and duality gap must agree to the bit."""
 
     def test_matches_scalar_loops(self):
         rng = np.random.default_rng(5)
@@ -437,36 +478,31 @@ class TestSetupArrays:
             assert simplex.lb[n:].tobytes() == slack_lb.tobytes()
             assert simplex.ub[n:].tobytes() == slack_ub.tobytes()
 
+            # the slack start: every slack basic at its row's residual, the
+            # identity inverse, and phase-1 costs zeroed where the cost
+            # prefers the other bound than the resting one
             rest = [scalar_rest(lo, hi)
                     for lo, hi in zip(simplex.lb, simplex.ub)]
             x = [v for v, _ in rest]
             status = [s for _, s in rest]
             resid = simplex.b - simplex.a @ np.array(x)
-            basis, art_cols, inverse = [], [], []
+            cost = list(simplex.c)
+            for j in range(n):
+                c, lo, hi = simplex.c[j], simplex.lb[j], simplex.ub[j]
+                if lo == hi:
+                    status[j] = 1 if c < 0 else 0 if c > 0 else status[j]
+                elif ((status[j] == 0 and c < -h2grid.lp.OPT_TOL)
+                      or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
+                      or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL)):
+                    cost[j] = 0.0
             for i in range(m):
-                if slack_lb[i] <= resid[i] <= slack_ub[i]:
-                    basis.append(n + i)
-                    x[n + i], status[n + i] = resid[i], 2
-                    inverse.append(1.0)
-                else:
-                    sign = 1.0 if resid[i] >= 0 else -1.0
-                    col = np.zeros(m)
-                    col[i] = sign
-                    basis.append(n + m + len(art_cols))
-                    art_cols.append(col)
-                    x.append(abs(resid[i]))
-                    status.append(2)
-                    inverse.append(sign)
-            simplex._init_basis()
-            assert simplex.art_start == n + m
+                x[n + i], status[n + i] = resid[i], 2
+            phase1_cost = simplex._start()
+            assert phase1_cost.tobytes() == np.array(cost).tobytes()
             assert simplex.x.tobytes() == np.array(x).tobytes()
             assert np.array_equal(simplex.status, status)
-            assert np.array_equal(simplex.basis, basis)
-            assert np.array_equal(simplex.a[:, n + m:],
-                                  np.array(art_cols).reshape(-1, m).T)
-            assert np.array_equal(simplex.binv, np.diag(inverse))
-            assert np.array_equal(simplex.a[:, simplex.basis] @ simplex.binv,
-                                  np.eye(m))
+            assert np.array_equal(simplex.basis, np.arange(n, n + m))
+            assert np.array_equal(simplex.binv, np.eye(m))
 
             duals = rng.uniform(-2, 2, m)
             reduced = rng.uniform(-2, 2, n) * (rng.random(n) < 0.7)
@@ -540,27 +576,6 @@ class TestScaledMatrix:
             matrix.scaled[0, 0] = 1.0
 
 
-class ColumnLog(np.ndarray):
-    """A coefficient matrix that logs every single column read ``a[:, j]``,
-    which is how the simplex fetches its entering column."""
-
-    def __getitem__(self, key):
-        if (isinstance(key, tuple) and len(key) == 2
-                and isinstance(key[1], (int, np.integer))):
-            self.log.append(int(key[1]))
-        return super().__getitem__(key)
-
-
-class PhaseTwoLog(_Simplex):
-    """Records the entering column of every phase-2 iteration."""
-
-    def _purge_artificials(self):
-        super()._purge_artificials()
-        self.entered = []
-        self.a = self.a.view(ColumnLog)
-        self.a.log = self.entered
-
-
 class TestCrashStart:
     def test_feasible_slack_start_skips_phase_1(self):
         # at rest (x = y = 0) every slack holds its row's residual, the EQ
@@ -571,19 +586,7 @@ class TestCrashStart:
         assert sol.status == "Optimal"
         assert sol.x == pytest.approx([4.0, 4.0])
         assert sol.stats["phase1_iterations"] == 0
-        assert sol.stats["artificials"] == 0
         assert sol.stats["iterations"] > 0
-
-    def test_artificials_never_enter_in_phase_2(self):
-        rng = np.random.default_rng(64)
-        entered = 0
-        for _ in range(20):
-            simplex = PhaseTwoLog(build_problem(*random_instance(rng)))
-            simplex.solve()
-            log = getattr(simplex, "entered", [])
-            entered += len(log)
-            assert all(j < simplex.art_start for j in log)
-        assert entered > 0
 
 
 def knapsack_enumeration(values, weights, capacity):
@@ -929,7 +932,6 @@ class TestStartBasis:
                                                 start_basis=()))
             assert sol.status == cold.status
             assert sol.stats["phase1_iterations"] == 0
-            assert sol.stats["artificials"] == 0
             seen.add((sol.status, bool(problem.lazy_rows)))
             if sol.optimal:
                 assert abs(sol.objective - cold.objective) <= \
