@@ -197,7 +197,11 @@ def cmd_study(args):
     out = _out_dir(args)
     system = _build_system(cfg)
     _check_import_node(cfg, system)
-    case = StudyCase(system=system, sinks=_build_sinks(cfg, system),
+    sinks = _build_sinks(cfg, system)
+    if sum(s.hd_kg_per_day for s in sinks) <= 0:
+        raise ConfigError(f"study: no hydrogen demand to site; sinks come "
+                          f"from {', '.join(_SINK_KEYS)}")
+    case = StudyCase(system=system, sinks=sinks,
                      candidates=tuple(system.nodes), hours=cfg.hours,
                      production=cfg.production, transport=cfg.transport,
                      import_spec=cfg.imports, ngp=cfg.ngp,

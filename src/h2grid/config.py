@@ -160,6 +160,13 @@ def parse_config(data):
                               f"known: {', '.join(CARRIERS)}")
     check_ranges(cfg)
     reject_ignored(cfg)
+    # a synthetic network needs a spanning tree (a block next to a fixture
+    # is rejected above as unread)
+    syn = cfg.synthetic
+    if syn is not None and syn.n_lines < syn.n_nodes - 1:
+        raise ConfigError(f"synthetic.n_lines: expected at least "
+                          f"synthetic.n_nodes - 1 = {syn.n_nodes - 1}, "
+                          f"got {syn.n_lines}")
     return cfg
 
 
@@ -169,19 +176,30 @@ def lookup(cfg, path):
 
 
 _SHARE = (lambda v: 0 < v <= 1, "a number in (0, 1]")
+_FRACTION = (lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _POSITIVE = (lambda v: v > 0, "a positive number")
+_NONNEG = (lambda v: v >= 0, "a non-negative number")
 _PERIOD = (lambda v: v >= 1, "at least 1 year")
 # numpy's generators reject negative seeds; capacity factor, efficiency,
 # energy use and speed are divisors, and the annuity needs a period of a
-# year or more at a non-negative rate
+# year or more at a non-negative rate; demands, volumes and capacities are
+# amounts, and a synthetic network has two regions
 _RANGES = {
     "hours": (lambda v: v >= 1, "a positive integer"),
     "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "h2_demand_kg_day": _NONNEG,
+    "imports.cap_kg_per_day": _NONNEG,
+    "stations.cars_twh": _NONNEG,
+    "stations.trucks_twh": _NONNEG,
+    "synthetic.n_nodes": (lambda v: v >= 2, "an integer of at least 2"),
+    "synthetic.congestion": _FRACTION,
+    "synthetic.mean_demand_mw": _NONNEG,
+    "synthetic.renewable_share": _FRACTION,
     "cheap_share": _SHARE,
     "production.capacity_factor": _SHARE,
     "production.ee": _SHARE,
     "production.ec_kwh_per_kg": _POSITIVE,
-    "production.wacc": (lambda v: v >= 0, "a non-negative number"),
+    "production.wacc": _NONNEG,
     "production.depreciation_years": _PERIOD,
     "transport.truck_depreciation_years": _PERIOD,
     "transport.trailer_depreciation_years": _PERIOD,
@@ -190,8 +208,12 @@ _RANGES = {
 
 
 def check_ranges(cfg):
-    """Raise on the first value of ``_RANGES`` outside its range."""
+    """Raise on the first value of ``_RANGES`` outside its range; a null
+    section has nothing to check."""
     for path, (ok, expected) in _RANGES.items():
+        section = path.rpartition(".")[0]
+        if section and lookup(cfg, section) is None:
+            continue
         if not ok(lookup(cfg, path)):
             raise ConfigError(f"{path}: expected {expected}, "
                               f"got {lookup(cfg, path)!r}")

@@ -5,7 +5,10 @@ produce byte-identical files.  Readers validate headers, numbers (finite;
 capacities, reactances and profile MW not negative, line capacities and
 reactances above zero), positional indices (in range, never negative) and
 lines (two distinct ends), and raise IoError with the offending file and
-column.
+column.  The sink files are checked the same way: a consumption ``kind``,
+an industrial ``sector`` and ``basis_kind`` must be one the demand model
+knows, and sink masses, output bases, self supply and station candidate
+weights must not be negative.
 """
 
 import csv
@@ -14,7 +17,9 @@ import os
 
 import numpy as np
 
-from .demand import ConsumptionLocation, IndustrialSite
+from .demand import (BASIS_KG_PER_HOUR, BASIS_TONS_H2_PER_YEAR,
+                     BASIS_TONS_PER_YEAR, INDUSTRY, SECTORS, STATION_CARS,
+                     STATION_TRUCKS, ConsumptionLocation, IndustrialSite)
 from .errors import IoError
 from .grid import (Generator, Line, Node, PowerSystem, RENEWABLE_KINDS,
                    compute_ptdf)
@@ -70,9 +75,19 @@ def _nonneg(row, col, path, allow_zero=True):
     return value
 
 
-def _opt_num(row, col, path):
-    """An optional numeric column; absent or blank reads as 0."""
-    return _num(row, col, path) if row.get(col) else 0.0
+def _opt_num(row, col, path, read=_num):
+    """An optional numeric column, read by *read*; absent or blank reads as
+    0."""
+    return read(row, col, path) if row.get(col) else 0.0
+
+
+def _choice(row, col, path, known):
+    """A text column whose value is one of *known*."""
+    value = row[col]
+    if value not in known:
+        raise IoError(f"{path}: unknown value {value!r} in column {col}; "
+                      f"known: {', '.join(known)}")
+    return value
 
 
 def _index(row, col, path, stop=math.inf):
@@ -216,9 +231,13 @@ def read_industrial_sites(path):
     sites = []
     for r in rows:
         sites.append(IndustrialSite(
-            name=r["name"], sector=r["sector"], basis_kind=r["basis_kind"],
-            basis_value=_num(r, "basis_value", path),
-            deduction_kg_per_hour=_opt_num(r, "deduction_kg_per_hour", path),
+            name=r["name"], sector=_choice(r, "sector", path, SECTORS),
+            basis_kind=_choice(r, "basis_kind", path, (
+                BASIS_TONS_PER_YEAR, BASIS_KG_PER_HOUR,
+                BASIS_TONS_H2_PER_YEAR)),
+            basis_value=_nonneg(r, "basis_value", path),
+            deduction_kg_per_hour=_opt_num(r, "deduction_kg_per_hour", path,
+                                           _nonneg),
             x=_opt_num(r, "x", path), y=_opt_num(r, "y", path)))
     return tuple(sites)
 
@@ -226,7 +245,7 @@ def read_industrial_sites(path):
 def read_station_candidates(path):
     rows = _read_rows(path, ("id", "x", "y", "weight"))
     return [(_num(r, "id", path, int), _num(r, "x", path),
-             _num(r, "y", path), _num(r, "weight", path)) for r in rows]
+             _num(r, "y", path), _nonneg(r, "weight", path)) for r in rows]
 
 
 def read_consumption(path, n_nodes):
@@ -235,8 +254,10 @@ def read_consumption(path, n_nodes):
     out = []
     for r in rows:
         out.append(ConsumptionLocation(
-            id=_num(r, "id", path, int), kind=r["kind"],
-            hd_kg_per_day=_num(r, "kg_per_day", path),
+            id=_num(r, "id", path, int),
+            kind=_choice(r, "kind", path, (INDUSTRY, STATION_CARS,
+                                           STATION_TRUCKS)),
+            hd_kg_per_day=_nonneg(r, "kg_per_day", path),
             node=_index(r, "node", path, n_nodes),
             x=_opt_num(r, "x", path), y=_opt_num(r, "y", path)))
     return tuple(out)

@@ -8,13 +8,16 @@ tie-break and falls back to Bland's rule after a run of degenerate pivots,
 which makes every solve deterministic and finite.  The ratio test lets the
 entering bound flip win unless a row blocks it by more than 1e-11, and
 otherwise takes the lowest basic index among the rows within 1e-11 of the
-shortest step.
+shortest step.  A fixed column (``lb == ub``) never enters, in either
+simplex, so it stays at its one value whatever status it rests with.
 
-Every solve starts on a basis that is dual feasible and repairs primal
-feasibility with the bounded dual simplex ``_dual`` (Koberstein, "The dual
-simplex method, techniques for a fast and stable implementation", PhD
-thesis, 2005), then ends with the primal simplex on the true costs (phase
-2).  The dual leaves on the largest bound violation (lowest basis position
+Every solve starts on a basis that is dual feasible and ends in one round
+loop, ``_finish``: the bounded dual simplex ``_dual`` (Koberstein, "The
+dual simplex method, techniques for a fast and stable implementation", PhD
+thesis, 2005) repairs primal feasibility, then the primal simplex on the
+true costs (phase 2) confirms or restores optimality.  Both loops share one
+pivot exchange (``_replace``) and one degenerate-run rule (``_stalled``).
+The dual leaves on the largest bound violation (lowest basis position
 on ties) and enters the movable nonbasic column with the smallest
 ``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the largest
 ``|alpha_rj|`` and then the lowest index; after a run of zero-length steps
@@ -67,39 +70,37 @@ unscales such a matrix, exactly.
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
 built over the whole problem: the dense matrix and its scaling come from
-every row, while the basis covers only the active rows.  The active rows are
-solved cold; then one product of the scaled matrix with ``x`` checks every
-held-back row against its slack bounds at ``FEAS_TOL``.  ``_add_rows``
-appends the violated ones with their slacks basic, unit columns of their
-own rows, and rebuilds the basis inverse with ``_invert``, whose structural
-block the new rows leave as it was.  The new multipliers are zero, so the
-basis stays dual feasible, and ``_dual`` and phase 2 finish the round with
-no phase 1.
-Rounds repeat until no held-back row is violated; iterations are summed
-over them, and the iteration limit counts them all.  Rows never added get a
-zero dual.  If the active rows are unbounded, every row is activated and
-the problem is solved again cold; a round whose dual simplex finds a
-violated row no column can repair proves the problem infeasible.
+every row, while the basis covers only the active rows.  The active rows
+are solved cold; then one product of the scaled matrix with ``x`` checks
+every held-back row against its slack bounds at ``FEAS_TOL``.
+``_add_rows`` appends the violated ones with their slacks basic, unit
+columns of their own rows, and rebuilds the basis inverse with ``_invert``,
+whose structural block the new rows leave as it was.  The new multipliers
+are zero, so the basis stays dual feasible, and the next round of
+``_finish`` runs ``_dual`` and phase 2 on the true costs.  Rounds repeat
+until no held-back row is violated; iterations are summed over them, and
+the iteration limit counts them all.  Rows never added get a zero dual.  If
+the active rows are unbounded, every row is activated and the problem is
+solved again cold; a round whose dual simplex finds a violated row no
+column can repair proves the problem infeasible.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
-most fractional binary, with a best-bound re-sort of the open stack every 64
-nodes.  One ``_Simplex`` serves a whole tree and solves the root relaxation
-once.  A child differs from its parent only in the bounds of the binaries it
-fixes, so the parent's optimal basis stays dual feasible:
+most fractional binary, with a best-bound re-sort of the open stack every
+64 nodes.  One ``_Simplex`` serves a whole tree and solves the root
+relaxation once.  A child differs from its parent only in the bounds of the
+binaries it fixes, so the parent's optimal basis stays dual feasible:
 ``_Simplex.resolve`` inverts that basis, puts every nonbasic column at its
-new bound and runs ``_dual`` until the basis is primal feasible, then ends
-through the same phase 2 and unscaling as a cold solve, or proves the child
-infeasible.  An open node keeps only its
-parent's basis and bound statuses, so a tree's state comes from that tree
-alone.  The child popped right after its parent, the next step of a dive,
-finds that basis still live and keeps the live inverse and its count of
-updates; every other child refactors.  The result's ``stats`` report
-``nodes``, ``lp_solves``, ``iterations`` and ``dual_iterations`` summed over
-the node LPs, and ``max_duality_gap``, the worst
-``|gap| / max(1, |objective|)`` among them.
+new bound and ends through ``_finish`` on the true costs, as a cold solve
+does.  An open node keeps only its parent's basis and bound statuses, so a
+tree's state comes from that tree alone.  The child popped right after its
+parent, the next step of a dive, finds that basis still live and keeps the
+live inverse and its count of updates; every other child refactors.  The
+result's ``stats`` report ``nodes``, ``lp_solves``, ``iterations`` and
+``dual_iterations`` summed over the node LPs, and ``max_duality_gap``, the
+worst ``|gap| / max(1, |objective|)`` among them.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -319,36 +320,45 @@ class _Simplex:
         lazy = np.zeros(m, dtype=bool)
         lazy[list(problem.lazy_rows)] = True
         self.held = np.flatnonzero(lazy)
+        # the structural bounds and costs, scaled; only resolve changes them
+        self.lb = problem.lb / self.col_scale
+        self.ub = problem.ub / self.col_scale
+        self.c = problem.c * self.col_scale
         self._set_rows(np.flatnonzero(~lazy))
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
         self.rounds = 1
 
     def _set_rows(self, rows):
-        """Make *rows* the active rows, with no basis yet."""
+        """Make *rows* the active rows, their slacks after the structural
+        columns in the same order; the structural bounds and costs stay."""
         m, n = rows.size, self.n_struct
-        p = self.problem
         self.rows, self.m = rows, m
         self.a = np.hstack([self.a_all[rows], np.eye(m)])
-        self.lb = np.concatenate([p.lb / self.col_scale, self.slack_lb[rows]])
-        self.ub = np.concatenate([p.ub / self.col_scale, self.slack_ub[rows]])
-        self.c = np.concatenate([p.c * self.col_scale, np.zeros(m)])
+        self.lb = np.concatenate([self.lb[:n], self.slack_lb[rows]])
+        self.ub = np.concatenate([self.ub[:n], self.slack_ub[rows]])
+        self.c = np.concatenate([self.c[:n], np.zeros(m)])
         self.b = self.b_all[rows]
 
     # -- state helpers ------------------------------------------------------
 
     def _rest(self):
-        """The status and value of every column resting at a bound (free
-        ones at zero)."""
+        """The status of every column resting at a bound, or free."""
         lo, hi = self.lb, self.ub
         lo_fin = np.isfinite(lo)
         # the upper bound wins when it is the only finite one, or when it
         # is <= 0 and the lower bound is < 0
         at_ub = np.isfinite(hi) & (~lo_fin | ((hi <= 0) & (lo < 0)))
         at_lb = lo_fin & ~at_ub
-        status = np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
-        x = np.where(at_lb, lo, np.where(at_ub, hi, 0.0))  # free rests at 0
-        return status, x
+        return np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
+
+    def _place(self):
+        """Put every nonbasic column at the bound its status names (free
+        ones at zero) and solve the active rows for the basic ones."""
+        st = self.status
+        self.x = np.where(st == _AT_LB, self.lb,
+                          np.where(st == _AT_UB, self.ub, 0.0))
+        self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
 
     def _start(self):
         """Put every active row on its slack, or on the column
@@ -357,10 +367,9 @@ class _Simplex:
 
         A named start must be nonsingular and dual feasible at ``OPT_TOL``;
         a cold start is the identity basis, and phase 1 gives cost 0 to
-        every movable column that is not dual feasible at rest.  A nonbasic
-        fixed column rests at the bound its reduced cost prefers.
+        every movable column that is not dual feasible at rest.
         """
-        status, x = self._rest()
+        self.status = self._rest()
         named = self.problem.start_basis
         self.basis = np.arange(self.n_struct, self.a.shape[1])
         if named:
@@ -374,24 +383,17 @@ class _Simplex:
         else:
             self.binv = np.eye(self.m)
         self.updates = 0
-        status[self.basis] = _BASIC
-        x[self.basis] = 0.0
-        x[self.basis] = self.binv @ (self.b - self.a @ x)
+        self.status[self.basis] = _BASIC
+        self._place()
 
         d = self.c - self.a.T @ (self.c[self.basis] @ self.binv)
-        movable = self.lb < self.ub
-        wrong = movable & _improving(status, d)
-        cost = self.c
-        if wrong.any():
-            if named:
-                raise InvalidProblem(f"start basis is not dual feasible at "
-                                     f"column {int(wrong.argmax())}")
-            cost = np.where(wrong, 0.0, self.c)
-        fixed = ~movable & (status != _BASIC)
-        status[fixed & (d < 0)] = _AT_UB
-        status[fixed & (d > 0)] = _AT_LB
-        self.status, self.x = status, x
-        return cost
+        wrong = (self.lb < self.ub) & _improving(self.status, d)
+        if not wrong.any():
+            return self.c
+        if named:
+            raise InvalidProblem(f"start basis is not dual feasible at "
+                                 f"column {int(wrong.argmax())}")
+        return np.where(wrong, 0.0, self.c)
 
     def _invert(self):
         """The inverse of the basis matrix, in block form.
@@ -428,8 +430,16 @@ class _Simplex:
         self.updates = 0
         self.refactorizations += 1
 
-    def _replace(self, pos, enter, w, phase):
-        """Make *enter* basic in row *pos*; ``w`` is ``binv @ a[:, enter]``."""
+    def _replace(self, pos, enter, w, step, hit, phase):
+        """Move *enter* by *step* and the basic columns with it (``w`` is
+        ``binv @ a[:, enter]``), rest the column basic in row *pos* at the
+        bound *hit* names and make *enter* basic in that row."""
+        self.x[enter] += step
+        self.x[self.basis] -= step * w
+        out = self.basis[pos]
+        self.status[out] = hit
+        self.x[out] = self.ub[out] if hit == _AT_UB else self.lb[out]
+        self.status[enter] = _BASIC
         self.basis[pos] = enter
         row = self.binv[pos] / w[pos]
         self.binv -= np.outer(w, row)
@@ -440,15 +450,23 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
+    def _stalled(self, step):
+        """Count a pivot of length *step*: after ``_DEGENERATE_LIMIT``
+        zero-length pivots in a row, Bland's rule holds until the loop
+        ends."""
+        self.degenerate_run = self.degenerate_run + 1 if step < 1e-11 else 0
+        self.bland |= self.degenerate_run >= _DEGENERATE_LIMIT
+
     def _count_iteration(self):
         self.iterations += 1
         if self.iterations > 2000 + 200 * (self.m + self.a.shape[1]):
             raise InvalidProblem("simplex iteration limit exceeded")
 
     def _optimize(self, cost, phase):
-        """Run primal simplex for the given cost vector; returns status."""
-        degenerate_run = 0
-        bland = False
+        """Run primal simplex for the given cost vector; returns status.
+        A fixed column never enters."""
+        movable = self.lb < self.ub
+        self.degenerate_run, self.bland = 0, False
         while True:
             self._count_iteration()
 
@@ -457,10 +475,10 @@ class _Simplex:
 
             # entering variable: Dantzig's largest |d| with the lowest index
             # on ties, or Bland's lowest eligible index
-            eligible = _improving(self.status, d)
+            eligible = movable & _improving(self.status, d)
             if not eligible.any():
                 return "Optimal"
-            if bland:
+            if self.bland:
                 enter = int(eligible.argmax())
             else:
                 enter = int(np.where(eligible, np.abs(d), 0.0).argmax())
@@ -492,30 +510,18 @@ class _Simplex:
 
             if not np.isfinite(t):
                 return "Unbounded"
+            self._stalled(t)
 
-            if t < 1e-11:
-                degenerate_run += 1
-                if degenerate_run >= _DEGENERATE_LIMIT:
-                    bland = True
-            else:
-                degenerate_run = 0
-
-            # apply the step
-            self.x[enter] += enter_dir * t
+            if leave_pos >= 0:
+                self._replace(leave_pos, enter, w, enter_dir * t, leave_hit,
+                              phase)
+                continue
+            # entering flipped from one of its bounds to the other
             self.x[self.basis] -= enter_dir * t * w
+            self.status[enter] = _AT_UB if enter_dir > 0 else _AT_LB
+            self.x[enter] = self.ub[enter] if enter_dir > 0 else self.lb[enter]
 
-            if leave_pos < 0:
-                # entering flipped from one of its bounds to the other
-                self.status[enter] = _AT_UB if enter_dir > 0 else _AT_LB
-                self.x[enter] = self.ub[enter] if enter_dir > 0 else self.lb[enter]
-            else:
-                out = self.basis[leave_pos]
-                self.status[out] = leave_hit
-                self.x[out] = self.ub[out] if leave_hit == _AT_UB else self.lb[out]
-                self.status[enter] = _BASIC
-                self._replace(leave_pos, enter, w, phase)
-
-    def _dual(self, cost, phase="dual"):
+    def _dual(self, cost, phase):
         """Run a bounded dual simplex for the given cost vector from a dual
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
@@ -523,8 +529,7 @@ class _Simplex:
         movable = self.lb < self.ub
         y = cost[self.basis] @ self.binv
         d = cost - self.a.T @ y  # updated per pivot
-        degenerate_run = 0
-        bland = False
+        self.degenerate_run, self.bland = 0, False
         while True:
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
@@ -540,7 +545,7 @@ class _Simplex:
 
             # leaving row: the largest violation with the lowest position on
             # ties, or the lowest basic index
-            if bland:
+            if self.bland:
                 rows = np.flatnonzero(bad)
                 r = int(rows[self.basis[rows].argmin()])
             else:
@@ -562,37 +567,19 @@ class _Simplex:
             ratio = np.abs(d[cols]) / size
             step = ratio.min()
             near = ratio <= step + 1e-11
-            if bland:
+            if self.bland:
                 enter = int(cols[near][0])
             else:
                 enter = int(cols[near][size[near].argmax()])
-
-            if step < 1e-11:
-                degenerate_run += 1
-                if degenerate_run >= _DEGENERATE_LIMIT:
-                    bland = True
-            else:
-                degenerate_run = 0
-
-            # update the reduced costs; a fixed column never enters, so rest
-            # it at the bound its new reduced cost prefers and phase 2 has
-            # nothing to flip
+            self._stalled(step)
             d -= d[enter] / alpha[enter] * alpha
-            fixed = ~movable & (st != _BASIC)
-            st[fixed & (d < 0)] = _AT_UB
-            st[fixed & (d > 0)] = _AT_LB
 
             # move the entering column until x_B[r] sits at its bound
             w = self.binv @ self.a[:, enter]
             out = self.basis[r]
             bound = self.lb[out] if rising else self.ub[out]
-            t = (xb[r] - bound) / w[r]
-            self.x[enter] += t
-            self.x[self.basis] -= t * w
-            self.status[out] = _AT_LB if rising else _AT_UB
-            self.x[out] = bound
-            self.status[enter] = _BASIC
-            self._replace(r, enter, w, phase)
+            self._replace(r, enter, w, (xb[r] - bound) / w[r],
+                          _AT_LB if rising else _AT_UB, phase)
 
     # -- driver --------------------------------------------------------------
 
@@ -605,10 +592,8 @@ class _Simplex:
 
     def solve(self):
         cost = self._start()
-        phase = "dual" if self.problem.start_basis else "phase 1"
-        if self._dual(cost, phase) == "Infeasible":
-            return Solution(status="Infeasible", stats=self._stats())
-        return self._phase2()
+        return self._finish(cost, "dual" if self.problem.start_basis
+                            else "phase 1")
 
     def resolve(self, lb, ub, basis, status):
         """Re-solve for new structural bounds *lb*, *ub* from an optimal
@@ -616,9 +601,9 @@ class _Simplex:
 
         That basis stays dual feasible when only bounds change, so the
         nonbasic columns are put at their new bounds and a bounded dual
-        simplex repairs primal feasibility; phase 2 then checks optimality.
-        A basis equal to the live one keeps the live inverse and its count
-        of updates; any other is refactored.
+        simplex repairs primal feasibility (``_finish``).  A basis equal to
+        the live one keeps the live inverse and its count of updates; any
+        other is refactored.
         """
         n = self.n_struct
         self.lb[:n] = lb / self.col_scale
@@ -631,14 +616,8 @@ class _Simplex:
         self.rounds = 1
         if not live:
             self._refactor("dual")
-
-        st = self.status
-        self.x = np.where(st == _AT_LB, self.lb,
-                          np.where(st == _AT_UB, self.ub, 0.0))
-        self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
-        if self._dual(self.c) == "Infeasible":
-            return Solution(status="Infeasible", stats=self._stats())
-        return self._phase2()
+        self._place()
+        return self._finish(self.c, "dual")
 
     def _violated(self):
         """The held-back rows whose slack bounds the current x breaks."""
@@ -657,37 +636,27 @@ class _Simplex:
         multipliers of the new rows are zero, so the reduced costs, and with
         them dual feasibility, stay.
         """
-        k, m, n, ncols = new.size, self.m, self.n_struct, self.a.shape[1]
-        a_new = self.a_all[new]
-        a = np.zeros((m + k, ncols + k))
-        a[:m, :ncols] = self.a
-        a[m:, :n] = a_new
-        a[m:, ncols:] = np.eye(k)
-
-        slack = self.b_all[new] - a_new @ self.x[:n]
-        self.lb = np.concatenate([self.lb, self.slack_lb[new]])
-        self.ub = np.concatenate([self.ub, self.slack_ub[new]])
-        self.c = np.concatenate([self.c, np.zeros(k)])
+        k, ncols = new.size, self.a.shape[1]
+        slack = self.b_all[new] - self.a_all[new] @ self.x[: self.n_struct]
+        self._set_rows(np.concatenate([self.rows, new]))
         self.x = np.concatenate([self.x, slack])
         self.status = np.concatenate([self.status, np.full(k, _BASIC)])
         self.basis = np.concatenate([self.basis, ncols + np.arange(k)])
-
-        self.a = a
-        self.b = np.concatenate([self.b, self.b_all[new]])
-        self.rows = np.concatenate([self.rows, new])
         self.held = np.delete(self.held, np.searchsorted(self.held, new))
-        self.m += k
         self.rounds += 1
         self.binv = self._invert()
         self.updates = 0
 
-    def _phase2(self):
-        """Optimize over the active rows, then add the held-back rows the
-        optimum violates and repair the basis with the dual simplex, until
-        none is violated."""
+    def _finish(self, cost, phase):
+        """The rounds of a solve from a dual feasible basis for *cost*: the
+        dual simplex on *cost* makes the basis primal feasible, the primal
+        simplex on the true costs makes it optimal over the active rows, and
+        the held-back rows that optimum violates are added for the next
+        round, which starts on the true costs; the last round adds none."""
         while True:
-            status = self._optimize(self.c, "phase 2")
-            if status == "Unbounded":
+            if self._dual(cost, phase) == "Infeasible":
+                return Solution(status="Infeasible", stats=self._stats())
+            if self._optimize(self.c, "phase 2") == "Unbounded":
                 if not self.held.size:
                     return Solution(status="Unbounded", stats=self._stats())
                 # the basis is not dual feasible: start over on every row
@@ -699,8 +668,7 @@ class _Simplex:
             if not new.size:
                 break
             self._add_rows(new)
-            if self._dual(self.c) == "Infeasible":
-                return Solution(status="Infeasible", stats=self._stats())
+            cost, phase = self.c, "dual"
 
         # unscale primal, duals and reduced costs; rows never added price 0
         x = self.x[: self.n_struct] * self.col_scale
@@ -759,9 +727,8 @@ def solve_milp(problem, node_limit=100000):
         raise InvalidProblem("solve_milp given a problem with a start basis")
     if not problem.binaries:
         return solve_lp(problem)
-    relaxation = replace(problem, binaries=())
     binaries = list(problem.binaries)
-    simplex = _Simplex(relaxation)
+    simplex = _Simplex(problem)
     stats = {"nodes": 0, "lp_solves": 0, "iterations": 0,
              "dual_iterations": 0, "max_duality_gap": 0.0}
 
@@ -803,8 +770,8 @@ def solve_milp(problem, node_limit=100000):
         if parent is None:
             sol = root
         else:
-            lb = relaxation.lb.copy()
-            ub = relaxation.ub.copy()
+            lb = problem.lb.copy()
+            ub = problem.ub.copy()
             for var, val in fixes:
                 lb[var] = ub[var] = float(val)
             sol = record(simplex.resolve(lb, ub, *parent))

@@ -353,6 +353,25 @@ class TestExitCodes:
          "cheap_share: expected a number in (0, 1], got -0.5"),
         ({"cheap_share": 0.0},
          "cheap_share: expected a number in (0, 1], got 0.0"),
+        ({"h2_demand_kg_day": -100},
+         "h2_demand_kg_day: expected a non-negative number, got -100"),
+        ({"imports": {"node": 0, "cap_kg_per_day": -5}},
+         "imports.cap_kg_per_day: expected a non-negative number, got -5"),
+        ({"stations": {"cars_twh": -1}},
+         "stations.cars_twh: expected a non-negative number, got -1"),
+        ({"stations": {"trucks_twh": -0.5}},
+         "stations.trucks_twh: expected a non-negative number, got -0.5"),
+        ({"synthetic": {"n_nodes": 1}},
+         "synthetic.n_nodes: expected an integer of at least 2, got 1"),
+        ({"fixture": None, "synthetic": {"n_nodes": 10, "n_lines": 8}},
+         "synthetic.n_lines: expected at least synthetic.n_nodes - 1 = 9, "
+         "got 8"),
+        ({"synthetic": {"mean_demand_mw": -10}},
+         "synthetic.mean_demand_mw: expected a non-negative number, got -10"),
+        ({"synthetic": {"congestion": 1.5}},
+         "synthetic.congestion: expected a number in [0, 1], got 1.5"),
+        ({"synthetic": {"renewable_share": -1}},
+         "synthetic.renewable_share: expected a number in [0, 1], got -1"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, data, message):
         # a value of the wrong type or out of its range never reaches the
@@ -387,6 +406,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert ("error: imports.node: 99 is not a node of the network"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("data", [
+        {"fixture": "congested10", "h2_demand_kg_day": 0},
+        {"synthetic": {"n_nodes": 6, "n_lines": 7}},
+    ])
+    def test_study_without_hydrogen_demand_is_2(self, tmp_path, capsys,
+                                                data):
+        # caught before the two baseline dispatch years, not after them
+        cfg = write_yaml(tmp_path / "zero.yaml", {"hours": 4, **data})
+        assert main(["study", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: study: no hydrogen demand to site" in err
+        assert "h2_demand_kg_day, inputs.consumption" in err
+        assert not os.listdir(tmp_path / "o")
 
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,

@@ -17,11 +17,15 @@ st = hypothesis.strategies
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 SHARES = st.floats(0.0, 1.0, exclude_min=True)
+FRACTIONS = st.floats(0.0, 1.0)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
-# the values check_ranges accepts, for the section floats it checks
+NONNEG = st.floats(0.0, allow_infinity=False)
+# the values check_ranges accepts, for the section values it checks
 RANGED = {"capacity_factor": SHARES, "ee": SHARES, "ec_kwh_per_kg": POSITIVE,
-          "speed_km_per_hour": POSITIVE,
-          "wacc": st.floats(0.0, allow_infinity=False)}
+          "speed_km_per_hour": POSITIVE, "wacc": NONNEG,
+          "cap_kg_per_day": NONNEG, "cars_twh": NONNEG, "trucks_twh": NONNEG,
+          "n_nodes": st.integers(2, 10**6), "congestion": FRACTIONS,
+          "mean_demand_mw": NONNEG, "renewable_share": FRACTIONS}
 
 
 def section(cls):
@@ -52,7 +56,7 @@ def configs(draw):
         "hours": st.integers(1, 8760),
         "seed": st.integers(0, 2**32 - 1),
         "fixture": st.sampled_from([None, "congested10"]),
-        "h2_demand_kg_day": FLOATS,
+        "h2_demand_kg_day": NONNEG,
         "ngp": FLOATS,
         "cheap_share": SHARES,
         "production": section(ProductionParams),
@@ -64,7 +68,12 @@ def configs(draw):
             "carrier": st.sampled_from(CARRIERS)}), min_size=1, max_size=4),
     }))
     if data.get("fixture") is None:
-        data["synthetic"] = draw(st.none() | section(SynthConfig))
+        data["synthetic"] = synthetic = draw(st.none() | section(SynthConfig))
+        if synthetic is not None:
+            # enough lines for a spanning tree
+            tree = synthetic.get("n_nodes", SynthConfig.n_nodes) - 1
+            if synthetic.get("n_lines", SynthConfig.n_lines) < tree:
+                synthetic["n_lines"] = tree
     # network and sink inputs in a combination the run reads in full
     inputs = draw(section(InputPaths))
     if data.get("fixture") is not None or data.get("synthetic") is not None:

@@ -512,11 +512,16 @@ class TestBenchmarkCountingRules:
         run_year(system, 4, MODE_NODAL)
         assert len(solutions) == 4 and uniform_calls == []
         assert max(s.stats["rounds"] for s in solutions) == 2
+        nodal = solutions[:]
         del solutions[:]
         run_year(system, 4, MODE_UNIFORM_REDISPATCH)
         assert uniform_calls == [0, 1, 2, 3]
         assert len(solutions) == congested
         assert max(s.stats["rounds"] for s in solutions) == 2
+        # one primal pricing pass per round, and no primal pivot
+        for s in nodal + solutions:
+            assert s.stats["iterations"] == (s.stats["dual_iterations"]
+                                             + s.stats["rounds"])
 
 
 class TestMeritOrderStart:
@@ -551,5 +556,8 @@ class TestMeritOrderStart:
             assert congested
             for stats in nodal + congested:
                 assert stats["phase1_iterations"] == 0
+                # one primal pricing pass per round, and no primal pivot
+                assert stats["iterations"] == (stats["dual_iterations"]
+                                               + stats["rounds"])
             assert (np.mean([stats["iterations"] for stats in nodal])
                     < self.MAX_MEAN_NODAL_ITERATIONS)

@@ -9,7 +9,7 @@ import yaml
 from h2grid.cli import main
 from h2grid.errors import IoError
 from h2grid.io import (read_consumption, read_demand, read_industrial_sites,
-                       read_profile, read_system)
+                       read_profile, read_station_candidates, read_system)
 
 
 def write_rows(path, header, rows):
@@ -172,6 +172,8 @@ class TestReadSinks:
         ("1,industry,2,300,inf,0", "x"),
         ("1,industry,-1,300,0,0", "node"),
         ("1,industry,3,300,0,0", "node"),
+        ("1,industy,2,300,0,0", "kind"),
+        ("1,industry,2,-300,0,0", "kg_per_day"),
     ])
     def test_bad_consumption_row(self, tmp_path, row, column):
         with pytest.raises(IoError,
@@ -182,7 +184,22 @@ class TestReadSinks:
         ("b,steel,tons_per_year,10,0,abc,0", "x"),
         ("b,steel,tons_per_year,10,0,0,-inf", "y"),
         ("b,steel,tons_per_year,10,nan,0,0", "deduction_kg_per_hour"),
+        ("b,stel,tons_per_year,10,0,0,0", "sector"),
+        ("b,steel,tons,10,0,0,0", "basis_kind"),
+        ("b,steel,tons_per_year,-10,0,0,0", "basis_value"),
+        ("b,steel,tons_per_year,10,-1,0,0", "deduction_kg_per_hour"),
     ])
     def test_bad_site_row(self, tmp_path, row, column):
         with pytest.raises(IoError, match=rf"sites\.csv: .* column {column}"):
             self.sites(tmp_path, row)
+
+    @pytest.mark.parametrize("row, column", [
+        ("1,abc,0,1", "x"),
+        ("1,0,0,-1", "weight"),
+    ])
+    def test_bad_station_row(self, tmp_path, row, column):
+        path = write_rows(tmp_path / "stations.csv", "id,x,y,weight",
+                          ["0,1,2,3", row])
+        with pytest.raises(IoError,
+                           match=rf"stations\.csv: .* column {column}"):
+            read_station_candidates(path)

@@ -18,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NONNEG = st.floats(0.0, allow_infinity=False)
 
 
 @st.composite
@@ -36,7 +37,7 @@ def sinks(n_nodes):
     return st.lists(st.builds(
         ConsumptionLocation, id=st.integers(0, 10**6),
         kind=st.sampled_from([INDUSTRY, STATION_CARS, STATION_TRUCKS]),
-        hd_kg_per_day=FLOATS, node=st.integers(0, n_nodes - 1), x=FLOATS,
+        hd_kg_per_day=NONNEG, node=st.integers(0, n_nodes - 1), x=FLOATS,
         y=FLOATS), max_size=8)
 
 

@@ -374,8 +374,8 @@ class InverseLog(_Simplex):
         if np.any(rows >= self.first_rows):
             self.kinds.add("appended")
 
-    def _replace(self, pos, enter, w, phase):
-        super()._replace(pos, enter, w, phase)
+    def _replace(self, *args):
+        super()._replace(*args)
         self._check()
 
     def _add_rows(self, new):
@@ -489,11 +489,10 @@ class TestSetupArrays:
             cost = list(simplex.c)
             for j in range(n):
                 c, lo, hi = simplex.c[j], simplex.lb[j], simplex.ub[j]
-                if lo == hi:
-                    status[j] = 1 if c < 0 else 0 if c > 0 else status[j]
-                elif ((status[j] == 0 and c < -h2grid.lp.OPT_TOL)
-                      or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
-                      or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL)):
+                if lo < hi and (
+                        (status[j] == 0 and c < -h2grid.lp.OPT_TOL)
+                        or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
+                        or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL)):
                     cost[j] = 0.0
             for i in range(m):
                 x[n + i], status[n + i] = resid[i], 2
