@@ -83,6 +83,8 @@ def _load(args):
 
 
 def _out_dir(args):
+    """Create ``--out`` once the run has something to write, so that a
+    run that fails leaves no directory behind."""
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -137,8 +139,8 @@ def _build_sinks(cfg, system):
 
 def cmd_synth(args):
     cfg = _load(args)
-    out = _out_dir(args)
     system = _build_system(cfg)
+    out = _out_dir(args)
     iomod.write_system(out, system)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     print(f"wrote {system.n_nodes} nodes, {len(system.lines)} lines, "
@@ -148,10 +150,10 @@ def cmd_synth(args):
 
 def cmd_dispatch(args):
     cfg = _load(args)
-    out = _out_dir(args)
     system = _build_system(cfg)
     mode = MODE_NODAL if args.mode == "nodal" else MODE_UNIFORM_REDISPATCH
     summary = run_year(system, cfg.hours, mode)
+    out = _out_dir(args)
     iomod.write_dispatch_outputs(out, summary)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     print(f"{mode}: {cfg.hours} hours, congestion cost "
@@ -161,9 +163,9 @@ def cmd_dispatch(args):
 
 def cmd_demand(args):
     cfg = _load(args)
-    out = _out_dir(args)
     system = _build_system(cfg)
     sinks = _build_sinks(cfg, system)
+    out = _out_dir(args)
     iomod.write_consumption(os.path.join(out, "consumption.csv"), sinks)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     total = sum(s.hd_kg_per_day for s in sinks)
@@ -173,7 +175,6 @@ def cmd_demand(args):
 
 def cmd_chain(args):
     cfg = _load(args)
-    out = _out_dir(args)
     system = _build_system(cfg)
     _check_import_node(cfg, system)
     sinks = _build_sinks(cfg, system)
@@ -185,6 +186,7 @@ def cmd_chain(args):
         sinks, system.nodes, tariffs, CARRIER_DEFAULTS[scenario.carrier],
         cfg.production, cfg.transport, cfg.imports)
     design = solve_chain(problem)
+    out = _out_dir(args)
     iomod.write_chain_outputs(out, design)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     print(f"carrier {scenario.carrier}: {design.annual_kg:.6g} kg/year at "
@@ -194,7 +196,6 @@ def cmd_chain(args):
 
 def cmd_study(args):
     cfg = _load(args)
-    out = _out_dir(args)
     system = _build_system(cfg)
     _check_import_node(cfg, system)
     sinks = _build_sinks(cfg, system)
@@ -207,6 +208,7 @@ def cmd_study(args):
                      import_spec=cfg.imports, ngp=cfg.ngp,
                      cheap_share=cfg.cheap_share)
     report = run_full_study(case, cfg.scenarios)
+    out = _out_dir(args)
     iomod.write_report(out, report)
     cfgmod.dump_config(cfg, os.path.join(out, "effective_config.yaml"))
     for row in report.rows():

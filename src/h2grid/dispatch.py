@@ -10,8 +10,9 @@ Three per-hour models share one immutable PowerSystem:
 
 Redispatch and nodal dispatch solve one PTDF-form LP over generator changes
 around the hour's merit-order dispatch (``_network_lp``): redispatch reports
-its objective, and nodal dispatch the generation ``merit + x`` and its cost,
-so uniform cost + redispatch cost = nodal cost holds by construction.  Few
+its objective, and nodal dispatch the generation ``merit + x``, its cost and
+the same objective as the hour's redispatch cost, so uniform cost +
+redispatch cost = nodal cost holds by construction.  Few
 corridors bind in an hour, so the LP starts from the balance row and the
 corridor directions that the merit-order dispatch overloads; the other
 corridor rows are lazy rows, which the solver adds once an optimum violates
@@ -57,6 +58,9 @@ class HourDispatch:
     nodal_prices: np.ndarray         # per node (None for uniform runs)
     served_mw: float
     cost_eur: float
+    # the network LP's objective, the cost of moving from the merit-order
+    # dispatch to generation_mw (None for uniform runs)
+    redispatch_cost_eur: float = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class AnnualDispatchSummary:
     mean_price: float
     mean_nodal_prices: np.ndarray            # per node or None
     congestion_cost_eur: float
-    redispatch_cost_series: np.ndarray       # per hour (zeros for nodal mode)
+    redispatch_cost_series: np.ndarray       # per hour, both modes
     total_energy_mwh: float
     generation_mwh: np.ndarray               # per generator
 
@@ -99,15 +103,16 @@ class DispatchTables:
         for j, g in enumerate(gens):
             self.capacity[:, j] = (g.capacity_mw if g.profile is None
                                    else g.profile[:system.horizon])
-        for arr in (self.costs, self.nodes, self.order, self.capacity):
-            arr.flags.writeable = False
 
         sens = system.ptdf.entries[:, self.nodes]
         a = np.empty((1 + 2 * sens.shape[0], len(gens)))
         a[0] = 1.0
         a[1::2] = sens
         a[2::2] = sens
-        self.senses = (EQ,) + (LE, GE) * sens.shape[0]
+        self.senses = np.array((EQ,) + (LE, GE) * sens.shape[0])
+        for arr in (self.costs, self.nodes, self.order, self.capacity,
+                    self.senses):
+            arr.flags.writeable = False
         # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
         self.block = scale_matrix(a + 0.0)
 
@@ -249,7 +254,8 @@ def nodal_dispatch(system, hour):
                                                      + sol.duals[2::2])
     return HourDispatch(hour=hour, generation_mw=generation, price=None,
                         nodal_prices=prices, served_mw=float(demand.sum()),
-                        cost_eur=float(costs @ generation))
+                        cost_eur=float(costs @ generation),
+                        redispatch_cost_eur=float(sol.objective))
 
 
 MODE_UNIFORM_REDISPATCH = "uniform+redispatch"
@@ -281,6 +287,7 @@ def run_year(system, hours, mode):
         for t in range(hours):
             result = nodal_dispatch(system, t)
             nodal_series[t] = result.nodal_prices
+            redispatch_series[t] = result.redispatch_cost_eur
             generation += result.generation_mw
             total_energy += result.served_mw
     else:

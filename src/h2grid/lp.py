@@ -174,6 +174,11 @@ class LinearProblem:
     violates them.  ``start_basis`` lists ``(row, column)`` pairs: the LP
     solver starts each column basic in its row and solves with the dual
     simplex (see the module docstring).
+
+    ``senses`` is kept as an array of ``str`` (``LE``, ``EQ`` or ``GE``
+    per row) and ``lazy_rows`` as a sorted int array, so that validating a
+    problem and deriving its slack bounds take a fixed number of array
+    operations however many rows it has.
     """
 
     c: np.ndarray
@@ -182,10 +187,10 @@ class LinearProblem:
     a_rows: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    senses: tuple
+    senses: np.ndarray
     rhs: np.ndarray
     binaries: tuple = ()
-    lazy_rows: tuple = ()
+    lazy_rows: np.ndarray = ()
     start_basis: tuple = ()
     matrix: ScaledMatrix = None
 
@@ -197,10 +202,11 @@ class LinearProblem:
         object.__setattr__(self, "a_cols", np.asarray(self.a_cols, dtype=int))
         object.__setattr__(self, "a_vals", np.asarray(self.a_vals, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
-        object.__setattr__(self, "senses", tuple(self.senses))
+        # unsized, so that a longer string is kept whole and rejected
+        object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
         object.__setattr__(self, "binaries", tuple(sorted(self.binaries)))
-        object.__setattr__(self, "lazy_rows", tuple(np.sort(np.asarray(
-            self.lazy_rows, dtype=int)).tolist()))
+        object.__setattr__(self, "lazy_rows", np.sort(np.asarray(
+            self.lazy_rows, dtype=int)))
         object.__setattr__(self, "start_basis", tuple(sorted(
             (int(i), int(j)) for i, j in self.start_basis)))
         self._validate()
@@ -217,11 +223,13 @@ class LinearProblem:
         n, m = self.n_vars, self.n_cons
         if self.lb.size != n or self.ub.size != n:
             raise InvalidProblem("bound vectors do not match cost vector length")
-        if len(self.senses) != m:
+        senses = self.senses
+        if senses.shape != (m,):
             raise InvalidProblem("senses do not match rhs length")
-        for s in self.senses:
-            if s not in (LE, EQ, GE):
-                raise InvalidProblem(f"unknown constraint sense {s!r}")
+        unknown = (senses != LE) & (senses != EQ) & (senses != GE)
+        if unknown.any():
+            raise InvalidProblem(f"unknown constraint sense "
+                                 f"{str(senses[unknown.argmax()])!r}")
         if not (self.a_rows.size == self.a_cols.size == self.a_vals.size):
             raise InvalidProblem("triplet arrays have inconsistent lengths")
         if self.matrix is not None:
@@ -236,11 +244,11 @@ class LinearProblem:
         if self.a_cols.size and (self.a_cols.min() < 0 or self.a_cols.max() >= n):
             raise InvalidProblem("triplet column index out of range")
         for arr in (self.c, self.rhs, self.a_vals):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidProblem("NaN or infinity in problem data")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
             raise InvalidProblem("NaN in variable bounds")
-        if np.any(self.lb > self.ub + 1e-12):
+        if (self.lb > self.ub + 1e-12).any():
             raise InvalidProblem("lower bound exceeds upper bound")
         for j in self.binaries:
             if j < 0 or j >= n:
@@ -248,9 +256,9 @@ class LinearProblem:
             if self.lb[j] < -1e-12 or self.ub[j] > 1 + 1e-12:
                 raise InvalidProblem(f"binary variable {j} has bounds outside [0, 1]")
         lazy = self.lazy_rows
-        if lazy and (lazy[0] < 0 or lazy[-1] >= m):
+        if lazy.size and (lazy[0] < 0 or lazy[-1] >= m):
             raise InvalidProblem("lazy row index out of range")
-        if len(set(lazy)) != len(lazy):
+        if (lazy[1:] == lazy[:-1]).any():
             raise InvalidProblem("duplicate lazy row index")
         if self.start_basis:
             rows, cols = zip(*self.start_basis)
@@ -260,7 +268,7 @@ class LinearProblem:
                 raise InvalidProblem("start basis column index out of range")
             if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
                 raise InvalidProblem("duplicate start basis row or column")
-            if set(rows) & set(lazy):
+            if not set(rows).isdisjoint(lazy.tolist()):
                 raise InvalidProblem("start basis row is a lazy row")
 
     def dense_matrix(self):
@@ -309,7 +317,7 @@ class _Simplex:
                                              matrix.col_scale)
 
         # Slack columns: sense is encoded in the slack bounds.
-        senses = np.array(problem.senses, dtype="U2")
+        senses = problem.senses
         self.slack_lb = np.where(senses == GE, -np.inf, 0.0)
         self.slack_ub = np.where(senses == LE, np.inf, 0.0)
 
@@ -318,8 +326,8 @@ class _Simplex:
         self.n_struct = n
         self.a_all, self.b_all = a, problem.rhs * self.row_scale
         lazy = np.zeros(m, dtype=bool)
-        lazy[list(problem.lazy_rows)] = True
-        self.held = np.flatnonzero(lazy)
+        lazy[problem.lazy_rows] = True
+        self.held = problem.lazy_rows
         # the structural bounds and costs, scaled; only resolve changes them
         self.lb = problem.lb / self.col_scale
         self.ub = problem.ub / self.col_scale
@@ -721,7 +729,7 @@ def solve_milp(problem, node_limit=100000):
     relaxation is solved once, and every child is re-solved warm from its
     parent's optimal basis.  Raises ResourceLimit past *node_limit*.
     """
-    if problem.lazy_rows:
+    if problem.lazy_rows.size:
         raise InvalidProblem("solve_milp given a problem with lazy rows")
     if problem.start_basis:
         raise InvalidProblem("solve_milp given a problem with a start basis")

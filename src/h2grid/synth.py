@@ -30,12 +30,17 @@ class SyntheticSpec:
 
 
 def _profiles(rng, hours):
-    """Hourly wind (random-walk) and solar (diurnal) shapes in [0, 1]."""
-    wind = np.empty(hours)
+    """Hourly wind (random-walk) and solar (diurnal) shapes in [0, 1].
+
+    The wind steps are drawn in one call, which takes the same numbers
+    from *rng* as one draw per hour; the clipped walk over them stays a
+    loop over Python floats."""
     level = rng.uniform(0.3, 0.7)
-    for t in range(hours):
-        level = np.clip(level + rng.normal(0.0, 0.08), 0.02, 1.0)
-        wind[t] = level
+    levels = []
+    for step in rng.normal(0.0, 0.08, size=hours).tolist():
+        level = min(max(level + step, 0.02), 1.0)
+        levels.append(level)
+    wind = np.array(levels, dtype=float)
     hours_of_day = np.arange(hours) % 24
     solar = np.clip(np.sin((hours_of_day - 6.0) / 12.0 * math.pi), 0.0, None)
     solar = solar * rng.uniform(0.6, 1.0, size=hours)
@@ -84,15 +89,13 @@ def generate_synthetic_system(spec):
     demand_total = spec.mean_demand_mw * (n - n_north)
     hourly_shape = 0.85 + 0.15 * np.sin(
         (np.arange(spec.hours) % 24 - 9.0) / 24.0 * 2.0 * math.pi)
-    demand = np.zeros((spec.hours, n))
     south_weights = rng.uniform(0.5, 1.5, size=n - n_north)
     south_weights /= south_weights.sum()
     north_weights = rng.uniform(0.5, 1.5, size=n_north)
     north_weights /= north_weights.sum()
-    for j, w in enumerate(north_weights):
-        demand[:, j] = 0.15 * demand_total * w * hourly_shape
-    for j, w in enumerate(south_weights):
-        demand[:, n_north + j] = 0.85 * demand_total * w * hourly_shape
+    demand = hourly_shape[:, None] * np.concatenate([
+        0.15 * demand_total * north_weights,
+        0.85 * demand_total * south_weights])
 
     wind_shape, solar_shape = _profiles(rng, spec.hours)
     total_energy = demand.sum()
@@ -101,20 +104,21 @@ def generate_synthetic_system(spec):
     wind_energy = renewable_energy * 2.0 / 3.0
     solar_energy = renewable_energy / 3.0
 
+    # every generator of a kind shares its kind's one read-only profile
     generators = []
     gid = 0
     wind_nodes = list(range(n_north))
     solar_nodes = list(range(n_north, n))
     wind_scale = wind_energy / max(wind_shape.sum(), 1e-9) / len(wind_nodes)
-    for node in wind_nodes:
-        generators.append(Generator(gid, node, WIND, 0.0,
-                                    profile=wind_shape * wind_scale))
-        gid += 1
     solar_scale = solar_energy / max(solar_shape.sum(), 1e-9) / len(solar_nodes)
-    for node in solar_nodes:
-        generators.append(Generator(gid, node, SOLAR, 0.0,
-                                    profile=solar_shape * solar_scale))
-        gid += 1
+    for kind, nodes_of_kind, profile in (
+            (WIND, wind_nodes, wind_shape * wind_scale),
+            (SOLAR, solar_nodes, solar_shape * solar_scale)):
+        profile.flags.writeable = False
+        for node in nodes_of_kind:
+            generators.append(Generator(gid, node, kind, 0.0,
+                                        profile=profile))
+            gid += 1
 
     # cheap dispatchable in the north, expensive tiers in the south
     peak = float(demand.sum(axis=1).max())

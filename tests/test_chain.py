@@ -421,7 +421,7 @@ class TestArrayAssembly:
                 assert np.array_equal(getattr(got, name),
                                       getattr(want, name)), name
             assert np.array_equal(got.dense_matrix(), want.dense_matrix())
-            assert got.senses == want.senses
+            assert np.array_equal(got.senses, want.senses)
             assert got.binaries == want.binaries
 
 

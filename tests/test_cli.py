@@ -122,6 +122,16 @@ class TestExitCodes:
         assert main(["dispatch", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_input_csv_is_2(self, tmp_path, capsys):
+        inputs = csv_network(tmp_path)
+        inputs["demand"] = str(tmp_path / "none.csv")
+        cfg = write_yaml(tmp_path / "missing.yaml",
+                         {"hours": 4, "inputs": inputs})
+        assert main(["dispatch", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "none.csv" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command", ["chain", "study"])
     def test_unknown_carrier_is_2(self, tmp_path, capsys, command):
         cfg = write_yaml(tmp_path / "h2x.yaml", {
@@ -406,6 +416,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert ("error: imports.node: 99 is not a node of the network"
                 in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("data", [
         {"fixture": "congested10", "h2_demand_kg_day": 0},
@@ -420,7 +431,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: study: no hydrogen demand to site" in err
         assert "h2_demand_kg_day, inputs.consumption" in err
-        assert not os.listdir(tmp_path / "o")
+        assert not os.path.exists(tmp_path / "o")
 
     def test_success_is_0(self, tmp_path, fixture_config):
         assert main(["dispatch", "--config", fixture_config,

@@ -385,7 +385,7 @@ class TestSystemTables:
         block = tables.block
         for arr in (block.scaled, block.row_scale, block.col_scale,
                     tables.capacity, tables.costs, tables.nodes,
-                    tables.order):
+                    tables.order, tables.senses):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
@@ -407,6 +407,24 @@ class TestRunYear:
         assert summary.nodal_price_series.shape == (6, 2)
         assert summary.mean_nodal_prices[0] == pytest.approx(10.0, abs=1e-6)
         assert summary.mean_nodal_prices[1] == pytest.approx(50.0, abs=1e-6)
+
+    def test_nodal_year_reports_its_redispatch_cost(self):
+        # the nodal LP is the redispatch LP, so both modes report the same
+        # redispatch series and congestion cost, bit for bit
+        congested = 0
+        for seed, n_nodes in ((60, 60), (7, 10), (5, 24)):
+            system = generate_synthetic_system(SyntheticSpec(
+                seed=seed, n_nodes=n_nodes, n_lines=int(1.4 * n_nodes),
+                hours=24, congestion=0.85))
+            nodal = run_year(system, 24, MODE_NODAL)
+            both = run_year(system, 24, MODE_UNIFORM_REDISPATCH)
+            assert np.array_equal(nodal.redispatch_cost_series,
+                                  both.redispatch_cost_series)
+            zeros = nodal.redispatch_cost_series == 0.0
+            assert not np.signbit(nodal.redispatch_cost_series[zeros]).any()
+            assert nodal.congestion_cost_eur == both.congestion_cost_eur
+            congested += int(np.count_nonzero(nodal.redispatch_cost_series))
+        assert 0 < congested < 72  # congested and uncongested hours
 
     def test_identical_hours_identical_results(self):
         system = two_node_system(hours=3)

@@ -177,6 +177,16 @@ class TestKnownLPs:
                           a_cols=np.zeros(0, dtype=int), a_vals=np.zeros(0),
                           senses=(), rhs=np.zeros(0))
 
+    @pytest.mark.parametrize("sense", ["<", "<==", "", 5])
+    def test_unknown_sense_is_named(self, sense):
+        # a sense that starts like a known one, or is not a string, is
+        # rejected whole; it may be named as the string it is kept as
+        with pytest.raises(InvalidProblem) as exc:
+            build_problem([1.0], [[1.0], [1.0]], [LE, sense], [1.0, 1.0],
+                          [0.0], [1.0])
+        assert str(exc.value) in {f"unknown constraint sense {s!r}"
+                                  for s in (sense, str(sense))}
+
 
 def bounded_instance(rng, m, n):
     """Dense, fully bounded random LP, feasible by construction: every row
@@ -931,7 +941,7 @@ class TestStartBasis:
                                                 start_basis=()))
             assert sol.status == cold.status
             assert sol.stats["phase1_iterations"] == 0
-            seen.add((sol.status, bool(problem.lazy_rows)))
+            seen.add((sol.status, bool(problem.lazy_rows.size)))
             if sol.optimal:
                 assert abs(sol.objective - cold.objective) <= \
                     1e-9 * max(1.0, abs(cold.objective))
