@@ -135,11 +135,11 @@ def _merit_order(system, hour):
     caps = np.maximum(tables.capacity[hour], 0.0)
     demand = float(system.demand[hour].sum())
     # demand left before each unit, subtracted unit by unit in merit order
-    remaining = np.cumsum(np.append(demand, -caps[order]))[:-1]
+    remaining = np.cumsum(np.concatenate(([demand], -caps[order])))[:-1]
     take = np.minimum(caps[order], np.maximum(remaining, 0.0))
     q = np.zeros(costs.size)
     q[order] = take
-    running = np.flatnonzero(take > 0)
+    running = (take > 0).nonzero()[0]
     price = (float(costs[order[running[-1] if running.size else 0]])
              if costs.size else 0.0)
     return q, price
@@ -177,7 +177,7 @@ def _network_lp(system, hour, q0, base_flows):
     return solve_lp(LinearProblem(
         tables.costs, -q0, tables.capacity[hour] - q0, _NO_TRIPLETS,
         _NO_TRIPLETS, _NO_TRIPLETS, tables.senses, rhs,
-        lazy_rows=1 + np.flatnonzero(~overloaded),
+        lazy_rows=1 + (~overloaded).nonzero()[0],
         start_basis=[(0, j) for j in marginal], matrix=tables.block))
 
 

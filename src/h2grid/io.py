@@ -34,11 +34,20 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
+
+
+def _write_rows(path, header, rows):
+    """Write *rows* whose cells are strings ``_fmt`` made, or ints."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _g6(values):
+    """``_fmt`` of every value of the float array *values*, in one pass."""
+    return [format(v, ".6g") for v in np.asarray(values, float).tolist()]
 
 
 def _read_rows(path, required):
@@ -206,22 +215,25 @@ def write_system(out_dir, system):
               [(l.id, l.from_node, l.to_node, l.voltage_class,
                 l.capacity_mw, l.reactance_pu) for l in system.lines])
     gen_rows = []
+    profiles = {}  # the generators of a kind share one profile array
     for g in system.generators:
         ref = ""
         if g.profile is not None:
             ref = f"profile_{g.id}.csv"
-            write_csv(os.path.join(out_dir, ref), ("hour", "mw"),
-                      [(t, v) for t, v in enumerate(g.profile)])
+            if id(g.profile) not in profiles:
+                profiles[id(g.profile)] = _g6(g.profile)
+            _write_rows(os.path.join(out_dir, ref), ("hour", "mw"),
+                        enumerate(profiles[id(g.profile)]))
         gen_rows.append((g.id, g.node, g.kind, g.marginal_cost,
                          g.capacity_mw, ref))
     write_csv(os.path.join(out_dir, "generators.csv"),
               ("id", "node", "kind", "marginal_cost", "capacity_mw",
                "profile"), gen_rows)
-    dem_rows = [(t, n, system.demand[t, n])
-                for t in range(system.horizon)
-                for n in range(system.n_nodes)]
-    write_csv(os.path.join(out_dir, "demand.csv"), ("hour", "node", "mw"),
-              dem_rows)
+    hours, nodes = system.demand.shape
+    _write_rows(os.path.join(out_dir, "demand.csv"), ("hour", "node", "mw"),
+                zip(np.repeat(np.arange(hours), nodes).tolist(),
+                    np.tile(np.arange(nodes), hours).tolist(),
+                    _g6(system.demand.ravel())))
 
 
 # -- hydrogen inputs ----------------------------------------------------------

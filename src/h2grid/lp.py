@@ -24,6 +24,17 @@ on ties) and enters the movable nonbasic column with the smallest
 it switches to lowest-index choices.  A violated row that no column can
 repair proves the problem infeasible, whatever the costs.
 
+Both loops read the way a nonbasic column may move from one table indexed
+by its status, ``_UP``: +1 at its lower bound, -1 at its upper, 0 when
+basic or free.  A column prices as improving when ``-d_j * _UP`` exceeds
+``OPT_TOL`` (``_improving``), and can enter the dual when ``sigma_j * _UP``
+exceeds 1e-9; a free column, which may move either way, is tested on
+``|d_j|`` or ``|sigma_j|`` apart, and only when some column is free.  Each
+product is by +-1 or 0, which is exact, so the table gives the three-case
+test's answer to the bit.  The dual's leaving row is the first largest
+violation (``argmax``), and the dual stops when that largest one is within
+``FEAS_TOL``; an empty basis is primal feasible at once.
+
 A cold solve starts every active row on its slack, so the basis inverse is
 exactly the identity, and every column rests at a bound (free ones at
 zero).  Phase 1 is ``_dual`` on the costs with one change: a movable column
@@ -116,6 +127,10 @@ _REFACTOR_PERIOD = 64   # basis updates between fresh inversions of the basis
 LE, EQ, GE = "<=", "=", ">="
 
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
+# the direction a column may move off its bound, by status: up at its lower
+# bound, down at its upper, none when basic, either way when free (tested
+# apart, on |d|)
+_UP = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -298,9 +313,11 @@ class Solution:
 def _improving(status, d):
     """The nonbasic columns whose reduced costs *d* price a move off their
     bound (either way for a free column) beyond ``OPT_TOL``."""
-    return (((status == _AT_LB) & (d < -OPT_TOL))
-            | ((status == _AT_UB) & (d > OPT_TOL))
-            | ((status == _FREE) & (np.abs(d) > OPT_TOL)))
+    better = -d * _UP[status] > OPT_TOL
+    free = status == _FREE
+    if free.any():
+        better |= free & (np.abs(d) > OPT_TOL)
+    return better
 
 
 class _Simplex:
@@ -332,7 +349,7 @@ class _Simplex:
         self.lb = problem.lb / self.col_scale
         self.ub = problem.ub / self.col_scale
         self.c = problem.c * self.col_scale
-        self._set_rows(np.flatnonzero(~lazy))
+        self._set_rows((~lazy).nonzero()[0])
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
         self.rounds = 1
@@ -342,7 +359,7 @@ class _Simplex:
         columns in the same order; the structural bounds and costs stay."""
         m, n = rows.size, self.n_struct
         self.rows, self.m = rows, m
-        self.a = np.hstack([self.a_all[rows], np.eye(m)])
+        self.a = np.concatenate([self.a_all[rows], np.eye(m)], axis=1)
         self.lb = np.concatenate([self.lb[:n], self.slack_lb[rows]])
         self.ub = np.concatenate([self.ub[:n], self.slack_ub[rows]])
         self.c = np.concatenate([self.c[:n], np.zeros(m)])
@@ -415,11 +432,11 @@ class _Simplex:
         """
         m, basis = self.m, self.basis
         slack = basis >= self.n_struct
-        pos_s, pos_j = np.flatnonzero(slack), np.flatnonzero(~slack)
+        pos_s, pos_j = slack.nonzero()[0], (~slack).nonzero()[0]
         rows_s = basis[pos_s] - self.n_struct
         covered = np.zeros(m, dtype=bool)
         covered[rows_s] = True
-        rest = np.flatnonzero(~covered)
+        rest = (~covered).nonzero()[0]
         a_j = self.a[:, basis[pos_j]]
         inv = np.linalg.inv(a_j[rest])
         binv = np.zeros((m, m))
@@ -450,7 +467,7 @@ class _Simplex:
         self.status[enter] = _BASIC
         self.basis[pos] = enter
         row = self.binv[pos] / w[pos]
-        self.binv -= np.outer(w, row)
+        self.binv -= w[:, None] * row
         self.binv[pos] = row
         self.updates += 1
         if self.updates >= _REFACTOR_PERIOD:
@@ -511,7 +528,7 @@ class _Simplex:
             room = np.maximum(room, 0.0)
             shortest = room.min(initial=np.inf)
             if shortest < t - 1e-11:
-                near = np.flatnonzero(room < shortest + 1e-11)
+                near = (room < shortest + 1e-11).nonzero()[0]
                 leave_pos = int(near[self.basis[near].argmin()])
                 t = room[leave_pos]
                 leave_hit = _AT_UB if rising[leave_pos] else _AT_LB
@@ -534,30 +551,31 @@ class _Simplex:
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
         Its pivots count as phase 1 or as dual iterations by *phase*."""
+        if not self.m:
+            return "Optimal"
         movable = self.lb < self.ub
         y = cost[self.basis] @ self.binv
         d = cost - self.a.T @ y  # updated per pivot
+        # no column becomes free here, so none is free later if none is now
+        any_free = (self.status == _FREE).any()
         self.degenerate_run, self.bland = 0, False
         while True:
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
             viol = np.maximum(below, xb - self.ub[self.basis])
-            bad = viol > FEAS_TOL
-            if not bad.any():
+            # leaving row: the largest violation with the lowest position on
+            # ties, or the lowest basic index
+            r = int(viol.argmax())
+            if not viol[r] > FEAS_TOL:
                 return "Optimal"
             self._count_iteration()
             if phase == "phase 1":
                 self.phase1_iterations += 1
             else:
                 self.dual_iterations += 1
-
-            # leaving row: the largest violation with the lowest position on
-            # ties, or the lowest basic index
             if self.bland:
-                rows = np.flatnonzero(bad)
+                rows = (viol > FEAS_TOL).nonzero()[0]
                 r = int(rows[self.basis[rows].argmin()])
-            else:
-                r = int(viol.argmax())
             rising = below[r] > 0  # x_B[r] rises to its lower bound
 
             # entering column: column j moves x_B[r] by -alpha_j per unit;
@@ -565,18 +583,18 @@ class _Simplex:
             alpha = self.binv[r] @ self.a
             sigma = -alpha if rising else alpha
             st = self.status
-            eligible = movable & (((st == _AT_LB) & (sigma > 1e-9))
-                                  | ((st == _AT_UB) & (sigma < -1e-9))
-                                  | ((st == _FREE) & (np.abs(sigma) > 1e-9)))
-            if not eligible.any():
+            eligible = sigma * _UP[st] > 1e-9
+            if any_free:
+                eligible |= (st == _FREE) & (np.abs(sigma) > 1e-9)
+            cols = (movable & eligible).nonzero()[0]
+            if not cols.size:
                 return "Infeasible"
-            cols = np.flatnonzero(eligible)
             size = np.abs(alpha[cols])
             ratio = np.abs(d[cols]) / size
             step = ratio.min()
             near = ratio <= step + 1e-11
             if self.bland:
-                enter = int(cols[near][0])
+                enter = int(cols[near.argmax()])
             else:
                 enter = int(cols[near][size[near].argmax()])
             self._stalled(step)
@@ -706,7 +724,8 @@ class _Simplex:
         terms[at_lb] = reduced[at_lb] * lb[at_lb]
         terms[at_ub] = reduced[at_ub] * ub[at_ub]
         # accumulate left to right, in the order a scalar loop would
-        return objective - float(np.cumsum(np.append(dual_obj, terms))[-1])
+        sums = np.cumsum(np.concatenate(([dual_obj], terms)))
+        return objective - float(sums[-1])
 
 
 def solve_lp(problem):

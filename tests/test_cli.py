@@ -8,13 +8,15 @@ import pytest
 import yaml
 
 from h2grid.cli import main
-from h2grid.config import (StudyConfig, effective_config, load_config,
-                           parse_config)
+from h2grid.config import (StudyConfig, dump_config, effective_config,
+                           load_config, parse_config)
 from h2grid.errors import ConfigError
 from h2grid.io import write_system
 from h2grid.synth import congested_fixture
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "golden",
+                             "congested10_168h", "effective_config.yaml")
 
 
 def write_yaml(path, data):
@@ -92,6 +94,30 @@ class TestConfigParsing:
         path.write_text("hours: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(str(path))
+
+    def test_invalid_yaml_exits_2_with_its_place(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("fixture: congested10\nhours: [1, 2\nseed: 3\n")
+        assert main(["study", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "line 3, column 5" in err
+
+    @pytest.mark.parametrize("dumper", ["SafeDumper", "CSafeDumper"])
+    def test_dump_config_bytes_match_each_dumper(self, tmp_path, dumper):
+        # libyaml's emitter, where PyYAML has it, writes what the Python
+        # one does, so the echo does not depend on the build
+        if not hasattr(yaml, dumper):
+            pytest.skip(f"PyYAML built without {dumper}")
+        cfg = load_config(GOLDEN_CONFIG)
+        path = tmp_path / "echo.yaml"
+        dump_config(cfg, str(path))
+        expected = yaml.dump(effective_config(cfg),
+                             Dumper=getattr(yaml, dumper), sort_keys=True)
+        assert path.read_text() == expected
+        with open(GOLDEN_CONFIG) as fh:
+            assert path.read_text() == fh.read()
 
 
 def csv_network(out_dir):

@@ -1,6 +1,9 @@
 """CSV reader validation: malformed network, demand, profile and sink rows
 raise IoError naming the file and column instead of wrapping, overwriting
-or escaping as a raw exception."""
+or escaping as a raw exception.  The system writer's column-wise output
+matches a cell-by-cell one."""
+
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ import yaml
 from h2grid.cli import main
 from h2grid.errors import IoError
 from h2grid.io import (read_consumption, read_demand, read_industrial_sites,
-                       read_profile, read_station_candidates, read_system)
+                       read_profile, read_station_candidates, read_system,
+                       write_csv, write_system)
+from h2grid.synth import SyntheticSpec, generate_synthetic_system
 
 
 def write_rows(path, header, rows):
@@ -203,3 +208,32 @@ class TestReadSinks:
         with pytest.raises(IoError,
                            match=rf"stations\.csv: .* column {column}"):
             read_station_candidates(path)
+
+
+class TestWriteSystem:
+    def test_matches_cell_by_cell_writer(self, tmp_path):
+        system = generate_synthetic_system(SyntheticSpec(
+            seed=7, n_nodes=4, n_lines=5, hours=30))
+        # values where the formats of ints, floats, signed zeros and
+        # exponents part
+        demand = system.demand.copy()
+        demand[0] = [-0.0, 1e-7, 123456789.0, 0.1 + 0.2]
+        system = system.with_demand(demand)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out.mkdir()
+        ref.mkdir()
+        write_system(str(out), system)
+
+        # every profile and the demand table, one write_csv cell at a time
+        for g in system.generators:
+            if g.profile is not None:
+                write_csv(str(ref / f"profile_{g.id}.csv"), ("hour", "mw"),
+                          list(enumerate(g.profile)))
+        write_csv(str(ref / "demand.csv"), ("hour", "node", "mw"),
+                  [(t, n, demand[t, n]) for t in range(demand.shape[0])
+                   for n in range(demand.shape[1])])
+        names = sorted(os.listdir(ref))
+        assert len(names) > 1
+        assert set(names) <= set(os.listdir(out))
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name

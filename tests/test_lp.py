@@ -886,6 +886,40 @@ class TestLazyRows:
                                            lazy_rows=(1,)))
 
 
+class TestNoActiveRows:
+    """Solves whose basis is empty: no rows at all, or every row held back
+    until the first optimum violates it."""
+
+    BOUNDS = ([0.0, 0.0], [3.0, 4.0])
+
+    def test_no_rows(self):
+        # min x - 2y on the box alone: y at its upper bound
+        sol = solve_lp(build_problem([1.0, -2.0], np.zeros((0, 2)), [], [],
+                                     *self.BOUNDS))
+        assert sol.status == "Optimal"
+        assert sol.x.tolist() == [0.0, 4.0]
+        assert sol.objective == -8.0
+        assert sol.duals.size == 0
+        assert sol.duality_gap == 0.0
+
+    def test_every_row_lazy(self):
+        # x + y >= -1 never binds; y <= 2 cuts the box optimum off and is
+        # added in round two, where it prices y's cost
+        problem = build_problem([1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]],
+                                [GE, LE], [-1.0, 2.0], *self.BOUNDS)
+        sol = solve_lp(dataclasses.replace(problem, lazy_rows=(0, 1)))
+        assert sol.status == "Optimal"
+        assert sol.x.tolist() == [0.0, 2.0]
+        assert sol.objective == -4.0
+        assert sol.duals.tolist() == [0.0, -2.0]
+        assert sol.stats["rounds"] == 2
+
+    def test_no_rows_unbounded(self):
+        sol = solve_lp(build_problem([1.0, -2.0], np.zeros((0, 2)), [], [],
+                                     [0.0, 0.0], [3.0, np.inf]))
+        assert sol.status == "Unbounded"
+
+
 def dual_feasible_start(rng, problem):
     """Costs and a start basis that make *problem* dual feasible at the
     start: random multipliers y on k random rows that are not lazy (<= 0 on
