@@ -3,55 +3,54 @@
 The simplex works on the bounded-variable standard form ``min c'x  s.t.
 Ax + s = b,  lb <= (x, s) <= ub``.  Every constraint row gets a slack column
 whose bounds encode its sense, so the dual of row i is simply the i-th
-simplex multiplier.  Primal pivoting uses Dantzig's rule with a lowest-index
-tie-break and falls back to Bland's rule after a run of degenerate pivots,
-which makes every solve deterministic and finite.  The ratio test lets the
-entering bound flip win unless a row blocks it by more than 1e-11, and
-otherwise takes the lowest basic index among the rows within 1e-11 of the
-shortest step.  A fixed column (``lb == ub``) never enters, in either
-simplex, so it stays at its one value whatever status it rests with.
+simplex multiplier.  Its one pivot loop is the bounded dual simplex
+``_dual`` (Koberstein, "The dual simplex method, techniques for a fast and
+stable implementation", PhD thesis, 2005): from a dual feasible basis it
+pivots until the basis is primal feasible, and so optimal.  It leaves on
+the largest bound violation (lowest basis position on ties) and enters the
+movable nonbasic column with the smallest ``|d_j| / |alpha_rj|`` over
+``|alpha_rj| > 1e-9``, ties to the largest ``|alpha_rj|`` and then the
+lowest index; after a run of zero-length steps it switches to lowest-index
+choices, which makes every solve deterministic and finite.  A fixed column
+(``lb == ub``) never enters, so it stays at its one value whatever status
+it rests with.  A violated row that no column can repair proves the problem
+infeasible, whatever the costs.
 
-Every solve starts on a basis that is dual feasible and ends in one round
-loop, ``_finish``: the bounded dual simplex ``_dual`` (Koberstein, "The
-dual simplex method, techniques for a fast and stable implementation", PhD
-thesis, 2005) repairs primal feasibility, then the primal simplex on the
-true costs (phase 2) confirms or restores optimality.  Both loops share one
-pivot exchange (``_replace``) and one degenerate-run rule (``_stalled``).
-The dual leaves on the largest bound violation (lowest basis position
-on ties) and enters the movable nonbasic column with the smallest
-``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the largest
-``|alpha_rj|`` and then the lowest index; after a run of zero-length steps
-it switches to lowest-index choices.  A violated row that no column can
-repair proves the problem infeasible, whatever the costs.
-
-Both loops read the way a nonbasic column may move from one table indexed
+The loop reads the way a nonbasic column may move from one table indexed
 by its status, ``_UP``: +1 at its lower bound, -1 at its upper, 0 when
 basic or free.  A column prices as improving when ``-d_j * _UP`` exceeds
-``OPT_TOL`` (``_improving``), and can enter the dual when ``sigma_j * _UP``
-exceeds 1e-9; a free column, which may move either way, is tested on
-``|d_j|`` or ``|sigma_j|`` apart, and only when some column is free.  Each
-product is by +-1 or 0, which is exact, so the table gives the three-case
-test's answer to the bit.  The dual's leaving row is the first largest
-violation (``argmax``), and the dual stops when that largest one is within
-``FEAS_TOL``; an empty basis is primal feasible at once.
+``OPT_TOL`` (``_improving``), and can enter when ``sigma_j * _UP`` exceeds
+1e-9; a free column, which may move either way, is tested on ``|d_j|`` or
+``|sigma_j|`` apart, and only when some column is free.  Each product is by
++-1 or 0, which is exact, so the table gives the three-case test's answer
+to the bit.  The leaving row is the first largest violation (``argmax``),
+and the loop stops when that largest one is within ``FEAS_TOL``; an empty
+basis is primal feasible at once.
 
 A cold solve starts every active row on its slack, so the basis inverse is
-exactly the identity, and every column rests at a bound (free ones at
-zero).  Phase 1 is ``_dual`` on the costs with one change: a movable column
-whose cost prefers the other bound than the one it rests at, or a free
-column with a nonzero cost, gets cost 0 (the cost-modification dual phase 1
-of Koberstein & Suhl, Comput. Optim. Appl. 2007).  That start is dual
-feasible, and the primal feasible basis phase 1 ends on is where phase 2
-starts.
+exactly the identity and the multipliers are zero: every column prices at
+its cost.  Every column rests at a bound (free ones at zero), a boxed one at
+the bound its cost prefers.  A column that still prices wrong is pulled
+toward an infinite bound, or is free with a nonzero cost; then phase 1
+solves the auxiliary problem of Koberstein & Suhl ("Progress in the dual
+simplex method for large scale LP problems: practical dual phase 1
+algorithms", Comput. Optim. Appl. 2007) with the same ``_dual`` on the true
+costs: each finite bound becomes 0 and each infinite one -1 or +1, ``b``
+becomes 0, and every nonbasic column starts at the bound its cost prefers.
+With the true bounds back and the boxed columns resting by their reduced
+costs, its optimal basis prices no column wrong, unless no basis does.  The
+problem is then dual infeasible, and so unbounded if it is feasible at all:
+``_dual`` on zero costs, from that basis, reports ``Unbounded`` if it
+reaches a primal feasible basis and ``Infeasible`` if not.
 
 A problem that knows a dual feasible vertex names it in
 ``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
 its row, every other active row on its slack whatever the slack's value, and
-every other column resting as in a cold start.  ``_start`` inverts that
-basis (below) and ``_dual`` runs on the true costs, with no phase 1.  A
-start that is singular or not dual feasible at ``OPT_TOL`` raises
-``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
-hour's merit-order vertex.
+every other column resting at a bound as ``_rest`` puts it.  ``_start``
+inverts that basis (below) and ``_dual`` runs on the true costs, with no
+phase 1.  A start that is singular or not dual feasible at ``OPT_TOL``
+raises ``InvalidProblem``.  The network LP of ``dispatch`` starts this way
+at the hour's merit-order vertex.
 
 The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
 product-form update per basis change.  Every other inverse comes from
@@ -63,10 +62,10 @@ by one product (Bixby, "Solving real-world linear programs", Oper. Res.
 2002, on exploiting slack structure).  Multipliers and the entering column
 are one matrix-vector product each, and pricing and the ratio test are
 array operations.
-``Solution.stats`` reports all iterations (``iterations``), the dual pivots
-of phase 1 (``phase1_iterations``) and of every other dual simplex run
-(``dual_iterations``), the number of refactorizations and the number of
-rounds (``rounds``, see below).
+``Solution.stats`` reports the pivots: all of them (``iterations``), those
+of phase 1, the auxiliary problem and a cold solve's first pass
+(``phase1_iterations``), and the others (``dual_iterations``); and the
+number of refactorizations and of rounds (``rounds``, see below).
 
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
@@ -88,12 +87,12 @@ every held-back row against its slack bounds at ``FEAS_TOL``.
 columns of their own rows, and rebuilds the basis inverse with ``_invert``,
 whose structural block the new rows leave as it was.  The new multipliers
 are zero, so the basis stays dual feasible, and the next round of
-``_finish`` runs ``_dual`` and phase 2 on the true costs.  Rounds repeat
-until no held-back row is violated; iterations are summed over them, and
-the iteration limit counts them all.  Rows never added get a zero dual.  If
-the active rows are unbounded, every row is activated and the problem is
-solved again cold; a round whose dual simplex finds a violated row no
-column can repair proves the problem infeasible.
+``_finish`` runs ``_dual`` on the true costs.  Rounds repeat until no
+held-back row is violated; iterations are summed over them, and the
+iteration limit counts them all.  Rows never added get a zero dual.  If
+the costs are dual infeasible over the active rows, every row is activated
+and the problem is solved again cold; a round whose dual simplex finds a
+violated row no column can repair proves the problem infeasible.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
@@ -176,6 +175,19 @@ def scale_matrix(a):
     return ScaledMatrix(scaled, row_scale, col_scale)
 
 
+def _indices(values, what, width=()):
+    """*values* as an int array of shape ``(k,) + width``; ``InvalidProblem``
+    unless every entry is an integer (a bool is not) and the shape fits."""
+    values = np.asarray(values)
+    if not values.size:
+        return np.zeros((0,) + width, dtype=int)
+    if (values.dtype.kind not in "iu" or values.ndim != 1 + len(width)
+            or values.shape[1:] != width):
+        raise InvalidProblem(f"{what} indices are not integers of shape "
+                             f"(k{', 2' if width else ','})")
+    return values.astype(int)
+
+
 @dataclass(frozen=True)
 class LinearProblem:
     """A minimization problem with its constraint matrix in sparse-triplet
@@ -219,11 +231,12 @@ class LinearProblem:
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         # unsized, so that a longer string is kept whole and rejected
         object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
-        object.__setattr__(self, "binaries", tuple(sorted(self.binaries)))
-        object.__setattr__(self, "lazy_rows", np.sort(np.asarray(
-            self.lazy_rows, dtype=int)))
-        object.__setattr__(self, "start_basis", tuple(sorted(
-            (int(i), int(j)) for i, j in self.start_basis)))
+        object.__setattr__(self, "binaries", tuple(np.sort(_indices(
+            self.binaries, "binary")).tolist()))
+        object.__setattr__(self, "lazy_rows", np.sort(_indices(
+            self.lazy_rows, "lazy row")))
+        object.__setattr__(self, "start_basis", tuple(sorted(map(
+            tuple, _indices(self.start_basis, "start basis", (2,)).tolist()))))
         self._validate()
 
     @property
@@ -265,6 +278,8 @@ class LinearProblem:
             raise InvalidProblem("NaN in variable bounds")
         if (self.lb > self.ub + 1e-12).any():
             raise InvalidProblem("lower bound exceeds upper bound")
+        if len(set(self.binaries)) < len(self.binaries):
+            raise InvalidProblem("duplicate binary index")
         for j in self.binaries:
             if j < 0 or j >= n:
                 raise InvalidProblem("binary index out of range")
@@ -321,8 +336,7 @@ def _improving(status, d):
 
 
 class _Simplex:
-    """Bounded-variable dual and primal simplex on equality form with slack
-    columns."""
+    """Bounded-variable dual simplex on equality form with slack columns."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -367,15 +381,31 @@ class _Simplex:
 
     # -- state helpers ------------------------------------------------------
 
-    def _rest(self):
-        """The status of every column resting at a bound, or free."""
+    def _rest(self, d=None):
+        """The status of every column resting at a bound, or free; given
+        reduced costs *d*, a boxed column that *d* prices off that bound
+        rests at its other one."""
         lo, hi = self.lb, self.ub
-        lo_fin = np.isfinite(lo)
+        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
         # the upper bound wins when it is the only finite one, or when it
         # is <= 0 and the lower bound is < 0
-        at_ub = np.isfinite(hi) & (~lo_fin | ((hi <= 0) & (lo < 0)))
+        at_ub = hi_fin & (~lo_fin | ((hi <= 0) & (lo < 0)))
+        if d is not None:  # -d * _UP > OPT_TOL, as in _improving
+            at_ub ^= lo_fin & hi_fin & (np.where(at_ub, d, -d) > OPT_TOL)
         at_lb = lo_fin & ~at_ub
         return np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
+
+    def _settle(self, status, d):
+        """Take *status* for the nonbasic columns, place x and return the
+        movable columns that the reduced costs *d* price off their bounds."""
+        status[self.basis] = _BASIC
+        self.status = status
+        self._place()
+        return (self.lb < self.ub) & _improving(status, d)
+
+    def _reduced(self, cost):
+        """The reduced costs of *cost* on the current basis."""
+        return cost - self.a.T @ (cost[self.basis] @ self.binv)
 
     def _place(self):
         """Put every nonbasic column at the bound its status names (free
@@ -388,37 +418,45 @@ class _Simplex:
     def _start(self):
         """Put every active row on its slack, or on the column
         ``problem.start_basis`` names for it, rest every other column as
-        ``_rest`` does, and return the costs ``_dual`` starts from.
+        ``_rest`` does and return the movable columns that price wrong.
 
-        A named start must be nonsingular and dual feasible at ``OPT_TOL``;
-        a cold start is the identity basis, and phase 1 gives cost 0 to
-        every movable column that is not dual feasible at rest.
+        A named start must be nonsingular and dual feasible at ``OPT_TOL``.
+        A cold start is the identity basis, which prices every column at its
+        cost, so a boxed column rests at the bound its cost prefers.
         """
-        self.status = self._rest()
         named = self.problem.start_basis
         self.basis = np.arange(self.n_struct, self.a.shape[1])
-        if named:
-            rows, cols = np.array(named).T
-            # active rows are sorted here
-            self.basis[np.searchsorted(self.rows, rows)] = cols
-            try:
-                self.binv = self._invert()
-            except np.linalg.LinAlgError as exc:
-                raise InvalidProblem("singular start basis") from exc
-        else:
-            self.binv = np.eye(self.m)
         self.updates = 0
-        self.status[self.basis] = _BASIC
-        self._place()
-
-        d = self.c - self.a.T @ (self.c[self.basis] @ self.binv)
-        wrong = (self.lb < self.ub) & _improving(self.status, d)
-        if not wrong.any():
-            return self.c
-        if named:
+        if not named:
+            self.binv = np.eye(self.m)
+            return self._settle(self._rest(self.c), self.c)
+        rows, cols = np.array(named).T
+        # active rows are sorted here
+        self.basis[np.searchsorted(self.rows, rows)] = cols
+        try:
+            self.binv = self._invert()
+        except np.linalg.LinAlgError as exc:
+            raise InvalidProblem("singular start basis") from exc
+        wrong = self._settle(self._rest(), self._reduced(self.c))
+        if wrong.any():
             raise InvalidProblem(f"start basis is not dual feasible at "
                                  f"column {int(wrong.argmax())}")
-        return np.where(wrong, 0.0, self.c)
+        return wrong
+
+    def _phase_one(self):
+        """Make the cold start dual feasible on the true costs through the
+        auxiliary problem (see the module docstring); returns the movable
+        columns that still price wrong, none unless the costs are dual
+        infeasible.  Every column is placed at its true bounds after."""
+        lb, ub, b = self.lb, self.ub, self.b
+        self.lb = np.where(np.isfinite(lb), 0.0, -1.0)
+        self.ub = np.where(np.isfinite(ub), 0.0, 1.0)
+        self.b = np.zeros(self.m)
+        self._settle(np.where(self.c < 0, _AT_UB, _AT_LB), self.c)
+        self._dual(self.c, "phase 1")
+        self.lb, self.ub, self.b = lb, ub, b
+        d = self._reduced(self.c)
+        return self._settle(self._rest(d), d)
 
     def _invert(self):
         """The inverse of the basis matrix, in block form.
@@ -475,90 +513,21 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
-    def _stalled(self, step):
-        """Count a pivot of length *step*: after ``_DEGENERATE_LIMIT``
-        zero-length pivots in a row, Bland's rule holds until the loop
-        ends."""
-        self.degenerate_run = self.degenerate_run + 1 if step < 1e-11 else 0
-        self.bland |= self.degenerate_run >= _DEGENERATE_LIMIT
-
-    def _count_iteration(self):
-        self.iterations += 1
-        if self.iterations > 2000 + 200 * (self.m + self.a.shape[1]):
-            raise InvalidProblem("simplex iteration limit exceeded")
-
-    def _optimize(self, cost, phase):
-        """Run primal simplex for the given cost vector; returns status.
-        A fixed column never enters."""
-        movable = self.lb < self.ub
-        self.degenerate_run, self.bland = 0, False
-        while True:
-            self._count_iteration()
-
-            y = cost[self.basis] @ self.binv
-            d = cost - self.a.T @ y
-
-            # entering variable: Dantzig's largest |d| with the lowest index
-            # on ties, or Bland's lowest eligible index
-            eligible = movable & _improving(self.status, d)
-            if not eligible.any():
-                return "Optimal"
-            if self.bland:
-                enter = int(eligible.argmax())
-            else:
-                enter = int(np.where(eligible, np.abs(d), 0.0).argmax())
-            enter_dir = 1 if d[enter] < 0 else -1
-
-            w = self.binv @ self.a[:, enter]
-
-            # ratio test: entering moves by t >= 0 in direction enter_dir;
-            # the bound-to-bound flip wins unless a row blocks it by more
-            # than 1e-11, otherwise the lowest basic index among the rows
-            # within 1e-11 of the shortest step
-            t = self.ub[enter] - self.lb[enter]
-            leave_pos = -1
-            delta = -enter_dir * w
-            xb = self.x[self.basis]
-            rising, falling = delta > 1e-9, delta < -1e-9
-            room = np.full(self.m, np.inf)
-            room[rising] = ((self.ub[self.basis[rising]] - xb[rising])
-                            / delta[rising])
-            room[falling] = ((xb[falling] - self.lb[self.basis[falling]])
-                             / -delta[falling])
-            room = np.maximum(room, 0.0)
-            shortest = room.min(initial=np.inf)
-            if shortest < t - 1e-11:
-                near = (room < shortest + 1e-11).nonzero()[0]
-                leave_pos = int(near[self.basis[near].argmin()])
-                t = room[leave_pos]
-                leave_hit = _AT_UB if rising[leave_pos] else _AT_LB
-
-            if not np.isfinite(t):
-                return "Unbounded"
-            self._stalled(t)
-
-            if leave_pos >= 0:
-                self._replace(leave_pos, enter, w, enter_dir * t, leave_hit,
-                              phase)
-                continue
-            # entering flipped from one of its bounds to the other
-            self.x[self.basis] -= enter_dir * t * w
-            self.status[enter] = _AT_UB if enter_dir > 0 else _AT_LB
-            self.x[enter] = self.ub[enter] if enter_dir > 0 else self.lb[enter]
-
     def _dual(self, cost, phase):
         """Run a bounded dual simplex for the given cost vector from a dual
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
-        Its pivots count as phase 1 or as dual iterations by *phase*."""
+        Its pivots count as phase 1 or as dual iterations by *phase*.  After
+        ``_DEGENERATE_LIMIT`` zero-length pivots in a row, lowest-index
+        choices hold until it returns."""
         if not self.m:
             return "Optimal"
         movable = self.lb < self.ub
-        y = cost[self.basis] @ self.binv
-        d = cost - self.a.T @ y  # updated per pivot
+        d = self._reduced(cost)  # updated per pivot
         # no column becomes free here, so none is free later if none is now
         any_free = (self.status == _FREE).any()
-        self.degenerate_run, self.bland = 0, False
+        limit = 2000 + 200 * (self.m + self.a.shape[1])
+        degenerate_run, bland = 0, False
         while True:
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
@@ -568,12 +537,14 @@ class _Simplex:
             r = int(viol.argmax())
             if not viol[r] > FEAS_TOL:
                 return "Optimal"
-            self._count_iteration()
+            self.iterations += 1
+            if self.iterations > limit:
+                raise InvalidProblem("simplex iteration limit exceeded")
             if phase == "phase 1":
                 self.phase1_iterations += 1
             else:
                 self.dual_iterations += 1
-            if self.bland:
+            if bland:
                 rows = (viol > FEAS_TOL).nonzero()[0]
                 r = int(rows[self.basis[rows].argmin()])
             rising = below[r] > 0  # x_B[r] rises to its lower bound
@@ -593,11 +564,12 @@ class _Simplex:
             ratio = np.abs(d[cols]) / size
             step = ratio.min()
             near = ratio <= step + 1e-11
-            if self.bland:
+            if bland:
                 enter = int(cols[near.argmax()])
             else:
                 enter = int(cols[near][size[near].argmax()])
-            self._stalled(step)
+            degenerate_run = degenerate_run + 1 if step < 1e-11 else 0
+            bland |= degenerate_run >= _DEGENERATE_LIMIT
             d -= d[enter] / alpha[enter] * alpha
 
             # move the entering column until x_B[r] sits at its bound
@@ -617,9 +589,18 @@ class _Simplex:
                 "rounds": self.rounds}
 
     def solve(self):
-        cost = self._start()
-        return self._finish(cost, "dual" if self.problem.start_basis
-                            else "phase 1")
+        if self._start().any() and self._phase_one().any():
+            if self.held.size:
+                # the costs may be dual feasible over every row
+                self._set_rows(np.arange(self.problem.n_cons))
+                self.held = self.held[:0]
+                self.rounds += 1
+                return self.solve()
+            # dual infeasible: unbounded if feasible, which zero costs decide
+            found = self._dual(np.zeros(self.c.size), "phase 1") == "Optimal"
+            return Solution(status="Unbounded" if found else "Infeasible",
+                            stats=self._stats())
+        return self._finish("dual" if self.problem.start_basis else "phase 1")
 
     def resolve(self, lb, ub, basis, status):
         """Re-solve for new structural bounds *lb*, *ub* from an optimal
@@ -643,7 +624,7 @@ class _Simplex:
         if not live:
             self._refactor("dual")
         self._place()
-        return self._finish(self.c, "dual")
+        return self._finish("dual")
 
     def _violated(self):
         """The held-back rows whose slack bounds the current x breaks."""
@@ -673,28 +654,19 @@ class _Simplex:
         self.binv = self._invert()
         self.updates = 0
 
-    def _finish(self, cost, phase):
-        """The rounds of a solve from a dual feasible basis for *cost*: the
-        dual simplex on *cost* makes the basis primal feasible, the primal
-        simplex on the true costs makes it optimal over the active rows, and
-        the held-back rows that optimum violates are added for the next
-        round, which starts on the true costs; the last round adds none."""
+    def _finish(self, phase):
+        """The rounds of a solve from a dual feasible basis: the dual simplex
+        makes the basis primal feasible, and so optimal over the active rows,
+        and the held-back rows that optimum violates are added for the next
+        round; the last round adds none."""
         while True:
-            if self._dual(cost, phase) == "Infeasible":
+            if self._dual(self.c, phase) == "Infeasible":
                 return Solution(status="Infeasible", stats=self._stats())
-            if self._optimize(self.c, "phase 2") == "Unbounded":
-                if not self.held.size:
-                    return Solution(status="Unbounded", stats=self._stats())
-                # the basis is not dual feasible: start over on every row
-                self._set_rows(np.arange(self.problem.n_cons))
-                self.held = self.held[:0]
-                self.rounds += 1
-                return self.solve()
             new = self._violated()
             if not new.size:
                 break
             self._add_rows(new)
-            cost, phase = self.c, "dual"
+            phase = "dual"
 
         # unscale primal, duals and reduced costs; rows never added price 0
         x = self.x[: self.n_struct] * self.col_scale

@@ -536,10 +536,10 @@ class TestBenchmarkCountingRules:
         assert uniform_calls == [0, 1, 2, 3]
         assert len(solutions) == congested
         assert max(s.stats["rounds"] for s in solutions) == 2
-        # one primal pricing pass per round, and no primal pivot
+        # every iteration is a dual simplex pivot
         for s in nodal + solutions:
-            assert s.stats["iterations"] == (s.stats["dual_iterations"]
-                                             + s.stats["rounds"])
+            assert s.stats["iterations"] == (s.stats["phase1_iterations"]
+                                             + s.stats["dual_iterations"])
 
 
 class TestMeritOrderStart:
@@ -574,8 +574,8 @@ class TestMeritOrderStart:
             assert congested
             for stats in nodal + congested:
                 assert stats["phase1_iterations"] == 0
-                # one primal pricing pass per round, and no primal pivot
-                assert stats["iterations"] == (stats["dual_iterations"]
-                                               + stats["rounds"])
+                # every iteration is a dual simplex pivot
+                assert stats["iterations"] == (stats["phase1_iterations"]
+                                               + stats["dual_iterations"])
             assert (np.mean([stats["iterations"] for stats in nodal])
                     < self.MAX_MEAN_NODAL_ITERATIONS)

@@ -159,6 +159,28 @@ class TestKnownLPs:
         assert sol.x[0] == pytest.approx(-1.0)
         assert sol.x[1] == pytest.approx(-2.0)
 
+    # costs that no basis prices right, as phase 1 proves; then a feasible
+    # problem is unbounded, an infeasible one infeasible
+    DUAL_INFEASIBLE = {
+        # min -z on a zero column z >= 0, next to x >= 2 on x in [0, 1]
+        "both infeasible": ("Infeasible", [0.0, -1.0], [[1.0, 0.0]], [GE],
+                            [2.0], [0.0, 0.0], [1.0, np.inf]),
+        # min 2 y s.t. x - y >= -1 with y <= 4 and no lower bound
+        "upper-only column": ("Unbounded", [0.0, 2.0], [[1.0, -1.0]], [GE],
+                              [-1.0], [0.0, -np.inf], [1.0, 4.0]),
+        # min y s.t. x + y <= 3 with y free
+        "free column": ("Unbounded", [0.0, 1.0], [[1.0, 1.0]], [LE], [3.0],
+                        [0.0, -np.inf], [1.0, np.inf]),
+    }
+
+    @pytest.mark.parametrize("case", DUAL_INFEASIBLE)
+    def test_dual_infeasible(self, case):
+        status, *instance = self.DUAL_INFEASIBLE[case]
+        sol = solve_lp(build_problem(*instance))
+        assert sol.status == status
+        assert sol.stats["iterations"] == sol.stats["phase1_iterations"]
+        assert_highs_status(instance, status)
+
     @pytest.mark.parametrize("sense, x, objective", [
         (EQ, [2.0, 3.0], 1.0), (LE, [2.0, 0.0], -2.0), (GE, [2.0, 3.0], 1.0)])
     def test_upper_bounded_only_column(self, sense, x, objective):
@@ -214,6 +236,16 @@ def highs(optimize, c, a, senses, b, lb, ub):
         method="highs")
 
 
+def assert_highs_status(instance, status):
+    """HiGHS, where scipy is present, gives *instance* the *status*."""
+    try:
+        from scipy import optimize
+    except ImportError:
+        return
+    ref = highs(optimize, *map(np.asarray, instance))
+    assert TestMixedLPsAgainstHighs.STATUS[ref.status] == status
+
+
 def mixed_instance(rng, infeasible):
     """Random LP with LE/GE/EQ rows and boxed, lower-only, upper-only and
     free columns; feasible at an interior point unless *infeasible*, which
@@ -264,8 +296,8 @@ class TestMixedLPsAgainstHighs:
 
 class TestDualPhaseOne:
     """Cold solves whose slack start is neither primal nor dual feasible:
-    phase 1 is the dual simplex on costs that are zero wherever a column's
-    cost prices it off its resting bound, and phase 2 restores the costs."""
+    phase 1 solves the auxiliary problem with the dual simplex on the true
+    costs, or proves them dual infeasible."""
 
     def test_matches_highs(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -275,14 +307,16 @@ class TestDualPhaseOne:
             instance = mixed_instance(rng, infeasible=k % 3 == 2)
             problem = build_problem(*instance)
             start = _Simplex(problem)
-            cost = start._start()
-            basic = start.basis
-            xb = start.x[basic]
-            zeroed = cost != start.c
-            if not (zeroed.any() and np.any((xb < start.lb[basic] - 1e-7)
-                                            | (xb > start.ub[basic] + 1e-7))):
+            n, status = problem.n_vars, start._rest()
+            wrong = (start.lb < start.ub) & h2grid.lp._improving(status,
+                                                                 start.c)
+            x = np.select([status == h2grid.lp._AT_LB,
+                           status == h2grid.lp._AT_UB], [start.lb, start.ub])
+            xb = start.b - start.a[:, :n] @ x[:n]
+            if not (wrong.any() and np.any((xb < start.lb[n:] - 1e-7)
+                                           | (xb > start.ub[n:] + 1e-7))):
                 continue  # the slack start is primal or dual feasible
-            c, st = start.c[zeroed], start.status[zeroed]
+            c, st = start.c[wrong], status[wrong]
             kinds.update(kind for kind, drawn in (
                 ("lower", np.any((st == h2grid.lp._AT_LB) & (c < 0))),
                 ("upper", np.any((st == h2grid.lp._AT_UB) & (c > 0))),
@@ -489,25 +523,26 @@ class TestSetupArrays:
             assert simplex.ub[n:].tobytes() == slack_ub.tobytes()
 
             # the slack start: every slack basic at its row's residual, the
-            # identity inverse, and phase-1 costs zeroed where the cost
-            # prefers the other bound than the resting one
+            # identity inverse, each boxed column at the bound its cost
+            # prefers, and the movable columns that still price wrong
             rest = [scalar_rest(lo, hi)
                     for lo, hi in zip(simplex.lb, simplex.ub)]
             x = [v for v, _ in rest]
             status = [s for _, s in rest]
-            resid = simplex.b - simplex.a @ np.array(x)
-            cost = list(simplex.c)
+            wrong = [False] * (n + m)
             for j in range(n):
                 c, lo, hi = simplex.c[j], simplex.lb[j], simplex.ub[j]
-                if lo < hi and (
-                        (status[j] == 0 and c < -h2grid.lp.OPT_TOL)
-                        or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
-                        or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL)):
-                    cost[j] = 0.0
+                off = ((status[j] == 0 and c < -h2grid.lp.OPT_TOL)
+                       or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
+                       or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL))
+                if off and np.isfinite(lo) and np.isfinite(hi):
+                    x[j], status[j] = (hi, 1) if status[j] == 0 else (lo, 0)
+                else:
+                    wrong[j] = off and lo < hi
+            resid = simplex.b - simplex.a @ np.array(x)
             for i in range(m):
                 x[n + i], status[n + i] = resid[i], 2
-            phase1_cost = simplex._start()
-            assert phase1_cost.tobytes() == np.array(cost).tobytes()
+            assert np.array_equal(simplex._start(), wrong)
             assert simplex.x.tobytes() == np.array(x).tobytes()
             assert np.array_equal(simplex.status, status)
             assert np.array_equal(simplex.basis, np.arange(n, n + m))
@@ -586,16 +621,22 @@ class TestScaledMatrix:
 
 
 class TestCrashStart:
-    def test_feasible_slack_start_skips_phase_1(self):
-        # at rest (x = y = 0) every slack holds its row's residual, the EQ
-        # row's exactly 0
-        sol = solve_lp(build_problem(
+    def test_feasible_start_takes_no_iterations(self):
+        # a cold start rests x and y at their upper bounds, which breaks the
+        # EQ row; x and y basic in the EQ and LE rows is the optimal vertex,
+        # primal and dual feasible, so a start there pivots no more
+        problem = build_problem(
             [-1.0, -2.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]], [EQ, LE, GE],
-            [0.0, 8.0, -1.0], [0.0, 0.0], [10.0, 5.0]))
+            [0.0, 8.0, -1.0], [0.0, 0.0], [10.0, 5.0])
+        cold = solve_lp(problem)
+        assert cold.status == "Optimal"
+        assert cold.x == pytest.approx([4.0, 4.0])
+        assert cold.stats["phase1_iterations"] > 0
+        sol = solve_lp(dataclasses.replace(problem,
+                                           start_basis=((0, 0), (1, 1))))
         assert sol.status == "Optimal"
         assert sol.x == pytest.approx([4.0, 4.0])
-        assert sol.stats["phase1_iterations"] == 0
-        assert sol.stats["iterations"] > 0
+        assert sol.stats["iterations"] == 0
 
 
 def knapsack_enumeration(values, weights, capacity):
@@ -862,6 +903,20 @@ class TestLazyRows:
             assert sol.objective == pytest.approx(-4.0)
             assert sol.stats["rounds"] == 2
 
+    def test_infeasible_with_dual_infeasible_active_rows(self):
+        # min -x - y s.t. x - y = 0 alone is unbounded; the held-back
+        # x + y <= 4 and x + y >= 5 contradict each other, so every row is
+        # activated and the problem is infeasible
+        instance = ([-1.0, -1.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]],
+                    [EQ, LE, GE], [0.0, 4.0, 5.0], np.zeros(2),
+                    np.full(2, np.inf))
+        assert_highs_status(instance, "Infeasible")
+        for lazy in ((1, 2), (0, 1, 2)):
+            sol = solve_lp(dataclasses.replace(build_problem(*instance),
+                                               lazy_rows=lazy))
+            assert sol.status == "Infeasible"
+            assert sol.stats["rounds"] == 2
+
     def test_infeasible_in_round_two(self):
         # x + y >= 2 holds at the first optimum, which the held-back
         # x + y <= 1 then cuts off; no column can repair it
@@ -876,9 +931,12 @@ class TestLazyRows:
     def test_validation(self):
         problem = build_problem([1.0], [[1.0], [1.0]], [LE, GE], [1.0, 0.0],
                                 [0.0], [1.0], (0,))
-        for lazy in ((2,), (-1,), (1, 1)):
+        for lazy in ((2,), (-1,), (1, 1), (0.7,), (True,), ((1,),)):
             with pytest.raises(InvalidProblem):
                 dataclasses.replace(problem, lazy_rows=lazy)
+        for binaries in ((1,), (-1,), (0, 0), (0.5,), (True,)):
+            with pytest.raises(InvalidProblem, match="binary"):
+                dataclasses.replace(problem, binaries=binaries)
         with pytest.raises(InvalidProblem, match="lazy rows"):
             solve_milp(dataclasses.replace(problem, lazy_rows=(1,)))
         with pytest.raises(InvalidProblem, match="lazy rows"):
@@ -1001,14 +1059,15 @@ class TestStartBasis:
         sol = solve_lp(problem)
         assert sol.optimal and sol.x == pytest.approx([0.0, 0.0, 0.0])
         assert sol.duals == pytest.approx([20.0])
-        assert sol.stats["iterations"] == 1  # the optimality check alone
+        assert sol.stats["iterations"] == (sol.stats["phase1_iterations"]
+                                           + sol.stats["dual_iterations"])
         assert sol.stats["dual_iterations"] == 0
 
     def test_invalid_starts(self):
         x, y = 0, 1
         problem = proportional_rows()
         for start in (((3, x),), ((-1, x),), ((0, 2),), ((0, x), (0, y)),
-                      ((0, x), (1, x))):
+                      ((0, x), (1, x)), ((0.9, 1.2),), ((0, x, 1, y),)):
             with pytest.raises(InvalidProblem, match="start basis"):
                 dataclasses.replace(problem, start_basis=start)
         with pytest.raises(InvalidProblem, match="lazy row"):
