@@ -12,7 +12,14 @@ Redispatch and nodal dispatch solve one PTDF-form LP over generator changes
 around the hour's merit-order dispatch (``_network_lp``): redispatch reports
 its objective, and nodal dispatch the generation ``merit + x``, its cost and
 the same objective as the hour's redispatch cost, so uniform cost +
-redispatch cost = nodal cost holds by construction.  Few
+redispatch cost = nodal cost holds by construction.  Both read nodal prices
+off the LP's duals (``_nodal_prices``), so a uniform+redispatch year also
+gives the nodal view of its hours, and a study runs one baseline pass for
+both markets.  An hour whose corridors the merit order overloads by at most
+``FLOW_TOL`` solves no redispatch LP, and its nodal view is the merit price
+at every node; ``nodal_dispatch`` always solves the LP, whose lazy rows are
+checked at the solver's tighter ``FEAS_TOL``, so it may price an overload
+between the two tolerances with full congestion rents.  Few
 corridors bind in an hour, so the LP starts from the balance row and the
 corridor directions that the merit-order dispatch overloads; the other
 corridor rows are lazy rows, which the solver adds once an optimum violates
@@ -68,6 +75,7 @@ class RedispatchAdjustment:
     hour: int
     delta_mw: np.ndarray             # per generator
     cost_eur: float
+    nodal_prices: np.ndarray         # per node, from the LP or the market
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,9 @@ class AnnualDispatchSummary:
     mode: str
     hours: int
     price_series: np.ndarray                 # uniform price per hour
-    nodal_price_series: np.ndarray           # (hours, nodes) or None
-    mean_price: float
-    mean_nodal_prices: np.ndarray            # per node or None
+    nodal_price_series: np.ndarray           # (hours, nodes), both modes
+    mean_price: float                        # None for nodal runs
+    mean_nodal_prices: np.ndarray            # per node, both modes
     congestion_cost_eur: float
     redispatch_cost_series: np.ndarray       # per hour, both modes
     total_energy_mwh: float
@@ -181,6 +189,21 @@ def _network_lp(system, hour, q0, base_flows):
         start_basis=[(0, j) for j in marginal], matrix=tables.block))
 
 
+def _nodal_prices(system, sol):
+    """The nodal prices that the network LP's optimum *sol* implies.
+
+    The nodal price is the cost of one more MW of demand at the node.
+    Demand there, with the merit-order dispatch held fixed, raises the
+    balance rhs by one and, by lowering the base flows, raises the rhs of
+    both rows of corridor k by ``PTDF[k, node]``.
+    Duals are d(objective)/d(rhs) (LE rows <= 0, GE rows >= 0), so the
+    price is ``duals[0] + PTDF.T @ (duals[1::2] + duals[2::2])``: the zonal
+    price minus the PTDF-weighted corridor congestion rents.
+    """
+    duals = sol.duals
+    return duals[0] + system.ptdf.entries.T @ (duals[1::2] + duals[2::2])
+
+
 def _check_capacity(system, hour):
     """Raise InfeasibleHour when the hour's demand exceeds its capacity."""
     caps = system.dispatch_tables.capacity[hour]
@@ -209,15 +232,19 @@ def redispatch(system, hour, market):
 
     *market* is the hour's uniform (merit-order) dispatch.  Deltas sum to
     zero; adjusted outputs stay within [0, capacity]; the hour cost is the
-    signed optimal objective (net extra production cost).
+    signed optimal objective (net extra production cost).  The nodal
+    prices are those of the LP's duals (``_nodal_prices``), or the market
+    price at every node when no corridor is overloaded by more than
+    ``FLOW_TOL`` and no LP is solved.
     """
     ptdf = system.ptdf
     q0 = market.generation_mw
     base_flows = ptdf.flows(_injections(system, hour, q0))
 
     if np.all(np.abs(base_flows) <= ptdf.merged_capacity + FLOW_TOL):
-        return RedispatchAdjustment(hour=hour, delta_mw=np.zeros(len(q0)),
-                                    cost_eur=0.0)
+        return RedispatchAdjustment(
+            hour=hour, delta_mw=np.zeros(len(q0)), cost_eur=0.0,
+            nodal_prices=np.full(system.n_nodes, market.price))
 
     sol = _network_lp(system, hour, q0, base_flows)
     if sol.status != "Optimal":
@@ -225,20 +252,15 @@ def redispatch(system, hour, market):
             f"hour {hour}: no feasible redispatch within capacities",
             hour=hour)
     return RedispatchAdjustment(hour=hour, delta_mw=sol.x,
-                                cost_eur=float(sol.objective))
+                                cost_eur=float(sol.objective),
+                                nodal_prices=_nodal_prices(system, sol))
 
 
 def nodal_dispatch(system, hour):
     """Network-constrained dispatch: the redispatch LP around the hour's
-    merit-order dispatch, whose generation is ``merit + x``.
-
-    The nodal price is the cost of one more MW of demand at the node.
-    Demand there, with the merit-order dispatch held fixed, raises the
-    balance rhs by one and, by lowering the base flows, raises the rhs of
-    both rows of corridor k by ``PTDF[k, node]``.
-    Duals are d(objective)/d(rhs) (LE rows <= 0, GE rows >= 0), so the
-    price is ``duals[0] + PTDF.T @ (duals[1::2] + duals[2::2])``: the zonal
-    price minus the PTDF-weighted corridor congestion rents.
+    merit-order dispatch, whose generation is ``merit + x``, and the nodal
+    prices of its duals (``_nodal_prices``).  The LP is solved in every
+    hour, overloaded or not.
     """
     _check_capacity(system, hour)
     demand = system.demand[hour]
@@ -250,10 +272,9 @@ def nodal_dispatch(system, hour):
                              hour=hour)
     generation = merit + sol.x
     costs = system.dispatch_tables.costs
-    prices = sol.duals[0] + system.ptdf.entries.T @ (sol.duals[1::2]
-                                                     + sol.duals[2::2])
     return HourDispatch(hour=hour, generation_mw=generation, price=None,
-                        nodal_prices=prices, served_mw=float(demand.sum()),
+                        nodal_prices=_nodal_prices(system, sol),
+                        served_mw=float(demand.sum()),
                         cost_eur=float(costs @ generation),
                         redispatch_cost_eur=float(sol.objective))
 
@@ -263,13 +284,20 @@ MODE_NODAL = "nodal"
 
 
 def run_year(system, hours, mode):
-    """Aggregate per-hour dispatch over *hours* independent hours."""
+    """Aggregate per-hour dispatch over *hours* independent hours.
+
+    Both modes fill the nodal price series: a nodal year from
+    ``nodal_dispatch``, a uniform+redispatch year from the prices of its
+    redispatch hours, so that one uniform+redispatch pass gives both views
+    of the hours.  Only a uniform+redispatch year has a uniform price
+    series and mean.
+    """
     if hours > system.horizon:
         raise InfeasibleHour(
             f"requested {hours} hours but series cover {system.horizon}")
     n_gen = len(system.generators)
     price_series = np.zeros(hours)
-    nodal_series = None
+    nodal_series = np.zeros((hours, system.n_nodes))
     redispatch_series = np.zeros(hours)
     generation = np.zeros(n_gen)
     total_energy = 0.0
@@ -279,11 +307,11 @@ def run_year(system, hours, mode):
             market = uniform_dispatch(system, t)
             adj = redispatch(system, t, market)
             price_series[t] = market.price
+            nodal_series[t] = adj.nodal_prices
             redispatch_series[t] = adj.cost_eur
             generation += market.generation_mw + adj.delta_mw
             total_energy += market.served_mw
     elif mode == MODE_NODAL:
-        nodal_series = np.zeros((hours, system.n_nodes))
         for t in range(hours):
             result = nodal_dispatch(system, t)
             nodal_series[t] = result.nodal_prices
@@ -300,8 +328,7 @@ def run_year(system, hours, mode):
         nodal_price_series=nodal_series,
         mean_price=(float(price_series.mean())
                     if mode == MODE_UNIFORM_REDISPATCH else None),
-        mean_nodal_prices=(nodal_series.mean(axis=0)
-                           if nodal_series is not None else None),
+        mean_nodal_prices=nodal_series.mean(axis=0),
         congestion_cost_eur=float(redispatch_series.sum()),
         redispatch_cost_series=redispatch_series,
         total_energy_mwh=float(total_energy),

@@ -20,6 +20,7 @@ import numpy as np
 from .demand import (BASIS_KG_PER_HOUR, BASIS_TONS_H2_PER_YEAR,
                      BASIS_TONS_PER_YEAR, INDUSTRY, SECTORS, STATION_CARS,
                      STATION_TRUCKS, ConsumptionLocation, IndustrialSite)
+from .dispatch import MODE_UNIFORM_REDISPATCH
 from .errors import IoError
 from .grid import (Generator, Line, Node, PowerSystem, RENEWABLE_KINDS,
                    compute_ptdf)
@@ -284,21 +285,21 @@ def write_consumption(path, sinks):
 # -- dispatch outputs ---------------------------------------------------------
 
 def write_dispatch_outputs(out_dir, summary):
-    if summary.price_series is not None:
+    """The price file of the summary's market, its redispatch cost per hour
+    and one summary row.  A uniform+redispatch summary writes only its
+    uniform prices, although it carries nodal ones too."""
+    if summary.mode == MODE_UNIFORM_REDISPATCH:
         write_csv(os.path.join(out_dir, "prices_uniform.csv"),
                   ("hour", "price_eur_mwh"),
                   [(t, p) for t, p in enumerate(summary.price_series)])
-    if summary.nodal_price_series is not None:
+    else:
         rows = [(t, n, summary.nodal_price_series[t, n])
                 for t in range(summary.nodal_price_series.shape[0])
                 for n in range(summary.nodal_price_series.shape[1])]
         write_csv(os.path.join(out_dir, "prices_nodal.csv"),
                   ("hour", "node", "price_eur_mwh"), rows)
-    if summary.redispatch_cost_series is not None:
-        write_csv(os.path.join(out_dir, "redispatch.csv"),
-                  ("hour", "cost_eur"),
-                  [(t, c) for t, c in
-                   enumerate(summary.redispatch_cost_series)])
+    write_csv(os.path.join(out_dir, "redispatch.csv"), ("hour", "cost_eur"),
+              [(t, c) for t, c in enumerate(summary.redispatch_cost_series)])
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("mode", "hours", "energy_mwh", "mean_price_eur_mwh",
                "congestion_cost_eur"),

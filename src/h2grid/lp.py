@@ -175,17 +175,27 @@ def scale_matrix(a):
     return ScaledMatrix(scaled, row_scale, col_scale)
 
 
+def _has_bool(values):
+    """Whether *values*, an array or a nested sequence, holds a bool."""
+    if isinstance(values, np.ndarray):
+        return values.dtype == bool
+    if isinstance(values, (list, tuple)):
+        return any(map(_has_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def _indices(values, what, width=()):
     """*values* as an int array of shape ``(k,) + width``; ``InvalidProblem``
-    unless every entry is an integer (a bool is not) and the shape fits."""
-    values = np.asarray(values)
-    if not values.size:
+    unless every entry is an integer (a bool is not, also next to ints,
+    which numpy would turn it into) and the shape fits."""
+    array = np.asarray(values)
+    if not array.size:
         return np.zeros((0,) + width, dtype=int)
-    if (values.dtype.kind not in "iu" or values.ndim != 1 + len(width)
-            or values.shape[1:] != width):
+    if (array.dtype.kind not in "iu" or array.ndim != 1 + len(width)
+            or array.shape[1:] != width or _has_bool(values)):
         raise InvalidProblem(f"{what} indices are not integers of shape "
                              f"(k{', 2' if width else ','})")
-    return values.astype(int)
+    return array.astype(int)
 
 
 @dataclass(frozen=True)

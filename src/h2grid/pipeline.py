@@ -1,7 +1,8 @@
 """Three-step study pipeline.
 
-1. run the baseline dispatch (uniform + redispatch, and nodal) without
-   hydrogen and derive electricity tariffs,
+1. run the baseline dispatch without hydrogen in one uniform + redispatch
+   pass, which also gives the nodal view of the same hours (its redispatch
+   LPs' nodal prices), and derive electricity tariffs from both views,
 2. solve the hydrogen chain MILP per scenario on those tariffs,
 3. feed the resulting electrolyzer loads back (with proportionally scaled
    renewables) and re-run the uniform + redispatch model to compare
@@ -44,7 +45,8 @@ class ScenarioResult:
     tariffs: TariffMap
     design: object
     breakdown: dict                  # EUR/kg end-use cost components
-    summary: object                  # post-feedback AnnualDispatchSummary
+    summary: object                  # post-feedback AnnualDispatchSummary,
+                                     # without its nodal view
     added_energy_mwh: float
     demand_mwh: float
     mean_price: float
@@ -227,7 +229,10 @@ def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
     added_mwh = float(loads.sum())
     scaled = additionality_scale(case.system, added_mwh)
     fed_back = scaled.with_demand(scaled.demand + loads)
-    summary = run_year(fed_back, case.hours, MODE_UNIFORM_REDISPATCH)
+    # nothing reads a feedback year's nodal view, an hours x nodes series
+    # that the report would otherwise keep once per scenario
+    summary = replace(run_year(fed_back, case.hours, MODE_UNIFORM_REDISPATCH),
+                      nodal_price_series=None, mean_nodal_prices=None)
     return ScenarioResult(
         scenario=scenario, tariffs=tariffs, design=design,
         breakdown=breakdown, summary=summary, added_energy_mwh=added_mwh,
@@ -240,7 +245,11 @@ def run_full_study(case, scenarios):
     """Baseline, per-scenario chain + feedback, and the comparison report."""
     baseline_uniform = run_year(case.system, case.hours,
                                 MODE_UNIFORM_REDISPATCH)
-    baseline_nodal = run_year(case.system, case.hours, MODE_NODAL)
+    # the same pass read as a nodal market: its prices are the redispatch
+    # LPs' nodal prices, and its generation and costs are those of
+    # uniform + redispatch, as a nodal year's would be
+    baseline_nodal = replace(baseline_uniform, mode=MODE_NODAL,
+                             price_series=None, mean_price=None)
 
     results = []
     for scenario in scenarios:

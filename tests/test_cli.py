@@ -479,14 +479,19 @@ class TestOutputs:
         out = tmp_path / "disp"
         assert main(["dispatch", "--config", fixture_config,
                      "--out", str(out)]) == 0
-        assert {"prices_uniform.csv", "redispatch.csv", "summary.csv",
-                "effective_config.yaml"} <= set(os.listdir(out))
+        # a uniform+redispatch year carries nodal prices too, but writes
+        # only the uniform ones
+        assert set(os.listdir(out)) == {
+            "prices_uniform.csv", "redispatch.csv", "summary.csv",
+            "effective_config.yaml"}
 
     def test_dispatch_nodal_mode(self, tmp_path, fixture_config):
         out = tmp_path / "nodal"
         assert main(["dispatch", "--config", fixture_config,
                      "--out", str(out), "--mode", "nodal"]) == 0
-        assert "prices_nodal.csv" in os.listdir(out)
+        assert set(os.listdir(out)) == {
+            "prices_nodal.csv", "redispatch.csv", "summary.csv",
+            "effective_config.yaml"}
 
     def test_demand_outputs(self, tmp_path, fixture_config):
         out = tmp_path / "dem"

@@ -161,6 +161,7 @@ class TestRedispatch:
         inj = np.array([q[0], q[1] - 120.0])
         flow = system.ptdf.flows(inj)[0]
         assert abs(flow) == pytest.approx(30.0, abs=1e-6)
+        assert adj.nodal_prices == pytest.approx([10.0, 50.0], abs=1e-6)
 
     def test_zero_sum(self):
         system = two_node_system()
@@ -172,6 +173,8 @@ class TestRedispatch:
         adj = redispatch(system, 0, uniform_dispatch(system, 0))
         assert adj.cost_eur == 0.0
         assert np.all(adj.delta_mw == 0.0)
+        # no LP: the market price at every node
+        assert adj.nodal_prices.tolist() == [50.0, 50.0]
 
 
 class TestNodalDispatch:
@@ -410,7 +413,7 @@ class TestRunYear:
 
     def test_nodal_year_reports_its_redispatch_cost(self):
         # the nodal LP is the redispatch LP, so both modes report the same
-        # redispatch series and congestion cost, bit for bit
+        # redispatch series, congestion cost and nodal prices, bit for bit
         congested = 0
         for seed, n_nodes in ((60, 60), (7, 10), (5, 24)):
             system = generate_synthetic_system(SyntheticSpec(
@@ -420,11 +423,31 @@ class TestRunYear:
             both = run_year(system, 24, MODE_UNIFORM_REDISPATCH)
             assert np.array_equal(nodal.redispatch_cost_series,
                                   both.redispatch_cost_series)
+            assert np.array_equal(nodal.nodal_price_series,
+                                  both.nodal_price_series)
             zeros = nodal.redispatch_cost_series == 0.0
             assert not np.signbit(nodal.redispatch_cost_series[zeros]).any()
             assert nodal.congestion_cost_eur == both.congestion_cost_eur
             congested += int(np.count_nonzero(nodal.redispatch_cost_series))
         assert 0 < congested < 72  # congested and uncongested hours
+
+    def test_overload_below_flow_tol(self):
+        # 30.0000005 MW of demand at node 1 loads the 30 MW line by 5e-7 MW,
+        # within FLOW_TOL: redispatch solves no LP, so the uniform+redispatch
+        # year's nodal view is the merit price at both nodes.  The nodal LP
+        # checks its lazy corridor rows at FEAS_TOL (1e-7), adds the row and
+        # moves 5e-7 MW to node 1, which prices that node at 50
+        over = 5e-7
+        assert 1e-7 < over < FLOW_TOL
+        system = two_node_system(demand_mw=30.0 + over)
+        both = run_year(system, 1, MODE_UNIFORM_REDISPATCH)
+        assert both.nodal_price_series.tolist() == [[10.0, 10.0]]
+        assert both.redispatch_cost_series.tolist() == [0.0]
+        assert both.generation_mwh.tolist() == [30.0 + over, 0.0]
+        nodal = run_year(system, 1, MODE_NODAL)
+        assert nodal.nodal_price_series[0] == pytest.approx([10.0, 50.0])
+        assert nodal.redispatch_cost_series[0] == pytest.approx(
+            over * (50.0 - 10.0))
 
     def test_identical_hours_identical_results(self):
         system = two_node_system(hours=3)

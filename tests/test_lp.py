@@ -931,7 +931,8 @@ class TestLazyRows:
     def test_validation(self):
         problem = build_problem([1.0], [[1.0], [1.0]], [LE, GE], [1.0, 0.0],
                                 [0.0], [1.0], (0,))
-        for lazy in ((2,), (-1,), (1, 1), (0.7,), (True,), ((1,),)):
+        for lazy in ((2,), (-1,), (1, 1), (0.7,), (True,), ((1,),),
+                     (0, True), [np.True_, 0], (np.array(True), 0)):
             with pytest.raises(InvalidProblem):
                 dataclasses.replace(problem, lazy_rows=lazy)
         for binaries in ((1,), (-1,), (0, 0), (0.5,), (True,)):
@@ -1067,7 +1068,9 @@ class TestStartBasis:
         x, y = 0, 1
         problem = proportional_rows()
         for start in (((3, x),), ((-1, x),), ((0, 2),), ((0, x), (0, y)),
-                      ((0, x), (1, x)), ((0.9, 1.2),), ((0, x, 1, y),)):
+                      ((0, x), (1, x)), ((0.9, 1.2),), ((0, x, 1, y),),
+                      ((True, x),), ((0, True),), [(0, np.True_)],
+                      ((0, x), (True, y))):
             with pytest.raises(InvalidProblem, match="start basis"):
                 dataclasses.replace(problem, start_basis=start)
         with pytest.raises(InvalidProblem, match="lazy row"):

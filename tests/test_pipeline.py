@@ -5,7 +5,8 @@ import pytest
 
 from h2grid import pipeline
 from h2grid.chain import ChainDesign, ProductionParams
-from h2grid.dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
+from h2grid.dispatch import (MODE_NODAL, MODE_UNIFORM_REDISPATCH,
+                             AnnualDispatchSummary, run_year)
 from h2grid.errors import (CannotScale, IncompleteBaseline, InfeasibleHour,
                            MissingSeries, ResourceLimit)
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
@@ -13,7 +14,8 @@ from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
 from h2grid.pipeline import (FLAT, NODAL, REAL_TIME, Scenario, StudyCase,
                              UNIFORM, additionality_scale, derive_tariffs,
                              electrolyzer_loads, run_full_study)
-from h2grid.synth import congested_fixture
+from h2grid.synth import (SyntheticSpec, congested_fixture,
+                          generate_synthetic_system)
 
 
 class FakeSummary:
@@ -172,6 +174,12 @@ class TestFullStudy:
         assert len(rows[1]) == 7
         # hydrogen load increases system demand
         assert rows[1][1] > rows[0][1]
+        # the report keeps one nodal series, the baseline's, not one per
+        # feedback year
+        summary = report.results[0].summary
+        assert summary.nodal_price_series is None
+        assert summary.mean_nodal_prices is None
+        assert summary.price_series.shape == (12,)
 
     @pytest.mark.parametrize("kind, context", [
         (InfeasibleHour, {"hour": 5, "deficit_mw": 2.0}),
@@ -181,7 +189,15 @@ class TestFullStudy:
         def fail(*args):
             raise kind("x", **context)
 
-        monkeypatch.setattr(pipeline, "run_year", lambda *args: None)
+        # the study reads its nodal baseline off the uniform+redispatch
+        # year with dataclasses.replace, so the stub returns such a year
+        baseline = AnnualDispatchSummary(
+            mode=MODE_UNIFORM_REDISPATCH, hours=0, price_series=np.zeros(0),
+            nodal_price_series=np.zeros((0, 0)), mean_price=0.0,
+            mean_nodal_prices=np.zeros(0), congestion_cost_eur=0.0,
+            redispatch_cost_series=np.zeros(0), total_energy_mwh=0.0,
+            generation_mwh=np.zeros(0))
+        monkeypatch.setattr(pipeline, "run_year", lambda *args: baseline)
         monkeypatch.setattr(pipeline, "run_scenario", fail)
         scenario = Scenario(spatial=UNIFORM, temporal=FLAT, carrier="GH2")
         with pytest.raises(kind) as info:
@@ -189,3 +205,63 @@ class TestFullStudy:
         assert str(info.value) == f"scenario {scenario.name}: x"
         for name, value in context.items():
             assert getattr(info.value, name) == value
+
+
+class TestBaselineNodalView:
+    """The study's nodal baseline is read off its uniform+redispatch year;
+    a nodal year of the same system, one ``nodal_dispatch`` per hour, is
+    the independent witness that it is the nodal market's result.
+
+    Except in an hour whose merit order overloads a corridor by more than
+    the solver's ``FEAS_TOL`` (1e-7 MW) but no more than ``FLOW_TOL``
+    (1e-6 MW): redispatch solves no LP there and the view has the merit
+    price at every node, while the nodal year prices the overload with
+    full rents (``TestRunYear::test_overload_below_flow_tol``).  The
+    systems below reach no such hour, so they are equal bit for bit."""
+
+    FIELDS = ("nodal_price_series", "mean_nodal_prices", "generation_mwh",
+              "redispatch_cost_series", "total_energy_mwh")
+
+    def check(self, case):
+        """Compare the two views bit for bit; return the year's number of
+        hours with a redispatch cost."""
+        report = run_full_study(case, [])
+        view = report.baseline_nodal
+        witness = run_year(case.system, case.hours, MODE_NODAL)
+        assert view.mode == MODE_NODAL
+        assert view.price_series is None and view.mean_price is None
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(view, name),
+                                  getattr(witness, name)), name
+        assert view.congestion_cost_eur == witness.congestion_cost_eur
+        return int(np.count_nonzero(view.redispatch_cost_series))
+
+    def test_fixture_week(self):
+        assert self.check(congested_fixture(seed=20240, hours=168)) > 0
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(19)
+        congested = hours = 0
+        for _ in range(22):
+            n = int(rng.integers(10, 121))
+            spec = SyntheticSpec(
+                seed=int(rng.integers(0, 10_000)), n_nodes=n,
+                n_lines=int(n * rng.uniform(1.1, 1.5)), hours=24,
+                congestion=float(rng.uniform(0.2, 0.85)))
+            system = generate_synthetic_system(spec)
+            congested += self.check(StudyCase(
+                system=system, sinks=(), candidates=system.nodes, hours=24))
+            hours += 24
+        # 479 of 528 hours have a redispatch cost, 49 have none
+        assert 0 < congested < hours
+
+    def test_one_dispatch_year(self, monkeypatch):
+        years = []
+
+        def counted(system, hours, mode):
+            years.append(mode)
+            return run_year(system, hours, mode)
+
+        monkeypatch.setattr(pipeline, "run_year", counted)
+        run_full_study(congested_fixture(seed=20240, hours=12), [])
+        assert years == [MODE_UNIFORM_REDISPATCH]
