@@ -90,10 +90,6 @@ class IncompleteBaseline(H2GridError):
     pass
 
 
-class MissingSeries(H2GridError):
-    pass
-
-
 class CannotScale(H2GridError):
     pass
 

@@ -3,12 +3,13 @@
 All numeric output is formatted to six significant digits so repeated runs
 produce byte-identical files.  Readers validate headers, numbers (finite;
 capacities, reactances and profile MW not negative, line capacities and
-reactances above zero), positional indices (in range, never negative) and
-lines (two distinct ends), and raise IoError with the offending file and
-column.  The sink files are checked the same way: a consumption ``kind``,
-an industrial ``sector`` and ``basis_kind`` must be one the demand model
-knows, and sink masses, output bases, self supply and station candidate
-weights must not be negative.
+reactances above zero), positional indices (in range, never negative),
+lines (two distinct ends) and demand (one row per hour and node of the run:
+a missing or a duplicate pair is an error, never a silent 0 or overwrite),
+and raise IoError with the offending file and column.  The sink files are
+checked the same way: a consumption ``kind``, an industrial ``sector`` and
+``basis_kind`` must be one the demand model knows, and sink masses, output
+bases, self supply and station candidate weights must not be negative.
 """
 
 import csv
@@ -49,6 +50,15 @@ def _write_rows(path, header, rows):
 def _g6(values):
     """``_fmt`` of every value of the float array *values*, in one pass."""
     return [format(v, ".6g") for v in np.asarray(values, float).tolist()]
+
+
+def _write_table(path, column, table):
+    """An hours x nodes table as ``hour, node, <column>`` rows, hour-major."""
+    hours, nodes = table.shape
+    _write_rows(path, ("hour", "node", column),
+                zip(np.repeat(np.arange(hours), nodes).tolist(),
+                    np.tile(np.arange(nodes), hours).tolist(),
+                    _g6(table.ravel())))
 
 
 def _read_rows(path, required):
@@ -180,9 +190,10 @@ def read_profile(path, hours):
 
 
 def read_demand(path, n_nodes, hours):
-    """Hourly MW per node; rows for hours at or past *hours* are skipped."""
+    """Hourly MW per node; every hour below *hours* needs a row for every
+    node, and rows for hours at or past *hours* are skipped."""
     rows = _read_rows(path, ("hour", "node", "mw"))
-    demand = np.zeros((hours, n_nodes))
+    demand = np.full((hours, n_nodes), np.nan)
     seen = set()
     for r in rows:
         t = _index(r, "hour", path)
@@ -194,6 +205,11 @@ def read_demand(path, n_nodes, hours):
         seen.add((t, n))
         if t < hours:
             demand[t, n] = mw
+    missing = np.argwhere(np.isnan(demand))
+    if len(missing):
+        t, n = missing[0]
+        raise IoError(f"{path}: no row for hour {t}, node {n} "
+                      f"in columns hour, node")
     return demand
 
 
@@ -230,11 +246,7 @@ def write_system(out_dir, system):
     write_csv(os.path.join(out_dir, "generators.csv"),
               ("id", "node", "kind", "marginal_cost", "capacity_mw",
                "profile"), gen_rows)
-    hours, nodes = system.demand.shape
-    _write_rows(os.path.join(out_dir, "demand.csv"), ("hour", "node", "mw"),
-                zip(np.repeat(np.arange(hours), nodes).tolist(),
-                    np.tile(np.arange(nodes), hours).tolist(),
-                    _g6(system.demand.ravel())))
+    _write_table(os.path.join(out_dir, "demand.csv"), "mw", system.demand)
 
 
 # -- hydrogen inputs ----------------------------------------------------------
@@ -289,17 +301,14 @@ def write_dispatch_outputs(out_dir, summary):
     and one summary row.  A uniform+redispatch summary writes only its
     uniform prices, although it carries nodal ones too."""
     if summary.mode == MODE_UNIFORM_REDISPATCH:
-        write_csv(os.path.join(out_dir, "prices_uniform.csv"),
-                  ("hour", "price_eur_mwh"),
-                  [(t, p) for t, p in enumerate(summary.price_series)])
+        _write_rows(os.path.join(out_dir, "prices_uniform.csv"),
+                    ("hour", "price_eur_mwh"),
+                    enumerate(_g6(summary.price_series)))
     else:
-        rows = [(t, n, summary.nodal_price_series[t, n])
-                for t in range(summary.nodal_price_series.shape[0])
-                for n in range(summary.nodal_price_series.shape[1])]
-        write_csv(os.path.join(out_dir, "prices_nodal.csv"),
-                  ("hour", "node", "price_eur_mwh"), rows)
-    write_csv(os.path.join(out_dir, "redispatch.csv"), ("hour", "cost_eur"),
-              [(t, c) for t, c in enumerate(summary.redispatch_cost_series)])
+        _write_table(os.path.join(out_dir, "prices_nodal.csv"),
+                     "price_eur_mwh", summary.nodal_price_series)
+    _write_rows(os.path.join(out_dir, "redispatch.csv"), ("hour", "cost_eur"),
+                enumerate(_g6(summary.redispatch_cost_series)))
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("mode", "hours", "energy_mwh", "mean_price_eur_mwh",
                "congestion_cost_eur"),

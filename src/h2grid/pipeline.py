@@ -1,15 +1,18 @@
 """Three-step study pipeline.
 
 1. run the baseline dispatch without hydrogen in one uniform + redispatch
-   pass, which also gives the nodal view of the same hours (its redispatch
-   LPs' nodal prices), and derive electricity tariffs from both views,
+   pass, which carries both price signals of the same hours: the uniform
+   market price and the nodal view (its redispatch LPs' nodal prices), and
+   derive electricity tariffs from the scenario's signal,
 2. solve the hydrogen chain MILP per scenario on those tariffs,
 3. feed the resulting electrolyzer loads back (with proportionally scaled
    renewables) and re-run the uniform + redispatch model to compare
    congestion-management costs.
 
-Electrolyzer operating hours in real-time scenarios are chosen from the
-baseline price series; the pipeline is deliberately non-iterative.
+One rule, ``_price_signal``, gives both the tariffs and the fed-back loads
+the series a site sees (uniform, or its node's column of the nodal view) and
+the hours it runs (every hour when flat, the cheapest share of that series
+when real-time); the pipeline is deliberately non-iterative.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,8 +23,7 @@ from .chain import (CARRIER_DEFAULTS, ImportSpec, ProductionParams,
                     TariffMap, TransportParams, build_chain_problem,
                     end_use_cost, solve_chain)
 from .dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
-from .errors import (CannotScale, H2GridError, IncompleteBaseline,
-                     MissingSeries)
+from .errors import CannotScale, H2GridError, IncompleteBaseline
 from .grid import RENEWABLE_KINDS, Generator
 
 UNIFORM, NODAL = "uniform", "nodal"
@@ -100,74 +102,76 @@ def _cheapest_hours(prices, share=0.7):
     return np.sort(order[:k])
 
 
-def derive_tariffs(baseline_uniform, baseline_nodal, scenario, node_ids,
-                   ngp=0.03, cheap_share=0.7):
-    """Per-node production tariffs (EUR/kWh) from the baseline price series.
+# Every hour of the year, as an index of a price series or a load column.
+EVERY_HOUR = slice(None)
 
-    Flat tariffs are annual means; real-time tariffs average the cheapest
-    *cheap_share* of hours.  The downstream price for conversion and
-    stations is always the flat uniform mean.
+
+def _price_signal(baseline, scenario, nodes, cheap_share):
+    """``{node: (series, hours)}``: the baseline price series (EUR/MWh) an
+    electrolyzer at each of *nodes* sees, and the hours it runs.
+
+    A uniform signal is the market price, one series for every node; a
+    nodal one is the node's column of the baseline's nodal view.  A flat
+    tariff runs every hour (``EVERY_HOUR``), a real-time one the cheapest
+    *cheap_share* of its series, the uniform series ranked once.  With no
+    baseline a flat electrolyzer still runs every hour, on no series; a
+    real-time one, or a baseline without the series, raises
+    IncompleteBaseline.
     """
-    if baseline_uniform is None or baseline_uniform.price_series is None:
+    nodal = scenario.spatial == NODAL
+    real_time = scenario.temporal == REAL_TIME
+    prices = getattr(baseline, "nodal_price_series" if nodal
+                     else "price_series", None)
+    if prices is None:
+        if baseline is not None or real_time:
+            raise IncompleteBaseline(
+                f"{scenario.spatial} baseline price series missing")
+        return {n: (None, EVERY_HOUR) for n in nodes}
+
+    def run_hours(series):
+        return _cheapest_hours(series, cheap_share) if real_time \
+            else EVERY_HOUR
+
+    if not nodal:
+        hours = run_hours(prices)
+        return {n: (prices, hours) for n in nodes}
+    return {n: (prices[:, n], run_hours(prices[:, n])) for n in nodes}
+
+
+def derive_tariffs(baseline, scenario, node_ids, ngp=0.03, cheap_share=0.7):
+    """Per-node production tariffs (EUR/kWh) from the baseline year.
+
+    A node's tariff is the mean of the price series its electrolyzer sees
+    over the hours it runs (``_price_signal``): the annual mean when flat,
+    the cheapest *cheap_share* of hours when real-time.  The downstream
+    price for conversion and stations is always the flat uniform mean.
+    """
+    if baseline is None or baseline.price_series is None:
         raise IncompleteBaseline("uniform baseline price series missing")
-    uniform_series = baseline_uniform.price_series
-    ep_uniform = float(uniform_series.mean()) / 1000.0
-
-    if scenario.spatial == NODAL:
-        if baseline_nodal is None or baseline_nodal.nodal_price_series is None:
-            raise IncompleteBaseline("nodal baseline price series missing")
-        nodal_series = baseline_nodal.nodal_price_series
-        ep_node = {}
-        for n in node_ids:
-            series = nodal_series[:, n]
-            if scenario.temporal == REAL_TIME:
-                hours = _cheapest_hours(series, cheap_share)
-                ep_node[n] = float(series[hours].mean()) / 1000.0
-            else:
-                ep_node[n] = float(series.mean()) / 1000.0
-    else:
-        if scenario.temporal == REAL_TIME:
-            hours = _cheapest_hours(uniform_series, cheap_share)
-            price = float(uniform_series[hours].mean()) / 1000.0
-        else:
-            price = ep_uniform
-        ep_node = {n: price for n in node_ids}
-
-    return TariffMap(ep_node=ep_node, ep_uniform=ep_uniform, ngp=ngp)
+    signal = _price_signal(baseline, scenario, node_ids, cheap_share)
+    return TariffMap(
+        ep_node={n: float(series[hours].mean()) / 1000.0
+                 for n, (series, hours) in signal.items()},
+        ep_uniform=float(baseline.price_series.mean()) / 1000.0, ngp=ngp)
 
 
-def electrolyzer_loads(design, scenario, system, production,
-                       baseline_uniform=None, baseline_nodal=None,
+def electrolyzer_loads(design, scenario, system, production, baseline=None,
                        cheap_share=0.7):
     """Hourly electric load (MW) per node implied by the chain design.
 
-    Flat mode draws a constant HP * EC / 24 kW; real-time mode concentrates
-    the same energy into the cheapest share of hours.  Imports add no
-    electric load.
+    A site draws HP * EC / 24 kW in the hours ``_price_signal`` runs it:
+    around the clock when flat, the same energy concentrated into the
+    cheapest share of hours when real-time.  Imports add no electric load.
     """
-    hours = system.horizon
-    loads = np.zeros((hours, system.n_nodes))
-    for node_id, hp in design.hp_kg_day.items():
-        if hp <= 0:
-            continue
+    horizon = system.horizon
+    loads = np.zeros((horizon, system.n_nodes))
+    sites = {n: hp for n, hp in design.hp_kg_day.items() if hp > 0}
+    signal = _price_signal(baseline, scenario, sites, cheap_share)
+    for node_id, hp in sites.items():
         flat_mw = hp * production.ec_kwh_per_kg / 24.0 / 1000.0
-        if scenario.temporal == FLAT:
-            loads[:, node_id] += flat_mw
-        else:
-            if scenario.spatial == NODAL:
-                if baseline_nodal is None or \
-                        baseline_nodal.nodal_price_series is None:
-                    raise MissingSeries("nodal price series required for "
-                                        "real-time operation")
-                series = baseline_nodal.nodal_price_series[:, node_id]
-            else:
-                if baseline_uniform is None or \
-                        baseline_uniform.price_series is None:
-                    raise MissingSeries("uniform price series required for "
-                                        "real-time operation")
-                series = baseline_uniform.price_series
-            on = _cheapest_hours(series, cheap_share)
-            loads[on, node_id] += flat_mw * hours / len(on)
+        hours = signal[node_id][1]
+        loads[hours, node_id] += flat_mw if hours is EVERY_HOUR \
+            else flat_mw * horizon / len(hours)
     return loads
 
 
@@ -210,10 +214,9 @@ class StudyCase:
     cheap_share: float = 0.7
 
 
-def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
+def run_scenario(case, scenario, baseline):
     node_ids = [n.id for n in case.candidates]
-    tariffs = derive_tariffs(baseline_uniform, baseline_nodal, scenario,
-                             node_ids, ngp=case.ngp,
+    tariffs = derive_tariffs(baseline, scenario, node_ids, ngp=case.ngp,
                              cheap_share=case.cheap_share)
     problem = build_chain_problem(
         case.sinks, case.candidates, tariffs,
@@ -224,8 +227,7 @@ def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
     breakdown = end_use_cost(design, include_stations=include_stations)
 
     loads = electrolyzer_loads(design, scenario, case.system,
-                               case.production, baseline_uniform,
-                               baseline_nodal, case.cheap_share)
+                               case.production, baseline, case.cheap_share)
     added_mwh = float(loads.sum())
     scaled = additionality_scale(case.system, added_mwh)
     fed_back = scaled.with_demand(scaled.demand + loads)
@@ -243,19 +245,11 @@ def run_scenario(case, scenario, baseline_uniform, baseline_nodal):
 
 def run_full_study(case, scenarios):
     """Baseline, per-scenario chain + feedback, and the comparison report."""
-    baseline_uniform = run_year(case.system, case.hours,
-                                MODE_UNIFORM_REDISPATCH)
-    # the same pass read as a nodal market: its prices are the redispatch
-    # LPs' nodal prices, and its generation and costs are those of
-    # uniform + redispatch, as a nodal year's would be
-    baseline_nodal = replace(baseline_uniform, mode=MODE_NODAL,
-                             price_series=None, mean_price=None)
-
+    baseline = run_year(case.system, case.hours, MODE_UNIFORM_REDISPATCH)
     results = []
     for scenario in scenarios:
         try:
-            results.append(run_scenario(case, scenario, baseline_uniform,
-                                        baseline_nodal))
+            results.append(run_scenario(case, scenario, baseline))
         except H2GridError as exc:
             # prefix the message in place, so that the hour, incumbent or
             # bound an error carries survives (add_note needs Python 3.11)
@@ -264,15 +258,18 @@ def run_full_study(case, scenarios):
             raise
 
     spread = {
-        n.id: float(baseline_uniform.mean_price
-                    - baseline_nodal.mean_nodal_prices[n.id])
+        n.id: float(baseline.mean_price - baseline.mean_nodal_prices[n.id])
         for n in case.candidates}
     return StudyReport(
         hours=case.hours,
-        baseline_demand_mwh=baseline_uniform.total_energy_mwh,
-        baseline_mean_price=baseline_uniform.mean_price,
-        baseline_congestion_eur=baseline_uniform.congestion_cost_eur,
-        baseline_uniform=baseline_uniform,
-        baseline_nodal=baseline_nodal,
+        baseline_demand_mwh=baseline.total_energy_mwh,
+        baseline_mean_price=baseline.mean_price,
+        baseline_congestion_eur=baseline.congestion_cost_eur,
+        baseline_uniform=baseline,
+        # the same pass read as a nodal market: its prices are the
+        # redispatch LPs' nodal prices, and its generation and costs are
+        # those of uniform + redispatch, as a nodal year's would be
+        baseline_nodal=replace(baseline, mode=MODE_NODAL, price_series=None,
+                               mean_price=None),
         results=tuple(results),
         nodal_price_spread=spread)

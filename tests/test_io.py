@@ -1,7 +1,7 @@
 """CSV reader validation: malformed network, demand, profile and sink rows
 raise IoError naming the file and column instead of wrapping, overwriting
-or escaping as a raw exception.  The system writer's column-wise output
-matches a cell-by-cell one."""
+or escaping as a raw exception.  The system and dispatch writers'
+column-wise output matches a cell-by-cell one."""
 
 import os
 
@@ -10,10 +10,12 @@ import pytest
 import yaml
 
 from h2grid.cli import main
+from h2grid.dispatch import (MODE_NODAL, MODE_UNIFORM_REDISPATCH,
+                             AnnualDispatchSummary)
 from h2grid.errors import IoError
 from h2grid.io import (read_consumption, read_demand, read_industrial_sites,
                        read_profile, read_station_candidates, read_system,
-                       write_csv, write_system)
+                       write_csv, write_dispatch_outputs, write_system)
 from h2grid.synth import SyntheticSpec, generate_synthetic_system
 
 
@@ -53,6 +55,18 @@ class TestReadDemand:
                                           r"hour 0, node 1"):
             self.read(tmp_path, self.GOOD + ["0,1,25"])
 
+    @pytest.mark.parametrize("rows, hours, hour, node", [
+        (GOOD[:3], 2, 1, 1),
+        (GOOD[1:], 2, 0, 0),
+        (GOOD, 5, 2, 0),                # rows for hours 0-1 only
+    ])
+    def test_missing_row(self, tmp_path, rows, hours, hour, node):
+        # a missing pair is not 0 MW of demand
+        with pytest.raises(IoError, match=rf"demand\.csv: no row for hour "
+                                          rf"{hour}, node {node} in columns "
+                                          r"hour, node$"):
+            self.read(tmp_path, rows, hours=hours)
+
 
 class TestReadProfile:
     def read(self, tmp_path, rows, hours=3):
@@ -87,7 +101,7 @@ class TestReadNetwork:
                   ["0,0,1,100,0.1", "1,1,2,100,0.1"]),
         "generators": ("id,node,kind,marginal_cost,capacity_mw",
                        ["0,0,dispatchable,20,300", "1,2,dispatchable,50,300"]),
-        "demand": ("hour,node,mw", ["0,1,50", "0,2,40"]),
+        "demand": ("hour,node,mw", ["0,0,0", "0,1,50", "0,2,40"]),
     }
 
     def write(self, tmp_path, **replace):
@@ -234,6 +248,40 @@ class TestWriteSystem:
                    for n in range(demand.shape[1])])
         names = sorted(os.listdir(ref))
         assert len(names) > 1
+        assert set(names) <= set(os.listdir(out))
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+class TestWriteDispatchOutputs:
+    @pytest.mark.parametrize("mode", [MODE_UNIFORM_REDISPATCH, MODE_NODAL])
+    def test_matches_cell_by_cell_writer(self, tmp_path, mode):
+        # values where the formats of floats, signed zeros and exponents
+        # part; the nodal table is not C-contiguous
+        odd = [-0.0, 1e-7, 123456789.0, 0.1 + 0.2, 41.25]
+        nodal = np.array([odd, odd[::-1], odd[1:] + odd[:1]]).T
+        summary = AnnualDispatchSummary(
+            mode=mode, hours=5, price_series=np.array(odd),
+            nodal_price_series=nodal, mean_price=1.0,
+            mean_nodal_prices=nodal.mean(axis=0), congestion_cost_eur=2.0,
+            redispatch_cost_series=np.array(odd[::-1]), total_energy_mwh=3.0,
+            generation_mwh=np.zeros(1))
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out.mkdir()
+        ref.mkdir()
+        write_dispatch_outputs(str(out), summary)
+
+        if mode == MODE_UNIFORM_REDISPATCH:
+            write_csv(str(ref / "prices_uniform.csv"),
+                      ("hour", "price_eur_mwh"), list(enumerate(odd)))
+        else:
+            write_csv(str(ref / "prices_nodal.csv"),
+                      ("hour", "node", "price_eur_mwh"),
+                      [(t, n, nodal[t, n]) for t in range(5)
+                       for n in range(3)])
+        write_csv(str(ref / "redispatch.csv"), ("hour", "cost_eur"),
+                  list(enumerate(summary.redispatch_cost_series)))
+        names = sorted(os.listdir(ref))
         assert set(names) <= set(os.listdir(out))
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name

@@ -8,7 +8,7 @@ from h2grid.chain import ChainDesign, ProductionParams
 from h2grid.dispatch import (MODE_NODAL, MODE_UNIFORM_REDISPATCH,
                              AnnualDispatchSummary, run_year)
 from h2grid.errors import (CannotScale, IncompleteBaseline, InfeasibleHour,
-                           MissingSeries, ResourceLimit)
+                           ResourceLimit)
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          WIND, compute_ptdf)
 from h2grid.pipeline import (FLAT, NODAL, REAL_TIME, Scenario, StudyCase,
@@ -41,14 +41,14 @@ class TestDeriveTariffs:
     PRICES = [10.0] * 7 + [100.0] * 3
 
     def test_flat_uniform(self):
-        t = derive_tariffs(FakeSummary(self.PRICES), None,
+        t = derive_tariffs(FakeSummary(self.PRICES),
                            Scenario(spatial=UNIFORM, temporal=FLAT),
                            [0, 1])
         assert t.ep_node[0] == pytest.approx(0.037)  # 37 EUR/MWh in EUR/kWh
         assert t.ep_uniform == pytest.approx(0.037)
 
     def test_real_time_uniform_takes_cheap_hours(self):
-        t = derive_tariffs(FakeSummary(self.PRICES), None,
+        t = derive_tariffs(FakeSummary(self.PRICES),
                            Scenario(spatial=UNIFORM, temporal=REAL_TIME),
                            [0])
         # cheapest 70% of ten hours is exactly the seven 10 EUR hours
@@ -57,17 +57,17 @@ class TestDeriveTariffs:
 
     def test_nodal_is_per_node(self):
         nodal = np.column_stack([np.full(10, 20.0), self.PRICES])
-        t = derive_tariffs(FakeSummary(self.PRICES), FakeSummary(nodal=nodal),
+        t = derive_tariffs(FakeSummary(self.PRICES, nodal),
                            Scenario(spatial=NODAL, temporal=FLAT), [0, 1])
         assert t.ep_node[0] == pytest.approx(0.020)
         assert t.ep_node[1] == pytest.approx(0.037)
 
     def test_missing_baseline_raises(self):
         with pytest.raises(IncompleteBaseline):
-            derive_tariffs(FakeSummary(), None, Scenario(), [0])
+            derive_tariffs(FakeSummary(), Scenario(), [0])
         with pytest.raises(IncompleteBaseline):
-            derive_tariffs(FakeSummary(self.PRICES), FakeSummary(),
-                           Scenario(spatial=NODAL), [0])
+            derive_tariffs(FakeSummary(self.PRICES), Scenario(spatial=NODAL),
+                           [0])
 
 
 def tiny_system(hours=10, n=2):
@@ -122,7 +122,7 @@ class TestElectrolyzerLoads:
 
     def test_real_time_needs_series(self):
         system = tiny_system()
-        with pytest.raises(MissingSeries):
+        with pytest.raises(IncompleteBaseline):
             electrolyzer_loads(make_design({0: 100.0}),
                                Scenario(temporal=REAL_TIME), system,
                                ProductionParams())
@@ -265,3 +265,38 @@ class TestBaselineNodalView:
         monkeypatch.setattr(pipeline, "run_year", counted)
         run_full_study(congested_fixture(seed=20240, hours=12), [])
         assert years == [MODE_UNIFORM_REDISPATCH]
+
+
+class TestOnePriceSignal:
+    """A site's tariff is the mean baseline price over exactly the hours
+    its fed-back load runs: ``derive_tariffs`` and ``electrolyzer_loads``
+    read one price-signal rule."""
+
+    def test_tariff_is_mean_price_of_load_hours(self):
+        case = congested_fixture(seed=42, hours=168)
+        report = run_full_study(case, [
+            Scenario(spatial, temporal, "LH2")
+            for spatial in (UNIFORM, NODAL) for temporal in (FLAT, REAL_TIME)])
+        baseline = report.baseline_uniform
+        checked = {}
+        for r in report.results:
+            loads = electrolyzer_loads(r.design, r.scenario, case.system,
+                                       case.production, baseline,
+                                       case.cheap_share)
+            for node, hp in r.design.hp_kg_day.items():
+                if hp <= 0:
+                    continue
+                series = (baseline.nodal_price_series[:, node]
+                          if r.scenario.spatial == NODAL
+                          else baseline.price_series)
+                on = np.flatnonzero(loads[:, node] > 0)
+                assert r.tariffs.ep_node[node] * 1000 == series[on].mean(), \
+                    (r.scenario.name, node)
+                checked[r.scenario.name, node] = len(on)
+        # nodal tariffs site at the northern nodes 2-3, uniform ones at the
+        # southern nodes 5-7; real-time sites run 118 of 168 hours
+        assert checked == {
+            **{("uniform_flat_LH2", n): 168 for n in (5, 6, 7)},
+            **{("uniform_real_time_LH2", n): 118 for n in (5, 6, 7)},
+            **{("nodal_flat_LH2", n): 168 for n in (2, 3)},
+            **{("nodal_real_time_LH2", n): 118 for n in (2, 3)}}
