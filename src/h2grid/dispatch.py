@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleHour, InfeasibleRedispatch
+from .errors import InfeasibleHour, InfeasibleRedispatch, InvalidProblem
 from .lp import EQ, GE, LE, LinearProblem, scale_matrix, solve_lp
 
 BALANCE_TOL = 1e-6
@@ -170,6 +170,9 @@ def _network_lp(system, hour, q0, base_flows):
     prices at the marginal cost and the reduced costs are ``c_j -
     c_marginal``, so the start is dual feasible (``start_basis``) and the
     dual simplex repairs the overloaded corridors.
+
+    An ``InvalidProblem`` that the LP raises, the iteration limit
+    included, has ``hour <hour>: `` put before its message.
     """
     tables = system.dispatch_tables
     limit = system.ptdf.merged_capacity
@@ -182,11 +185,17 @@ def _network_lp(system, hour, q0, base_flows):
     order = tables.order
     running = order[q0[order] > 0]
     marginal = running[-1:] if running.size else order[:1]  # empty with no units
-    return solve_lp(LinearProblem(
-        tables.costs, -q0, tables.capacity[hour] - q0, _NO_TRIPLETS,
-        _NO_TRIPLETS, _NO_TRIPLETS, tables.senses, rhs,
-        lazy_rows=1 + (~overloaded).nonzero()[0],
-        start_basis=[(0, j) for j in marginal], matrix=tables.block))
+    try:
+        return solve_lp(LinearProblem(
+            tables.costs, -q0, tables.capacity[hour] - q0, _NO_TRIPLETS,
+            _NO_TRIPLETS, _NO_TRIPLETS, tables.senses, rhs,
+            lazy_rows=1 + (~overloaded).nonzero()[0],
+            start_basis=[(0, j) for j in marginal], matrix=tables.block))
+    except InvalidProblem as exc:
+        # prefix the message in place, as run_full_study does the scenario
+        message = exc.args[0] if exc.args else ""
+        exc.args = (f"hour {hour}: {message}",) + exc.args[1:]
+        raise
 
 
 def _nodal_prices(system, sol):

@@ -27,6 +27,13 @@ to the bit.  The leaving row is the first largest violation (``argmax``),
 and the loop stops when that largest one is within ``FEAS_TOL``; an empty
 basis is primal feasible at once.
 
+The loop keeps its state between pivots and updates only what a pivot
+changes: the basic values ``x_B`` and the bounds of the basic columns at
+the leaving row (and ``x_B`` by the step along the entering column), and
+the entering table ``_UP[status]``, 0 for a fixed column, at the leaving
+and the entering column.  ``x_B`` goes back into ``x`` once, when the loop
+returns.
+
 A cold solve starts every active row on its slack, so the basis inverse is
 exactly the identity and the multipliers are zero: every column prices at
 its cost.  Every column rests at a bound (free ones at zero), a boxed one at
@@ -53,7 +60,13 @@ raises ``InvalidProblem``.  The network LP of ``dispatch`` starts this way
 at the hour's merit-order vertex.
 
 The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
-product-form update per basis change.  Every other inverse comes from
+product-form update per basis change, ``_replace``.  The update changes only
+the rows where the entering column ``w = B^-1 a_q`` is nonzero, so when
+fewer than half of them are it updates those rows alone, and otherwise it
+takes the dense product, which is faster there; the entries are the same
+either way.  A siting column has a few nonzeros in hundreds of rows (Hall &
+McKinnon, "Hyper-sparsity in the revised simplex method and how to exploit
+it", Comput. Optim. Appl. 2005).  Every other inverse comes from
 ``_invert``: of a start basis, every ``_REFACTOR_PERIOD`` updates, after
 ``_add_rows`` and on a warm re-solve.  A basic slack is the unit column of
 its own row, so ``_invert`` inverts only the block of the structural basic
@@ -62,6 +75,9 @@ by one product (Bixby, "Solving real-world linear programs", Oper. Res.
 2002, on exploiting slack structure).  Multipliers and the entering column
 are one matrix-vector product each, and pricing and the ratio test are
 array operations.
+A solve whose objective or duality gap is not finite raises
+``InvalidProblem``, naming the phase and the iteration; it is never
+``Optimal``.
 ``Solution.stats`` reports the pivots: all of them (``iterations``), those
 of phase 1, the auxiliary problem and a cold solve's first pass
 (``phase1_iterations``), and the others (``dual_iterations``); and the
@@ -110,6 +126,7 @@ result's ``stats`` report ``nodes``, ``lp_solves``, ``iterations`` and
 worst ``|gap| / max(1, |objective|)`` among them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -503,20 +520,23 @@ class _Simplex:
         self.updates = 0
         self.refactorizations += 1
 
-    def _replace(self, pos, enter, w, step, hit, phase):
-        """Move *enter* by *step* and the basic columns with it (``w`` is
-        ``binv @ a[:, enter]``), rest the column basic in row *pos* at the
-        bound *hit* names and make *enter* basic in that row."""
-        self.x[enter] += step
-        self.x[self.basis] -= step * w
-        out = self.basis[pos]
-        self.status[out] = hit
-        self.x[out] = self.ub[out] if hit == _AT_UB else self.lb[out]
+    def _replace(self, pos, enter, w, hit, phase):
+        """Rest the column basic in row *pos* with status *hit*, make
+        *enter* basic in that row and update the basis inverse (``w`` is
+        ``binv @ a[:, enter]``).  A row where ``w`` is zero keeps its
+        entries, so when fewer than half of ``w`` is nonzero only the other
+        rows are updated; otherwise the dense product is the faster one."""
+        self.status[self.basis[pos]] = hit
         self.status[enter] = _BASIC
         self.basis[pos] = enter
-        row = self.binv[pos] / w[pos]
-        self.binv -= w[:, None] * row
-        self.binv[pos] = row
+        binv = self.binv
+        row = binv[pos] / w[pos]
+        nz = w.nonzero()[0]
+        if 2 * nz.size < w.size:
+            binv[nz] -= w[nz, None] * row
+        else:
+            binv -= w[:, None] * row
+        binv[pos] = row
         self.updates += 1
         if self.updates >= _REFACTOR_PERIOD:
             self._refactor(phase)
@@ -529,65 +549,84 @@ class _Simplex:
         then, or "Infeasible" when a violated row has no entering column.
         Its pivots count as phase 1 or as dual iterations by *phase*.  After
         ``_DEGENERATE_LIMIT`` zero-length pivots in a row, lowest-index
-        choices hold until it returns."""
+        choices hold until it returns.
+
+        The basic values and bounds and each column's entering direction
+        are kept between pivots and updated where a pivot changes them;
+        the basic values go back into ``x`` when it returns."""
         if not self.m:
             return "Optimal"
-        movable = self.lb < self.ub
+        basis, x, lb, ub = self.basis, self.x, self.lb, self.ub
         d = self._reduced(cost)  # updated per pivot
-        # no column becomes free here, so none is free later if none is now
-        any_free = (self.status == _FREE).any()
+        xb, lb_b, ub_b = x[basis], lb[basis], ub[basis]
+        # the direction each column may enter in: 0 when basic or fixed;
+        # no column becomes free here, and a free one may move either way
+        movable = lb < ub
+        up = np.where(movable, _UP[self.status], 0.0)
+        free = movable & (self.status == _FREE)
+        any_free = free.any()
         limit = 2000 + 200 * (self.m + self.a.shape[1])
         degenerate_run, bland = 0, False
-        while True:
-            xb = self.x[self.basis]
-            below = self.lb[self.basis] - xb
-            viol = np.maximum(below, xb - self.ub[self.basis])
-            # leaving row: the largest violation with the lowest position on
-            # ties, or the lowest basic index
-            r = int(viol.argmax())
-            if not viol[r] > FEAS_TOL:
-                return "Optimal"
-            self.iterations += 1
-            if self.iterations > limit:
-                raise InvalidProblem("simplex iteration limit exceeded")
-            if phase == "phase 1":
-                self.phase1_iterations += 1
-            else:
-                self.dual_iterations += 1
-            if bland:
-                rows = (viol > FEAS_TOL).nonzero()[0]
-                r = int(rows[self.basis[rows].argmin()])
-            rising = below[r] > 0  # x_B[r] rises to its lower bound
+        try:
+            while True:
+                below = lb_b - xb
+                viol = np.maximum(below, xb - ub_b)
+                # leaving row: the largest violation with the lowest
+                # position on ties, or the lowest basic index
+                r = int(viol.argmax())
+                if not viol[r] > FEAS_TOL:
+                    return "Optimal"
+                self.iterations += 1
+                if self.iterations > limit:
+                    raise InvalidProblem("simplex iteration limit exceeded")
+                if phase == "phase 1":
+                    self.phase1_iterations += 1
+                else:
+                    self.dual_iterations += 1
+                if bland:
+                    rows = (viol > FEAS_TOL).nonzero()[0]
+                    r = int(rows[basis[rows].argmin()])
+                rising = below[r] > 0  # x_B[r] rises to its lower bound
 
-            # entering column: column j moves x_B[r] by -alpha_j per unit;
-            # sigma > 0 means a column at its lower bound can repair row r
-            alpha = self.binv[r] @ self.a
-            sigma = -alpha if rising else alpha
-            st = self.status
-            eligible = sigma * _UP[st] > 1e-9
-            if any_free:
-                eligible |= (st == _FREE) & (np.abs(sigma) > 1e-9)
-            cols = (movable & eligible).nonzero()[0]
-            if not cols.size:
-                return "Infeasible"
-            size = np.abs(alpha[cols])
-            ratio = np.abs(d[cols]) / size
-            step = ratio.min()
-            near = ratio <= step + 1e-11
-            if bland:
-                enter = int(cols[near.argmax()])
-            else:
-                enter = int(cols[near][size[near].argmax()])
-            degenerate_run = degenerate_run + 1 if step < 1e-11 else 0
-            bland |= degenerate_run >= _DEGENERATE_LIMIT
-            d -= d[enter] / alpha[enter] * alpha
+                # entering column: column j moves x_B[r] by -alpha_j per
+                # unit; sigma > 0 means a column at its lower bound can
+                # repair row r
+                alpha = self.binv[r] @ self.a
+                sigma = -alpha if rising else alpha
+                eligible = sigma * up > 1e-9
+                if any_free:
+                    eligible |= free & (np.abs(sigma) > 1e-9)
+                cols = eligible.nonzero()[0]
+                if not cols.size:
+                    return "Infeasible"
+                size = np.abs(alpha[cols])
+                ratio = np.abs(d[cols]) / size
+                step = ratio.min()
+                near = ratio <= step + 1e-11
+                if bland:
+                    enter = int(cols[near.argmax()])
+                else:
+                    enter = int(cols[near][size[near].argmax()])
+                degenerate_run = degenerate_run + 1 if step < 1e-11 else 0
+                bland |= degenerate_run >= _DEGENERATE_LIMIT
+                d -= d[enter] / alpha[enter] * alpha
 
-            # move the entering column until x_B[r] sits at its bound
-            w = self.binv @ self.a[:, enter]
-            out = self.basis[r]
-            bound = self.lb[out] if rising else self.ub[out]
-            self._replace(r, enter, w, (xb[r] - bound) / w[r],
-                          _AT_LB if rising else _AT_UB, phase)
+                # move the entering column until x_B[r] sits at its bound,
+                # and the column basic there leaves at that bound
+                w = self.binv @ self.a[:, enter]
+                out = basis[r]
+                bound, hit = (lb_b[r], _AT_LB) if rising else (ub_b[r], _AT_UB)
+                move = (xb[r] - bound) / w[r]
+                xb -= move * w
+                xb[r] = x[enter] + move
+                x[out] = bound
+                lb_b[r], ub_b[r] = lb[enter], ub[enter]
+                up[out] = _UP[hit] if movable[out] else 0.0
+                up[enter] = 0.0
+                free[enter] = False
+                self._replace(r, enter, w, hit, phase)
+        finally:
+            x[basis] = xb
 
     # -- driver --------------------------------------------------------------
 
@@ -688,6 +727,9 @@ class _Simplex:
 
         objective = float(self.problem.c @ x)
         gap = self._duality_gap(objective, duals, reduced)
+        if not (math.isfinite(objective) and math.isfinite(gap)):
+            raise InvalidProblem(f"non-finite objective or duality gap in "
+                                 f"{phase} at iteration {self.iterations}")
         return Solution(status="Optimal", x=x, objective=objective,
                         duals=duals, reduced_costs=reduced, duality_gap=gap,
                         stats=self._stats())
@@ -702,9 +744,8 @@ class _Simplex:
         ub = self.ub[: self.n_struct] * self.col_scale
         at_lb = (reduced > 0) & np.isfinite(lb)
         at_ub = (reduced < 0) & np.isfinite(ub)
-        terms = np.zeros(p.n_vars)
-        terms[at_lb] = reduced[at_lb] * lb[at_lb]
-        terms[at_ub] = reduced[at_ub] * ub[at_ub]
+        terms = np.multiply(reduced, lb, out=np.zeros(p.n_vars), where=at_lb)
+        np.multiply(reduced, ub, out=terms, where=at_ub)
         # accumulate left to right, in the order a scalar loop would
         sums = np.cumsum(np.concatenate(([dual_obj], terms)))
         return objective - float(sums[-1])
@@ -736,7 +777,7 @@ def solve_milp(problem, node_limit=100000):
         raise InvalidProblem("solve_milp given a problem with a start basis")
     if not problem.binaries:
         return solve_lp(problem)
-    binaries = list(problem.binaries)
+    binaries = np.array(problem.binaries)
     simplex = _Simplex(problem)
     stats = {"nodes": 0, "lp_solves": 0, "iterations": 0,
              "dual_iterations": 0, "max_duality_gap": 0.0}
@@ -787,14 +828,13 @@ def solve_milp(problem, node_limit=100000):
         if sol.status != "Optimal" or sol.objective >= incumbent_obj - 1e-9:
             continue
 
-        frac_var, frac_score = -1, INT_TOL
-        for j in binaries:
-            f = min(sol.x[j], 1.0 - sol.x[j])
-            if f > frac_score:
-                frac_var, frac_score = j, f
-        if frac_var < 0:
+        # the most fractional binary, the first one on ties
+        values = sol.x[binaries]
+        frac = np.minimum(values, 1.0 - values)
+        k = int(frac.argmax())
+        if not frac[k] > INT_TOL:
             x = sol.x.copy()
-            x[binaries] = np.round(x[binaries])
+            x[binaries] = np.round(values)
             incumbent = Solution(status="Optimal", x=x,
                                  objective=sol.objective)
             incumbent_obj = sol.objective
@@ -802,7 +842,8 @@ def solve_milp(problem, node_limit=100000):
 
         # explore the rounding of the fractional value first (pushed last);
         # both children start from this node's basis
-        first = 1 if sol.x[frac_var] >= 0.5 else 0
+        frac_var = int(binaries[k])
+        first = 1 if values[k] >= 0.5 else 0
         warm = (simplex.basis.copy(), simplex.status.copy())
         stack.append((sol.objective, fixes + ((frac_var, 1 - first),), warm))
         stack.append((sol.objective, fixes + ((frac_var, first),), warm))

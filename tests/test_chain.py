@@ -272,6 +272,14 @@ class TestSitingAgainstHighs:
         lp_part = design.objective_eur_year - sum(problem.constants.values())
         assert lp_part == pytest.approx(ref.fun, rel=1e-6)
 
+    def test_120x30_by_volume_tree(self):
+        # 391 x 3,840 with 120 binaries; HiGHS's optimum is 236,755,459.98
+        # EUR.  The entering column has a median of 7 nonzeros in 391 rows
+        # over the tree's pivots, so each inverse update touches few rows
+        sol = solve_milp(random_chain(5, True, False, 120, 30).lp)
+        assert (sol.stats["nodes"], sol.stats["iterations"]) == (27, 683)
+        assert sol.objective == pytest.approx(236_755_459.98, rel=1e-9)
+
     @pytest.mark.parametrize("seed, by_volume, with_import", LARGE_CASES)
     def test_work_counters(self, seed, by_volume, with_import):
         problem = random_chain(seed, by_volume, with_import)

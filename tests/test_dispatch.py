@@ -18,7 +18,7 @@ from h2grid.cli import main
 from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
                              nodal_dispatch, redispatch, run_year,
                              uniform_dispatch)
-from h2grid.errors import InfeasibleHour
+from h2grid.errors import InfeasibleHour, InvalidProblem
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
 from h2grid.io import write_system
@@ -175,6 +175,25 @@ class TestRedispatch:
         assert np.all(adj.delta_mw == 0.0)
         # no LP: the market price at every node
         assert adj.nodal_prices.tolist() == [50.0, 50.0]
+
+
+class TestSolverErrorsNameTheHour:
+    """An ``InvalidProblem`` from the network LP of an hour, the iteration
+    limit included, names that hour."""
+
+    def test_hour_prefixed(self, monkeypatch):
+        def stalled(problem):
+            raise InvalidProblem("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", stalled)
+        system = two_node_system(hours=3)
+        for solve in (lambda: redispatch(system, 2,
+                                         uniform_dispatch(system, 2)),
+                      lambda: nodal_dispatch(system, 2)):
+            with pytest.raises(InvalidProblem) as info:
+                solve()
+            assert str(info.value) == ("hour 2: simplex iteration limit "
+                                       "exceeded")
 
 
 class TestNodalDispatch:

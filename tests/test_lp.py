@@ -346,6 +346,17 @@ class TestDualPhaseOne:
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
         assert sol.stats["iterations"] <= 600
 
+    @pytest.mark.slow
+    def test_paper_scale_siting_root(self):
+        # the root relaxation of a 240 x 60 siting MILP by volume; HiGHS's
+        # optimum is 433,773,853.41 EUR
+        lp = dataclasses.replace(random_chain(5, True, False, n_cand=240,
+                                              n_sink=60).lp, binaries=())
+        assert (lp.n_cons, lp.n_vars) == (781, 14880)
+        sol = solve_lp(lp)
+        assert sol.stats["iterations"] == 539
+        assert sol.objective == pytest.approx(433_773_853.41, rel=1e-9)
+
 
 class TestRefactorization:
     """LPs with more than 64 basis changes, so the basis inverse is rebuilt
@@ -465,6 +476,108 @@ class TestBlockInverse:
         with pytest.raises(InvalidProblem,
                            match="singular basis in dual at iteration 0"):
             simplex.resolve(problem.lb, problem.ub, basis, simplex.status)
+
+
+def dense_replace(self, pos, enter, w, hit, phase):
+    """``_Simplex._replace`` with the dense rank-one update on every
+    pivot."""
+    self.status[self.basis[pos]] = hit
+    self.status[enter] = h2grid.lp._BASIC
+    self.basis[pos] = enter
+    row = self.binv[pos] / w[pos]
+    self.binv -= w[:, None] * row
+    self.binv[pos] = row
+    self.updates += 1
+    if self.updates >= h2grid.lp._REFACTOR_PERIOD:
+        self._refactor(phase)
+
+
+def fingerprint(sol):
+    """Everything a solve returns, to the bit."""
+    arrays = (sol.x, sol.duals, sol.reduced_costs)
+    return (sol.status, [None if a is None else a.tobytes() for a in arrays],
+            repr(sol.objective), repr(sol.duality_gap), sol.stats)
+
+
+class TestSparseUpdate:
+    """The inverse update subtracts the rank-one term from only the rows
+    where the entering column is nonzero when fewer than half of them are,
+    and takes the dense product otherwise; the results are those of the
+    dense product on every pivot, to the bit."""
+
+    def cases(self):
+        rng = np.random.default_rng(2121)
+        for k in range(60):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.5)
+            yield "lp", solve_lp, problem
+            yield "lazy", solve_lp, dataclasses.replace(problem,
+                                                        lazy_rows=lazy)
+        for seed in range(300, 312):
+            chain = random_chain(seed, bool(seed % 2), bool(seed // 2 % 2),
+                                 n_cand=10, n_sink=4)
+            yield "milp", solve_milp, chain.lp
+            # one row: every entering column is dense
+            values, weights = rng.uniform(1, 10, 8), rng.uniform(1, 5, 8)
+            yield "milp", solve_milp, knapsack(values, weights,
+                                               0.5 * float(weights.sum()))
+
+    def test_matches_dense_update(self, monkeypatch):
+        default = _Simplex._replace
+        sparse = {}  # by kind, whether each update took the sparse branch
+
+        def spy(self, pos, enter, w, hit, phase):
+            sparse.setdefault(kind, set()).add(2 * np.count_nonzero(w)
+                                               < w.size)
+            default(self, pos, enter, w, hit, phase)
+
+        for kind, solve, problem in self.cases():
+            monkeypatch.setattr(_Simplex, "_replace", spy)
+            got = fingerprint(solve(problem))
+            monkeypatch.setattr(_Simplex, "_replace", dense_replace)
+            assert fingerprint(solve(problem)) == got, kind
+        # the comparison covers both branches for each kind of solve
+        assert sparse == {kind: {False, True}
+                          for kind in ("lp", "lazy", "milp")}
+
+
+class PoisonedX(_Simplex):
+    """Sets every entry of x to NaN before ``_finish``, while
+    ``poisoned`` is set."""
+
+    poisoned = True
+
+    def _finish(self, phase):
+        if self.poisoned:
+            self.x[:] = np.nan
+        return super()._finish(phase)
+
+
+class TestFiniteResult:
+    """A solve whose objective or duality gap is not finite raises
+    ``InvalidProblem`` naming the phase and the iteration; it is never
+    ``Optimal``."""
+
+    def problem(self):
+        # two plants, costs 10 and 50, caps 100 each, demand 120
+        return build_problem([10.0, 50.0], [[1.0, 1.0]], [EQ], [120.0],
+                             [0.0, 0.0], [100.0, 100.0])
+
+    def test_cold_solve(self):
+        with pytest.raises(InvalidProblem, match=r"^non-finite objective or "
+                           r"duality gap in phase 1 at iteration 0$"):
+            PoisonedX(self.problem()).solve()
+
+    def test_warm_resolve(self):
+        problem = self.problem()
+        simplex = PoisonedX(problem)
+        simplex.poisoned = False
+        assert simplex.solve().optimal
+        simplex.poisoned = True
+        with pytest.raises(InvalidProblem, match=r"^non-finite objective or "
+                           r"duality gap in dual at iteration 0$"):
+            simplex.resolve(problem.lb, problem.ub, simplex.basis.copy(),
+                            simplex.status.copy())
 
 
 def scalar_pow2_scale(v):
