@@ -34,11 +34,17 @@ What the models read of the system and not of the hour is built once per
 PowerSystem, at its first dispatch, and kept on it
 (``PowerSystem.dispatch_tables``, a ``DispatchTables``): the marginal
 costs, generator nodes and merit order, the capacity of every generator in
-every hour, and the network LP's row senses and its dense
+every hour, and the network LP as a template problem
+(``DispatchTables.network``): its costs, its row senses and its dense
 ``(1 + 2K) x G`` block with the block's power-of-two scaling
-(``lp.ScaledMatrix``).  An hour then sets only the LP's bounds, rhs, lazy
-rows and start basis.  A system derived with ``with_demand`` or
-``with_generators`` is a new object with tables of its own.
+(``lp.ScaledMatrix``), checked once, and the slack bounds and scaled costs
+the simplex reads, built once.  An hour derives its LP from the template
+(``lp.LinearProblem.derive``), which sets and checks only the LP's bounds,
+rhs, lazy rows and start basis.  The hour's demand is summed once, and its
+overloaded corridor rows are found once (``_overloaded``), both for
+``redispatch``'s skip test and for the LP's active rows.  A system derived
+with ``with_demand`` or ``with_generators`` is a new object with tables of
+its own.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -97,9 +103,11 @@ class DispatchTables:
 
     ``costs`` and ``nodes`` per generator, ``order`` its ``(cost, index)``
     merit order, ``capacity`` the available MW per hour and generator
-    (``Generator.capacity_at``), and the network LP's ``senses`` and
-    ``block``, its constraint matrix with scaling (see ``_network_lp``).
-    Every array is read-only.
+    (``Generator.capacity_at``), and ``network``, the network LP of
+    ``_network_lp`` with the hour's data left at zero: its costs, row
+    senses and constraint block with scaling, checked once, from which
+    every hour's LP is derived (``LinearProblem.derive``).  Every array is
+    read-only.
     """
 
     def __init__(self, system):
@@ -117,12 +125,16 @@ class DispatchTables:
         a[0] = 1.0
         a[1::2] = sens
         a[2::2] = sens
-        self.senses = np.array((EQ,) + (LE, GE) * sens.shape[0])
+        senses = np.array((EQ,) + (LE, GE) * sens.shape[0])
         for arr in (self.costs, self.nodes, self.order, self.capacity,
-                    self.senses):
+                    senses):
             arr.flags.writeable = False
+        zeros = np.zeros(len(gens))
         # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
-        self.block = scale_matrix(a + 0.0)
+        self.network = LinearProblem(
+            self.costs, zeros, zeros, _NO_TRIPLETS, _NO_TRIPLETS,
+            _NO_TRIPLETS, senses, np.zeros(senses.size),
+            matrix=scale_matrix(a + 0.0))
 
 
 def _injections(system, hour, generation):
@@ -131,9 +143,9 @@ def _injections(system, hour, generation):
     return inj
 
 
-def _merit_order(system, hour):
-    """Fill the hour's zonal demand in order of marginal cost (lowest index
-    on ties), as far as capacity goes.
+def _merit_order(system, hour, demand):
+    """Fill the hour's zonal *demand* in order of marginal cost (lowest
+    index on ties), as far as capacity goes.
 
     Returns the generation and the price: the cost of the last unit that
     runs, or of the cheapest unit when none does.
@@ -141,7 +153,6 @@ def _merit_order(system, hour):
     tables = system.dispatch_tables
     costs, order = tables.costs, tables.order
     caps = np.maximum(tables.capacity[hour], 0.0)
-    demand = float(system.demand[hour].sum())
     # demand left before each unit, subtracted unit by unit in merit order
     remaining = np.cumsum(np.concatenate(([demand], -caps[order])))[:-1]
     take = np.minimum(caps[order], np.maximum(remaining, 0.0))
@@ -153,7 +164,18 @@ def _merit_order(system, hour):
     return q, price
 
 
-def _network_lp(system, hour, q0, base_flows):
+def _overloaded(system, base_flows):
+    """The corridor rows of the network LP, LE and GE by turns, whose
+    direction the corridor flows *base_flows* overload by more than
+    ``FLOW_TOL``; a NaN flow overloads both."""
+    limit = system.ptdf.merged_capacity
+    overloaded = np.empty(2 * limit.size, dtype=bool)
+    overloaded[0::2] = ~(base_flows <= limit + FLOW_TOL)
+    overloaded[1::2] = ~(base_flows >= -limit - FLOW_TOL)
+    return overloaded
+
+
+def _network_lp(system, hour, q0, base_flows, overloaded):
     """Solve the PTDF-form network LP around the merit-order dispatch *q0*.
 
     Variables are generator changes x with ``0 <= q0 + x <= capacity`` and
@@ -161,8 +183,10 @@ def _network_lp(system, hour, q0, base_flows):
     corridor k gets an LE row and a GE row bounding its flow at ``q0 + x``
     to ``+-limit``: ``PTDF[k, gen_nodes] x`` against ``+-limit - base_flow``,
     where *base_flows* are the corridor flows at *q0*.  The solver starts
-    from the corridor directions that *q0* overloads and adds the others
-    only once an optimum violates them (``lazy_rows``).
+    from the corridor rows *overloaded* (``_overloaded``) and adds the
+    others only once an optimum violates them (``lazy_rows``).  The LP is
+    ``DispatchTables.network`` with this hour's bounds, rhs, lazy rows and
+    start basis.
 
     The start is the vertex *q0* itself: every generator rests at ``x = 0``
     and the marginal unit, the running unit last in ``(cost, index)`` order
@@ -176,21 +200,17 @@ def _network_lp(system, hour, q0, base_flows):
     """
     tables = system.dispatch_tables
     limit = system.ptdf.merged_capacity
-    rhs = np.zeros(len(tables.senses))
+    rhs = np.zeros(1 + 2 * limit.size)
     rhs[1::2] = limit - base_flows
     rhs[2::2] = -limit - base_flows
-    overloaded = np.empty(2 * limit.size, dtype=bool)
-    overloaded[0::2] = base_flows > limit + FLOW_TOL
-    overloaded[1::2] = base_flows < -limit - FLOW_TOL
     order = tables.order
     running = order[q0[order] > 0]
     marginal = running[-1:] if running.size else order[:1]  # empty with no units
     try:
-        return solve_lp(LinearProblem(
-            tables.costs, -q0, tables.capacity[hour] - q0, _NO_TRIPLETS,
-            _NO_TRIPLETS, _NO_TRIPLETS, tables.senses, rhs,
+        return solve_lp(tables.network.derive(
+            -q0, tables.capacity[hour] - q0, rhs,
             lazy_rows=1 + (~overloaded).nonzero()[0],
-            start_basis=[(0, j) for j in marginal], matrix=tables.block))
+            start_basis=[(0, j) for j in marginal]))
     except InvalidProblem as exc:
         # prefix the message in place, as run_full_study does the scenario
         message = exc.args[0] if exc.args else ""
@@ -213,22 +233,23 @@ def _nodal_prices(system, sol):
     return duals[0] + system.ptdf.entries.T @ (duals[1::2] + duals[2::2])
 
 
-def _check_capacity(system, hour):
-    """Raise InfeasibleHour when the hour's demand exceeds its capacity."""
+def _zonal_demand(system, hour):
+    """The hour's zonal demand; InfeasibleHour when it exceeds the hour's
+    capacity."""
     caps = system.dispatch_tables.capacity[hour]
     demand = float(system.demand[hour].sum())
     if demand > caps.sum() + BALANCE_TOL:
         raise InfeasibleHour(
             f"hour {hour}: demand exceeds available capacity",
             hour=hour, deficit_mw=demand - caps.sum())
+    return demand
 
 
 def uniform_dispatch(system, hour):
     """Merit-order dispatch of the whole zone; price is the marginal unit's
     cost (the dual of the zonal balance constraint)."""
-    _check_capacity(system, hour)
-    demand = float(system.demand[hour].sum())
-    q, price = _merit_order(system, hour)
+    demand = _zonal_demand(system, hour)
+    q, price = _merit_order(system, hour, demand)
     costs = system.dispatch_tables.costs
     # summed left to right, as a scalar loop over the generators would
     cost = float(np.cumsum(q * costs)[-1]) if q.size else 0.0
@@ -246,16 +267,15 @@ def redispatch(system, hour, market):
     price at every node when no corridor is overloaded by more than
     ``FLOW_TOL`` and no LP is solved.
     """
-    ptdf = system.ptdf
     q0 = market.generation_mw
-    base_flows = ptdf.flows(_injections(system, hour, q0))
-
-    if np.all(np.abs(base_flows) <= ptdf.merged_capacity + FLOW_TOL):
+    base_flows = system.ptdf.flows(_injections(system, hour, q0))
+    overloaded = _overloaded(system, base_flows)
+    if not overloaded.any():
         return RedispatchAdjustment(
             hour=hour, delta_mw=np.zeros(len(q0)), cost_eur=0.0,
             nodal_prices=np.full(system.n_nodes, market.price))
 
-    sol = _network_lp(system, hour, q0, base_flows)
+    sol = _network_lp(system, hour, q0, base_flows, overloaded)
     if sol.status != "Optimal":
         raise InfeasibleRedispatch(
             f"hour {hour}: no feasible redispatch within capacities",
@@ -271,11 +291,11 @@ def nodal_dispatch(system, hour):
     prices of its duals (``_nodal_prices``).  The LP is solved in every
     hour, overloaded or not.
     """
-    _check_capacity(system, hour)
-    demand = system.demand[hour]
-    merit = _merit_order(system, hour)[0]
-    sol = _network_lp(system, hour, merit,
-                      system.ptdf.flows(_injections(system, hour, merit)))
+    demand = _zonal_demand(system, hour)
+    merit = _merit_order(system, hour, demand)[0]
+    base_flows = system.ptdf.flows(_injections(system, hour, merit))
+    sol = _network_lp(system, hour, merit, base_flows,
+                      _overloaded(system, base_flows))
     if sol.status != "Optimal":
         raise InfeasibleHour(f"hour {hour}: nodal dispatch infeasible",
                              hour=hour)
@@ -283,7 +303,7 @@ def nodal_dispatch(system, hour):
     costs = system.dispatch_tables.costs
     return HourDispatch(hour=hour, generation_mw=generation, price=None,
                         nodal_prices=_nodal_prices(system, sol),
-                        served_mw=float(demand.sum()),
+                        served_mw=demand,
                         cost_eur=float(costs @ generation),
                         redispatch_cost_eur=float(sol.objective))
 

@@ -53,11 +53,16 @@ reaches a primal feasible basis and ``Infeasible`` if not.
 A problem that knows a dual feasible vertex names it in
 ``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
 its row, every other active row on its slack whatever the slack's value, and
-every other column resting at a bound as ``_rest`` puts it.  ``_start``
-inverts that basis (below) and ``_dual`` runs on the true costs, with no
-phase 1.  A start that is singular or not dual feasible at ``OPT_TOL``
-raises ``InvalidProblem``.  The network LP of ``dispatch`` starts this way
-at the hour's merit-order vertex.
+every other column resting at a bound as ``_rest`` puts it.
+``_start_named`` inverts that basis and ``_dual`` runs on the true costs,
+with no phase 1, from the reduced costs the start computed.  A start of one
+column differs from the identity basis in that column alone, so its inverse
+is the identity with one column filled in closed form, with the entries
+``_invert`` gives for a 1 x 1 block; a longer start goes through
+``_invert`` (below), since a product-form update per named column cannot
+pivot every valid start in its named order.  A start that is singular or
+not dual feasible at ``OPT_TOL`` raises ``InvalidProblem``.  The network LP
+of ``dispatch`` starts this way at the hour's merit-order vertex.
 
 The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
 product-form update per basis change, ``_replace``.  The update changes only
@@ -67,15 +72,21 @@ takes the dense product, which is faster there; the entries are the same
 either way.  A siting column has a few nonzeros in hundreds of rows (Hall &
 McKinnon, "Hyper-sparsity in the revised simplex method and how to exploit
 it", Comput. Optim. Appl. 2005).  Every other inverse comes from
-``_invert``: of a start basis, every ``_REFACTOR_PERIOD`` updates, after
-``_add_rows`` and on a warm re-solve.  A basic slack is the unit column of
+``_invert``: of a start basis of more than one column, every
+``_REFACTOR_PERIOD`` updates, after ``_add_rows``, on a warm re-solve and
+after a pivot element mismatch.  A basic slack is the unit column of
 its own row, so ``_invert`` inverts only the block of the structural basic
 columns over the rows no basic slack covers and fills in the slacks' rows
 by one product (Bixby, "Solving real-world linear programs", Oper. Res.
 2002, on exploiting slack structure).  Multipliers and the entering column
 are one matrix-vector product each, and pricing and the ratio test are
 array operations.
-A solve whose objective or duality gap is not finite raises
+Each pivot takes its pivot element twice, from the pivot row and from the
+entering column; when the two differ by more than a relative 1e-9, or the
+column's is zero, the inverse is rebuilt and the column taken again, and a
+second mismatch raises ``InvalidProblem("unstable pivot element in <phase>
+at iteration <n>")`` before anything divides by it (Koberstein 2005).  A
+solve whose objective or duality gap is not finite raises
 ``InvalidProblem``, naming the phase and the iteration; it is never
 ``Optimal``.
 ``Solution.stats`` reports the pivots: all of them (``iterations``), those
@@ -92,6 +103,16 @@ rows as triplets, which ``_Simplex`` densifies and scales per solve, or as a
 network LP of ``dispatch`` builds its block once per power system and hands
 the same value to the LP of every hour.  ``LinearProblem.dense_matrix``
 unscales such a matrix, exactly.
+
+A family of problems that differ only in their bounds, rhs, lazy rows and
+start basis is built once and derived from: ``LinearProblem.derive`` takes
+a checked problem and new values of those five, and checks only them
+(``_validate_data``, the part of ``_validate`` about those fields, with the
+same messages; none of the checks is dropped).  The derived problem shares
+the costs, senses, matrix and binaries, and ``_Structure``: the slack
+bounds and scaled costs that ``_Simplex`` reads, built once for the first
+problem at its first ``derive``.  ``dispatch`` derives the network LP of
+every hour from one such problem per power system.
 
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
@@ -215,6 +236,42 @@ def _indices(values, what, width=()):
     return array.astype(int)
 
 
+def _data(lb, ub, rhs, lazy_rows, start_basis):
+    """The fields that ``LinearProblem.derive`` replaces, as the problem
+    keeps them."""
+    return {"lb": np.asarray(lb, dtype=float),
+            "ub": np.asarray(ub, dtype=float),
+            "rhs": np.asarray(rhs, dtype=float),
+            "lazy_rows": np.sort(_indices(lazy_rows, "lazy row")),
+            "start_basis": tuple(sorted(map(tuple, _indices(
+                start_basis, "start basis", (2,)).tolist())))}
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What a simplex reads of a problem's costs, senses and matrix: the
+    scaled matrix, the costs scaled by its column scales and the slack
+    bounds that encode the senses.  Every array is read-only."""
+
+    matrix: ScaledMatrix
+    c: np.ndarray
+    slack_lb: np.ndarray
+    slack_ub: np.ndarray
+
+    @classmethod
+    def of(cls, problem):
+        matrix = problem.matrix
+        if matrix is None:
+            matrix = scale_matrix(problem.dense_matrix())
+        senses = problem.senses
+        arrays = (problem.c * matrix.col_scale,
+                  np.where(senses == GE, -np.inf, 0.0),
+                  np.where(senses == LE, np.inf, 0.0))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(matrix, *arrays)
+
+
 @dataclass(frozen=True)
 class LinearProblem:
     """A minimization problem with its constraint matrix in sparse-triplet
@@ -227,7 +284,8 @@ class LinearProblem:
     ``lazy_rows`` lists rows the LP solver may leave out until a solution
     violates them.  ``start_basis`` lists ``(row, column)`` pairs: the LP
     solver starts each column basic in its row and solves with the dual
-    simplex (see the module docstring).
+    simplex (see the module docstring).  ``derive`` gives a problem with
+    new bounds, rhs, lazy rows and start basis and everything else shared.
 
     ``senses`` is kept as an array of ``str`` (``LE``, ``EQ`` or ``GE``
     per row) and ``lazy_rows`` as a sorted int array, so that validating a
@@ -250,21 +308,19 @@ class LinearProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "lb", np.asarray(self.lb, dtype=float))
-        object.__setattr__(self, "ub", np.asarray(self.ub, dtype=float))
         object.__setattr__(self, "a_rows", np.asarray(self.a_rows, dtype=int))
         object.__setattr__(self, "a_cols", np.asarray(self.a_cols, dtype=int))
         object.__setattr__(self, "a_vals", np.asarray(self.a_vals, dtype=float))
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         # unsized, so that a longer string is kept whole and rejected
         object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
         object.__setattr__(self, "binaries", tuple(np.sort(_indices(
             self.binaries, "binary")).tolist()))
-        object.__setattr__(self, "lazy_rows", np.sort(_indices(
-            self.lazy_rows, "lazy row")))
-        object.__setattr__(self, "start_basis", tuple(sorted(map(
-            tuple, _indices(self.start_basis, "start basis", (2,)).tolist()))))
+        for name, value in _data(self.lb, self.ub, self.rhs, self.lazy_rows,
+                                 self.start_basis).items():
+            object.__setattr__(self, name, value)
         self._validate()
+        # the slack bounds and scaled costs of a simplex, kept by derive
+        object.__setattr__(self, "_structure", None)
 
     @property
     def n_vars(self):
@@ -274,10 +330,28 @@ class LinearProblem:
     def n_cons(self):
         return self.rhs.size
 
+    def derive(self, lb, ub, rhs, lazy_rows=(), start_basis=()):
+        """This problem with new bounds, rhs, lazy rows and start basis.
+
+        The costs, senses, matrix and binaries are this problem's, which
+        its constructor checked, so only the new values are checked
+        (``_validate_data``, with the constructor's messages).  The new
+        problem also shares the slack bounds and scaled costs that a
+        simplex derives from the costs and senses: ``_Structure``, built
+        once for this problem at its first ``derive``.
+        """
+        if self._structure is None:
+            object.__setattr__(self, "_structure", _Structure.of(self))
+        new = object.__new__(LinearProblem)
+        new.__dict__.update(self.__dict__)
+        new.__dict__.update(_data(lb, ub, rhs, lazy_rows, start_basis))
+        new._validate_data()
+        return new
+
     def _validate(self):
+        """Every check: the costs, senses, matrix and binaries here, then
+        what ``derive`` may change (``_validate_data``)."""
         n, m = self.n_vars, self.n_cons
-        if self.lb.size != n or self.ub.size != n:
-            raise InvalidProblem("bound vectors do not match cost vector length")
         senses = self.senses
         if senses.shape != (m,):
             raise InvalidProblem("senses do not match rhs length")
@@ -298,18 +372,31 @@ class LinearProblem:
             raise InvalidProblem("triplet row index out of range")
         if self.a_cols.size and (self.a_cols.min() < 0 or self.a_cols.max() >= n):
             raise InvalidProblem("triplet column index out of range")
-        for arr in (self.c, self.rhs, self.a_vals):
+        for arr in (self.c, self.a_vals):
             if not np.isfinite(arr).all():
                 raise InvalidProblem("NaN or infinity in problem data")
-        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
-            raise InvalidProblem("NaN in variable bounds")
-        if (self.lb > self.ub + 1e-12).any():
-            raise InvalidProblem("lower bound exceeds upper bound")
         if len(set(self.binaries)) < len(self.binaries):
             raise InvalidProblem("duplicate binary index")
+        if self.binaries and (self.binaries[0] < 0 or self.binaries[-1] >= n):
+            raise InvalidProblem("binary index out of range")
+        self._validate_data()
+
+    def _validate_data(self):
+        """The checks of what ``derive`` may change: the bounds, the rhs,
+        the lazy rows and the start basis."""
+        n, m = self.n_vars, self.senses.size
+        if self.lb.size != n or self.ub.size != n:
+            raise InvalidProblem("bound vectors do not match cost vector length")
+        if self.rhs.size != m:
+            raise InvalidProblem("senses do not match rhs length")
+        if not np.isfinite(self.rhs).all():
+            raise InvalidProblem("NaN or infinity in problem data")
+        # one comparison passes bounds that hold, and fails a NaN one too
+        if not (self.lb <= self.ub + 1e-12).all():
+            if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+                raise InvalidProblem("NaN in variable bounds")
+            raise InvalidProblem("lower bound exceeds upper bound")
         for j in self.binaries:
-            if j < 0 or j >= n:
-                raise InvalidProblem("binary index out of range")
             if self.lb[j] < -1e-12 or self.ub[j] > 1 + 1e-12:
                 raise InvalidProblem(f"binary variable {j} has bounds outside [0, 1]")
         lazy = self.lazy_rows
@@ -362,22 +449,25 @@ def _improving(status, d):
     return better
 
 
+def _agree(w_r, alpha_q):
+    """Whether the entering column's pivot element *w_r* matches the pivot
+    row's *alpha_q*, never 0, to a relative 1e-9; a zero or NaN *w_r* does
+    not."""
+    return abs(w_r - alpha_q) <= 1e-9 * abs(alpha_q)
+
+
 class _Simplex:
     """Bounded-variable dual simplex on equality form with slack columns."""
 
     def __init__(self, problem):
         self.problem = problem
         m, n = problem.n_cons, problem.n_vars
-        matrix = problem.matrix
-        if matrix is None:
-            matrix = scale_matrix(problem.dense_matrix())
+        structure = problem._structure or _Structure.of(problem)
+        matrix = structure.matrix
         a, self.row_scale, self.col_scale = (matrix.scaled, matrix.row_scale,
                                              matrix.col_scale)
-
         # Slack columns: sense is encoded in the slack bounds.
-        senses = problem.senses
-        self.slack_lb = np.where(senses == GE, -np.inf, 0.0)
-        self.slack_ub = np.where(senses == LE, np.inf, 0.0)
+        self.slack_lb, self.slack_ub = structure.slack_lb, structure.slack_ub
 
         # every row, scaled; the basis covers the active rows only, in the
         # order they were added, and the held-back (lazy) rows wait outside
@@ -386,10 +476,11 @@ class _Simplex:
         lazy = np.zeros(m, dtype=bool)
         lazy[problem.lazy_rows] = True
         self.held = problem.lazy_rows
-        # the structural bounds and costs, scaled; only resolve changes them
+        # the structural bounds and costs, scaled; only resolve changes the
+        # bounds
         self.lb = problem.lb / self.col_scale
         self.ub = problem.ub / self.col_scale
-        self.c = problem.c * self.col_scale
+        self.c = structure.c
         self._set_rows((~lazy).nonzero()[0])
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
@@ -443,32 +534,54 @@ class _Simplex:
         self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
 
     def _start(self):
-        """Put every active row on its slack, or on the column
-        ``problem.start_basis`` names for it, rest every other column as
+        """Put every active row on its slack, rest every column as
         ``_rest`` does and return the movable columns that price wrong.
 
-        A named start must be nonsingular and dual feasible at ``OPT_TOL``.
-        A cold start is the identity basis, which prices every column at its
-        cost, so a boxed column rests at the bound its cost prefers.
+        This cold start is the identity basis, which prices every column at
+        its cost, so a boxed column rests at the bound its cost prefers.
         """
-        named = self.problem.start_basis
         self.basis = np.arange(self.n_struct, self.a.shape[1])
         self.updates = 0
-        if not named:
+        self.binv = np.eye(self.m)
+        return self._settle(self._rest(self.c), self.c)
+
+    def _start_named(self):
+        """Put each column that ``problem.start_basis`` names basic in its
+        row and every other active row on its slack, rest every other
+        column as ``_rest`` does and return the reduced costs, which the
+        first round of ``_finish`` takes over.
+
+        The start must be nonsingular and dual feasible at ``OPT_TOL``.  A
+        one-column start, column ``q`` in row position ``p``, differs from
+        the identity only in column ``p`` of its inverse: ``1 / a_pq`` at
+        ``p`` and ``-a_iq * (1 / a_pq)`` elsewhere, the entries ``_invert``
+        gives for a 1 x 1 block, here with no block to invert; a longer
+        start goes through ``_invert``.
+        """
+        rows, cols = np.array(self.problem.start_basis).T
+        self.basis = np.arange(self.n_struct, self.a.shape[1])
+        self.updates = 0
+        pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
+        self.basis[pos] = cols
+        if cols.size == 1:
+            column, p = self.a[:, cols[0]], pos[0]
+            if column[p] == 0.0:
+                raise InvalidProblem("singular start basis")
+            inv = 1.0 / column[p]
             self.binv = np.eye(self.m)
-            return self._settle(self._rest(self.c), self.c)
-        rows, cols = np.array(named).T
-        # active rows are sorted here
-        self.basis[np.searchsorted(self.rows, rows)] = cols
-        try:
-            self.binv = self._invert()
-        except np.linalg.LinAlgError as exc:
-            raise InvalidProblem("singular start basis") from exc
-        wrong = self._settle(self._rest(), self._reduced(self.c))
+            self.binv[:, p] = -column * inv
+            self.binv[p, p] = inv
+        else:
+            try:
+                self.binv = self._invert()
+            except np.linalg.LinAlgError as exc:
+                raise InvalidProblem("singular start basis") from exc
+        d = self._reduced(self.c)
+        wrong = self._settle(self._rest(), d)
         if wrong.any():
             raise InvalidProblem(f"start basis is not dual feasible at "
                                  f"column {int(wrong.argmax())}")
-        return wrong
+        return d
 
     def _phase_one(self):
         """Make the cold start dual feasible on the true costs through the
@@ -543,21 +656,33 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
-    def _dual(self, cost, phase):
+    def _column(self, j):
+        """Column *j* in the current basis, ``binv @ a[:, j]``."""
+        return self.binv @ self.a[:, j]
+
+    def _dual(self, cost, phase, d=None):
         """Run a bounded dual simplex for the given cost vector from a dual
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
         Its pivots count as phase 1 or as dual iterations by *phase*.  After
         ``_DEGENERATE_LIMIT`` zero-length pivots in a row, lowest-index
-        choices hold until it returns.
+        choices hold until it returns.  *d*, when given, are the reduced
+        costs of *cost* on the current basis.
 
         The basic values and bounds and each column's entering direction
         are kept between pivots and updated where a pivot changes them;
-        the basic values go back into ``x`` when it returns."""
+        the basic values go back into ``x`` when it returns.
+
+        The pivot element is taken twice, from the pivot row (``alpha_q``)
+        and from the entering column (``w_r``), and they must agree to a
+        relative 1e-9 (Koberstein 2005).  When they do not, the inverse is
+        rebuilt and ``w`` taken again; a second mismatch raises
+        ``InvalidProblem`` before anything divides by ``w_r``."""
         if not self.m:
             return "Optimal"
         basis, x, lb, ub = self.basis, self.x, self.lb, self.ub
-        d = self._reduced(cost)  # updated per pivot
+        if d is None:
+            d = self._reduced(cost)  # updated per pivot
         xb, lb_b, ub_b = x[basis], lb[basis], ub[basis]
         # the direction each column may enter in: 0 when basic or fixed;
         # no column becomes free here, and a free one may move either way
@@ -613,7 +738,14 @@ class _Simplex:
 
                 # move the entering column until x_B[r] sits at its bound,
                 # and the column basic there leaves at that bound
-                w = self.binv @ self.a[:, enter]
+                w = self._column(enter)
+                if not _agree(w[r], alpha[enter]):
+                    self._refactor(phase)
+                    w = self._column(enter)
+                    if not _agree(w[r], alpha[enter]):
+                        raise InvalidProblem(
+                            f"unstable pivot element in {phase} at "
+                            f"iteration {self.iterations}")
                 out = basis[r]
                 bound, hit = (lb_b[r], _AT_LB) if rising else (ub_b[r], _AT_UB)
                 move = (xb[r] - bound) / w[r]
@@ -638,6 +770,8 @@ class _Simplex:
                 "rounds": self.rounds}
 
     def solve(self):
+        if self.problem.start_basis:
+            return self._finish("dual", self._start_named())
         if self._start().any() and self._phase_one().any():
             if self.held.size:
                 # the costs may be dual feasible over every row
@@ -649,7 +783,7 @@ class _Simplex:
             found = self._dual(np.zeros(self.c.size), "phase 1") == "Optimal"
             return Solution(status="Unbounded" if found else "Infeasible",
                             stats=self._stats())
-        return self._finish("dual" if self.problem.start_basis else "phase 1")
+        return self._finish("phase 1")
 
     def resolve(self, lb, ub, basis, status):
         """Re-solve for new structural bounds *lb*, *ub* from an optimal
@@ -703,19 +837,20 @@ class _Simplex:
         self.binv = self._invert()
         self.updates = 0
 
-    def _finish(self, phase):
+    def _finish(self, phase, d=None):
         """The rounds of a solve from a dual feasible basis: the dual simplex
         makes the basis primal feasible, and so optimal over the active rows,
         and the held-back rows that optimum violates are added for the next
-        round; the last round adds none."""
+        round; the last round adds none.  *d*, when given, are the reduced
+        costs on the current basis, for the first round."""
         while True:
-            if self._dual(self.c, phase) == "Infeasible":
+            if self._dual(self.c, phase, d) == "Infeasible":
                 return Solution(status="Infeasible", stats=self._stats())
             new = self._violated()
             if not new.size:
                 break
             self._add_rows(new)
-            phase = "dual"
+            phase, d = "dual", None
 
         # unscale primal, duals and reduced costs; rows never added price 0
         x = self.x[: self.n_struct] * self.col_scale
@@ -744,11 +879,13 @@ class _Simplex:
         ub = self.ub[: self.n_struct] * self.col_scale
         at_lb = (reduced > 0) & np.isfinite(lb)
         at_ub = (reduced < 0) & np.isfinite(ub)
-        terms = np.multiply(reduced, lb, out=np.zeros(p.n_vars), where=at_lb)
-        np.multiply(reduced, ub, out=terms, where=at_ub)
-        # accumulate left to right, in the order a scalar loop would
-        sums = np.cumsum(np.concatenate(([dual_obj], terms)))
-        return objective - float(sums[-1])
+        # the dual objective, then the bound terms, accumulated left to
+        # right in place, in the order a scalar loop would
+        sums = np.zeros(p.n_vars + 1)
+        sums[0] = dual_obj
+        np.multiply(reduced, lb, out=sums[1:], where=at_lb)
+        np.multiply(reduced, ub, out=sums[1:], where=at_ub)
+        return objective - float(np.cumsum(sums, out=sums)[-1])
 
 
 def solve_lp(problem):

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import h2grid.dispatch
+import h2grid.lp
 from h2grid.cli import main
 from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
                              nodal_dispatch, redispatch, run_year,
@@ -25,6 +26,7 @@ from h2grid.io import write_system
 from h2grid.lp import EQ, GE, LE, solve_lp
 from h2grid.synth import SyntheticSpec, generate_synthetic_system
 from problems import build_problem
+from test_lp import CorruptInverse, fingerprint
 
 
 def two_node_system(demand_mw=120.0, line_cap=30.0, hours=1):
@@ -195,6 +197,26 @@ class TestSolverErrorsNameTheHour:
             assert str(info.value) == ("hour 2: simplex iteration limit "
                                        "exceeded")
 
+    def test_nan_flow_goes_to_the_lp(self, monkeypatch):
+        # a NaN flow is not within its limit, so the hour is not skipped as
+        # uncongested, and the LP's check of its rhs names the hour
+        monkeypatch.setattr(h2grid.dispatch, "_injections",
+                            lambda system, hour, q: np.full(2, np.nan))
+        system = two_node_system(line_cap=500.0)
+        with pytest.raises(InvalidProblem, match=r"^hour 0: NaN or infinity "
+                           r"in problem data$"):
+            redispatch(system, 0, uniform_dispatch(system, 0))
+
+    def test_unstable_pivot_element(self, monkeypatch):
+        class Persistent(CorruptInverse):
+            corruptions = -1  # never runs out
+
+        monkeypatch.setattr(h2grid.lp, "_Simplex", Persistent)
+        system = two_node_system(hours=2)
+        with pytest.raises(InvalidProblem, match=r"^hour 1: unstable pivot "
+                           r"element in dual at iteration 1$"):
+            redispatch(system, 1, uniform_dispatch(system, 1))
+
 
 class TestNodalDispatch:
     def test_two_node_prices(self):
@@ -335,6 +357,33 @@ class TestScaledBlock:
             assert got.stats == want.stats
 
 
+class TestDerivedNetworkLP:
+    """Each hour's network LP is derived from the system's template
+    (``DispatchTables.network``); the same LP given to the full
+    ``LinearProblem`` constructor, which checks every field and shares
+    nothing with the template, must solve to the same bytes."""
+
+    def test_matches_full_constructor(self, monkeypatch):
+        pairs = []
+
+        def solve(problem):
+            full = dataclasses.replace(problem)  # through __init__
+            assert problem._structure is not None
+            assert full._structure is None
+            pairs.append((fingerprint(solve_lp(problem)),
+                          fingerprint(solve_lp(full))))
+            return solve_lp(problem)
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+        for system in equivalence_systems():
+            for hour in range(4):
+                nodal_dispatch(system, hour)
+                redispatch(system, hour, uniform_dispatch(system, hour))
+        assert len(pairs) > 100
+        for got, want in pairs:
+            assert got == want
+
+
 def same_summary(got, want):
     """Every field of two AnnualDispatchSummary values, bit for bit."""
     for f in dataclasses.fields(want):
@@ -404,10 +453,12 @@ class TestSystemTables:
         system, _ = self.parts()
         nodal_dispatch(system, 0)
         tables = system.dispatch_tables
-        block = tables.block
+        network = tables.network
+        block, structure = network.matrix, network._structure
         for arr in (block.scaled, block.row_scale, block.col_scale,
                     tables.capacity, tables.costs, tables.nodes,
-                    tables.order, tables.senses):
+                    tables.order, network.c, network.senses, structure.c,
+                    structure.slack_lb, structure.slack_ub):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 

@@ -580,6 +580,115 @@ class TestFiniteResult:
                             simplex.status.copy())
 
 
+class CorruptInverse(_Simplex):
+    """Zeroes the basis inverse before each of the first ``corruptions``
+    entering columns is taken, so that the column's pivot element no
+    longer matches the one the pivot row gave."""
+
+    corruptions = 1
+
+    def _column(self, j):
+        if self.corruptions:
+            self.corruptions -= 1
+            self.binv[:] = 0.0
+        return super()._column(j)
+
+
+class TestPivotElement:
+    """``_dual`` takes the pivot element from the pivot row and from the
+    entering column; a mismatch rebuilds the inverse once, and a second one
+    raises ``InvalidProblem`` before anything divides by the element (a
+    division by zero would warn, and pytest's ``filterwarnings`` makes a
+    warning an error)."""
+
+    def problem(self):
+        rng = np.random.default_rng(7)
+        return build_problem(*mixed_instance(rng, False))
+
+    def test_one_corruption_refactors(self):
+        problem = self.problem()
+        clean = solve_lp(problem)
+        assert clean.optimal and clean.stats["iterations"] > 1
+        sol = CorruptInverse(problem).solve()
+        assert sol.optimal
+        assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
+        assert (sol.stats["refactorizations"]
+                == clean.stats["refactorizations"] + 1)
+        assert sol.stats["iterations"] == clean.stats["iterations"]
+
+    def test_persistent_corruption_raises(self):
+        simplex = CorruptInverse(self.problem())
+        simplex.corruptions = 2  # the column taken again after the rebuild
+        with pytest.raises(InvalidProblem, match=r"^unstable pivot element "
+                           r"in phase 1 at iteration 1$"):
+            simplex.solve()
+
+
+# what a derived problem may change, each made invalid; every case must
+# raise the constructor's message through LinearProblem.derive as well
+DERIVED_ERRORS = {
+    "rhs NaN": {"rhs": [1.0, np.nan, 4.0]},
+    "rhs infinite": {"rhs": [1.0, 8.0, -np.inf]},
+    "lb NaN": {"lb": [np.nan, 0.0]},
+    "ub NaN": {"ub": [1.0, np.nan]},
+    "lb above ub": {"lb": [0.0, 6.0]},
+    "binary outside [0, 1]": {"ub": [2.0, 5.0]},
+    "lb length": {"lb": [0.0]},
+    "ub length": {"ub": [1.0, 5.0, 5.0]},
+    "rhs length": {"rhs": [1.0, 8.0]},
+    "lazy row negative": {"lazy_rows": [-1]},
+    "lazy row past the end": {"lazy_rows": [3]},
+    "lazy row duplicated": {"lazy_rows": [1, 1]},
+    "lazy row not an integer": {"lazy_rows": [0.5]},
+    "start row out of range": {"start_basis": [(3, 0)]},
+    "start column out of range": {"start_basis": [(0, 2)]},
+    "start row duplicated": {"start_basis": [(0, 0), (0, 1)]},
+    "start column duplicated": {"start_basis": [(0, 0), (1, 0)]},
+    "start row lazy": {"lazy_rows": [1], "start_basis": [(1, 0)]},
+    "start not integers": {"start_basis": [(True, 0)]},
+}
+
+
+class TestDerive:
+    """``LinearProblem.derive`` replaces the bounds, rhs, lazy rows and
+    start basis of a checked problem and checks only those, with the
+    constructor's messages."""
+
+    def template(self, binaries=(0,)):
+        """proportional_rows, with column 0 binary unless *binaries* is
+        empty."""
+        return dataclasses.replace(proportional_rows(),
+                                   ub=[1.0 if binaries else 5.0, 5.0],
+                                   binaries=binaries)
+
+    @pytest.mark.parametrize("change", DERIVED_ERRORS.values(),
+                             ids=DERIVED_ERRORS)
+    def test_keeps_every_check(self, change):
+        template = self.template()
+        data = {"lb": template.lb, "ub": template.ub, "rhs": template.rhs,
+                "lazy_rows": (), "start_basis": (), **change}
+        with pytest.raises(InvalidProblem) as want:
+            dataclasses.replace(template, **change)
+        with pytest.raises(InvalidProblem) as got:
+            template.derive(**data)
+        assert str(got.value) == str(want.value)
+
+    def test_matches_constructor(self):
+        template = self.template(binaries=())
+        data = {"lb": [0.0, 0.0], "ub": [4.0, 5.0], "rhs": [2.0, 8.0, 3.0],
+                "lazy_rows": [2, 1], "start_basis": [(0, 0)]}
+        derived = template.derive(**data)
+        built = dataclasses.replace(template, **data)
+        for f in dataclasses.fields(LinearProblem):
+            got, want = getattr(derived, f.name), getattr(built, f.name)
+            assert type(got) is type(want), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the structure a simplex reads is built once, for the template
+        assert derived._structure is template._structure is not None
+        assert built._structure is None
+        assert fingerprint(solve_lp(derived)) == fingerprint(solve_lp(built))
+
+
 def scalar_pow2_scale(v):
     if v <= 0 or not np.isfinite(v):
         return 1.0
