@@ -141,10 +141,21 @@ new bound and ends through ``_finish`` on the true costs, as a cold solve
 does.  An open node keeps only its parent's basis and bound statuses, so a
 tree's state comes from that tree alone.  The child popped right after its
 parent, the next step of a dive, finds that basis still live and keeps the
-live inverse and its count of updates; every other child refactors.  The
-result's ``stats`` report ``nodes``, ``lp_solves``, ``iterations`` and
-``dual_iterations`` summed over the node LPs, and ``max_duality_gap``, the
-worst ``|gap| / max(1, |objective|)`` among them.
+live inverse and its count of updates; every other child refactors.
+A dual simplex never lowers the objective of its basis, so at every pivot
+that objective bounds the child's optimum from below (the objective cutoff
+of LP-based branch and bound; Achterberg, "Constraint Integer
+Programming", PhD thesis, 2007).  A child's re-solve is given the
+incumbent's objective less 1e-9 plus a relative 1e-9 as its cutoff, and
+stops with status ``Cutoff`` once its basis reaches it; the child is
+pruned, as it would be after its full re-solve, so the trees are those of
+re-solves run to their ends.  The relative margin keeps round-off in the
+tracked objective from cutting off a child that the full re-solve would
+keep.  The result's ``stats`` report ``nodes``, ``lp_solves``,
+``iterations`` and ``dual_iterations`` summed over the node LPs,
+``cutoffs``, the re-solves the cutoff ended, and ``max_duality_gap``, the
+worst ``|gap| / max(1, |objective|)`` among the node LPs solved to
+optimality.
 """
 
 import math
@@ -426,7 +437,9 @@ class LinearProblem:
 
 @dataclass
 class Solution:
-    status: str  # "Optimal" | "Infeasible" | "Unbounded"
+    # "Optimal" | "Infeasible" | "Unbounded", or "Cutoff", which only
+    # _Simplex.resolve given a cutoff returns
+    status: str
     x: np.ndarray = None
     objective: float = None
     duals: np.ndarray = None          # one per constraint row; pure LPs only
@@ -660,7 +673,7 @@ class _Simplex:
         """Column *j* in the current basis, ``binv @ a[:, j]``."""
         return self.binv @ self.a[:, j]
 
-    def _dual(self, cost, phase, d=None):
+    def _dual(self, cost, phase, d=None, cutoff=np.inf):
         """Run a bounded dual simplex for the given cost vector from a dual
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
@@ -668,6 +681,13 @@ class _Simplex:
         ``_DEGENERATE_LIMIT`` zero-length pivots in a row, lowest-index
         choices hold until it returns.  *d*, when given, are the reduced
         costs of *cost* on the current basis.
+
+        The objective of a dual feasible basis bounds the optimum from
+        below, and no pivot lowers it: each raises it by the dual step
+        times the leaving row's violation, a product already in true units,
+        since the column scales are powers of two.  So the objective is
+        ``cost @ x`` once and then tracked per pivot, and once it reaches
+        *cutoff* the loop returns "Cutoff".
 
         The basic values and bounds and each column's entering direction
         are kept between pivots and updated where a pivot changes them;
@@ -683,6 +703,7 @@ class _Simplex:
         basis, x, lb, ub = self.basis, self.x, self.lb, self.ub
         if d is None:
             d = self._reduced(cost)  # updated per pivot
+        objective = cost @ x  # raised per pivot
         xb, lb_b, ub_b = x[basis], lb[basis], ub[basis]
         # the direction each column may enter in: 0 when basic or fixed;
         # no column becomes free here, and a free one may move either way
@@ -694,6 +715,8 @@ class _Simplex:
         degenerate_run, bland = 0, False
         try:
             while True:
+                if objective >= cutoff:
+                    return "Cutoff"
                 below = lb_b - xb
                 viol = np.maximum(below, xb - ub_b)
                 # leaving row: the largest violation with the lowest
@@ -726,7 +749,8 @@ class _Simplex:
                     return "Infeasible"
                 size = np.abs(alpha[cols])
                 ratio = np.abs(d[cols]) / size
-                step = ratio.min()
+                step = ratio[ratio.argmin()]
+                objective += step * viol[r]
                 near = ratio <= step + 1e-11
                 if bland:
                     enter = int(cols[near.argmax()])
@@ -785,7 +809,7 @@ class _Simplex:
                             stats=self._stats())
         return self._finish("phase 1")
 
-    def resolve(self, lb, ub, basis, status):
+    def resolve(self, lb, ub, basis, status, cutoff=np.inf):
         """Re-solve for new structural bounds *lb*, *ub* from an optimal
         ``(basis, status)`` of an earlier solve of this simplex.
 
@@ -793,12 +817,14 @@ class _Simplex:
         nonbasic columns are put at their new bounds and a bounded dual
         simplex repairs primal feasibility (``_finish``).  A basis equal to
         the live one keeps the live inverse and its count of updates; any
-        other is refactored.
+        other is refactored.  The solve stops with status "Cutoff", and no
+        values, once the objective of its basis, a lower bound on its
+        optimum, reaches *cutoff*.
         """
         n = self.n_struct
         self.lb[:n] = lb / self.col_scale
         self.ub[:n] = ub / self.col_scale
-        live = np.array_equal(basis, self.basis)
+        live = (basis == self.basis).all()
         self.basis = basis.copy()
         self.status = status.copy()
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
@@ -807,7 +833,7 @@ class _Simplex:
         if not live:
             self._refactor("dual")
         self._place()
-        return self._finish("dual")
+        return self._finish("dual", cutoff=cutoff)
 
     def _violated(self):
         """The held-back rows whose slack bounds the current x breaks."""
@@ -837,15 +863,17 @@ class _Simplex:
         self.binv = self._invert()
         self.updates = 0
 
-    def _finish(self, phase, d=None):
+    def _finish(self, phase, d=None, cutoff=np.inf):
         """The rounds of a solve from a dual feasible basis: the dual simplex
         makes the basis primal feasible, and so optimal over the active rows,
         and the held-back rows that optimum violates are added for the next
         round; the last round adds none.  *d*, when given, are the reduced
-        costs on the current basis, for the first round."""
+        costs on the current basis, for the first round.  A round that ends
+        "Infeasible" or at the *cutoff* ends the solve with that status."""
         while True:
-            if self._dual(self.c, phase, d) == "Infeasible":
-                return Solution(status="Infeasible", stats=self._stats())
+            status = self._dual(self.c, phase, d, cutoff)
+            if status != "Optimal":
+                return Solution(status=status, stats=self._stats())
             new = self._violated()
             if not new.size:
                 break
@@ -885,7 +913,7 @@ class _Simplex:
         sums[0] = dual_obj
         np.multiply(reduced, lb, out=sums[1:], where=at_lb)
         np.multiply(reduced, ub, out=sums[1:], where=at_ub)
-        return objective - float(np.cumsum(sums, out=sums)[-1])
+        return objective - float(np.add.accumulate(sums, out=sums)[-1])
 
 
 def solve_lp(problem):
@@ -917,12 +945,13 @@ def solve_milp(problem, node_limit=100000):
     binaries = np.array(problem.binaries)
     simplex = _Simplex(problem)
     stats = {"nodes": 0, "lp_solves": 0, "iterations": 0,
-             "dual_iterations": 0, "max_duality_gap": 0.0}
+             "dual_iterations": 0, "cutoffs": 0, "max_duality_gap": 0.0}
 
     def record(sol):
         stats["lp_solves"] += 1
         stats["iterations"] += sol.stats["iterations"]
         stats["dual_iterations"] += sol.stats["dual_iterations"]
+        stats["cutoffs"] += sol.status == "Cutoff"
         if sol.optimal:
             gap = abs(sol.duality_gap) / max(1.0, abs(sol.objective))
             stats["max_duality_gap"] = max(stats["max_duality_gap"], gap)
@@ -961,7 +990,11 @@ def solve_milp(problem, node_limit=100000):
             ub = problem.ub.copy()
             for var, val in fixes:
                 lb[var] = ub[var] = float(val)
-            sol = record(simplex.resolve(lb, ub, *parent))
+            # the relative margin keeps round-off in the tracked bound from
+            # cutting off a child that the full re-solve would keep
+            cutoff = (incumbent_obj - 1e-9
+                      + 1e-9 * max(1.0, abs(incumbent_obj)))
+            sol = record(simplex.resolve(lb, ub, *parent, cutoff))
         if sol.status != "Optimal" or sol.objective >= incumbent_obj - 1e-9:
             continue
 

@@ -5,18 +5,20 @@ of fully bounded random problems, so it is independent of the simplex code
 under test.
 """
 
+import copy
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import h2grid.lp
 from h2grid.errors import InvalidProblem, ResourceLimit
-from h2grid.lp import (EQ, GE, LE, LinearProblem, _Simplex, scale_matrix,
-                       solve_lp, solve_milp)
+from h2grid.lp import (EQ, GE, INT_TOL, LE, LinearProblem, _Simplex,
+                       scale_matrix, solve_lp, solve_milp)
 from problems import build_problem
-from test_chain import random_chain
+from test_chain import LARGE_CASES, random_chain
 
 
 def vertex_oracle(c, a, senses, b, lb, ub, tol=1e-7):
@@ -547,10 +549,10 @@ class PoisonedX(_Simplex):
 
     poisoned = True
 
-    def _finish(self, phase):
+    def _finish(self, phase, *args, **kwargs):
         if self.poisoned:
             self.x[:] = np.nan
-        return super()._finish(phase)
+        return super()._finish(phase, *args, **kwargs)
 
 
 class TestFiniteResult:
@@ -1069,6 +1071,124 @@ class TestWarmResolve:
         sol = solve_milp(problem)
         assert sol.status == "Infeasible"
         assert sol.stats["nodes"] >= 3  # the root and both of its children
+
+
+def tree(sol):
+    """What a branch-and-bound tree decides, to the bit."""
+    return (sol.status, sol.stats["nodes"], sol.stats["lp_solves"],
+            None if sol.x is None else sol.x.tobytes(), repr(sol.objective))
+
+
+class TestObjectiveCutoff:
+    """``solve_milp`` stops a child's re-solve once the objective of its
+    dual simplex basis, a lower bound on the child's optimum, reaches the
+    incumbent plus a relative 1e-9 margin.  The child is pruned as the full
+    re-solve would prune it, so every tree stays the same, bit for bit,
+    with fewer pivots."""
+
+    @staticmethod
+    def milps():
+        """The MILPs of ``tools/lp_fingerprint.py``, then ``LARGE_CASES``."""
+        for seed in range(300, 316):
+            yield random_chain(seed, bool(seed % 2), bool(seed // 2 % 2),
+                               n_cand=10, n_sink=4).lp
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            values, weights = rng.uniform(1, 10, n), rng.uniform(1, 5, n)
+            capacity = float(rng.uniform(0.3, 0.8) * weights.sum())
+            yield knapsack(values, weights, capacity)
+        for case in LARGE_CASES:
+            yield random_chain(*case).lp
+
+    @staticmethod
+    def drop_cutoff(monkeypatch):
+        """Make every re-solve run to its end."""
+        default = _Simplex.resolve
+
+        def to_the_end(self, lb, ub, basis, status, cutoff=np.inf):
+            return default(self, lb, ub, basis, status)
+
+        monkeypatch.setattr(_Simplex, "resolve", to_the_end)
+
+    def test_same_trees(self, monkeypatch):
+        problems = [*self.milps(), random_chain(5, True, False, 120, 30).lp]
+        cut = [solve_milp(problem) for problem in problems]
+        self.drop_cutoff(monkeypatch)
+        for problem, got in zip(problems, cut):
+            full = solve_milp(problem)
+            assert tree(got) == tree(full)
+            assert got.stats["iterations"] <= full.stats["iterations"]
+            assert full.stats["cutoffs"] == 0
+        assert sum(sol.stats["cutoffs"] for sol in cut) > 0
+
+    def test_cut_off_children_would_be_pruned(self, monkeypatch):
+        default_solve, default_resolve = _Simplex.solve, _Simplex.resolve
+        best = []  # the best integral node objective so far: the incumbent
+        ends = []  # (incumbent, the cut-off re-solve run to its end)
+
+        def seen(self, sol):
+            if sol.optimal:
+                values = sol.x[list(self.problem.binaries)]
+                if np.minimum(values, 1.0 - values).max() <= INT_TOL:
+                    best.append(min(best[-1], sol.objective))
+            return sol
+
+        def solve(self):
+            best[:] = [np.inf]  # a new tree
+            return seen(self, default_solve(self))
+
+        def resolve(self, lb, ub, basis, status, cutoff=np.inf):
+            before = copy.deepcopy(self, {id(self.problem): self.problem})
+            sol = default_resolve(self, lb, ub, basis, status, cutoff)
+            if sol.status == "Cutoff":
+                ends.append((best[-1], default_resolve(before, lb, ub,
+                                                       basis, status)))
+            return seen(self, sol)
+
+        monkeypatch.setattr(_Simplex, "solve", solve)
+        monkeypatch.setattr(_Simplex, "resolve", resolve)
+        for problem in self.milps():
+            solve_milp(problem)
+        assert {full.status for _, full in ends} == {"Optimal", "Infeasible"}
+        for incumbent, full in ends:
+            assert (full.status == "Infeasible"
+                    or full.objective >= incumbent - 1e-9)
+
+    def test_cutoff_never_leaves_solve_milp(self):
+        limited_cutoffs = 0
+        for problem in self.milps():
+            sol = solve_milp(problem)
+            assert sol.status in ("Optimal", "Infeasible")
+            nodes = sol.stats["nodes"]
+            for limit in (nodes // 2, nodes - 1):
+                with pytest.raises(ResourceLimit) as info:
+                    solve_milp(problem, node_limit=limit)
+                assert math.isfinite(info.value.bound)
+                incumbent = info.value.incumbent
+                if incumbent is not None:
+                    assert incumbent.status == "Optimal"
+                    limited_cutoffs += incumbent.stats["cutoffs"]
+        assert limited_cutoffs > 0
+
+    @pytest.mark.slow
+    def test_per_day_60x15_node_limit(self, monkeypatch):
+        # no proof in 400 nodes; the incumbent and the open bound there
+        # are those of the tree without the cutoff
+        problem = random_chain(5, False, False, 60, 15).lp
+
+        def limited():
+            with pytest.raises(ResourceLimit) as info:
+                solve_milp(problem, node_limit=400)
+            return info.value
+
+        cut = limited()
+        self.drop_cutoff(monkeypatch)
+        full = limited()
+        assert tree(cut.incumbent) == tree(full.incumbent)
+        assert repr(cut.bound) == repr(full.bound)
+        assert (cut.incumbent.stats["iterations"]
+                < full.incumbent.stats["iterations"])
 
 
 class AppendLog(_Simplex):

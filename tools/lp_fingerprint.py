@@ -1,12 +1,17 @@
-"""Print one sha256 per solve over a fixed, seeded set of LPs and MILPs.
+"""Print sha256 digests of the solves of a fixed, seeded set of LPs and
+MILPs.
 
 Each line is ``<name> <sha256>``, the digest of everything the solve
 returns: its status, the bytes of ``x``, the duals and the reduced costs,
 the ``repr`` of the objective and the duality gap, and the stats (or the
-message of the ``InvalidProblem`` it raises).  Two versions of the solver
-that print the same lines solve every problem of the set alike, bit for
-bit, and one version printing different lines under two hash seeds depends
-on state it should not::
+message of the ``InvalidProblem`` it raises).  Each MILP has a second line,
+``<name>.tree <sha256>``, the digest of what its branch-and-bound tree
+decides: the status, the ``nodes`` and ``lp_solves`` stats, the bytes of
+``x`` and the ``repr`` of the objective (or the message).  A change that
+only saves pivots moves a MILP's first line and keeps its tree line.  Two
+versions of the solver that print the same lines solve every problem of
+the set alike, bit for bit, and one version printing different lines under
+two hash seeds depends on state it should not::
 
     PYTHONPATH=src python tools/lp_fingerprint.py > before.txt
     # change the solver
@@ -52,19 +57,38 @@ from test_chain import random_chain  # noqa: E402
 from test_lp import dual_feasible_start, knapsack, mixed_instance  # noqa: E402
 
 
-def digest(solve, *args):
-    """The sha256 of everything ``solve(*args)`` returns or raises."""
-    h = hashlib.sha256()
+def outcome(solve, *args):
+    """What ``solve(*args)`` returns, or the ``InvalidProblem`` it raises."""
     try:
-        sol = solve(*args)
+        return solve(*args)
     except InvalidProblem as exc:
-        h.update(f"InvalidProblem {exc}".encode())
+        return exc
+
+
+def digest(sol):
+    """The sha256 of everything in the outcome *sol*."""
+    h = hashlib.sha256()
+    if isinstance(sol, InvalidProblem):
+        h.update(f"InvalidProblem {sol}".encode())
         return h.hexdigest()
     h.update(sol.status.encode())
     for arr in (sol.x, sol.duals, sol.reduced_costs):
         h.update(b"|" if arr is None else b"|" + np.asarray(arr).tobytes())
     h.update(repr((sol.objective, sol.duality_gap,
                    sorted(sol.stats.items()))).encode())
+    return h.hexdigest()
+
+
+def tree_digest(sol):
+    """The sha256 of what the branch-and-bound outcome *sol* decides."""
+    h = hashlib.sha256()
+    if isinstance(sol, InvalidProblem):
+        h.update(f"InvalidProblem {sol}".encode())
+        return h.hexdigest()
+    h.update(sol.status.encode())
+    h.update(b"|" if sol.x is None else b"|" + sol.x.tobytes())
+    h.update(repr((sol.objective, sol.stats.get("nodes"),
+                   sol.stats.get("lp_solves"))).encode())
     return h.hexdigest()
 
 
@@ -145,7 +169,10 @@ def main():
     count = 0
     for source in (mixed_lps, milps, warm_resolves, network_lps):
         for name, solve, *args in source():
-            print(name, digest(solve, *args))
+            sol = outcome(solve, *args)
+            print(name, digest(sol))
+            if solve is solve_milp:
+                print(f"{name}.tree", tree_digest(sol))
             count += 1
     print(f"{count} problems", file=sys.stderr)
 
