@@ -6,12 +6,14 @@ whose bounds encode its sense, so the dual of row i is simply the i-th
 simplex multiplier.  Its one pivot loop is the bounded dual simplex
 ``_dual`` (Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, 2005): from a dual feasible basis it
-pivots until the basis is primal feasible, and so optimal.  It leaves on
-the largest bound violation (lowest basis position on ties) and enters the
-movable nonbasic column with the smallest ``|d_j| / |alpha_rj|`` over
-``|alpha_rj| > 1e-9``, ties to the largest ``|alpha_rj|`` and then the
-lowest index; after a run of zero-length steps it switches to lowest-index
-choices, which makes every solve deterministic and finite.  A fixed column
+pivots until the basis is primal feasible, and so optimal.  It keeps one
+rule at every pivot: it leaves on the largest bound violation (lowest basis
+position on ties) and enters the movable nonbasic column with the smallest
+``|d_j| / |alpha_rj|`` over ``|alpha_rj| > 1e-9``, ties to the largest
+``|alpha_rj|`` and then the lowest index.  The ties make every solve
+deterministic, and the iteration limit, which raises ``InvalidProblem``,
+makes it finite; it never switches to lowest-index (Bland) choices, whose
+pivots can be tiny.  A fixed column
 (``lb == ub``) never enters, so it stays at its one value whatever status
 it rests with.  A violated row that no column can repair proves the problem
 infeasible, whatever the costs.
@@ -169,7 +171,6 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-6
 INT_TOL = 1e-6
 
-_DEGENERATE_LIMIT = 40  # consecutive degenerate pivots before Bland's rule
 _REFACTOR_PERIOD = 64   # basis updates between fresh inversions of the basis
 
 LE, EQ, GE = "<=", "=", ">="
@@ -677,10 +678,11 @@ class _Simplex:
         """Run a bounded dual simplex for the given cost vector from a dual
         feasible basis until the basis is primal feasible; returns "Optimal"
         then, or "Infeasible" when a violated row has no entering column.
-        Its pivots count as phase 1 or as dual iterations by *phase*.  After
-        ``_DEGENERATE_LIMIT`` zero-length pivots in a row, lowest-index
-        choices hold until it returns.  *d*, when given, are the reduced
-        costs of *cost* on the current basis.
+        Its pivots count as phase 1 or as dual iterations by *phase*.  One
+        rule holds at every pivot (see the module docstring): deterministic
+        by its ties, finite by the iteration limit, which raises
+        ``InvalidProblem``.  *d*, when given, are the reduced costs of
+        *cost* on the current basis.
 
         The objective of a dual feasible basis bounds the optimum from
         below, and no pivot lowers it: each raises it by the dual step
@@ -712,15 +714,14 @@ class _Simplex:
         free = movable & (self.status == _FREE)
         any_free = free.any()
         limit = 2000 + 200 * (self.m + self.a.shape[1])
-        degenerate_run, bland = 0, False
         try:
             while True:
                 if objective >= cutoff:
                     return "Cutoff"
                 below = lb_b - xb
                 viol = np.maximum(below, xb - ub_b)
-                # leaving row: the largest violation with the lowest
-                # position on ties, or the lowest basic index
+                # leaving row: the largest violation, the lowest position
+                # on ties
                 r = int(viol.argmax())
                 if not viol[r] > FEAS_TOL:
                     return "Optimal"
@@ -731,9 +732,6 @@ class _Simplex:
                     self.phase1_iterations += 1
                 else:
                     self.dual_iterations += 1
-                if bland:
-                    rows = (viol > FEAS_TOL).nonzero()[0]
-                    r = int(rows[basis[rows].argmin()])
                 rising = below[r] > 0  # x_B[r] rises to its lower bound
 
                 # entering column: column j moves x_B[r] by -alpha_j per
@@ -751,13 +749,10 @@ class _Simplex:
                 ratio = np.abs(d[cols]) / size
                 step = ratio[ratio.argmin()]
                 objective += step * viol[r]
+                # the smallest ratio, ties to the largest |alpha|, then the
+                # lowest index
                 near = ratio <= step + 1e-11
-                if bland:
-                    enter = int(cols[near.argmax()])
-                else:
-                    enter = int(cols[near][size[near].argmax()])
-                degenerate_run = degenerate_run + 1 if step < 1e-11 else 0
-                bland |= degenerate_run >= _DEGENERATE_LIMIT
+                enter = int(cols[near][size[near].argmax()])
                 d -= d[enter] / alpha[enter] * alpha
 
                 # move the entering column until x_B[r] sits at its bound,

@@ -8,6 +8,7 @@ one 30 MW line.  The market sends 100 MW over the line; redispatch must move
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from h2grid.cli import main
 from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
                              nodal_dispatch, redispatch, run_year,
                              uniform_dispatch)
-from h2grid.errors import InfeasibleHour, InvalidProblem
+from h2grid.errors import InfeasibleHour, InfeasibleRedispatch, InvalidProblem
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
 from h2grid.io import write_system
 from h2grid.lp import EQ, GE, LE, solve_lp
 from h2grid.synth import SyntheticSpec, generate_synthetic_system
 from problems import build_problem
-from test_lp import CorruptInverse, fingerprint
+import test_lp
+from test_lp import CorruptInverse, fingerprint, highs
 
 
 def two_node_system(demand_mw=120.0, line_cap=30.0, hours=1):
@@ -672,3 +674,121 @@ class TestMeritOrderStart:
                                                + stats["dual_iterations"])
             assert (np.mean([stats["iterations"] for stats in nodal])
                     < self.MAX_MEAN_NODAL_ITERATIONS)
+
+
+# Congested hours of 240-node, 312-line synthetic systems, as (seed,
+# congestion, horizon in hours, hours), whose degenerate network LPs a
+# switch to lowest-index pivots stalled into NaN, false infeasibility, a
+# wrong optimum or an unstable pivot element.  HiGHS's optima, in EUR, in
+# order: 316,143.05, 170,459.19 and 92,668.01; 8,673.75, 21,672.21 and 0;
+# 1,613.12 and 5.9026; 0; and 120,159.85.
+HARD_HOURS = [(2, 0.85, 100, (7, 8, 9)), (2, 0.7, 100, (9, 11, 12)),
+              (4, 0.85, 100, (83, 84)), (4, 0.7, 100, (84,)),
+              (2, 0.7, 1000, (8,))]
+
+
+def grid(n_nodes, seed, congestion, hours=24):
+    """The synthetic system of *n_nodes* nodes and 1.3 times as many lines."""
+    return generate_synthetic_system(SyntheticSpec(
+        seed=seed, n_nodes=n_nodes, n_lines=int(1.3 * n_nodes), hours=hours,
+        congestion=congestion))
+
+
+def capture(monkeypatch):
+    """Log every network LP that dispatch solves, with its solution, in the
+    list this returns."""
+    log = []
+
+    def solve(problem):
+        log.append((problem, solve_lp(problem)))
+        return log[-1][1]
+
+    monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+    return log
+
+
+def assert_highs(optimize, problem, sol, rel):
+    """*sol* has the status HiGHS gives *problem*, every row active, and
+    its objective to *rel* relative (to at least 1 EUR)."""
+    ref = highs(optimize, problem.c, problem.dense_matrix(), problem.senses,
+                problem.rhs, problem.lb, problem.ub)
+    assert sol.status == test_lp.TestMixedLPsAgainstHighs.STATUS[ref.status]
+    if sol.optimal:
+        assert abs(sol.objective - ref.fun) <= rel * max(1.0, abs(ref.fun))
+
+
+class TestHardHours:
+    """Degenerate congested hours solved to HiGHS's optimum, with no
+    RuntimeWarning (pytest makes them errors)."""
+
+    @pytest.mark.parametrize("seed, congestion, horizon, hours", HARD_HOURS)
+    def test_matches_highs(self, seed, congestion, horizon, hours,
+                           monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        system = grid(240, seed, congestion, horizon)
+        log = capture(monkeypatch)
+        for hour in hours:
+            cost = redispatch(system, hour,
+                              uniform_dispatch(system, hour)).cost_eur
+            (problem, sol), = log
+            del log[:]
+            assert math.isfinite(cost) and cost == sol.objective
+            assert_highs(optimize, problem, sol, 1e-9)
+
+
+@pytest.mark.slow
+class TestCongestedScan:
+    """Every congested hour of 24-h synthetic systems, seeds 1-8, against
+    HiGHS."""
+
+    def scan(self, monkeypatch, system):
+        """The network LP of every congested hour of *system*, with its
+        solution; an hour whose LP is infeasible raises nothing here."""
+        log = capture(monkeypatch)
+        for hour in range(system.horizon):
+            try:
+                redispatch(system, hour, uniform_dispatch(system, hour))
+            except InfeasibleRedispatch:
+                pass
+        return log
+
+    @pytest.mark.parametrize("n_nodes", [120, 240])
+    @pytest.mark.parametrize("congestion", [0.7, 0.85])
+    def test_every_hour_matches_highs(self, n_nodes, congestion,
+                                      monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        congested = 0
+        for seed in range(1, 9):
+            for problem, sol in self.scan(
+                    monkeypatch, grid(n_nodes, seed, congestion)):
+                assert_highs(optimize, problem, sol, 1e-7)
+                congested += 1
+        assert congested
+
+    @pytest.mark.parametrize("congestion", [0.7, 0.85])
+    def test_480_nodes(self, congestion, monkeypatch):
+        # dense HiGHS takes over a second on a 480-node LP, so it checks
+        # the three hours of each system that took the most pivots
+        optimize = pytest.importorskip("scipy.optimize")
+        for seed in range(1, 9):
+            log = self.scan(monkeypatch, grid(480, seed, congestion))
+            assert log
+            for problem, sol in log:
+                assert sol.optimal and np.isfinite(sol.x).all()
+                assert np.isfinite(sol.duals).all()
+            log.sort(key=lambda item: -item[1].stats["iterations"])
+            for problem, sol in log[:3]:
+                assert_highs(optimize, problem, sol, 1e-7)
+
+    def test_first_day_of_a_1000_hour_system(self, monkeypatch):
+        # hour 8 of this system once hit the iteration limit; HiGHS's
+        # optimum is 120,159.85 EUR
+        optimize = pytest.importorskip("scipy.optimize")
+        system = grid(240, 2, 0.7, hours=1000)
+        log = capture(monkeypatch)
+        for hour in range(24):
+            redispatch(system, hour, uniform_dispatch(system, hour))
+        assert len(log) > 1
+        for problem, sol in log:
+            assert_highs(optimize, problem, sol, 1e-7)
+        assert any(abs(sol.objective - 120_159.85) < 0.005 for _, sol in log)

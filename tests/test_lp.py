@@ -982,11 +982,7 @@ class TestWarmResolve:
     """Re-solves from an optimal basis after binaries are fixed, as branch
     and bound does, against cold solves of the same bounds."""
 
-    @pytest.mark.parametrize("degenerate_limit", [None, 1])
-    def test_matches_cold_solve(self, degenerate_limit, monkeypatch):
-        if degenerate_limit is not None:  # lowest-index choices early on
-            monkeypatch.setattr(h2grid.lp, "_DEGENERATE_LIMIT",
-                                degenerate_limit)
+    def test_matches_cold_solve(self):
         rng = np.random.default_rng(808)
         seen = set()
         for k in range(4):

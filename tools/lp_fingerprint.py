@@ -30,7 +30,12 @@ The set, all of it drawn from fixed seeds:
 * every network LP of the uniform+redispatch baseline year of the
   168-hour ``congested10`` fixture (seed 42, as the golden study), and of
   both dispatch modes of a 48-hour, 60-node synthetic system (the
-  ``grid60`` system of the CI's determinism step).
+  ``grid60`` system of the CI's determinism step);
+* the network LPs of the hard hours of 240-node systems
+  (``tests/test_dispatch.py`` ``HARD_HOURS``), degenerate congested hours
+  where pivot rules differ most.  Their products are large enough for a
+  threaded BLAS to split, so their lines depend on the BLAS thread count:
+  compare runs made with the same ``OPENBLAS_NUM_THREADS``.
 
 The solver's test modules supply the generators, so pytest must be
 importable; the package is imported from ``src/`` of this checkout.
@@ -50,10 +55,12 @@ import h2grid.dispatch  # noqa: E402
 from h2grid import (SyntheticSpec, congested_fixture,  # noqa: E402
                     generate_synthetic_system)
 from h2grid.dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH  # noqa: E402
-from h2grid.errors import InvalidProblem  # noqa: E402
+from h2grid.dispatch import redispatch, uniform_dispatch  # noqa: E402
+from h2grid.errors import InfeasibleRedispatch, InvalidProblem  # noqa: E402
 from h2grid.lp import _Simplex, solve_lp, solve_milp  # noqa: E402
 from problems import build_problem  # noqa: E402
 from test_chain import random_chain  # noqa: E402
+from test_dispatch import HARD_HOURS, grid  # noqa: E402
 from test_lp import dual_feasible_start, knapsack, mixed_instance  # noqa: E402
 
 
@@ -140,29 +147,50 @@ def warm_resolves():
             yield f"warm{seed}.{k}", simplex.resolve, lb, ub, *start
 
 
+def posed(run, *args):
+    """The LPs that ``run(*args)`` hands to dispatch's solver, in order; a
+    solver error or infeasible redispatch ends the run, whose LPs are still
+    listed."""
+    problems = []
+    solve = h2grid.dispatch.solve_lp
+
+    def capture(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    h2grid.dispatch.solve_lp = capture
+    try:
+        run(*args)
+    except (InvalidProblem, InfeasibleRedispatch):
+        pass
+    finally:
+        h2grid.dispatch.solve_lp = solve
+    return problems
+
+
+def redispatch_hour(system, hour):
+    return redispatch(system, hour, uniform_dispatch(system, hour))
+
+
 def network_lps():
-    """Every LP that ``run_year`` solves on the two systems, in order."""
+    """Every LP that ``run_year`` solves on the two systems, in order, and
+    the LP of each hard hour."""
     fixture = congested_fixture(seed=42, hours=168).system
     grid60 = generate_synthetic_system(SyntheticSpec(
         seed=60, n_nodes=60, n_lines=84, hours=48, congestion=0.85))
     years = [("fixture", fixture, 168, MODE_UNIFORM_REDISPATCH),
              ("grid60.uniform", grid60, 48, MODE_UNIFORM_REDISPATCH),
              ("grid60.nodal", grid60, 48, MODE_NODAL)]
-    solve = h2grid.dispatch.solve_lp
     for label, system, hours, mode in years:
-        problems = []
-
-        def capture(problem):
-            problems.append(problem)
-            return solve(problem)
-
-        h2grid.dispatch.solve_lp = capture
-        try:
-            h2grid.dispatch.run_year(system, hours, mode)
-        finally:
-            h2grid.dispatch.solve_lp = solve
+        problems = posed(h2grid.dispatch.run_year, system, hours, mode)
         for k, problem in enumerate(problems):
             yield f"{label}.lp{k}", solve_lp, problem
+    for seed, congestion, horizon, hours in HARD_HOURS:
+        system = grid(240, seed, congestion, horizon)
+        for hour in hours:
+            (problem,) = posed(redispatch_hour, system, hour)
+            yield (f"grid240.seed{seed}.c{congestion}.{horizon}h.hour{hour}",
+                   solve_lp, problem)
 
 
 def main():
