@@ -32,19 +32,23 @@ same hour, so no hour depends on another.
 
 What the models read of the system and not of the hour is built once per
 PowerSystem, at its first dispatch, and kept on it
-(``PowerSystem.dispatch_tables``, a ``DispatchTables``): the marginal
-costs, generator nodes and merit order, the capacity of every generator in
-every hour, and the network LP as a template problem
+(``PowerSystem.dispatch_tables``, a ``DispatchTables``): the capacity of
+every generator in every hour, its sums per hour of demand and capacity,
+and the part that only the network and the generators' nodes and
+marginal costs determine (``NetworkTables``): the marginal costs,
+generator nodes and merit order, and the network LP as a template problem
 (``DispatchTables.network``): its costs, its row senses and its dense
 ``(1 + 2K) x G`` block with the block's power-of-two scaling
 (``lp.ScaledMatrix``), checked once, and the slack bounds and scaled costs
 the simplex reads, built once.  An hour derives its LP from the template
 (``lp.LinearProblem.derive``), which sets and checks only the LP's bounds,
-rhs, lazy rows and start basis.  The hour's demand is summed once, and its
-overloaded corridor rows are found once (``_overloaded``), both for
-``redispatch``'s skip test and for the LP's active rows.  A system derived
-with ``with_demand`` or ``with_generators`` is a new object with tables of
-its own.
+rhs, lazy rows and start basis.  The hour's overloaded corridor rows are
+found once (``_overloaded``), both for ``redispatch``'s skip test and for
+the LP's active rows.  A system derived with ``with_demand``, or with
+``with_generators`` when every generator keeps its node and its marginal
+cost (``keeps_network``), shares its parent's ``NetworkTables``, which the
+first of the family to dispatch builds; its capacity table is its own.
+A study's baseline and feedback systems thus build one network template.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -98,43 +102,88 @@ class AnnualDispatchSummary:
     generation_mwh: np.ndarray               # per generator
 
 
-class DispatchTables:
-    """The hour-independent data of the dispatch models for one system.
+def _costs(generators):
+    return np.array([g.marginal_cost for g in generators])
 
-    ``costs`` and ``nodes`` per generator, ``order`` its ``(cost, index)``
-    merit order, ``capacity`` the available MW per hour and generator
-    (``Generator.capacity_at``), and ``network``, the network LP of
+
+def keeps_network(generators, others):
+    """Whether the generators *others* give the network part of the
+    dispatch tables of *generators* (``NetworkTables``): as many
+    generators, each at the same node and with the same marginal cost,
+    byte for byte as the cost array holds it, so that 0.0 against -0.0,
+    a NaN or another dtype gives tables of their own."""
+    if len(generators) != len(others) or any(
+            g.node != h.node for g, h in zip(generators, others)):
+        return False
+    costs, other_costs = _costs(generators), _costs(others)
+    return (costs.dtype == other_costs.dtype and costs.dtype.kind in "fi"
+            and costs.tobytes() == other_costs.tobytes()
+            and not np.isnan(costs).any())
+
+
+class NetworkTables:
+    """The part of the dispatch tables that the network and the
+    generators' nodes and marginal costs determine, and nothing else.
+
+    ``costs`` and ``nodes`` per generator, ``order`` their ``(cost,
+    index)`` merit order, and ``network``, the network LP of
     ``_network_lp`` with the hour's data left at zero: its costs, row
     senses and constraint block with scaling, checked once, from which
     every hour's LP is derived (``LinearProblem.derive``).  Every array is
     read-only.
     """
 
-    def __init__(self, system):
-        gens = system.generators
-        self.costs = np.array([g.marginal_cost for g in gens])
-        self.nodes = np.array([g.node for g in gens], dtype=int)
+    def __init__(self, generators, ptdf):
+        self.costs = _costs(generators)
+        self.nodes = np.array([g.node for g in generators], dtype=int)
         self.order = np.lexsort((np.arange(self.costs.size), self.costs))
-        self.capacity = np.empty((system.horizon, len(gens)))
-        for j, g in enumerate(gens):
-            self.capacity[:, j] = (g.capacity_mw if g.profile is None
-                                   else g.profile[:system.horizon])
-
-        sens = system.ptdf.entries[:, self.nodes]
-        a = np.empty((1 + 2 * sens.shape[0], len(gens)))
+        sens = ptdf.entries[:, self.nodes]
+        a = np.empty((1 + 2 * sens.shape[0], len(generators)))
         a[0] = 1.0
         a[1::2] = sens
         a[2::2] = sens
         senses = np.array((EQ,) + (LE, GE) * sens.shape[0])
-        for arr in (self.costs, self.nodes, self.order, self.capacity,
-                    senses):
+        for arr in (self.costs, self.nodes, self.order, senses):
             arr.flags.writeable = False
-        zeros = np.zeros(len(gens))
+        zeros = np.zeros(len(generators))
         # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
         self.network = LinearProblem(
             self.costs, zeros, zeros, _NO_TRIPLETS, _NO_TRIPLETS,
             _NO_TRIPLETS, senses, np.zeros(senses.size),
             matrix=scale_matrix(a + 0.0))
+
+
+class DispatchTables:
+    """The hour-independent data of the dispatch models for one system.
+
+    ``costs``, ``nodes``, ``order`` and ``network`` are those of the
+    system's ``NetworkTables``, which the systems derived from one another
+    share (``PowerSystem.with_demand``, ``PowerSystem.with_generators``);
+    the first of them to dispatch builds it.  ``capacity`` is this
+    system's available MW per hour and generator
+    (``Generator.capacity_at``), and ``zonal_demand`` and
+    ``zonal_capacity`` its sums per hour.  Every array is read-only.
+    """
+
+    def __init__(self, system):
+        shared = system._network
+        # two systems that first dispatch at once may both build it; both
+        # builds are equal, and every system reads the first
+        if not shared:
+            shared.append(NetworkTables(system.generators, system.ptdf))
+        net = shared[0]
+        self.costs, self.nodes = net.costs, net.nodes
+        self.order, self.network = net.order, net.network
+        gens = system.generators
+        self.capacity = np.empty((system.horizon, len(gens)))
+        for j, g in enumerate(gens):
+            self.capacity[:, j] = (g.capacity_mw if g.profile is None
+                                   else g.profile[:system.horizon])
+        # row sums of C-ordered rows, bit for bit the sums of single rows
+        self.zonal_demand = np.ascontiguousarray(system.demand).sum(axis=1)
+        self.zonal_capacity = self.capacity.sum(axis=1)
+        for arr in (self.capacity, self.zonal_demand, self.zonal_capacity):
+            arr.flags.writeable = False
 
 
 def _injections(system, hour, generation):
@@ -236,12 +285,13 @@ def _nodal_prices(system, sol):
 def _zonal_demand(system, hour):
     """The hour's zonal demand; InfeasibleHour when it exceeds the hour's
     capacity."""
-    caps = system.dispatch_tables.capacity[hour]
-    demand = float(system.demand[hour].sum())
-    if demand > caps.sum() + BALANCE_TOL:
+    tables = system.dispatch_tables
+    demand = float(tables.zonal_demand[hour])
+    capacity = tables.zonal_capacity[hour]
+    if demand > capacity + BALANCE_TOL:
         raise InfeasibleHour(
             f"hour {hour}: demand exceeds available capacity",
-            hour=hour, deficit_mw=demand - caps.sum())
+            hour=hour, deficit_mw=demand - capacity)
     return demand
 
 

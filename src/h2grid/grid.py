@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dispatch import DispatchTables
+from .dispatch import DispatchTables, keeps_network
 from .errors import EmptyNetwork, InvalidLine, NetworkDisconnected
 
 # default transmission capacity per voltage class, MW
@@ -71,6 +71,12 @@ class PowerSystem:
     generators: tuple
     demand: np.ndarray  # (hours, n_nodes), MW
     ptdf: "PTDFMatrix" = field(default=None, compare=False)
+    # the network part of the dispatch tables (dispatch.NetworkTables) in
+    # a list that the systems derived from one another share while they
+    # keep the generators' nodes and costs (with_demand, with_generators),
+    # empty until the first of them dispatches
+    _network: list = field(default_factory=list, init=False,
+                           compare=False, repr=False)
 
     @property
     def n_nodes(self):
@@ -83,16 +89,26 @@ class PowerSystem:
     @cached_property
     def dispatch_tables(self):
         """What the dispatch models read of this system in every hour,
-        built at the first dispatch and kept with the system."""
+        built at the first dispatch and kept with the system; its network
+        part is the family's (``_network``)."""
         return DispatchTables(self)
 
     def with_demand(self, demand):
-        return PowerSystem(self.nodes, self.lines, self.generators,
-                           np.asarray(demand, dtype=float), self.ptdf)
+        return self._derived(self.generators, np.asarray(demand, dtype=float),
+                             self._network)
 
     def with_generators(self, generators):
-        return PowerSystem(self.nodes, self.lines, tuple(generators),
-                           self.demand, self.ptdf)
+        generators = tuple(generators)
+        return self._derived(
+            generators, self.demand,
+            self._network if keeps_network(self.generators, generators)
+            else [])
+
+    def _derived(self, generators, demand, network):
+        system = PowerSystem(self.nodes, self.lines, generators, demand,
+                             self.ptdf)
+        object.__setattr__(system, "_network", network)
+        return system
 
 
 @dataclass(frozen=True)

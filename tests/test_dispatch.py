@@ -16,16 +16,20 @@ import yaml
 
 import h2grid.dispatch
 import h2grid.lp
+import h2grid.pipeline
 from h2grid.cli import main
 from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
-                             nodal_dispatch, redispatch, run_year,
-                             uniform_dispatch)
+                             keeps_network, nodal_dispatch, redispatch,
+                             run_year, uniform_dispatch)
 from h2grid.errors import InfeasibleHour, InfeasibleRedispatch, InvalidProblem
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
 from h2grid.io import write_system
 from h2grid.lp import EQ, GE, LE, solve_lp
-from h2grid.synth import SyntheticSpec, generate_synthetic_system
+from h2grid.pipeline import (FLAT, NODAL, REAL_TIME, UNIFORM, Scenario,
+                             run_full_study)
+from h2grid.synth import (SyntheticSpec, congested_fixture,
+                          generate_synthetic_system)
 from problems import build_problem
 import test_lp
 from test_lp import CorruptInverse, fingerprint, highs
@@ -397,9 +401,11 @@ def same_summary(got, want):
 
 class TestSystemTables:
     """The hour-independent dispatch data is built at a system's first
-    dispatch and kept on that system alone: systems of the same shapes, one
-    derived from another and one allocated where another was freed must
-    each get their own."""
+    dispatch and kept on that system, whose network part only systems
+    derived with the same generator nodes and costs share
+    (``TestSharedNetworkTables``): systems of the same shapes, one derived
+    from another and one allocated where another was freed must each get
+    tables of their own data."""
 
     HOURS = 6
     MODES = (MODE_NODAL, MODE_UNIFORM_REDISPATCH)
@@ -463,6 +469,158 @@ class TestSystemTables:
                     structure.slack_lb, structure.slack_ub):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+
+class TestSharedNetworkTables:
+    """Systems derived from one another that keep the generators' nodes
+    and marginal costs share one ``NetworkTables``, built by whichever of
+    them dispatches first: its network LP template and merit order are
+    the parent's objects, and the results are those of a fresh system with
+    tables of its own.  Any other change of the generators gets a template
+    of its own."""
+
+    HOURS = 6
+    MODES = (MODE_NODAL, MODE_UNIFORM_REDISPATCH)
+
+    def year(self):
+        return generate_synthetic_system(SyntheticSpec(
+            seed=11, n_nodes=12, n_lines=16, hours=self.HOURS,
+            congestion=0.9))
+
+    def check_matches_fresh(self, system):
+        fresh = PowerSystem(system.nodes, system.lines, system.generators,
+                            system.demand, system.ptdf)
+        for mode in self.MODES:
+            same_summary(run_year(system, self.HOURS, mode),
+                         run_year(fresh, self.HOURS, mode))
+        assert fresh.dispatch_tables.network is not (
+            system.dispatch_tables.network)
+
+    def test_derived_systems_share_the_parents_template(self):
+        year = self.year()
+        rescaled = tuple(
+            g if g.profile is None
+            else dataclasses.replace(g, profile=1.5 * g.profile)
+            for g in year.generators)
+        derived = [year.with_demand(0.9 * year.demand),
+                   year.with_generators(rescaled),
+                   year.with_generators(list(year.generators))
+                   .with_demand(1.05 * year.demand)]
+        # a derived system dispatches first and builds the family's part
+        for system in derived:
+            self.check_matches_fresh(system)
+        network = year.dispatch_tables.network
+        for system in derived:
+            tables = system.dispatch_tables
+            assert tables.network is network
+            assert tables.order is year.dispatch_tables.order
+            assert tables.capacity is not year.dispatch_tables.capacity
+        assert not np.array_equal(derived[1].dispatch_tables.capacity,
+                                  year.dispatch_tables.capacity)
+
+    def test_changed_generators_get_their_own(self):
+        year = self.year()
+        gens = year.generators
+        free = next(j for j, g in enumerate(gens) if g.marginal_cost == 0.0)
+
+        def at(j, **changes):
+            return (gens[:j] + (dataclasses.replace(gens[j], **changes),)
+                    + gens[j + 1:])
+
+        variants = {
+            "moved": year.with_generators(
+                at(0, node=(gens[0].node + 1) % year.n_nodes)),
+            "repriced": year.with_generators(
+                at(0, marginal_cost=gens[0].marginal_cost + 1.0)),
+            "negative zero": year.with_generators(at(free,
+                                                     marginal_cost=-0.0)),
+            "one more": year.with_generators(gens + gens[:1]),
+            "replaced": dataclasses.replace(year, demand=0.9 * year.demand),
+        }
+        nodal_dispatch(year, 0)
+        for name, system in variants.items():
+            assert system.dispatch_tables.network is not (
+                year.dispatch_tables.network), name
+            self.check_matches_fresh(system)
+
+    def test_cost_arrays_compared_byte_for_byte(self):
+        gens = two_node_system().generators
+        nan = (dataclasses.replace(gens[0], marginal_cost=np.nan),) + gens[1:]
+        ints = tuple(dataclasses.replace(g, marginal_cost=int(g.marginal_cost))
+                     for g in gens)
+        assert keeps_network(gens, list(gens))
+        assert keeps_network(ints, ints)
+        assert not keeps_network(nan, nan)
+        assert not keeps_network(gens, ints)
+        assert not keeps_network(gens, gens[:1])
+
+    def test_a_study_builds_one_template(self, monkeypatch):
+        built, systems = [], []
+
+        class Counted(h2grid.dispatch.NetworkTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def recorded(system, hours, mode):
+            systems.append(system)
+            return run_year(system, hours, mode)
+
+        monkeypatch.setattr(h2grid.dispatch, "NetworkTables", Counted)
+        monkeypatch.setattr(h2grid.pipeline, "run_year", recorded)
+        case = congested_fixture(seed=20240, hours=12)
+        run_full_study(case, [Scenario(spatial=s, temporal=t, carrier="LH2")
+                              for s in (UNIFORM, NODAL)
+                              for t in (FLAT, REAL_TIME)])
+        assert len(built) == 1
+        assert len(systems) == 5 and systems[0] is case.system
+        network = case.system.dispatch_tables.network
+        for system in systems[1:]:
+            assert system.dispatch_tables.network is network
+            assert not np.array_equal(system.dispatch_tables.capacity,
+                                      case.system.dispatch_tables.capacity)
+
+
+class TestZonalSums:
+    """Each hour's zonal demand and capacity are summed once per system,
+    as row sums of a C-ordered copy, which equal the per-hour sums bit for
+    bit; the row sums of an F-ordered array do not."""
+
+    def systems(self):
+        year = generate_synthetic_system(SyntheticSpec(
+            seed=7, n_nodes=30, n_lines=40, hours=8760))
+        return [congested_fixture(seed=20240, hours=168).system, year,
+                year.with_demand(np.asfortranarray(1.01 * year.demand))]
+
+    def test_match_the_per_hour_sums(self):
+        systems = self.systems()
+        f_ordered = systems[-1].demand
+        assert not f_ordered.flags.c_contiguous
+        assert not np.array_equal(
+            f_ordered.sum(axis=1), [row.sum() for row in f_ordered])
+        for system in systems:
+            tables = system.dispatch_tables
+            hours = range(system.horizon)
+            assert tables.zonal_demand.tobytes() == np.array(
+                [system.demand[t].sum() for t in hours]).tobytes()
+            assert tables.zonal_capacity.tobytes() == np.array(
+                [tables.capacity[t].sum() for t in hours]).tobytes()
+
+    @pytest.mark.parametrize("mode", (MODE_NODAL, MODE_UNIFORM_REDISPATCH))
+    def test_infeasible_hour_keeps_its_deficit(self, mode):
+        year = self.systems()[1]
+        demand = year.demand.copy()
+        demand[3] *= 3.0 * year.dispatch_tables.zonal_capacity[3] / (
+            year.dispatch_tables.zonal_demand[3])
+        system = year.with_demand(np.asfortranarray(demand))
+        with pytest.raises(InfeasibleHour) as info:
+            run_year(system, 24, mode)
+        want = (float(system.demand[3].sum())
+                - system.dispatch_tables.capacity[3].sum())
+        assert str(info.value) == "hour 3: demand exceeds available capacity"
+        assert info.value.hour == 3
+        assert type(info.value.deficit_mw) is type(want)
+        assert info.value.deficit_mw == want > 0
 
 
 class TestRunYear:
