@@ -203,7 +203,7 @@ def cmd_study(args):
         raise ConfigError(f"study: no hydrogen demand to site; sinks come "
                           f"from {', '.join(_SINK_KEYS)}")
     case = StudyCase(system=system, sinks=sinks,
-                     candidates=tuple(system.nodes), hours=cfg.hours,
+                     candidates=tuple(system.nodes),
                      production=cfg.production, transport=cfg.transport,
                      import_spec=cfg.imports, ngp=cfg.ngp,
                      cheap_share=cfg.cheap_share)

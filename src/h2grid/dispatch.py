@@ -44,11 +44,13 @@ the simplex reads, built once.  An hour derives its LP from the template
 (``lp.LinearProblem.derive``), which sets and checks only the LP's bounds,
 rhs, lazy rows and start basis.  The hour's overloaded corridor rows are
 found once (``_overloaded``), both for ``redispatch``'s skip test and for
-the LP's active rows.  A system derived with ``with_demand``, or with
-``with_generators`` when every generator keeps its node and its marginal
-cost (``keeps_network``), shares its parent's ``NetworkTables``, which the
-first of the family to dispatch builds; its capacity table is its own.
-A study's baseline and feedback systems thus build one network template.
+the LP's active rows.  The ``NetworkTables`` are keyed by what they are a
+function of, the generators' marginal costs and nodes byte for byte (so
+0.0 against -0.0, or another dtype, gets tables of its own), and the PTDF
+keeps the last one built on it: every system on that PTDF with the same
+key reads it, whichever system built it, and its capacity table is its
+own.  A study's baseline and feedback systems thus build one network
+template.
 
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
@@ -106,24 +108,9 @@ def _costs(generators):
     return np.array([g.marginal_cost for g in generators])
 
 
-def keeps_network(generators, others):
-    """Whether the generators *others* give the network part of the
-    dispatch tables of *generators* (``NetworkTables``): as many
-    generators, each at the same node and with the same marginal cost,
-    byte for byte as the cost array holds it, so that 0.0 against -0.0,
-    a NaN or another dtype gives tables of their own."""
-    if len(generators) != len(others) or any(
-            g.node != h.node for g, h in zip(generators, others)):
-        return False
-    costs, other_costs = _costs(generators), _costs(others)
-    return (costs.dtype == other_costs.dtype and costs.dtype.kind in "fi"
-            and costs.tobytes() == other_costs.tobytes()
-            and not np.isnan(costs).any())
-
-
 class NetworkTables:
-    """The part of the dispatch tables that the network and the
-    generators' nodes and marginal costs determine, and nothing else.
+    """The part of the dispatch tables that the network *ptdf* and the
+    generators' marginal *costs* and *nodes* determine, and nothing else.
 
     ``costs`` and ``nodes`` per generator, ``order`` their ``(cost,
     index)`` merit order, and ``network``, the network LP of
@@ -133,22 +120,21 @@ class NetworkTables:
     read-only.
     """
 
-    def __init__(self, generators, ptdf):
-        self.costs = _costs(generators)
-        self.nodes = np.array([g.node for g in generators], dtype=int)
-        self.order = np.lexsort((np.arange(self.costs.size), self.costs))
-        sens = ptdf.entries[:, self.nodes]
-        a = np.empty((1 + 2 * sens.shape[0], len(generators)))
+    def __init__(self, costs, nodes, ptdf):
+        self.costs, self.nodes = costs, nodes
+        self.order = np.lexsort((np.arange(costs.size), costs))
+        sens = ptdf.entries[:, nodes]
+        a = np.empty((1 + 2 * sens.shape[0], nodes.size))
         a[0] = 1.0
         a[1::2] = sens
         a[2::2] = sens
         senses = np.array((EQ,) + (LE, GE) * sens.shape[0])
-        for arr in (self.costs, self.nodes, self.order, senses):
+        for arr in (costs, nodes, self.order, senses):
             arr.flags.writeable = False
-        zeros = np.zeros(len(generators))
+        zeros = np.zeros(nodes.size)
         # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
         self.network = LinearProblem(
-            self.costs, zeros, zeros, _NO_TRIPLETS, _NO_TRIPLETS,
+            costs, zeros, zeros, _NO_TRIPLETS, _NO_TRIPLETS,
             _NO_TRIPLETS, senses, np.zeros(senses.size),
             matrix=scale_matrix(a + 0.0))
 
@@ -157,24 +143,29 @@ class DispatchTables:
     """The hour-independent data of the dispatch models for one system.
 
     ``costs``, ``nodes``, ``order`` and ``network`` are those of the
-    system's ``NetworkTables``, which the systems derived from one another
-    share (``PowerSystem.with_demand``, ``PowerSystem.with_generators``);
-    the first of them to dispatch builds it.  ``capacity`` is this
-    system's available MW per hour and generator
+    ``NetworkTables`` of the system's generator costs and nodes on its
+    PTDF, read from the slot in which the PTDF keeps the last one built on
+    it when the key matches, and built into that slot when it does not.
+    ``capacity`` is this system's available MW per hour and generator
     (``Generator.capacity_at``), and ``zonal_demand`` and
     ``zonal_capacity`` its sums per hour.  Every array is read-only.
     """
 
     def __init__(self, system):
-        shared = system._network
-        # two systems that first dispatch at once may both build it; both
-        # builds are equal, and every system reads the first
-        if not shared:
-            shared.append(NetworkTables(system.generators, system.ptdf))
-        net = shared[0]
+        gens = system.generators
+        costs = _costs(gens)
+        nodes = np.array([g.node for g in gens], dtype=int)
+        key = (costs.dtype.str, costs.tobytes(), nodes.tobytes())
+        slot = system.ptdf._network
+        # one read and one write of the slot: two systems that dispatch at
+        # once may both build tables, which are equal for equal keys
+        entry = slot[0]
+        if entry is None or entry[0] != key:
+            entry = (key, NetworkTables(costs, nodes, system.ptdf))
+            slot[0] = entry
+        net = entry[1]
         self.costs, self.nodes = net.costs, net.nodes
         self.order, self.network = net.order, net.network
-        gens = system.generators
         self.capacity = np.empty((system.horizon, len(gens)))
         for j, g in enumerate(gens):
             self.capacity[:, j] = (g.capacity_mw if g.profile is None

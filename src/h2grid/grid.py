@@ -1,15 +1,18 @@
 """Transmission network representation and PTDF computation.
 
 Coordinates are planar kilometres; distances are Euclidean.  All objects
-are immutable after construction and safe for concurrent reads.
+are immutable after construction and safe for concurrent reads, but for
+one private slot on ``PTDFMatrix`` in which ``dispatch`` keeps the network
+LP template it last built on that network.  A generator, system or PTDF
+compares and hashes by identity: their numpy fields have no truth value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .dispatch import DispatchTables, keeps_network
+from .dispatch import DispatchTables
 from .errors import EmptyNetwork, InvalidLine, NetworkDisconnected
 
 # default transmission capacity per voltage class, MW
@@ -44,7 +47,7 @@ class Line:
             raise InvalidLine(f"line {self.id} has nonpositive reactance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Dispatchable unit (scalar capacity) or renewable (hourly profile).
 
@@ -64,19 +67,13 @@ class Generator:
         return self.capacity_mw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSystem:
     nodes: tuple
     lines: tuple
     generators: tuple
     demand: np.ndarray  # (hours, n_nodes), MW
-    ptdf: "PTDFMatrix" = field(default=None, compare=False)
-    # the network part of the dispatch tables (dispatch.NetworkTables) in
-    # a list that the systems derived from one another share while they
-    # keep the generators' nodes and costs (with_demand, with_generators),
-    # empty until the first of them dispatches
-    _network: list = field(default_factory=list, init=False,
-                           compare=False, repr=False)
+    ptdf: "PTDFMatrix" = None
 
     @property
     def n_nodes(self):
@@ -90,34 +87,27 @@ class PowerSystem:
     def dispatch_tables(self):
         """What the dispatch models read of this system in every hour,
         built at the first dispatch and kept with the system; its network
-        part is the family's (``_network``)."""
+        part is shared through the PTDF (``DispatchTables``)."""
         return DispatchTables(self)
 
     def with_demand(self, demand):
-        return self._derived(self.generators, np.asarray(demand, dtype=float),
-                             self._network)
+        return replace(self, demand=np.asarray(demand, dtype=float))
 
     def with_generators(self, generators):
-        generators = tuple(generators)
-        return self._derived(
-            generators, self.demand,
-            self._network if keeps_network(self.generators, generators)
-            else [])
-
-    def _derived(self, generators, demand, network):
-        system = PowerSystem(self.nodes, self.lines, generators, demand,
-                             self.ptdf)
-        object.__setattr__(system, "_network", network)
-        return system
+        return replace(self, generators=tuple(generators))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PTDFMatrix:
     """Line-flow sensitivities to nodal injections; slack column is zero."""
     entries: np.ndarray  # (n_lines, n_nodes)
     slack: int
     line_ids: tuple
     merged_capacity: np.ndarray  # capacity per PTDF row (parallel lines merged)
+    # the last (key, dispatch.NetworkTables) built on this network, None
+    # until the first dispatch (dispatch.DispatchTables)
+    _network: list = field(default_factory=lambda: [None], init=False,
+                           repr=False)
 
     def flows(self, injections):
         return self.entries @ np.asarray(injections, dtype=float)

@@ -189,12 +189,16 @@ def additionality_scale(system, added_mwh):
     if renewable_mwh <= 0:
         raise CannotScale("no renewable baseline energy to scale")
     factor = (renewable_mwh + added_mwh) / renewable_mwh
+    # generators that share a profile array share its scaled copy
+    scaled = {}
     generators = []
     for g in system.generators:
         if g.kind in RENEWABLE_KINDS and g.profile is not None:
+            if id(g.profile) not in scaled:
+                scaled[id(g.profile)] = g.profile * factor
             generators.append(Generator(g.id, g.node, g.kind,
                                         g.marginal_cost, g.capacity_mw,
-                                        g.profile * factor))
+                                        scaled[id(g.profile)]))
         else:
             generators.append(g)
     return system.with_generators(generators)
@@ -202,11 +206,11 @@ def additionality_scale(system, added_mwh):
 
 @dataclass(frozen=True)
 class StudyCase:
-    """Everything one full study needs besides the scenario list."""
+    """Everything one full study needs besides the scenario list; the
+    study dispatches every hour of the system (``system.horizon``)."""
     system: object
     sinks: tuple
     candidates: tuple                # grid Nodes usable as electrolyzer sites
-    hours: int
     production: ProductionParams = ProductionParams()
     transport: TransportParams = TransportParams()
     import_spec: ImportSpec = None
@@ -233,8 +237,9 @@ def run_scenario(case, scenario, baseline):
     fed_back = scaled.with_demand(scaled.demand + loads)
     # nothing reads a feedback year's nodal view, an hours x nodes series
     # that the report would otherwise keep once per scenario
-    summary = replace(run_year(fed_back, case.hours, MODE_UNIFORM_REDISPATCH),
-                      nodal_price_series=None, mean_nodal_prices=None)
+    summary = replace(
+        run_year(fed_back, fed_back.horizon, MODE_UNIFORM_REDISPATCH),
+        nodal_price_series=None, mean_nodal_prices=None)
     return ScenarioResult(
         scenario=scenario, tariffs=tariffs, design=design,
         breakdown=breakdown, summary=summary, added_energy_mwh=added_mwh,
@@ -245,7 +250,8 @@ def run_scenario(case, scenario, baseline):
 
 def run_full_study(case, scenarios):
     """Baseline, per-scenario chain + feedback, and the comparison report."""
-    baseline = run_year(case.system, case.hours, MODE_UNIFORM_REDISPATCH)
+    baseline = run_year(case.system, case.system.horizon,
+                        MODE_UNIFORM_REDISPATCH)
     results = []
     for scenario in scenarios:
         try:
@@ -261,7 +267,7 @@ def run_full_study(case, scenarios):
         n.id: float(baseline.mean_price - baseline.mean_nodal_prices[n.id])
         for n in case.candidates}
     return StudyReport(
-        hours=case.hours,
+        hours=baseline.hours,
         baseline_demand_mwh=baseline.total_energy_mwh,
         baseline_mean_price=baseline.mean_price,
         baseline_congestion_eur=baseline.congestion_cost_eur,

@@ -165,4 +165,4 @@ def congested_fixture(seed, hours=168):
     system = generate_synthetic_system(spec)
     return StudyCase(system=system,
                      sinks=fixture_sinks(system, FIXTURE_H2_KG_DAY),
-                     candidates=tuple(system.nodes), hours=hours)
+                     candidates=tuple(system.nodes))

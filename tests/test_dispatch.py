@@ -19,8 +19,8 @@ import h2grid.lp
 import h2grid.pipeline
 from h2grid.cli import main
 from h2grid.dispatch import (FLOW_TOL, MODE_NODAL, MODE_UNIFORM_REDISPATCH,
-                             keeps_network, nodal_dispatch, redispatch,
-                             run_year, uniform_dispatch)
+                             nodal_dispatch, redispatch, run_year,
+                             uniform_dispatch)
 from h2grid.errors import InfeasibleHour, InfeasibleRedispatch, InvalidProblem
 from h2grid.grid import (DISPATCHABLE, Generator, Line, Node, PowerSystem,
                          compute_ptdf)
@@ -472,12 +472,12 @@ class TestSystemTables:
 
 
 class TestSharedNetworkTables:
-    """Systems derived from one another that keep the generators' nodes
-    and marginal costs share one ``NetworkTables``, built by whichever of
-    them dispatches first: its network LP template and merit order are
-    the parent's objects, and the results are those of a fresh system with
-    tables of its own.  Any other change of the generators gets a template
-    of its own."""
+    """Systems on one PTDF whose generators have the same nodes and
+    marginal costs, byte for byte, share one ``NetworkTables``, built by
+    whichever of them dispatches first: its network LP template and merit
+    order are the same objects, and the results are those of a fresh
+    system with tables of its own.  Any other change of the generators
+    gets a template of its own."""
 
     HOURS = 6
     MODES = (MODE_NODAL, MODE_UNIFORM_REDISPATCH)
@@ -488,34 +488,38 @@ class TestSharedNetworkTables:
             congestion=0.9))
 
     def check_matches_fresh(self, system):
+        # a copy of the PTDF has a template slot of its own
         fresh = PowerSystem(system.nodes, system.lines, system.generators,
-                            system.demand, system.ptdf)
+                            system.demand, dataclasses.replace(system.ptdf))
         for mode in self.MODES:
             same_summary(run_year(system, self.HOURS, mode),
                          run_year(fresh, self.HOURS, mode))
         assert fresh.dispatch_tables.network is not (
             system.dispatch_tables.network)
 
-    def test_derived_systems_share_the_parents_template(self):
+    def test_equal_generators_share_one_template(self):
         year = self.year()
         rescaled = tuple(
             g if g.profile is None
             else dataclasses.replace(g, profile=1.5 * g.profile)
             for g in year.generators)
-        derived = [year.with_demand(0.9 * year.demand),
-                   year.with_generators(rescaled),
-                   year.with_generators(list(year.generators))
-                   .with_demand(1.05 * year.demand)]
-        # a derived system dispatches first and builds the family's part
-        for system in derived:
+        others = [year.with_demand(0.9 * year.demand),
+                  year.with_generators(rescaled),
+                  year.with_generators(list(year.generators))
+                  .with_demand(1.05 * year.demand),
+                  dataclasses.replace(year, demand=0.9 * year.demand),
+                  PowerSystem(year.nodes, year.lines, rescaled,
+                              1.1 * year.demand, year.ptdf)]
+        # another system dispatches first and builds the shared part
+        for system in others:
             self.check_matches_fresh(system)
         network = year.dispatch_tables.network
-        for system in derived:
+        for system in others:
             tables = system.dispatch_tables
             assert tables.network is network
             assert tables.order is year.dispatch_tables.order
             assert tables.capacity is not year.dispatch_tables.capacity
-        assert not np.array_equal(derived[1].dispatch_tables.capacity,
+        assert not np.array_equal(others[1].dispatch_tables.capacity,
                                   year.dispatch_tables.capacity)
 
     def test_changed_generators_get_their_own(self):
@@ -535,7 +539,6 @@ class TestSharedNetworkTables:
             "negative zero": year.with_generators(at(free,
                                                      marginal_cost=-0.0)),
             "one more": year.with_generators(gens + gens[:1]),
-            "replaced": dataclasses.replace(year, demand=0.9 * year.demand),
         }
         nodal_dispatch(year, 0)
         for name, system in variants.items():
@@ -543,16 +546,22 @@ class TestSharedNetworkTables:
                 year.dispatch_tables.network), name
             self.check_matches_fresh(system)
 
-    def test_cost_arrays_compared_byte_for_byte(self):
-        gens = two_node_system().generators
-        nan = (dataclasses.replace(gens[0], marginal_cost=np.nan),) + gens[1:]
-        ints = tuple(dataclasses.replace(g, marginal_cost=int(g.marginal_cost))
-                     for g in gens)
-        assert keeps_network(gens, list(gens))
-        assert keeps_network(ints, ints)
-        assert not keeps_network(nan, nan)
-        assert not keeps_network(gens, ints)
-        assert not keeps_network(gens, gens[:1])
+    def test_cost_dtype_and_nan(self):
+        system = two_node_system(hours=self.HOURS)
+        gens = system.generators
+        ints = system.with_generators(
+            dataclasses.replace(g, marginal_cost=int(g.marginal_cost))
+            for g in gens)
+        nan = system.with_generators(
+            (dataclasses.replace(gens[0], marginal_cost=np.nan),) + gens[1:])
+        nodal_dispatch(system, 0)
+        assert ints.dispatch_tables.costs.dtype.kind == "i"
+        assert ints.dispatch_tables.network is not (
+            system.dispatch_tables.network)
+        self.check_matches_fresh(ints)
+        for _ in range(2):
+            with pytest.raises(InvalidProblem, match="NaN"):
+                nodal_dispatch(nan, 0)
 
     def test_a_study_builds_one_template(self, monkeypatch):
         built, systems = [], []

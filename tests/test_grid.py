@@ -1,10 +1,13 @@
 """Network model tests: PTDF values, flow conservation, node assignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from h2grid.errors import (EmptyNetwork, InvalidLine, NetworkDisconnected)
-from h2grid.grid import (Line, Node, assign_to_nearest_node, compute_ptdf,
+from h2grid.grid import (Generator, Line, Node, PowerSystem, WIND,
+                         assign_to_nearest_node, compute_ptdf,
                          merge_parallel_lines)
 
 
@@ -110,3 +113,28 @@ class TestNearestNode:
     def test_empty_raises(self):
         with pytest.raises(EmptyNetwork):
             assign_to_nearest_node((0, 0), [])
+
+
+class TestIdentity:
+    """A generator, a system and a PTDF hold numpy arrays, which have no
+    truth value, so they compare and hash by identity."""
+
+    def objects(self):
+        nodes = nodes_at([(0, 0), (1, 0)])
+        lines = [Line(0, 0, 1, 100.0, 1.0)]
+        wind = Generator(0, 1, WIND, 0.0, profile=np.array([3.0, 4.0]))
+        system = PowerSystem(tuple(nodes), tuple(lines), (wind,),
+                             np.ones((2, 2)), compute_ptdf(nodes, lines, 0))
+        return wind, system
+
+    def test_compare_and_hash_by_identity(self):
+        wind, system = self.objects()
+        copies = [dataclasses.replace(wind, profile=2 * wind.profile),
+                  dataclasses.replace(wind),
+                  system.with_demand(2 * system.demand),
+                  dataclasses.replace(system),
+                  dataclasses.replace(system.ptdf)]
+        for original, copy in zip((wind, wind, system, system, system.ptdf),
+                                  copies):
+            assert original == original and original != copy
+        assert len({wind, system, system.ptdf, *copies}) == 8

@@ -139,6 +139,23 @@ class TestAdditionality:
                    if g.kind == DISPATCHABLE][0]
         assert thermal.capacity_mw == 500.0
 
+    def test_shared_profiles_stay_shared(self):
+        system = generate_synthetic_system(SyntheticSpec(
+            seed=7, n_nodes=30, n_lines=40, hours=48))
+        renewables = [j for j, g in enumerate(system.generators)
+                      if g.profile is not None]
+        profiles = {id(system.generators[j].profile) for j in renewables}
+        assert len(profiles) < len(renewables)
+        energy = sum(float(system.generators[j].profile.sum())
+                     for j in renewables)
+        factor = (energy + 500.0) / energy
+        scaled = additionality_scale(system, 500.0).generators
+        assert len({id(scaled[j].profile) for j in renewables}) == len(
+            profiles)
+        for j in renewables:
+            want = system.generators[j].profile * factor
+            assert scaled[j].profile.tobytes() == want.tobytes()
+
     def test_zero_added_is_noop(self):
         system = tiny_system()
         assert additionality_scale(system, 0.0) is system
@@ -207,6 +224,22 @@ class TestFullStudy:
             assert getattr(info.value, name) == value
 
 
+    def test_dispatched_hours_carry_all_added_energy(self):
+        # flat and real-time loads of one production volume put the same
+        # energy into the dispatched year, which is every hour of the system
+        case = congested_fixture(seed=42, hours=48)
+        report = run_full_study(case, [
+            Scenario(spatial=UNIFORM, temporal=temporal, carrier="LH2")
+            for temporal in (FLAT, REAL_TIME)])
+        assert report.hours == case.system.horizon == 48
+        for r in report.results:
+            want = (sum(r.design.hp_kg_day.values())
+                    * case.production.ec_kwh_per_kg / 1000.0 * 48 / 24)
+            assert r.added_energy_mwh == pytest.approx(want, rel=1e-12)
+            assert r.demand_mwh - report.baseline_demand_mwh == (
+                pytest.approx(want, rel=1e-9))
+
+
 class TestBaselineNodalView:
     """The study's nodal baseline is read off its uniform+redispatch year;
     a nodal year of the same system, one ``nodal_dispatch`` per hour, is
@@ -227,7 +260,7 @@ class TestBaselineNodalView:
         hours with a redispatch cost."""
         report = run_full_study(case, [])
         view = report.baseline_nodal
-        witness = run_year(case.system, case.hours, MODE_NODAL)
+        witness = run_year(case.system, case.system.horizon, MODE_NODAL)
         assert view.mode == MODE_NODAL
         assert view.price_series is None and view.mean_price is None
         for name in self.FIELDS:
@@ -250,7 +283,7 @@ class TestBaselineNodalView:
                 congestion=float(rng.uniform(0.2, 0.85)))
             system = generate_synthetic_system(spec)
             congested += self.check(StudyCase(
-                system=system, sinks=(), candidates=system.nodes, hours=24))
+                system=system, sinks=(), candidates=system.nodes))
             hours += 24
         # 479 of 528 hours have a redispatch cost, 49 have none
         assert 0 < congested < hours
