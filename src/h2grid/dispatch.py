@@ -17,18 +17,17 @@ off the LP's duals (``_nodal_prices``), so a uniform+redispatch year also
 gives the nodal view of its hours, and a study runs one baseline pass for
 both markets.  An hour whose corridors the merit order overloads by at most
 ``FLOW_TOL`` solves no redispatch LP, and its nodal view is the merit price
-at every node; ``nodal_dispatch`` always solves the LP, whose lazy rows are
-checked at the solver's tighter ``FEAS_TOL``, so it may price an overload
-between the two tolerances with full congestion rents.  Few
-corridors bind in an hour, so the LP starts from the balance row and the
-corridor directions that the merit-order dispatch overloads; the other
-corridor rows are lazy rows, which the solver adds once an optimum violates
-them (Zhai et al., "Fast identification of inactive security constraints in
-SCUC problems", IEEE Trans. Power Syst. 2010).  The LP also starts at the
-merit-order vertex, with the marginal unit basic in the balance row; that
-vertex is dual feasible, so the dual simplex repairs the overloaded
-corridors with no phase 1.  Everything the LP starts from comes from the
-same hour, so no hour depends on another.
+at every node.  Few corridors bind in an hour, so the LP starts from the
+balance row and the corridor directions that the merit-order dispatch
+overloads by more than ``FLOW_TOL``; the other corridor rows are lazy rows,
+which the solver adds once an optimum violates them (Zhai et al., "Fast
+identification of inactive security constraints in SCUC problems", IEEE
+Trans. Power Syst. 2010).  A lazy row holds at the merit-order dispatch,
+so both models take an overload within ``FLOW_TOL`` as none.  The LP also
+starts at the merit-order vertex, with the marginal unit basic in the
+balance row; that vertex is dual feasible, so the dual simplex repairs the
+overloaded corridors with no phase 1.  Everything the LP starts from comes
+from the same hour, so no hour depends on another.
 
 What the models read of the system and not of the hour is built once per
 PowerSystem, at its first dispatch, and kept on it
@@ -42,7 +41,7 @@ generator nodes and merit order, and the network LP as a template problem
 (``lp.ScaledMatrix``), checked once, and the slack bounds and scaled costs
 the simplex reads, built once.  An hour derives its LP from the template
 (``lp.LinearProblem.derive``), which sets and checks only the LP's bounds,
-rhs, lazy rows and start basis.  The hour's overloaded corridor rows are
+rhs, lazy rows and start.  The hour's overloaded corridor rows are
 found once (``_overloaded``), both for ``redispatch``'s skip test and for
 the LP's active rows.  The ``NetworkTables`` are keyed by what they are a
 function of, the generators' marginal costs and nodes byte for byte (so
@@ -224,33 +223,41 @@ def _network_lp(system, hour, q0, base_flows, overloaded):
     to ``+-limit``: ``PTDF[k, gen_nodes] x`` against ``+-limit - base_flow``,
     where *base_flows* are the corridor flows at *q0*.  The solver starts
     from the corridor rows *overloaded* (``_overloaded``) and adds the
-    others only once an optimum violates them (``lazy_rows``).  The LP is
+    others only once an optimum violates them (``lazy_rows``).  Those rows
+    hold at *q0*: one whose base flow is over its limit by at most
+    ``FLOW_TOL`` gets the rhs of a flow at the limit, 0.  The LP is
     ``DispatchTables.network`` with this hour's bounds, rhs, lazy rows and
-    start basis.
+    start.
 
     The start is the vertex *q0* itself: every generator rests at ``x = 0``
     and the marginal unit, the running unit last in ``(cost, index)`` order
     or the cheapest unit when none runs, is basic in row 0.  Row 0 then
     prices at the marginal cost and the reduced costs are ``c_j -
-    c_marginal``, so the start is dual feasible (``start_basis``) and the
-    dual simplex repairs the overloaded corridors.
+    c_marginal``, so the start ``(0, marginal)`` is dual feasible and the
+    dual simplex repairs the overloaded corridors.  A system with no
+    generators names no start.
 
     An ``InvalidProblem`` that the LP raises, the iteration limit
     included, has ``hour <hour>: `` put before its message.
     """
     tables = system.dispatch_tables
     limit = system.ptdf.merged_capacity
+    held = ~overloaded
     rhs = np.zeros(1 + 2 * limit.size)
-    rhs[1::2] = limit - base_flows
-    rhs[2::2] = -limit - base_flows
+    # a held-back row holds at q0: a base flow over its limit by at most
+    # FLOW_TOL (_overloaded) counts as at the limit
+    rhs[1::2] = limit - np.minimum(base_flows,
+                                   np.where(held[0::2], limit, np.inf))
+    rhs[2::2] = -limit - np.maximum(base_flows,
+                                    np.where(held[1::2], -limit, -np.inf))
     order = tables.order
     running = order[q0[order] > 0]
-    marginal = running[-1:] if running.size else order[:1]  # empty with no units
+    units = running if running.size else order[:1]
     try:
         return solve_lp(tables.network.derive(
             -q0, tables.capacity[hour] - q0, rhs,
-            lazy_rows=1 + (~overloaded).nonzero()[0],
-            start_basis=[(0, j) for j in marginal]))
+            lazy_rows=1 + held.nonzero()[0],
+            start=(0, units[-1]) if units.size else None))
     except InvalidProblem as exc:
         # prefix the message in place, as run_full_study does the scenario
         message = exc.args[0] if exc.args else ""

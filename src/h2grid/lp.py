@@ -53,18 +53,15 @@ problem is then dual infeasible, and so unbounded if it is feasible at all:
 reaches a primal feasible basis and ``Infeasible`` if not.
 
 A problem that knows a dual feasible vertex names it in
-``LinearProblem.start_basis``: ``(row, column)`` pairs, each column basic in
-its row, every other active row on its slack whatever the slack's value, and
-every other column resting at a bound as ``_rest`` puts it.
-``_start_named`` inverts that basis and ``_dual`` runs on the true costs,
-with no phase 1, from the reduced costs the start computed.  A start of one
-column differs from the identity basis in that column alone, so its inverse
-is the identity with one column filled in closed form, with the entries
-``_invert`` gives for a 1 x 1 block; a longer start goes through
-``_invert`` (below), since a product-form update per named column cannot
-pivot every valid start in its named order.  A start that is singular or
-not dual feasible at ``OPT_TOL`` raises ``InvalidProblem``.  The network LP
-of ``dispatch`` starts this way at the hour's merit-order vertex.
+``LinearProblem.start``: one ``(row, column)`` pair.  ``_start`` puts every
+active row on its slack, as a cold solve does, and then the named column
+basic in its row, every other column resting at a bound as ``_rest`` puts
+it.  That basis differs from the identity in one column, so its inverse is
+the identity with that column filled in closed form, and ``_dual`` runs on
+the true costs, with no phase 1, from the reduced costs the start computed.
+A start that is singular or not dual feasible at ``OPT_TOL`` raises
+``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
+hour's merit-order vertex, its marginal unit basic in the balance row.
 
 The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
 product-form update per basis change, ``_replace``.  The update changes only
@@ -74,15 +71,14 @@ takes the dense product, which is faster there; the entries are the same
 either way.  A siting column has a few nonzeros in hundreds of rows (Hall &
 McKinnon, "Hyper-sparsity in the revised simplex method and how to exploit
 it", Comput. Optim. Appl. 2005).  Every other inverse comes from
-``_invert``: of a start basis of more than one column, every
-``_REFACTOR_PERIOD`` updates, after ``_add_rows``, on a warm re-solve and
-after a pivot element mismatch.  A basic slack is the unit column of
-its own row, so ``_invert`` inverts only the block of the structural basic
-columns over the rows no basic slack covers and fills in the slacks' rows
-by one product (Bixby, "Solving real-world linear programs", Oper. Res.
-2002, on exploiting slack structure).  Multipliers and the entering column
-are one matrix-vector product each, and pricing and the ratio test are
-array operations.
+``_invert``: every ``_REFACTOR_PERIOD`` updates, after ``_add_rows``, on a
+warm re-solve and after a pivot element mismatch.  A basic slack is the
+unit column of its own row, so ``_invert`` inverts only the block of the
+structural basic columns over the rows no basic slack covers and fills in
+the slacks' rows by one product (Bixby, "Solving real-world linear
+programs", Oper. Res. 2002, on exploiting slack structure).  Multipliers
+and the entering column are one matrix-vector product each, and pricing
+and the ratio test are array operations.
 Each pivot takes its pivot element twice, from the pivot row and from the
 entering column; when the two differ by more than a relative 1e-9, or the
 column's is zero, the inverse is rebuilt and the column taken again, and a
@@ -102,19 +98,19 @@ per matrix and returns a read-only ``ScaledMatrix``, which stores the
 scaled matrix and its scales and not the original.  A problem gives its
 rows as triplets, which ``_Simplex`` densifies and scales per solve, or as a
 ``ScaledMatrix`` in ``LinearProblem.matrix``, which it uses as it is: the
-network LP of ``dispatch`` builds its block once per power system and hands
-the same value to the LP of every hour.  ``LinearProblem.dense_matrix``
+network LP of ``dispatch`` builds its block once per network template and
+hands the same value to the LP of every hour.  ``LinearProblem.dense_matrix``
 unscales such a matrix, exactly.
 
 A family of problems that differ only in their bounds, rhs, lazy rows and
-start basis is built once and derived from: ``LinearProblem.derive`` takes
-a checked problem and new values of those five, and checks only them
+start is built once and derived from: ``LinearProblem.derive`` takes a
+checked problem and new values of those five, and checks only them
 (``_validate_data``, the part of ``_validate`` about those fields, with the
 same messages; none of the checks is dropped).  The derived problem shares
 the costs, senses, matrix and binaries, and ``_Structure``: the slack
 bounds and scaled costs that ``_Simplex`` reads, built once for the first
 problem at its first ``derive``.  ``dispatch`` derives the network LP of
-every hour from one such problem per power system.
+every hour from one such problem per network template.
 
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
@@ -234,29 +230,39 @@ def _has_bool(values):
     return isinstance(values, (bool, np.bool_))
 
 
-def _indices(values, what, width=()):
-    """*values* as an int array of shape ``(k,) + width``; ``InvalidProblem``
-    unless every entry is an integer (a bool is not, also next to ints,
-    which numpy would turn it into) and the shape fits."""
+def _indices(values, what):
+    """*values* as an int array of shape ``(k,)``; ``InvalidProblem`` unless
+    every entry is an integer (a bool is not, also next to ints, which
+    numpy would turn it into) and the shape fits."""
     array = np.asarray(values)
     if not array.size:
-        return np.zeros((0,) + width, dtype=int)
-    if (array.dtype.kind not in "iu" or array.ndim != 1 + len(width)
-            or array.shape[1:] != width or _has_bool(values)):
-        raise InvalidProblem(f"{what} indices are not integers of shape "
-                             f"(k{', 2' if width else ','})")
+        return np.zeros(0, dtype=int)
+    if array.dtype.kind not in "iu" or array.ndim != 1 or _has_bool(values):
+        raise InvalidProblem(f"{what} indices are not integers of shape (k,)")
     return array.astype(int)
 
 
-def _data(lb, ub, rhs, lazy_rows, start_basis):
+def _pair(start):
+    """*start* as a ``(row, column)`` tuple of ints, or None;
+    ``InvalidProblem`` unless it is None or a tuple or list of two
+    integers, neither a bool."""
+    if start is None:
+        return None
+    if not (isinstance(start, (tuple, list)) and len(start) == 2
+            and all(isinstance(i, (int, np.integer))
+                    and not isinstance(i, bool) for i in start)):
+        raise InvalidProblem("start is not a (row, column) pair of integers")
+    return int(start[0]), int(start[1])
+
+
+def _data(lb, ub, rhs, lazy_rows, start):
     """The fields that ``LinearProblem.derive`` replaces, as the problem
     keeps them."""
     return {"lb": np.asarray(lb, dtype=float),
             "ub": np.asarray(ub, dtype=float),
             "rhs": np.asarray(rhs, dtype=float),
             "lazy_rows": np.sort(_indices(lazy_rows, "lazy row")),
-            "start_basis": tuple(sorted(map(tuple, _indices(
-                start_basis, "start basis", (2,)).tolist())))}
+            "start": _pair(start)}
 
 
 @dataclass(frozen=True)
@@ -294,10 +300,11 @@ class LinearProblem:
     ``matrix`` is set, and then the triplets are empty.  ``binaries`` lists
     the variables restricted to {0, 1}; their bounds must lie in [0, 1].
     ``lazy_rows`` lists rows the LP solver may leave out until a solution
-    violates them.  ``start_basis`` lists ``(row, column)`` pairs: the LP
-    solver starts each column basic in its row and solves with the dual
-    simplex (see the module docstring).  ``derive`` gives a problem with
-    new bounds, rhs, lazy rows and start basis and everything else shared.
+    violates them.  ``start``, when not None, is one ``(row, column)``
+    pair: the LP solver starts that column basic in that row, every other
+    active row on its slack, and solves with the dual simplex (see the
+    module docstring).  ``derive`` gives a problem with new bounds, rhs,
+    lazy rows and start and everything else shared.
 
     ``senses`` is kept as an array of ``str`` (``LE``, ``EQ`` or ``GE``
     per row) and ``lazy_rows`` as a sorted int array, so that validating a
@@ -315,7 +322,7 @@ class LinearProblem:
     rhs: np.ndarray
     binaries: tuple = ()
     lazy_rows: np.ndarray = ()
-    start_basis: tuple = ()
+    start: tuple = None
     matrix: ScaledMatrix = None
 
     def __post_init__(self):
@@ -328,7 +335,7 @@ class LinearProblem:
         object.__setattr__(self, "binaries", tuple(np.sort(_indices(
             self.binaries, "binary")).tolist()))
         for name, value in _data(self.lb, self.ub, self.rhs, self.lazy_rows,
-                                 self.start_basis).items():
+                                 self.start).items():
             object.__setattr__(self, name, value)
         self._validate()
         # the slack bounds and scaled costs of a simplex, kept by derive
@@ -342,8 +349,8 @@ class LinearProblem:
     def n_cons(self):
         return self.rhs.size
 
-    def derive(self, lb, ub, rhs, lazy_rows=(), start_basis=()):
-        """This problem with new bounds, rhs, lazy rows and start basis.
+    def derive(self, lb, ub, rhs, lazy_rows=(), start=None):
+        """This problem with new bounds, rhs, lazy rows and start.
 
         The costs, senses, matrix and binaries are this problem's, which
         its constructor checked, so only the new values are checked
@@ -356,7 +363,7 @@ class LinearProblem:
             object.__setattr__(self, "_structure", _Structure.of(self))
         new = object.__new__(LinearProblem)
         new.__dict__.update(self.__dict__)
-        new.__dict__.update(_data(lb, ub, rhs, lazy_rows, start_basis))
+        new.__dict__.update(_data(lb, ub, rhs, lazy_rows, start))
         new._validate_data()
         return new
 
@@ -395,7 +402,7 @@ class LinearProblem:
 
     def _validate_data(self):
         """The checks of what ``derive`` may change: the bounds, the rhs,
-        the lazy rows and the start basis."""
+        the lazy rows and the start."""
         n, m = self.n_vars, self.senses.size
         if self.lb.size != n or self.ub.size != n:
             raise InvalidProblem("bound vectors do not match cost vector length")
@@ -416,16 +423,15 @@ class LinearProblem:
             raise InvalidProblem("lazy row index out of range")
         if (lazy[1:] == lazy[:-1]).any():
             raise InvalidProblem("duplicate lazy row index")
-        if self.start_basis:
-            rows, cols = zip(*self.start_basis)
-            if min(rows) < 0 or max(rows) >= m:
-                raise InvalidProblem("start basis row index out of range")
-            if min(cols) < 0 or max(cols) >= n:
-                raise InvalidProblem("start basis column index out of range")
-            if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-                raise InvalidProblem("duplicate start basis row or column")
-            if not set(rows).isdisjoint(lazy.tolist()):
-                raise InvalidProblem("start basis row is a lazy row")
+        if self.start is not None:
+            row, col = self.start
+            if not 0 <= row < m:
+                raise InvalidProblem("start row index out of range")
+            if not 0 <= col < n:
+                raise InvalidProblem("start column index out of range")
+            at = lazy.searchsorted(row)  # lazy is sorted
+            if at < lazy.size and lazy[at] == row:
+                raise InvalidProblem("start row is a lazy row")
 
     def dense_matrix(self):
         if self.matrix is not None:
@@ -548,54 +554,39 @@ class _Simplex:
         self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
 
     def _start(self):
-        """Put every active row on its slack, rest every column as
-        ``_rest`` does and return the movable columns that price wrong.
+        """Put every active row on its slack, then the column that
+        ``problem.start`` names, if any, basic in its row; rest every other
+        column as ``_rest`` does and return the reduced costs of a named
+        start (None for a cold one) and the movable columns that price
+        wrong.
 
-        This cold start is the identity basis, which prices every column at
-        its cost, so a boxed column rests at the bound its cost prefers.
+        A cold start is the identity basis, which prices every column at
+        its cost, so a boxed column rests at the bound its cost prefers.  A
+        named start, column ``q`` in row position ``p``, changes only column
+        ``p`` of the inverse: ``1 / a_pq`` at ``p`` and ``-a_iq * (1 /
+        a_pq)`` elsewhere.  It must be nonsingular and dual feasible at
+        ``OPT_TOL``.
         """
         self.basis = np.arange(self.n_struct, self.a.shape[1])
         self.updates = 0
         self.binv = np.eye(self.m)
-        return self._settle(self._rest(self.c), self.c)
-
-    def _start_named(self):
-        """Put each column that ``problem.start_basis`` names basic in its
-        row and every other active row on its slack, rest every other
-        column as ``_rest`` does and return the reduced costs, which the
-        first round of ``_finish`` takes over.
-
-        The start must be nonsingular and dual feasible at ``OPT_TOL``.  A
-        one-column start, column ``q`` in row position ``p``, differs from
-        the identity only in column ``p`` of its inverse: ``1 / a_pq`` at
-        ``p`` and ``-a_iq * (1 / a_pq)`` elsewhere, the entries ``_invert``
-        gives for a 1 x 1 block, here with no block to invert; a longer
-        start goes through ``_invert``.
-        """
-        rows, cols = np.array(self.problem.start_basis).T
-        self.basis = np.arange(self.n_struct, self.a.shape[1])
-        self.updates = 0
-        pos = np.searchsorted(self.rows, rows)  # active rows are sorted here
-        self.basis[pos] = cols
-        if cols.size == 1:
-            column, p = self.a[:, cols[0]], pos[0]
-            if column[p] == 0.0:
-                raise InvalidProblem("singular start basis")
-            inv = 1.0 / column[p]
-            self.binv = np.eye(self.m)
-            self.binv[:, p] = -column * inv
-            self.binv[p, p] = inv
-        else:
-            try:
-                self.binv = self._invert()
-            except np.linalg.LinAlgError as exc:
-                raise InvalidProblem("singular start basis") from exc
+        if self.problem.start is None:
+            return None, self._settle(self._rest(self.c), self.c)
+        row, q = self.problem.start
+        p = np.searchsorted(self.rows, row)  # active rows are sorted here
+        column = self.a[:, q]
+        if column[p] == 0.0:
+            raise InvalidProblem("singular start")
+        self.basis[p] = q
+        inv = 1.0 / column[p]
+        self.binv[:, p] = -column * inv
+        self.binv[p, p] = inv
         d = self._reduced(self.c)
         wrong = self._settle(self._rest(), d)
         if wrong.any():
-            raise InvalidProblem(f"start basis is not dual feasible at "
-                                 f"column {int(wrong.argmax())}")
-        return d
+            raise InvalidProblem(f"start is not dual feasible at column "
+                                 f"{int(wrong.argmax())}")
+        return d, wrong
 
     def _phase_one(self):
         """Make the cold start dual feasible on the true costs through the
@@ -789,9 +780,8 @@ class _Simplex:
                 "rounds": self.rounds}
 
     def solve(self):
-        if self.problem.start_basis:
-            return self._finish("dual", self._start_named())
-        if self._start().any() and self._phase_one().any():
+        d, wrong = self._start()
+        if wrong.any() and self._phase_one().any():
             if self.held.size:
                 # the costs may be dual feasible over every row
                 self._set_rows(np.arange(self.problem.n_cons))
@@ -802,7 +792,8 @@ class _Simplex:
             found = self._dual(np.zeros(self.c.size), "phase 1") == "Optimal"
             return Solution(status="Unbounded" if found else "Infeasible",
                             stats=self._stats())
-        return self._finish("phase 1")
+        # a named start is dual feasible, so its pivots are dual iterations
+        return self._finish("phase 1" if d is None else "dual", d)
 
     def resolve(self, lb, ub, basis, status, cutoff=np.inf):
         """Re-solve for new structural bounds *lb*, *ub* from an optimal
@@ -933,8 +924,8 @@ def solve_milp(problem, node_limit=100000):
     """
     if problem.lazy_rows.size:
         raise InvalidProblem("solve_milp given a problem with lazy rows")
-    if problem.start_basis:
-        raise InvalidProblem("solve_milp given a problem with a start basis")
+    if problem.start is not None:
+        raise InvalidProblem("solve_milp given a problem with a start")
     if not problem.binaries:
         return solve_lp(problem)
     binaries = np.array(problem.binaries)

@@ -674,8 +674,10 @@ class TestRunYear:
         # 30.0000005 MW of demand at node 1 loads the 30 MW line by 5e-7 MW,
         # within FLOW_TOL: redispatch solves no LP, so the uniform+redispatch
         # year's nodal view is the merit price at both nodes.  The nodal LP
-        # checks its lazy corridor rows at FEAS_TOL (1e-7), adds the row and
-        # moves 5e-7 MW to node 1, which prices that node at 50
+        # holds the line's row back with the rhs of a flow at its limit, so
+        # the row holds at the merit order, which it leaves as it is: both
+        # modes see no overload, though the solver checks that row at the
+        # tighter FEAS_TOL (1e-7)
         over = 5e-7
         assert 1e-7 < over < FLOW_TOL
         system = two_node_system(demand_mw=30.0 + over)
@@ -684,9 +686,9 @@ class TestRunYear:
         assert both.redispatch_cost_series.tolist() == [0.0]
         assert both.generation_mwh.tolist() == [30.0 + over, 0.0]
         nodal = run_year(system, 1, MODE_NODAL)
-        assert nodal.nodal_price_series[0] == pytest.approx([10.0, 50.0])
-        assert nodal.redispatch_cost_series[0] == pytest.approx(
-            over * (50.0 - 10.0))
+        assert nodal.nodal_price_series.tolist() == [[10.0, 10.0]]
+        assert nodal.redispatch_cost_series.tolist() == [0.0]
+        assert nodal.generation_mwh.tolist() == [30.0 + over, 0.0]
 
     def test_identical_hours_identical_results(self):
         system = two_node_system(hours=3)
@@ -841,6 +843,16 @@ class TestMeritOrderStart:
                                                + stats["dual_iterations"])
             assert (np.mean([stats["iterations"] for stats in nodal])
                     < self.MAX_MEAN_NODAL_ITERATIONS)
+
+    def test_no_generators_name_no_start(self, monkeypatch):
+        log = capture(monkeypatch)
+        system = dataclasses.replace(two_node_system(demand_mw=0.0),
+                                     generators=())
+        result = nodal_dispatch(system, 0)
+        (problem, sol), = log
+        assert problem.start is None and sol.optimal
+        assert result.nodal_prices.tolist() == [0.0, 0.0]
+        assert result.cost_eur == result.redispatch_cost_eur == 0.0
 
 
 # Congested hours of 240-node, 312-line synthetic systems, as (seed,

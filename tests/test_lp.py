@@ -642,18 +642,19 @@ DERIVED_ERRORS = {
     "lazy row past the end": {"lazy_rows": [3]},
     "lazy row duplicated": {"lazy_rows": [1, 1]},
     "lazy row not an integer": {"lazy_rows": [0.5]},
-    "start row out of range": {"start_basis": [(3, 0)]},
-    "start column out of range": {"start_basis": [(0, 2)]},
-    "start row duplicated": {"start_basis": [(0, 0), (0, 1)]},
-    "start column duplicated": {"start_basis": [(0, 0), (1, 0)]},
-    "start row lazy": {"lazy_rows": [1], "start_basis": [(1, 0)]},
-    "start not integers": {"start_basis": [(True, 0)]},
+    "start row out of range": {"start": (3, 0)},
+    "start column out of range": {"start": (0, 2)},
+    "start row lazy": {"lazy_rows": [1], "start": (1, 0)},
+    "start not a pair": {"start": [(0, 0)]},
+    "start wrong length": {"start": (0, 0, 1)},
+    "start not integers": {"start": (True, 0)},
+    "start float": {"start": (0.0, 0)},
 }
 
 
 class TestDerive:
     """``LinearProblem.derive`` replaces the bounds, rhs, lazy rows and
-    start basis of a checked problem and checks only those, with the
+    start of a checked problem and checks only those, with the
     constructor's messages."""
 
     def template(self, binaries=(0,)):
@@ -668,7 +669,7 @@ class TestDerive:
     def test_keeps_every_check(self, change):
         template = self.template()
         data = {"lb": template.lb, "ub": template.ub, "rhs": template.rhs,
-                "lazy_rows": (), "start_basis": (), **change}
+                "lazy_rows": (), "start": None, **change}
         with pytest.raises(InvalidProblem) as want:
             dataclasses.replace(template, **change)
         with pytest.raises(InvalidProblem) as got:
@@ -678,7 +679,7 @@ class TestDerive:
     def test_matches_constructor(self):
         template = self.template(binaries=())
         data = {"lb": [0.0, 0.0], "ub": [4.0, 5.0], "rhs": [2.0, 8.0, 3.0],
-                "lazy_rows": [2, 1], "start_basis": [(0, 0)]}
+                "lazy_rows": [2, 1], "start": (0, 0)}
         derived = template.derive(**data)
         built = dataclasses.replace(template, **data)
         for f in dataclasses.fields(LinearProblem):
@@ -766,7 +767,8 @@ class TestSetupArrays:
             resid = simplex.b - simplex.a @ np.array(x)
             for i in range(m):
                 x[n + i], status[n + i] = resid[i], 2
-            assert np.array_equal(simplex._start(), wrong)
+            d, got = simplex._start()  # a cold start computes no d
+            assert d is None and np.array_equal(got, wrong)
             assert simplex.x.tobytes() == np.array(x).tobytes()
             assert np.array_equal(simplex.status, status)
             assert np.array_equal(simplex.basis, np.arange(n, n + m))
@@ -842,25 +844,6 @@ class TestScaledMatrix:
         assert matrix.scaled.tolist() == [[0.75]]
         with pytest.raises(ValueError, match="read-only"):
             matrix.scaled[0, 0] = 1.0
-
-
-class TestCrashStart:
-    def test_feasible_start_takes_no_iterations(self):
-        # a cold start rests x and y at their upper bounds, which breaks the
-        # EQ row; x and y basic in the EQ and LE rows is the optimal vertex,
-        # primal and dual feasible, so a start there pivots no more
-        problem = build_problem(
-            [-1.0, -2.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]], [EQ, LE, GE],
-            [0.0, 8.0, -1.0], [0.0, 0.0], [10.0, 5.0])
-        cold = solve_lp(problem)
-        assert cold.status == "Optimal"
-        assert cold.x == pytest.approx([4.0, 4.0])
-        assert cold.stats["phase1_iterations"] > 0
-        sol = solve_lp(dataclasses.replace(problem,
-                                           start_basis=((0, 0), (1, 1))))
-        assert sol.status == "Optimal"
-        assert sol.x == pytest.approx([4.0, 4.0])
-        assert sol.stats["iterations"] == 0
 
 
 def knapsack_enumeration(values, weights, capacity):
@@ -1318,31 +1301,28 @@ class TestNoActiveRows:
 
 
 def dual_feasible_start(rng, problem):
-    """Costs and a start basis that make *problem* dual feasible at the
-    start: random multipliers y on k random rows that are not lazy (<= 0 on
-    LE rows, >= 0 on GE rows, so their resting slacks price right), k
-    random columns basic in those rows with ``c_J = A_RJ' y_R``, and every
-    other column priced ``a_j' y`` plus a margin whose sign suits the bound
-    it rests at (none for a free column)."""
+    """Costs and a one-column start that make *problem* dual feasible at the
+    start: a random multiplier y on a random row r that is not lazy (<= 0
+    on an LE row, >= 0 on a GE row, so its resting slack prices right), a
+    random column j with a nonzero entry in that row, basic there with
+    ``c_j = a_rj y``, and every other column priced ``a_j' y`` plus a margin
+    whose sign suits the bound it rests at (none for a free column)."""
     a = problem.dense_matrix()
-    m, n = a.shape
-    rows = np.setdiff1d(np.arange(m), problem.lazy_rows)
+    n = a.shape[1]
+    rows = np.setdiff1d(np.arange(a.shape[0]), problem.lazy_rows)
     while True:
-        k = int(rng.integers(1, min(rows.size, n) + 1))
-        r = np.sort(rng.choice(rows, k, replace=False))
-        j = rng.choice(n, k, replace=False)
-        if np.linalg.cond(a[np.ix_(r, j)]) < 1e3:
+        r, j = int(rng.choice(rows)), int(rng.integers(n))
+        if a[r, j] != 0.0:
             break
-    sign = np.array([{LE: -1.0, GE: 1.0, EQ: rng.choice([-1.0, 1.0])}[s]
-                     for s in np.array(problem.senses)[r]])
-    y = np.zeros(m)
-    y[r] = sign * rng.uniform(0, 3, k)
+    sign = {LE: -1.0, GE: 1.0, EQ: rng.choice([-1.0, 1.0])}[problem.senses[r]]
+    y = np.zeros(a.shape[0])
+    y[r] = sign * rng.uniform(0, 3)
     status = np.array([scalar_rest(lo, hi)[1]
                        for lo, hi in zip(problem.lb, problem.ub)])
     margin = np.select([status == 0, status == 1], [1.0, -1.0], 0.0)
     margin[j] = 0.0
     c = a.T @ y + margin * rng.uniform(0, 2, n) * (rng.random(n) < 0.8)
-    return dataclasses.replace(problem, c=c, start_basis=tuple(zip(r, j)))
+    return dataclasses.replace(problem, c=c, start=(r, j))
 
 
 def unique_duals(problem, sol):
@@ -1369,7 +1349,7 @@ class TestStartBasis:
             problem = dual_feasible_start(rng, problem)
             sol = solve_lp(problem)
             cold = solve_lp(dataclasses.replace(problem, lazy_rows=(),
-                                                start_basis=()))
+                                                start=None))
             assert sol.status == cold.status
             assert sol.stats["phase1_iterations"] == 0
             seen.add((sol.status, bool(problem.lazy_rows.size)))
@@ -1394,7 +1374,7 @@ class TestStartBasis:
             build_problem([10.0, 20.0, 50.0], [[1.0, 1.0, 1.0]], [EQ],
                           [100.0], np.zeros(3), np.full(3, 60.0)),
             lb=[-60.0, -40.0, 0.0], ub=[0.0, 20.0, 60.0],
-            rhs=[0.0], start_basis=((0, 1),))
+            rhs=[0.0], start=(0, 1))
         sol = solve_lp(problem)
         assert sol.optimal and sol.x == pytest.approx([0.0, 0.0, 0.0])
         assert sol.duals == pytest.approx([20.0])
@@ -1405,30 +1385,37 @@ class TestStartBasis:
     def test_invalid_starts(self):
         x, y = 0, 1
         problem = proportional_rows()
-        for start in (((3, x),), ((-1, x),), ((0, 2),), ((0, x), (0, y)),
-                      ((0, x), (1, x)), ((0.9, 1.2),), ((0, x, 1, y),),
-                      ((True, x),), ((0, True),), [(0, np.True_)],
-                      ((0, x), (True, y))):
-            with pytest.raises(InvalidProblem, match="start basis"):
-                dataclasses.replace(problem, start_basis=start)
-        with pytest.raises(InvalidProblem, match="lazy row"):
-            dataclasses.replace(problem, lazy_rows=(1,), start_basis=((1, x),))
-        # x and y have proportional coefficients in rows 0 and 1, and y has
-        # none in row 2
-        for start in (((0, x), (1, y)), ((2, y),)):
-            with pytest.raises(InvalidProblem, match="singular start basis"):
-                solve_lp(dataclasses.replace(problem, start_basis=start))
+        for start in ((0,), (0, x, 1), ((0, x),), 0, "ab", (0.0, x),
+                      (0, 1.0), (True, x), (0, True), (0, np.True_),
+                      np.array([0, x])):
+            with pytest.raises(InvalidProblem, match="^start is not a "
+                               r"\(row, column\) pair of integers$"):
+                dataclasses.replace(problem, start=start)
+        for start, what in (((3, x), "row"), ((-1, x), "row"),
+                            ((0, 2), "column"), ((0, -1), "column")):
+            with pytest.raises(InvalidProblem,
+                               match=f"^start {what} index out of range$"):
+                dataclasses.replace(problem, start=start)
+        with pytest.raises(InvalidProblem, match="^start row is a lazy row$"):
+            dataclasses.replace(problem, lazy_rows=(1,), start=(1, x))
+        # y has no coefficient in row 2
+        with pytest.raises(InvalidProblem, match="^singular start$"):
+            solve_lp(dataclasses.replace(problem, start=(2, y)))
         # y basic in row 0 prices the row at 2, so x at its lower bound
         # has reduced cost 1 - 2 < 0
-        with pytest.raises(InvalidProblem, match="not dual feasible"):
-            solve_lp(dataclasses.replace(problem, start_basis=((0, y),)))
-        sol = solve_lp(dataclasses.replace(problem, start_basis=((0, x),)))
+        with pytest.raises(InvalidProblem,
+                           match="^start is not dual feasible at column 0$"):
+            solve_lp(dataclasses.replace(problem, start=(0, y)))
+        sol = solve_lp(dataclasses.replace(problem, start=(0, x)))
         assert sol.optimal and sol.x == pytest.approx([1.0, 0.0])
+        # numpy integers name a start as ints do
+        same = dataclasses.replace(problem, start=[np.int64(0), x])
+        assert same.start == (0, x) and type(same.start[0]) is int
 
     def test_milp_rejects_start(self):
         problem = dataclasses.replace(
             build_problem([1.0], [[1.0]], [GE], [0.0], [0.0], [1.0], (0,)),
-            start_basis=((0, 0),))
+            start=(0, 0))
         for p in (problem, dataclasses.replace(problem, binaries=())):
-            with pytest.raises(InvalidProblem, match="start basis"):
+            with pytest.raises(InvalidProblem, match="with a start$"):
                 solve_milp(p)
