@@ -23,7 +23,7 @@ from .demand import (DAYS_PER_YEAR, INDUSTRY, LHV_KWH_PER_KG,
                      station_investment_cost)
 from .errors import (ChainInfeasible, ConfigError, DivisionDomain,
                      InvalidDepreciation, StructurallyInfeasible)
-from .lp import EQ, GE, LE, LinearProblem, solve_milp
+from .lp import EQ, GE, LE, LinearProblem, scale_matrix, solve_milp
 
 CARRIERS = ("LH2", "GH2", "LOHC")
 
@@ -348,12 +348,12 @@ def build_chain_problem(sinks, candidates, tariffs, carrier, production,
     rhs = np.zeros(n_rows)
     rhs[0] = total_demand
     rhs[inflow] = demand
-    rows, cols = np.nonzero(a)
+    # + 0.0 turns -0.0 (a zero minimum capacity) into 0.0, as triplets would
     lp = LinearProblem(
-        c, np.zeros(n_vars), ub, rows, cols, a[rows, cols],
-        (EQ,) + (GE, LE) * n_cand + (LE,) * n_src + (GE,) * n_sinks
-        + (LE,) * y_vars.size, rhs,
-        np.append(x_vars, y_vars).tolist())
+        c, np.zeros(n_vars), ub, matrix=scale_matrix(a + 0.0),
+        senses=(EQ,) + (GE, LE) * n_cand + (LE,) * n_src + (GE,) * n_sinks
+        + (LE,) * y_vars.size, rhs=rhs,
+        binaries=np.append(x_vars, y_vars).tolist())
 
     constants = _constant_costs(sinks, carrier, tariffs, wacc, total_demand,
                                 import_spec)

@@ -65,8 +65,6 @@ from .lp import EQ, GE, LE, LinearProblem, scale_matrix, solve_lp
 BALANCE_TOL = 1e-6
 FLOW_TOL = 1e-6
 
-_NO_TRIPLETS = np.zeros(0)  # the network LP gives its matrix as a block
-
 
 @dataclass(frozen=True)
 class HourDispatch:
@@ -132,10 +130,9 @@ class NetworkTables:
             arr.flags.writeable = False
         zeros = np.zeros(nodes.size)
         # + 0.0 turns -0.0 into 0.0, as a triplet form of the block would
-        self.network = LinearProblem(
-            costs, zeros, zeros, _NO_TRIPLETS, _NO_TRIPLETS,
-            _NO_TRIPLETS, senses, np.zeros(senses.size),
-            matrix=scale_matrix(a + 0.0))
+        self.network = LinearProblem(costs, zeros, zeros, senses=senses,
+                                     rhs=np.zeros(senses.size),
+                                     matrix=scale_matrix(a + 0.0))
 
 
 class DispatchTables:

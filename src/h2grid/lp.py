@@ -95,22 +95,21 @@ number of refactorizations and of rounds (``rounds``, see below).
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
 per matrix and returns a read-only ``ScaledMatrix``, which stores the
-scaled matrix and its scales and not the original.  A problem gives its
-rows as triplets, which ``_Simplex`` densifies and scales per solve, or as a
-``ScaledMatrix`` in ``LinearProblem.matrix``, which it uses as it is: the
-network LP of ``dispatch`` builds its block once per network template and
-hands the same value to the LP of every hour.  ``LinearProblem.dense_matrix``
-unscales such a matrix, exactly.
+scaled matrix and its scales and not the original.  It is the one form in
+which a problem keeps its matrix, ``LinearProblem.matrix``, and ``_Simplex``
+uses it as it is: the constructor densifies and scales triplets once, and
+``chain`` and ``dispatch`` hand over a scaled dense block, ``dispatch`` once
+per network template.  ``LinearProblem.dense_matrix`` unscales it, exactly.
 
 A family of problems that differ only in their bounds, rhs, lazy rows and
 start is built once and derived from: ``LinearProblem.derive`` takes a
 checked problem and new values of those five, and checks only them
 (``_validate_data``, the part of ``_validate`` about those fields, with the
 same messages; none of the checks is dropped).  The derived problem shares
-the costs, senses, matrix and binaries, and ``_Structure``: the slack
-bounds and scaled costs that ``_Simplex`` reads, built once for the first
-problem at its first ``derive``.  ``dispatch`` derives the network LP of
-every hour from one such problem per network template.
+the rest: the costs, senses, matrix and binaries, and the scaled costs and
+slack bounds that the constructor sets, read-only, for ``_Simplex``.
+``dispatch`` derives the network LP of every hour from one such problem
+per network template.
 
 ``solve_lp`` holds back the rows listed in ``LinearProblem.lazy_rows`` (the
 meaning of Gurobi's ``Lazy`` constraint attribute).  One ``_Simplex`` is
@@ -178,7 +177,7 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 _UP = np.array([1.0, -1.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledMatrix:
     """A dense constraint matrix ``a`` stored only in its power-of-two
     equilibration: ``scaled = row_scale[:, None] * a * col_scale[None, :]``
@@ -265,39 +264,33 @@ def _data(lb, ub, rhs, lazy_rows, start):
             "start": _pair(start)}
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """What a simplex reads of a problem's costs, senses and matrix: the
-    scaled matrix, the costs scaled by its column scales and the slack
-    bounds that encode the senses.  Every array is read-only."""
-
-    matrix: ScaledMatrix
-    c: np.ndarray
-    slack_lb: np.ndarray
-    slack_ub: np.ndarray
-
-    @classmethod
-    def of(cls, problem):
-        matrix = problem.matrix
-        if matrix is None:
-            matrix = scale_matrix(problem.dense_matrix())
-        senses = problem.senses
-        arrays = (problem.c * matrix.col_scale,
-                  np.where(senses == GE, -np.inf, 0.0),
-                  np.where(senses == LE, np.inf, 0.0))
-        for arr in arrays:
-            arr.flags.writeable = False
-        return cls(matrix, *arrays)
+def _triplet_matrix(rows, cols, vals, shape):
+    """The ``ScaledMatrix`` of the sums of the triplets on a zero matrix of
+    *shape*; ``InvalidProblem`` unless they are of one length, in range and
+    finite."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    vals = np.asarray(vals, dtype=float)
+    if not rows.size == cols.size == vals.size:
+        raise InvalidProblem("triplet arrays have inconsistent lengths")
+    m, n = shape
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise InvalidProblem("triplet row index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise InvalidProblem("triplet column index out of range")
+    a = np.zeros(shape)
+    np.add.at(a, (rows, cols), vals)
+    return scale_matrix(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LinearProblem:
-    """A minimization problem with its constraint matrix in sparse-triplet
-    form or as a dense ``ScaledMatrix``.
+    """A minimization problem with its constraint matrix as a dense
+    ``ScaledMatrix``.
 
-    Rows are ``sum_j a[k] * x[cols[k]] (sense_i) rhs_i`` for triplets with
-    ``rows[k] == i``, or ``dense_matrix()[i] @ x (sense_i) rhs_i`` when
-    ``matrix`` is set, and then the triplets are empty.  ``binaries`` lists
+    Rows are ``dense_matrix()[i] @ x (sense_i) rhs_i``.  The constructor
+    takes the matrix as ``matrix``, or as sparse triplets, entry ``k``
+    adding ``a_vals[k]`` at ``(a_rows[k], a_cols[k])``, which it checks,
+    densifies and scales once (``_triplet_matrix``).  ``binaries`` lists
     the variables restricted to {0, 1}; their bounds must lie in [0, 1].
     ``lazy_rows`` lists rows the LP solver may leave out until a solution
     violates them.  ``start``, when not None, is one ``(row, column)``
@@ -306,18 +299,22 @@ class LinearProblem:
     module docstring).  ``derive`` gives a problem with new bounds, rhs,
     lazy rows and start and everything else shared.
 
+    ``a_rows``, ``a_cols`` and ``a_vals`` read back the nonzeros of
+    ``dense_matrix()`` as triplets, in row-major order, for the benchmark's
+    siting check alone, which rebuilds a root relaxation from them; they
+    go once it reads ``dense_matrix()``.
+
     ``senses`` is kept as an array of ``str`` (``LE``, ``EQ`` or ``GE``
     per row) and ``lazy_rows`` as a sorted int array, so that validating a
     problem and deriving its slack bounds take a fixed number of array
-    operations however many rows it has.
+    operations however many rows it has.  A problem, a ``ScaledMatrix``
+    and a ``Solution`` hold arrays, which have no truth value, so they
+    compare and hash by identity.
     """
 
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    a_rows: np.ndarray
-    a_cols: np.ndarray
-    a_vals: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
     binaries: tuple = ()
@@ -325,21 +322,30 @@ class LinearProblem:
     start: tuple = None
     matrix: ScaledMatrix = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "a_rows", np.asarray(self.a_rows, dtype=int))
-        object.__setattr__(self, "a_cols", np.asarray(self.a_cols, dtype=int))
-        object.__setattr__(self, "a_vals", np.asarray(self.a_vals, dtype=float))
+    def __init__(self, c, lb, ub, a_rows=(), a_cols=(), a_vals=(), senses=(),
+                 rhs=(), binaries=(), lazy_rows=(), start=None, matrix=None):
+        c = np.asarray(c, dtype=float)
+        data = _data(lb, ub, rhs, lazy_rows, start)
+        if matrix is None:
+            matrix = _triplet_matrix(a_rows, a_cols, a_vals,
+                                     (data["rhs"].size, c.size))
+        elif any(map(np.size, (a_rows, a_cols, a_vals))):
+            raise InvalidProblem("constraint matrix given both as triplets "
+                                 "and as a matrix")
         # unsized, so that a longer string is kept whole and rejected
-        object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
-        object.__setattr__(self, "binaries", tuple(np.sort(_indices(
-            self.binaries, "binary")).tolist()))
-        for name, value in _data(self.lb, self.ub, self.rhs, self.lazy_rows,
-                                 self.start).items():
-            object.__setattr__(self, name, value)
+        senses = np.asarray(senses, dtype=str)
+        self.__dict__.update(
+            c=c, senses=senses, matrix=matrix,
+            binaries=tuple(np.sort(_indices(binaries, "binary")).tolist()),
+            **data)
         self._validate()
-        # the slack bounds and scaled costs of a simplex, kept by derive
-        object.__setattr__(self, "_structure", None)
+        # what a simplex reads of the costs and senses, shared by derive
+        private = {"_scaled_c": c * matrix.col_scale,
+                   "_slack_lb": np.where(senses == GE, -np.inf, 0.0),
+                   "_slack_ub": np.where(senses == LE, np.inf, 0.0)}
+        for arr in private.values():
+            arr.flags.writeable = False
+        self.__dict__.update(private)
 
     @property
     def n_vars(self):
@@ -349,18 +355,23 @@ class LinearProblem:
     def n_cons(self):
         return self.rhs.size
 
+    def _nonzeros(self):
+        a = self.dense_matrix()
+        rows, cols = a.nonzero()
+        return rows, cols, a[rows, cols]
+
+    a_rows = property(lambda self: self._nonzeros()[0])
+    a_cols = property(lambda self: self._nonzeros()[1])
+    a_vals = property(lambda self: self._nonzeros()[2])
+
     def derive(self, lb, ub, rhs, lazy_rows=(), start=None):
         """This problem with new bounds, rhs, lazy rows and start.
 
         The costs, senses, matrix and binaries are this problem's, which
         its constructor checked, so only the new values are checked
         (``_validate_data``, with the constructor's messages).  The new
-        problem also shares the slack bounds and scaled costs that a
-        simplex derives from the costs and senses: ``_Structure``, built
-        once for this problem at its first ``derive``.
+        problem shares them, and the scaled costs and slack bounds too.
         """
-        if self._structure is None:
-            object.__setattr__(self, "_structure", _Structure.of(self))
         new = object.__new__(LinearProblem)
         new.__dict__.update(self.__dict__)
         new.__dict__.update(_data(lb, ub, rhs, lazy_rows, start))
@@ -368,8 +379,8 @@ class LinearProblem:
         return new
 
     def _validate(self):
-        """Every check: the costs, senses, matrix and binaries here, then
-        what ``derive`` may change (``_validate_data``)."""
+        """Every check: the costs, senses, matrix shape and binaries here,
+        then what ``derive`` may change (``_validate_data``)."""
         n, m = self.n_vars, self.n_cons
         senses = self.senses
         if senses.shape != (m,):
@@ -378,22 +389,11 @@ class LinearProblem:
         if unknown.any():
             raise InvalidProblem(f"unknown constraint sense "
                                  f"{str(senses[unknown.argmax()])!r}")
-        if not (self.a_rows.size == self.a_cols.size == self.a_vals.size):
-            raise InvalidProblem("triplet arrays have inconsistent lengths")
-        if self.matrix is not None:
-            if self.a_rows.size:
-                raise InvalidProblem("constraint matrix given both as "
-                                     "triplets and as a matrix")
-            if self.matrix.scaled.shape != (m, n):
-                raise InvalidProblem("constraint matrix shape does not match "
-                                     "the problem")
-        if self.a_rows.size and (self.a_rows.min() < 0 or self.a_rows.max() >= m):
-            raise InvalidProblem("triplet row index out of range")
-        if self.a_cols.size and (self.a_cols.min() < 0 or self.a_cols.max() >= n):
-            raise InvalidProblem("triplet column index out of range")
-        for arr in (self.c, self.a_vals):
-            if not np.isfinite(arr).all():
-                raise InvalidProblem("NaN or infinity in problem data")
+        if self.matrix.scaled.shape != (m, n):
+            raise InvalidProblem("constraint matrix shape does not match "
+                                 "the problem")
+        if not np.isfinite(self.c).all():
+            raise InvalidProblem("NaN or infinity in problem data")
         if len(set(self.binaries)) < len(self.binaries):
             raise InvalidProblem("duplicate binary index")
         if self.binaries and (self.binaries[0] < 0 or self.binaries[-1] >= n):
@@ -434,15 +434,12 @@ class LinearProblem:
                 raise InvalidProblem("start row is a lazy row")
 
     def dense_matrix(self):
-        if self.matrix is not None:
-            mat = self.matrix
-            return mat.scaled / mat.col_scale / mat.row_scale[:, None]
-        a = np.zeros((self.n_cons, self.n_vars))
-        np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
-        return a
+        """The constraint matrix, unscaled from ``matrix`` exactly."""
+        mat = self.matrix
+        return mat.scaled / mat.col_scale / mat.row_scale[:, None]
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     # "Optimal" | "Infeasible" | "Unbounded", or "Cutoff", which only
     # _Simplex.resolve given a cutoff returns
@@ -482,12 +479,11 @@ class _Simplex:
     def __init__(self, problem):
         self.problem = problem
         m, n = problem.n_cons, problem.n_vars
-        structure = problem._structure or _Structure.of(problem)
-        matrix = structure.matrix
+        matrix = problem.matrix
         a, self.row_scale, self.col_scale = (matrix.scaled, matrix.row_scale,
                                              matrix.col_scale)
         # Slack columns: sense is encoded in the slack bounds.
-        self.slack_lb, self.slack_ub = structure.slack_lb, structure.slack_ub
+        self.slack_lb, self.slack_ub = problem._slack_lb, problem._slack_ub
 
         # every row, scaled; the basis covers the active rows only, in the
         # order they were added, and the held-back (lazy) rows wait outside
@@ -500,7 +496,7 @@ class _Simplex:
         # bounds
         self.lb = problem.lb / self.col_scale
         self.ub = problem.ub / self.col_scale
-        self.c = structure.c
+        self.c = problem._scaled_c
         self._set_rows((~lazy).nonzero()[0])
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0

@@ -334,8 +334,8 @@ def equivalence_systems():
 
 class TestScaledBlock:
     """The network LP hands the system's pre-scaled dense block to the
-    simplex; the same LP given as triplets, which the simplex densifies and
-    scales itself, is the reference and must give the same solution."""
+    simplex; the same LP given as triplets, which the constructor densifies
+    and scales, is the reference and must give the same solution."""
 
     def test_matches_triplet_form(self, monkeypatch):
         pairs = []
@@ -365,17 +365,20 @@ class TestScaledBlock:
 
 class TestDerivedNetworkLP:
     """Each hour's network LP is derived from the system's template
-    (``DispatchTables.network``); the same LP given to the full
-    ``LinearProblem`` constructor, which checks every field and shares
-    nothing with the template, must solve to the same bytes."""
+    (``DispatchTables.network``) and shares its scaled costs and slack
+    bounds; the same LP given to the full ``LinearProblem`` constructor,
+    which checks every field and sets arrays of its own, must solve to the
+    same bytes."""
 
     def test_matches_full_constructor(self, monkeypatch):
         pairs = []
 
         def solve(problem):
             full = dataclasses.replace(problem)  # through __init__
-            assert problem._structure is not None
-            assert full._structure is None
+            network = system.dispatch_tables.network
+            for name in ("_scaled_c", "_slack_lb", "_slack_ub"):
+                assert getattr(problem, name) is getattr(network, name)
+                assert getattr(full, name) is not getattr(network, name)
             pairs.append((fingerprint(solve_lp(problem)),
                           fingerprint(solve_lp(full))))
             return solve_lp(problem)
@@ -462,11 +465,11 @@ class TestSystemTables:
         nodal_dispatch(system, 0)
         tables = system.dispatch_tables
         network = tables.network
-        block, structure = network.matrix, network._structure
+        block = network.matrix
         for arr in (block.scaled, block.row_scale, block.col_scale,
                     tables.capacity, tables.costs, tables.nodes,
-                    tables.order, network.c, network.senses, structure.c,
-                    structure.slack_lb, structure.slack_ub):
+                    tables.order, network.c, network.senses,
+                    network._scaled_c, network._slack_lb, network._slack_ub):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 

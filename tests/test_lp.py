@@ -13,10 +13,15 @@ import math
 import numpy as np
 import pytest
 
+import h2grid.dispatch
 import h2grid.lp
+from h2grid.chain import CARRIER_DEFAULTS, build_chain_problem
+from h2grid.dispatch import MODE_UNIFORM_REDISPATCH, run_year
 from h2grid.errors import InvalidProblem, ResourceLimit
 from h2grid.lp import (EQ, GE, INT_TOL, LE, LinearProblem, _Simplex,
                        scale_matrix, solve_lp, solve_milp)
+from h2grid.pipeline import FLAT, NODAL, Scenario, derive_tariffs
+from h2grid.synth import congested_fixture
 from problems import build_problem
 from test_chain import LARGE_CASES, random_chain
 
@@ -686,9 +691,11 @@ class TestDerive:
             got, want = getattr(derived, f.name), getattr(built, f.name)
             assert type(got) is type(want), f.name
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        # the structure a simplex reads is built once, for the template
-        assert derived._structure is template._structure is not None
-        assert built._structure is None
+        # what a simplex reads of the costs and senses is the template's
+        for name in ("_scaled_c", "_slack_lb", "_slack_ub"):
+            shared, own = getattr(derived, name), getattr(built, name)
+            assert shared is getattr(template, name) and shared is not own
+            assert shared.tobytes() == own.tobytes()
         assert fingerprint(solve_lp(derived)) == fingerprint(solve_lp(built))
 
 
@@ -834,16 +841,84 @@ class TestScaledMatrix:
         with pytest.raises(InvalidProblem, match="NaN or infinity"):
             scale_matrix(np.array([[np.inf]]))
         with pytest.raises(InvalidProblem, match="both as triplets"):
-            dataclasses.replace(problem, matrix=scale_matrix([[1.0]]))
-        empty = np.zeros(0)
+            LinearProblem([1.0], [0.0], [1.0], [0], [0], [1.0], [LE], [1.0],
+                          matrix=scale_matrix([[1.0]]))
         with pytest.raises(InvalidProblem, match="shape"):
-            dataclasses.replace(problem, a_rows=empty, a_cols=empty,
-                                a_vals=empty,
-                                matrix=scale_matrix([[1.0, 1.0]]))
+            dataclasses.replace(problem, matrix=scale_matrix([[1.0, 1.0]]))
         matrix = scale_matrix([[3.0]])
         assert matrix.scaled.tolist() == [[0.75]]
         with pytest.raises(ValueError, match="read-only"):
             matrix.scaled[0, 0] = 1.0
+
+
+class TestIdentity:
+    """A problem, a scaled matrix and a solution hold numpy arrays, which
+    have no truth value, so they compare and hash by identity."""
+
+    def test_compare_and_hash_by_identity(self):
+        problem = build_problem([1.0, 2.0], [[1.0, 1.0]], [GE], [3.0],
+                                [0.0, 0.0], [10.0, 10.0])
+        sol = solve_lp(problem)
+        originals = (problem, problem, problem.matrix, sol)
+        copies = [dataclasses.replace(problem),
+                  problem.derive(problem.lb, problem.ub, problem.rhs),
+                  dataclasses.replace(problem.matrix),
+                  dataclasses.replace(sol)]
+        for original, copy in zip(originals, copies):
+            assert original == original and original != copy
+        assert len({problem, problem.matrix, sol, *copies}) == 7
+        assert {problem: 1}[problem] == 1
+
+
+def rebuilt(lp, **fields):
+    """*lp* rebuilt through the constructor from its triplet views, as the
+    benchmark's siting check rebuilds a root relaxation; the rebuilt
+    matrix is the original's, to the bit."""
+    again = LinearProblem(lp.c, lp.lb, lp.ub, lp.a_rows, lp.a_cols,
+                          lp.a_vals, lp.senses, lp.rhs, **fields)
+    assert again.dense_matrix().tobytes() == lp.dense_matrix().tobytes()
+    return again
+
+
+class TestTripletViews:
+    """``a_rows``, ``a_cols`` and ``a_vals`` read a problem's matrix back as
+    its row-major nonzeros: a siting LP rebuilt from them solves as its root
+    relaxation does, and an hour's network LP as the LP itself, bit for
+    bit."""
+
+    def assert_root_round_trips(self, lp):
+        assert (fingerprint(solve_lp(rebuilt(lp)))
+                == fingerprint(solve_lp(dataclasses.replace(lp,
+                                                            binaries=()))))
+
+    def test_random_chains(self):
+        for seed in range(300, 316):
+            self.assert_root_round_trips(random_chain(
+                seed, bool(seed % 2), bool(seed // 2 % 2), n_cand=10,
+                n_sink=4).lp)
+
+    def test_congested_fixture(self, monkeypatch):
+        case = congested_fixture(seed=42, hours=24)
+        posed = []
+
+        def capture(problem):
+            posed.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", capture)
+        baseline = run_year(case.system, 24, MODE_UNIFORM_REDISPATCH)
+        assert posed
+        for problem in posed:
+            again = rebuilt(problem, lazy_rows=problem.lazy_rows,
+                            start=problem.start)
+            assert (fingerprint(solve_lp(again))
+                    == fingerprint(solve_lp(problem)))
+        rebuilt(case.system.dispatch_tables.network)
+        tariffs = derive_tariffs(baseline, Scenario(NODAL, FLAT, "LH2"),
+                                 [n.id for n in case.candidates])
+        self.assert_root_round_trips(build_chain_problem(
+            case.sinks, case.candidates, tariffs, CARRIER_DEFAULTS["LH2"],
+            case.production, case.transport, case.import_spec).lp)
 
 
 def knapsack_enumeration(values, weights, capacity):

@@ -25,8 +25,10 @@ The set, all of it drawn from fixed seeds:
   about half of its rows lazy, and from a dual feasible start of one
   column, with and without lazy rows;
 * ``random_chain`` siting MILPs (``tests/test_chain.py``) and their root
-  relaxations, random knapsacks, and warm re-solves of chain relaxations
-  with binaries fixed, as branch and bound makes them;
+  relaxations, each also rebuilt from its triplet views as the benchmark's
+  siting check rebuilds it (``.triplets``, whose line must equal the
+  ``.root`` one), random knapsacks, and warm re-solves of chain
+  relaxations with binaries fixed, as branch and bound makes them;
 * every network LP of the uniform+redispatch baseline year of the
   168-hour ``congested10`` fixture (seed 42, as the golden study), and of
   both dispatch modes of a 48-hour, 60-node synthetic system (the
@@ -57,7 +59,8 @@ from h2grid import (SyntheticSpec, congested_fixture,  # noqa: E402
 from h2grid.dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH  # noqa: E402
 from h2grid.dispatch import redispatch, uniform_dispatch  # noqa: E402
 from h2grid.errors import InfeasibleRedispatch, InvalidProblem  # noqa: E402
-from h2grid.lp import _Simplex, solve_lp, solve_milp  # noqa: E402
+from h2grid.lp import (LinearProblem, _Simplex, solve_lp,  # noqa: E402
+                       solve_milp)
 from problems import build_problem  # noqa: E402
 from test_chain import random_chain  # noqa: E402
 from test_dispatch import HARD_HOURS, grid  # noqa: E402
@@ -123,6 +126,10 @@ def milps():
         yield f"chain{seed}", solve_milp, chain.lp
         yield f"chain{seed}.root", solve_lp, dataclasses.replace(
             chain.lp, binaries=())
+        lp = chain.lp
+        yield f"chain{seed}.triplets", solve_lp, LinearProblem(
+            lp.c, lp.lb, lp.ub, lp.a_rows, lp.a_cols, lp.a_vals, lp.senses,
+            lp.rhs)
     rng = np.random.default_rng(31)
     for k in range(40):
         n = int(rng.integers(3, 9))
