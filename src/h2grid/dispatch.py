@@ -51,6 +51,17 @@ key reads it, whichever system built it, and its capacity table is its
 own.  A study's baseline and feedback systems thus build one network
 template.
 
+The merit-order dispatch of an hour, its generation, price and uniform
+cost, is read from one array pass over the block of ``MERIT_BLOCK`` hours
+that holds it (``DispatchTables.merit``): the block's capacities, clipped
+at 0 and put in merit order, are subtracted from each hour's zonal demand
+by one ``cumsum`` per row, which adds in the order a single hour's would,
+so every hour is bit for bit its own merit order.  The tables keep only
+the last block filled, one ``MERIT_BLOCK x G`` array of generation however
+long the horizon, so a year dispatched in order fills each block once.
+An hour whose demand exceeds its capacity raises ``InfeasibleHour`` when
+it is dispatched (``_zonal_demand``), not when its block is filled.
+
 Hours are independent (no ramping, no storage), so the annual runner is a
 plain loop over pure per-hour functions.
 """
@@ -64,6 +75,7 @@ from .lp import EQ, GE, LE, LinearProblem, scale_matrix, solve_lp
 
 BALANCE_TOL = 1e-6
 FLOW_TOL = 1e-6
+MERIT_BLOCK = 168   # hours whose merit-order dispatch one array pass fills
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,8 @@ class DispatchTables:
     ``capacity`` is this system's available MW per hour and generator
     (``Generator.capacity_at``), and ``zonal_demand`` and
     ``zonal_capacity`` its sums per hour.  Every array is read-only.
+    ``merit`` gives an hour's merit-order dispatch from the last block of
+    hours filled in one pass.
     """
 
     def __init__(self, system):
@@ -171,33 +185,62 @@ class DispatchTables:
         self.zonal_capacity = self.capacity.sum(axis=1)
         for arr in (self.capacity, self.zonal_demand, self.zonal_capacity):
             arr.flags.writeable = False
+        # the last (block index, generation, prices, costs) of _merit_block
+        self._merit = [None]
+
+    def merit(self, hour):
+        """The merit-order dispatch of *hour*: a fresh copy of its
+        generation, its price and its uniform cost, read from the block of
+        ``MERIT_BLOCK`` hours that holds it, which ``_merit_block`` fills
+        when the hour read last lies in another block."""
+        # an hour counts from the end when negative, as an index does
+        index, row = divmod(range(self.capacity.shape[0])[hour], MERIT_BLOCK)
+        # one read and one write of the slot, as for the network tables
+        entry = self._merit[0]
+        if entry is None or entry[0] != index:
+            entry = (index,) + self._merit_block(index)
+            self._merit[0] = entry
+        return entry[1][row].copy(), float(entry[2][row]), float(entry[3][row])
+
+    def _merit_block(self, index):
+        """Fill every hour of block *index* with its zonal demand in order
+        of marginal cost (lowest index on ties), as far as capacity goes.
+
+        Returns the generation per hour and generator and, per hour, the
+        price, the cost of the last unit that runs or of the cheapest unit
+        when none does, and the uniform cost, all read-only.  Each row's
+        sums add left to right, as a single hour's would, so every hour is
+        bit for bit the per-hour merit order.  Nothing is checked against
+        capacity here; ``_zonal_demand`` does that for the hour dispatched.
+        """
+        hours = slice(index * MERIT_BLOCK, (index + 1) * MERIT_BLOCK)
+        costs, order = self.costs, self.order
+        caps = np.maximum(self.capacity[hours], 0.0)[:, order]
+        # demand left before each unit, subtracted unit by unit in merit
+        # order
+        left = np.cumsum(np.concatenate(
+            (self.zonal_demand[hours, None], -caps), axis=1), axis=1)
+        take = np.minimum(caps, np.maximum(left[:, :-1], 0.0))
+        q = np.zeros(take.shape)
+        q[:, order] = take
+        if costs.size:
+            running = take > 0
+            marginal = np.where(
+                running.any(axis=1),
+                order.size - 1 - running[:, ::-1].argmax(axis=1), 0)
+            price = costs[order[marginal]]
+            cost = np.cumsum(q * costs, axis=1)[:, -1]
+        else:
+            price = cost = np.zeros(q.shape[0])
+        for arr in (q, price, cost):
+            arr.flags.writeable = False
+        return q, price, cost
 
 
 def _injections(system, hour, generation):
     inj = -system.demand[hour].astype(float)
     np.add.at(inj, system.dispatch_tables.nodes, generation)
     return inj
-
-
-def _merit_order(system, hour, demand):
-    """Fill the hour's zonal *demand* in order of marginal cost (lowest
-    index on ties), as far as capacity goes.
-
-    Returns the generation and the price: the cost of the last unit that
-    runs, or of the cheapest unit when none does.
-    """
-    tables = system.dispatch_tables
-    costs, order = tables.costs, tables.order
-    caps = np.maximum(tables.capacity[hour], 0.0)
-    # demand left before each unit, subtracted unit by unit in merit order
-    remaining = np.cumsum(np.concatenate(([demand], -caps[order])))[:-1]
-    take = np.minimum(caps[order], np.maximum(remaining, 0.0))
-    q = np.zeros(costs.size)
-    q[order] = take
-    running = (take > 0).nonzero()[0]
-    price = (float(costs[order[running[-1] if running.size else 0]])
-             if costs.size else 0.0)
-    return q, price
 
 
 def _overloaded(system, base_flows):
@@ -294,10 +337,7 @@ def uniform_dispatch(system, hour):
     """Merit-order dispatch of the whole zone; price is the marginal unit's
     cost (the dual of the zonal balance constraint)."""
     demand = _zonal_demand(system, hour)
-    q, price = _merit_order(system, hour, demand)
-    costs = system.dispatch_tables.costs
-    # summed left to right, as a scalar loop over the generators would
-    cost = float(np.cumsum(q * costs)[-1]) if q.size else 0.0
+    q, price, cost = system.dispatch_tables.merit(hour)
     return HourDispatch(hour=hour, generation_mw=q, price=price,
                         nodal_prices=None, served_mw=demand, cost_eur=cost)
 
@@ -337,7 +377,7 @@ def nodal_dispatch(system, hour):
     hour, overloaded or not.
     """
     demand = _zonal_demand(system, hour)
-    merit = _merit_order(system, hour, demand)[0]
+    merit = system.dispatch_tables.merit(hour)[0]
     base_flows = system.ptdf.flows(_injections(system, hour, merit))
     sol = _network_lp(system, hour, merit, base_flows,
                       _overloaded(system, base_flows))

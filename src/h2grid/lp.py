@@ -65,13 +65,15 @@ hour's merit-order vertex, its marginal unit basic in the balance row.
 
 The solver keeps a dense inverse of the basis matrix.  It takes a rank-one
 product-form update per basis change, ``_replace``.  The update changes only
-the rows where the entering column ``w = B^-1 a_q`` is nonzero, so when
-fewer than half of them are it updates those rows alone, and otherwise it
-takes the dense product, which is faster there; the entries are the same
-either way.  A siting column has a few nonzeros in hundreds of rows (Hall &
-McKinnon, "Hyper-sparsity in the revised simplex method and how to exploit
-it", Comput. Optim. Appl. 2005).  Every other inverse comes from
-``_invert``: every ``_REFACTOR_PERIOD`` updates, after ``_add_rows``, on a
+the rows where the entering column ``w = B^-1 a_q`` is nonzero, so on a
+basis of more than ``_DENSE_ROWS`` (27) rows where fewer than half of them
+are it updates those rows alone; otherwise it takes the dense product,
+which is faster there, and on smaller bases at any share of nonzeros.  The
+entries are the same either way.  A siting column has a few nonzeros in
+hundreds of rows (Hall & McKinnon, "Hyper-sparsity in the revised simplex
+method and how to exploit it", Comput. Optim. Appl. 2005).  Held-back rows
+join the live inverse as its border (``_add_rows``, below).  Every other
+inverse comes from ``_invert``: every ``_REFACTOR_PERIOD`` updates, on a
 warm re-solve and after a pivot element mismatch.  A basic slack is the
 unit column of its own row, so ``_invert`` inverts only the block of the
 structural basic columns over the rows no basic slack covers and fills in
@@ -118,8 +120,11 @@ every row, while the basis covers only the active rows.  The active rows
 are solved cold; then one product of the scaled matrix with ``x`` checks
 every held-back row against its slack bounds at ``FEAS_TOL``.
 ``_add_rows`` appends the violated ones with their slacks basic, unit
-columns of their own rows, and rebuilds the basis inverse with ``_invert``,
-whose structural block the new rows leave as it was.  The new multipliers
+columns of their own rows.  The new basis is the old one bordered,
+``[[B, 0], [A_NB, I]]`` with ``A_NB`` the new rows under the basic
+columns, so its inverse is the live one bordered, ``[[B^-1, 0], [-A_NB
+B^-1, I]]``: one product and no inversion, and the count of updates since
+the last inversion goes on.  The new multipliers
 are zero, so the basis stays dual feasible, and the next round of
 ``_finish`` runs ``_dual`` on the true costs.  Rounds repeat until no
 held-back row is violated; iterations are summed over them, and the
@@ -167,6 +172,7 @@ OPT_TOL = 1e-6
 INT_TOL = 1e-6
 
 _REFACTOR_PERIOD = 64   # basis updates between fresh inversions of the basis
+_DENSE_ROWS = 27        # bases of at most this many rows update densely
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -638,15 +644,16 @@ class _Simplex:
         """Rest the column basic in row *pos* with status *hit*, make
         *enter* basic in that row and update the basis inverse (``w`` is
         ``binv @ a[:, enter]``).  A row where ``w`` is zero keeps its
-        entries, so when fewer than half of ``w`` is nonzero only the other
-        rows are updated; otherwise the dense product is the faster one."""
+        entries, so on a basis of more than ``_DENSE_ROWS`` rows where fewer
+        than half of ``w`` is nonzero only the other rows are updated;
+        otherwise the dense product is the faster one."""
         self.status[self.basis[pos]] = hit
         self.status[enter] = _BASIC
         self.basis[pos] = enter
         binv = self.binv
         row = binv[pos] / w[pos]
         nz = w.nonzero()[0]
-        if 2 * nz.size < w.size:
+        if w.size > _DENSE_ROWS and 2 * nz.size < w.size:
             binv[nz] -= w[nz, None] * row
         else:
             binv -= w[:, None] * row
@@ -829,21 +836,34 @@ class _Simplex:
     def _add_rows(self, new):
         """Append the held-back rows *new* with their slacks basic.
 
-        Each slack is the unit column of its new row, so ``_invert``
-        rebuilds the inverse from the same structural block as before; the
-        multipliers of the new rows are zero, so the reduced costs, and with
-        them dual feasibility, stay.
+        Each slack is the unit column of its new row, so the new basis is
+        the old one bordered by the new rows, ``[[B, 0], [A_NB, I]]``, and
+        its inverse is the live one bordered likewise, ``[[B^-1, 0],
+        [-A_NB B^-1, I]]``: one product, and the count of updates on the
+        live inverse goes on.  The multipliers of the new rows are zero, so
+        the reduced costs, and with them dual feasibility, stay.
         """
-        k, ncols = new.size, self.a.shape[1]
-        slack = self.b_all[new] - self.a_all[new] @ self.x[: self.n_struct]
-        self._set_rows(np.concatenate([self.rows, new]))
+        k, (m, ncols), n = new.size, self.a.shape, self.n_struct
+        a = np.zeros((m + k, ncols + k))
+        a[:m, :ncols] = self.a
+        a[m:, :n] = self.a_all[new]
+        a[m:, ncols:] = np.eye(k)
+        binv = np.zeros((m + k, m + k))
+        binv[:m, :m] = self.binv
+        binv[m:, :m] = -(a[m:, self.basis] @ self.binv)
+        binv[m:, m:] = np.eye(k)
+        slack = self.b_all[new] - a[m:, :n] @ self.x[:n]
+        self.a, self.binv, self.m = a, binv, m + k
+        self.rows = np.concatenate([self.rows, new])
+        self.lb = np.concatenate([self.lb, self.slack_lb[new]])
+        self.ub = np.concatenate([self.ub, self.slack_ub[new]])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.b = np.concatenate([self.b, self.b_all[new]])
         self.x = np.concatenate([self.x, slack])
         self.status = np.concatenate([self.status, np.full(k, _BASIC)])
         self.basis = np.concatenate([self.basis, ncols + np.arange(k)])
         self.held = np.delete(self.held, np.searchsorted(self.held, new))
         self.rounds += 1
-        self.binv = self._invert()
-        self.updates = 0
 
     def _finish(self, phase, d=None, cutoff=np.inf):
         """The rounds of a solve from a dual feasible basis: the dual simplex

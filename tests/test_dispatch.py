@@ -469,7 +469,8 @@ class TestSystemTables:
         for arr in (block.scaled, block.row_scale, block.col_scale,
                     tables.capacity, tables.costs, tables.nodes,
                     tables.order, network.c, network.senses,
-                    network._scaled_c, network._slack_lb, network._slack_ub):
+                    network._scaled_c, network._slack_lb, network._slack_ub,
+                    *tables._merit[0][1:]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
@@ -899,6 +900,24 @@ def assert_highs(optimize, problem, sol, rel):
         assert abs(sol.objective - ref.fun) <= rel * max(1.0, abs(ref.fun))
 
 
+def highs_prices(optimize, system, problem):
+    """The nodal prices that ``_nodal_prices`` builds from the duals of
+    HiGHS's dual simplex (scipy ``highs-ds``) on *problem*, every row
+    active: d(objective)/d(rhs) per row, its sign turned for the GE rows
+    that scipy takes as LE rows."""
+    a, senses, rhs = problem.dense_matrix(), problem.senses, problem.rhs
+    ineq, sign = senses != EQ, np.where(senses == GE, -1.0, 1.0)
+    ref = optimize.linprog(
+        problem.c, A_ub=(sign[:, None] * a)[ineq], b_ub=(sign * rhs)[ineq],
+        A_eq=a[~ineq], b_eq=rhs[~ineq],
+        bounds=list(zip(problem.lb, problem.ub)), method="highs-ds")
+    assert ref.status == 0
+    duals = np.zeros(rhs.size)
+    duals[ineq] = sign[ineq] * ref.ineqlin.marginals
+    duals[~ineq] = ref.eqlin.marginals
+    return duals[0] + system.ptdf.entries.T @ (duals[1::2] + duals[2::2])
+
+
 class TestHardHours:
     """Degenerate congested hours solved to HiGHS's optimum, with no
     RuntimeWarning (pytest makes them errors)."""
@@ -974,3 +993,36 @@ class TestCongestedScan:
         for problem, sol in log:
             assert_highs(optimize, problem, sol, 1e-7)
         assert any(abs(sol.objective - 120_159.85) < 0.005 for _, sol in log)
+
+
+@pytest.mark.slow
+class TestPriceWitness:
+    """The nodal prices of uniform+redispatch years against prices built
+    from HiGHS's duals (``highs_prices``), an independent witness of the
+    duals the network LP returns, on every congested hour of seed-7
+    systems at congestion 0.85."""
+
+    @pytest.mark.parametrize("n_nodes, hours", [(60, 168), (240, 48),
+                                                (480, 24)])
+    def test_matches_highs_duals(self, n_nodes, hours, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        system = grid(n_nodes, 7, 0.85, hours)
+        solved, hour = [], []
+        real_uniform = h2grid.dispatch.uniform_dispatch
+
+        def uniform(system, t):
+            hour[:] = [t]
+            return real_uniform(system, t)
+
+        def solve(problem):
+            solved.append((hour[0], problem))
+            return solve_lp(problem)
+
+        monkeypatch.setattr(h2grid.dispatch, "uniform_dispatch", uniform)
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+        prices = run_year(system, hours,
+                          MODE_UNIFORM_REDISPATCH).nodal_price_series
+        assert len(solved) >= hours // 2
+        for t, problem in solved:
+            want = highs_prices(optimize, system, problem)
+            assert np.abs(prices[t] - want).max() <= 1e-6, t

@@ -21,7 +21,8 @@ from h2grid.errors import InvalidProblem, ResourceLimit
 from h2grid.lp import (EQ, GE, INT_TOL, LE, LinearProblem, _Simplex,
                        scale_matrix, solve_lp, solve_milp)
 from h2grid.pipeline import FLAT, NODAL, Scenario, derive_tariffs
-from h2grid.synth import congested_fixture
+from h2grid.synth import (SyntheticSpec, congested_fixture,
+                          generate_synthetic_system)
 from problems import build_problem
 from test_chain import LARGE_CASES, random_chain
 
@@ -508,15 +509,26 @@ def fingerprint(sol):
 
 class TestSparseUpdate:
     """The inverse update subtracts the rank-one term from only the rows
-    where the entering column is nonzero when fewer than half of them are,
-    and takes the dense product otherwise; the results are those of the
-    dense product on every pivot, to the bit."""
+    where the entering column is nonzero when fewer than half of them are
+    and the basis has more than ``_DENSE_ROWS`` rows, and takes the dense
+    product otherwise; the results are those of the dense product on every
+    pivot, to the bit."""
 
     def cases(self):
         rng = np.random.default_rng(2121)
         for k in range(60):
             problem = build_problem(*mixed_instance(rng, k % 4 == 3))
             lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.5)
+            yield "lp", solve_lp, problem
+            yield "lazy", solve_lp, dataclasses.replace(problem,
+                                                        lazy_rows=lazy)
+        # siting relaxations: sparse columns in bases of more than
+        # _DENSE_ROWS rows
+        for seed in range(300, 304):
+            chain = random_chain(seed, bool(seed % 2), bool(seed // 2 % 2),
+                                 n_cand=10, n_sink=4)
+            problem = dataclasses.replace(chain.lp, binaries=())
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.25)
             yield "lp", solve_lp, problem
             yield "lazy", solve_lp, dataclasses.replace(problem,
                                                         lazy_rows=lazy)
@@ -534,8 +546,9 @@ class TestSparseUpdate:
         sparse = {}  # by kind, whether each update took the sparse branch
 
         def spy(self, pos, enter, w, hit, phase):
-            sparse.setdefault(kind, set()).add(2 * np.count_nonzero(w)
-                                               < w.size)
+            sparse.setdefault(kind, set()).add(
+                w.size > h2grid.lp._DENSE_ROWS
+                and 2 * np.count_nonzero(w) < w.size)
             default(self, pos, enter, w, hit, phase)
 
         for kind, solve, problem in self.cases():
@@ -1253,6 +1266,58 @@ class AppendLog(_Simplex):
         super()._add_rows(new)
         self.errors.append(float(np.abs(
             self.a[:, self.basis] @ self.binv - np.eye(self.m)).max()))
+
+
+class BorderLog(_Simplex):
+    """Records, after each append of held-back rows, how far the bordered
+    inverse is from ``_invert`` of the grown basis, relative to its largest
+    entry, and checks that the live inverse and the identity sit in it
+    unchanged."""
+
+    def _add_rows(self, new):
+        old, m = self.binv.copy(), self.m
+        super()._add_rows(new)
+        assert self.binv[:m, :m].tobytes() == old.tobytes()
+        assert not self.binv[:m, m:].any()
+        assert np.array_equal(self.binv[m:, m:], np.eye(new.size))
+        fresh = self._invert()
+        self.errors.append(float(np.abs(self.binv - fresh).max()
+                                 / np.abs(fresh).max()))
+
+
+class TestBorderedInverse:
+    """Held-back rows join the live basis inverse as its border
+    ``[[B^-1, 0], [-A_NB B^-1, I]]``, which is the inverse that ``_invert``
+    builds from scratch for the grown basis, to 1e-12."""
+
+    def problems(self, monkeypatch):
+        rng = np.random.default_rng(4242)
+        for k in range(60):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.6)
+            yield dataclasses.replace(problem, lazy_rows=lazy)
+        # the network LPs of congested hours, whose corridor rows are lazy
+        log = []
+
+        def solve(problem):
+            log.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(h2grid.dispatch, "solve_lp", solve)
+        system = generate_synthetic_system(SyntheticSpec(
+            seed=60, n_nodes=60, n_lines=84, hours=24, congestion=0.85))
+        run_year(system, 24, MODE_UNIFORM_REDISPATCH)
+        monkeypatch.undo()
+        yield from log
+
+    def test_matches_fresh_inverse(self, monkeypatch):
+        errors = []
+        for problem in self.problems(monkeypatch):
+            simplex = BorderLog(problem)
+            simplex.errors = errors
+            assert simplex.solve().stats == solve_lp(problem).stats
+        assert len(errors) > 30
+        assert max(errors) <= 1e-12
 
 
 class TestLazyRows:

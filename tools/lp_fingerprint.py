@@ -37,7 +37,10 @@ The set, all of it drawn from fixed seeds:
   (``tests/test_dispatch.py`` ``HARD_HOURS``), degenerate congested hours
   where pivot rules differ most.  Their products are large enough for a
   threaded BLAS to split, so their lines depend on the BLAS thread count:
-  compare runs made with the same ``OPENBLAS_NUM_THREADS``.
+  compare runs made with the same ``OPENBLAS_NUM_THREADS``;
+* last, the merit-order market of every hour of the two dispatched
+  systems (``<system>.market``: the digest of the bytes of each hour's
+  ``uniform_dispatch`` generation and the ``repr`` of its price and cost).
 
 The solver's test modules supply the generators, so pytest must be
 importable; the package is imported from ``src/`` of this checkout.
@@ -181,12 +184,18 @@ def redispatch_hour(system, hour):
     return redispatch(system, hour, uniform_dispatch(system, hour))
 
 
+def dispatched_systems():
+    """The two systems whose years are dispatched, with their hours."""
+    return [("fixture", congested_fixture(seed=42, hours=168).system, 168),
+            ("grid60", generate_synthetic_system(SyntheticSpec(
+                seed=60, n_nodes=60, n_lines=84, hours=48,
+                congestion=0.85)), 48)]
+
+
 def network_lps():
     """Every LP that ``run_year`` solves on the two systems, in order, and
     the LP of each hard hour."""
-    fixture = congested_fixture(seed=42, hours=168).system
-    grid60 = generate_synthetic_system(SyntheticSpec(
-        seed=60, n_nodes=60, n_lines=84, hours=48, congestion=0.85))
+    (_, fixture, _), (_, grid60, _) = dispatched_systems()
     years = [("fixture", fixture, 168, MODE_UNIFORM_REDISPATCH),
              ("grid60.uniform", grid60, 48, MODE_UNIFORM_REDISPATCH),
              ("grid60.nodal", grid60, 48, MODE_NODAL)]
@@ -202,6 +211,17 @@ def network_lps():
                    solve_lp, problem)
 
 
+def market_digest(system, hours):
+    """The sha256 of the ``uniform_dispatch`` of every hour of *system*:
+    the bytes of its generation and the ``repr`` of its price and cost."""
+    h = hashlib.sha256()
+    for hour in range(hours):
+        market = uniform_dispatch(system, hour)
+        h.update(market.generation_mw.tobytes())
+        h.update(repr((market.price, market.cost_eur)).encode())
+    return h.hexdigest()
+
+
 def main():
     count = 0
     for source in (mixed_lps, milps, warm_resolves, network_lps):
@@ -211,6 +231,8 @@ def main():
             if solve is solve_milp:
                 print(f"{name}.tree", tree_digest(sol))
             count += 1
+    for label, system, hours in dispatched_systems():
+        print(f"{label}.market", market_digest(system, hours))
     print(f"{count} problems", file=sys.stderr)
 
 
