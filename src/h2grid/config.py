@@ -22,6 +22,7 @@ reproduces the same configuration.
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -183,12 +184,14 @@ def lookup(cfg, path):
 _SHARE = (lambda v: 0 < v <= 1, "a number in (0, 1]")
 _FRACTION = (lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _POSITIVE = (lambda v: v > 0, "a positive number")
-_NONNEG = (lambda v: v >= 0, "a non-negative number")
+_NONNEG = (lambda v: 0 <= v < math.inf, "a non-negative number")
 _PERIOD = (lambda v: v >= 1, "at least 1 year")
 # numpy's generators reject negative seeds; capacity factor, efficiency,
 # energy use and speed are divisors, and the annuity needs a period of a
-# year or more at a non-negative rate; demands, volumes and capacities are
-# amounts, and a synthetic network has two regions
+# year or more at a finite non-negative rate; demands, volumes and
+# capacities are finite amounts (an infinite import capacity would leave the
+# siting LP's import column unboxed), and a synthetic network has two
+# regions
 _RANGES = {
     "hours": (lambda v: v >= 1, "a positive integer"),
     "seed": (lambda v: v >= 0, "a non-negative integer"),

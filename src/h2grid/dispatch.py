@@ -26,8 +26,8 @@ Trans. Power Syst. 2010).  A lazy row holds at the merit-order dispatch,
 so both models take an overload within ``FLOW_TOL`` as none.  The LP also
 starts at the merit-order vertex, with the marginal unit basic in the
 balance row; that vertex is dual feasible, so the dual simplex repairs the
-overloaded corridors with no phase 1.  Everything the LP starts from comes
-from the same hour, so no hour depends on another.
+overloaded corridors from it.  Everything the LP starts from comes from the
+same hour, so no hour depends on another.
 
 What the models read of the system and not of the hour is built once per
 PowerSystem, at its first dispatch, and kept on it

@@ -6,10 +6,12 @@ capacities, reactances and profile MW not negative, line capacities and
 reactances above zero), positional indices (in range, never negative),
 lines (two distinct ends) and demand (one row per hour and node of the run:
 a missing or a duplicate pair is an error, never a silent 0 or overwrite),
-and raise IoError with the offending file and column.  The sink files are
-checked the same way: a consumption ``kind``, an industrial ``sector`` and
-``basis_kind`` must be one the demand model knows, and sink masses, output
-bases, self supply and station candidate weights must not be negative.
+and raise IoError with the offending file and column.  A generator
+``kind`` must be one the grid model knows (``dispatchable``, ``solar`` or
+``wind``).  The sink files are checked the same way: a consumption
+``kind``, an industrial ``sector`` and ``basis_kind`` must be one the
+demand model knows, and sink masses, output bases, self supply and station
+candidate weights must not be negative.
 """
 
 import csv
@@ -23,8 +25,8 @@ from .demand import (BASIS_KG_PER_HOUR, BASIS_TONS_H2_PER_YEAR,
                      STATION_TRUCKS, ConsumptionLocation, IndustrialSite)
 from .dispatch import MODE_UNIFORM_REDISPATCH
 from .errors import IoError
-from .grid import (Generator, Line, Node, PowerSystem, RENEWABLE_KINDS,
-                   compute_ptdf)
+from .grid import (DISPATCHABLE, SOLAR, WIND, Generator, Line, Node,
+                   PowerSystem, RENEWABLE_KINDS, compute_ptdf)
 
 
 def _fmt(value):
@@ -160,7 +162,7 @@ def read_generators(path, hours, n_nodes):
     base = os.path.dirname(os.path.abspath(path))
     gens = []
     for r in rows:
-        kind = r["kind"]
+        kind = _choice(r, "kind", path, (DISPATCHABLE, SOLAR, WIND))
         profile = None
         if kind in RENEWABLE_KINDS:
             ref = r.get("profile")

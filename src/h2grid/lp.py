@@ -20,14 +20,12 @@ infeasible, whatever the costs.
 
 The loop reads the way a nonbasic column may move from one table indexed
 by its status, ``_UP``: +1 at its lower bound, -1 at its upper, 0 when
-basic or free.  A column prices as improving when ``-d_j * _UP`` exceeds
+basic.  A column prices as improving when ``-d_j * _UP`` exceeds
 ``OPT_TOL`` (``_improving``), and can enter when ``sigma_j * _UP`` exceeds
-1e-9; a free column, which may move either way, is tested on ``|d_j|`` or
-``|sigma_j|`` apart, and only when some column is free.  Each product is by
-+-1 or 0, which is exact, so the table gives the three-case test's answer
-to the bit.  The leaving row is the first largest violation (``argmax``),
-and the loop stops when that largest one is within ``FEAS_TOL``; an empty
-basis is primal feasible at once.
+1e-9.  Each product is by +-1 or 0, which is exact, so the table gives the
+two-case test's answer to the bit.  The leaving row is the first largest
+violation (``argmax``), and the loop stops when that largest one is within
+``FEAS_TOL``; an empty basis is primal feasible at once.
 
 The loop keeps its state between pivots and updates only what a pivot
 changes: the basic values ``x_B`` and the bounds of the basic columns at
@@ -36,21 +34,14 @@ the entering table ``_UP[status]``, 0 for a fixed column, at the leaving
 and the entering column.  ``x_B`` goes back into ``x`` once, when the loop
 returns.
 
-A cold solve starts every active row on its slack, so the basis inverse is
-exactly the identity and the multipliers are zero: every column prices at
-its cost.  Every column rests at a bound (free ones at zero), a boxed one at
-the bound its cost prefers.  A column that still prices wrong is pulled
-toward an infinite bound, or is free with a nonzero cost; then phase 1
-solves the auxiliary problem of Koberstein & Suhl ("Progress in the dual
-simplex method for large scale LP problems: practical dual phase 1
-algorithms", Comput. Optim. Appl. 2007) with the same ``_dual`` on the true
-costs: each finite bound becomes 0 and each infinite one -1 or +1, ``b``
-becomes 0, and every nonbasic column starts at the bound its cost prefers.
-With the true bounds back and the boxed columns resting by their reduced
-costs, its optimal basis prices no column wrong, unless no basis does.  The
-problem is then dual infeasible, and so unbounded if it is feasible at all:
-``_dual`` on zero costs, from that basis, reports ``Unbounded`` if it
-reaches a primal feasible basis and ``Infeasible`` if not.
+Every structural column is boxed: ``LinearProblem`` rejects an infinite
+bound, and the models of ``dispatch`` and ``chain`` bound every column by a
+capacity, a demand or 1.  A cold solve starts every active row on its
+slack, so the basis inverse is exactly the identity and the multipliers are
+zero: every column prices at its cost.  Each structural column rests at the
+bound its cost prefers (``_rest``), and a slack, of cost 0, at its finite
+bound, so the start is dual feasible and ``_dual`` runs from it on the true
+costs; its pivots count as phase 1.
 
 A problem that knows a dual feasible vertex names it in
 ``LinearProblem.start``: one ``(row, column)`` pair.  ``_start`` puts every
@@ -58,7 +49,7 @@ active row on its slack, as a cold solve does, and then the named column
 basic in its row, every other column resting at a bound as ``_rest`` puts
 it.  That basis differs from the identity in one column, so its inverse is
 the identity with that column filled in closed form, and ``_dual`` runs on
-the true costs, with no phase 1, from the reduced costs the start computed.
+the true costs from the reduced costs the start computed.
 A start that is singular or not dual feasible at ``OPT_TOL`` raises
 ``InvalidProblem``.  The network LP of ``dispatch`` starts this way at the
 hour's merit-order vertex, its marginal unit basic in the balance row.
@@ -89,10 +80,11 @@ at iteration <n>")`` before anything divides by it (Koberstein 2005).  A
 solve whose objective or duality gap is not finite raises
 ``InvalidProblem``, naming the phase and the iteration; it is never
 ``Optimal``.
-``Solution.stats`` reports the pivots: all of them (``iterations``), those
-of phase 1, the auxiliary problem and a cold solve's first pass
-(``phase1_iterations``), and the others (``dual_iterations``); and the
-number of refactorizations and of rounds (``rounds``, see below).
+``Solution.stats`` reports the pivots: all of them (``iterations``), a
+cold solve's pivots (``phase1_iterations``), and those of a named start, a
+warm re-solve and every lazy-row round after the first
+(``dual_iterations``); and the number of refactorizations and of rounds
+(``rounds``, see below).
 
 The constraint matrix is equilibrated by powers of two, rows first and
 then columns, so that unscaling is exact; ``scale_matrix`` does this once
@@ -128,10 +120,9 @@ the last inversion goes on.  The new multipliers
 are zero, so the basis stays dual feasible, and the next round of
 ``_finish`` runs ``_dual`` on the true costs.  Rounds repeat until no
 held-back row is violated; iterations are summed over them, and the
-iteration limit counts them all.  Rows never added get a zero dual.  If
-the costs are dual infeasible over the active rows, every row is activated
-and the problem is solved again cold; a round whose dual simplex finds a
-violated row no column can repair proves the problem infeasible.
+iteration limit counts them all.  Rows never added get a zero dual.  A
+round whose dual simplex finds a violated row no column can repair proves
+the problem infeasible.
 
 Mixed-binary problems are handled by depth-first branch and bound on the
 most fractional binary, with a best-bound re-sort of the open stack every
@@ -176,11 +167,10 @@ _DENSE_ROWS = 27        # bases of at most this many rows update densely
 
 LE, EQ, GE = "<=", "=", ">="
 
-_AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
+_AT_LB, _AT_UB, _BASIC = 0, 1, 2
 # the direction a column may move off its bound, by status: up at its lower
-# bound, down at its upper, none when basic, either way when free (tested
-# apart, on |d|)
-_UP = np.array([1.0, -1.0, 0.0, 0.0])
+# bound, down at its upper, none when basic
+_UP = np.array([1.0, -1.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +288,7 @@ class LinearProblem:
     adding ``a_vals[k]`` at ``(a_rows[k], a_cols[k])``, which it checks,
     densifies and scales once (``_triplet_matrix``).  ``binaries`` lists
     the variables restricted to {0, 1}; their bounds must lie in [0, 1].
+    Every bound must be finite: each column is boxed.
     ``lazy_rows`` lists rows the LP solver may leave out until a solution
     violates them.  ``start``, when not None, is one ``(row, column)``
     pair: the LP solver starts that column basic in that row, every other
@@ -421,6 +412,8 @@ class LinearProblem:
             if np.isnan(self.lb).any() or np.isnan(self.ub).any():
                 raise InvalidProblem("NaN in variable bounds")
             raise InvalidProblem("lower bound exceeds upper bound")
+        if np.isinf(self.lb).any() or np.isinf(self.ub).any():
+            raise InvalidProblem("infinite variable bound")
         for j in self.binaries:
             if self.lb[j] < -1e-12 or self.ub[j] > 1 + 1e-12:
                 raise InvalidProblem(f"binary variable {j} has bounds outside [0, 1]")
@@ -447,8 +440,8 @@ class LinearProblem:
 
 @dataclass(eq=False)
 class Solution:
-    # "Optimal" | "Infeasible" | "Unbounded", or "Cutoff", which only
-    # _Simplex.resolve given a cutoff returns
+    # "Optimal" | "Infeasible", or "Cutoff", which only _Simplex.resolve
+    # given a cutoff returns
     status: str
     x: np.ndarray = None
     objective: float = None
@@ -464,12 +457,8 @@ class Solution:
 
 def _improving(status, d):
     """The nonbasic columns whose reduced costs *d* price a move off their
-    bound (either way for a free column) beyond ``OPT_TOL``."""
-    better = -d * _UP[status] > OPT_TOL
-    free = status == _FREE
-    if free.any():
-        better |= free & (np.abs(d) > OPT_TOL)
-    return better
+    bound beyond ``OPT_TOL``."""
+    return -d * _UP[status] > OPT_TOL
 
 
 def _agree(w_r, alpha_q):
@@ -498,82 +487,69 @@ class _Simplex:
         lazy = np.zeros(m, dtype=bool)
         lazy[problem.lazy_rows] = True
         self.held = problem.lazy_rows
-        # the structural bounds and costs, scaled; only resolve changes the
-        # bounds
-        self.lb = problem.lb / self.col_scale
-        self.ub = problem.ub / self.col_scale
-        self.c = problem._scaled_c
-        self._set_rows((~lazy).nonzero()[0])
+        rows = (~lazy).nonzero()[0]
+        self.rows, self.m = rows, rows.size
+        # the active rows' slacks follow the structural columns in the same
+        # order; the bounds and costs are scaled, and only resolve changes
+        # the structural bounds
+        self.a = np.concatenate([a[rows], np.eye(self.m)], axis=1)
+        self.lb = np.concatenate([problem.lb / self.col_scale,
+                                  self.slack_lb[rows]])
+        self.ub = np.concatenate([problem.ub / self.col_scale,
+                                  self.slack_ub[rows]])
+        self.c = np.concatenate([problem._scaled_c, np.zeros(self.m)])
+        self.b = self.b_all[rows]
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
         self.rounds = 1
 
-    def _set_rows(self, rows):
-        """Make *rows* the active rows, their slacks after the structural
-        columns in the same order; the structural bounds and costs stay."""
-        m, n = rows.size, self.n_struct
-        self.rows, self.m = rows, m
-        self.a = np.concatenate([self.a_all[rows], np.eye(m)], axis=1)
-        self.lb = np.concatenate([self.lb[:n], self.slack_lb[rows]])
-        self.ub = np.concatenate([self.ub[:n], self.slack_ub[rows]])
-        self.c = np.concatenate([self.c[:n], np.zeros(m)])
-        self.b = self.b_all[rows]
-
     # -- state helpers ------------------------------------------------------
 
-    def _rest(self, d=None):
-        """The status of every column resting at a bound, or free; given
-        reduced costs *d*, a boxed column that *d* prices off that bound
-        rests at its other one."""
-        lo, hi = self.lb, self.ub
-        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-        # the upper bound wins when it is the only finite one, or when it
-        # is <= 0 and the lower bound is < 0
-        at_ub = hi_fin & (~lo_fin | ((hi <= 0) & (lo < 0)))
-        if d is not None:  # -d * _UP > OPT_TOL, as in _improving
-            at_ub ^= lo_fin & hi_fin & (np.where(at_ub, d, -d) > OPT_TOL)
-        at_lb = lo_fin & ~at_ub
-        return np.where(at_lb, _AT_LB, np.where(at_ub, _AT_UB, _FREE))
+    def _rest(self, cost=None):
+        """The status of every column resting at a bound: at its upper bound
+        when that is <= 0 and the lower one < 0, as a GE row's slack on
+        [-inf, 0] is, else at its lower bound, as an LE row's slack on [0,
+        inf] is.  Given the costs *cost*, 0 on the slacks, a column that its
+        cost prices off that bound rests at its other one, which is finite:
+        every structural column is boxed."""
+        at_ub = (self.ub <= 0) & (self.lb < 0)
+        if cost is not None:  # -cost * _UP > OPT_TOL, as in _improving
+            at_ub ^= np.where(at_ub, cost, -cost) > OPT_TOL
+        return np.where(at_ub, _AT_UB, _AT_LB)
 
-    def _settle(self, status, d):
-        """Take *status* for the nonbasic columns, place x and return the
-        movable columns that the reduced costs *d* price off their bounds."""
+    def _reduced(self):
+        """The reduced costs on the current basis."""
+        return self.c - self.a.T @ (self.c[self.basis] @ self.binv)
+
+    def _place(self, status):
+        """Take *status* for the nonbasic columns, put each of them at the
+        bound its status names and solve the active rows for the basic
+        ones."""
         status[self.basis] = _BASIC
         self.status = status
-        self._place()
-        return (self.lb < self.ub) & _improving(status, d)
-
-    def _reduced(self, cost):
-        """The reduced costs of *cost* on the current basis."""
-        return cost - self.a.T @ (cost[self.basis] @ self.binv)
-
-    def _place(self):
-        """Put every nonbasic column at the bound its status names (free
-        ones at zero) and solve the active rows for the basic ones."""
-        st = self.status
-        self.x = np.where(st == _AT_LB, self.lb,
-                          np.where(st == _AT_UB, self.ub, 0.0))
+        self.x = np.where(status == _AT_LB, self.lb,
+                          np.where(status == _AT_UB, self.ub, 0.0))
         self.x[self.basis] = self.binv @ (self.b - self.a @ self.x)
 
     def _start(self):
         """Put every active row on its slack, then the column that
         ``problem.start`` names, if any, basic in its row; rest every other
         column as ``_rest`` does and return the reduced costs of a named
-        start (None for a cold one) and the movable columns that price
-        wrong.
+        start, None for a cold one.
 
         A cold start is the identity basis, which prices every column at
-        its cost, so a boxed column rests at the bound its cost prefers.  A
-        named start, column ``q`` in row position ``p``, changes only column
-        ``p`` of the inverse: ``1 / a_pq`` at ``p`` and ``-a_iq * (1 /
-        a_pq)`` elsewhere.  It must be nonsingular and dual feasible at
-        ``OPT_TOL``.
+        its cost, so each column rests at the bound its cost prefers and
+        the start is dual feasible.  A named start, column ``q`` in row
+        position ``p``, changes only column ``p`` of the inverse: ``1 /
+        a_pq`` at ``p`` and ``-a_iq * (1 / a_pq)`` elsewhere.  It must be
+        nonsingular and dual feasible at ``OPT_TOL``.
         """
         self.basis = np.arange(self.n_struct, self.a.shape[1])
         self.updates = 0
         self.binv = np.eye(self.m)
         if self.problem.start is None:
-            return None, self._settle(self._rest(self.c), self.c)
+            self._place(self._rest(self.c))
+            return None
         row, q = self.problem.start
         p = np.searchsorted(self.rows, row)  # active rows are sorted here
         column = self.a[:, q]
@@ -583,27 +559,13 @@ class _Simplex:
         inv = 1.0 / column[p]
         self.binv[:, p] = -column * inv
         self.binv[p, p] = inv
-        d = self._reduced(self.c)
-        wrong = self._settle(self._rest(), d)
+        d = self._reduced()
+        self._place(self._rest())
+        wrong = (self.lb < self.ub) & _improving(self.status, d)
         if wrong.any():
             raise InvalidProblem(f"start is not dual feasible at column "
                                  f"{int(wrong.argmax())}")
-        return d, wrong
-
-    def _phase_one(self):
-        """Make the cold start dual feasible on the true costs through the
-        auxiliary problem (see the module docstring); returns the movable
-        columns that still price wrong, none unless the costs are dual
-        infeasible.  Every column is placed at its true bounds after."""
-        lb, ub, b = self.lb, self.ub, self.b
-        self.lb = np.where(np.isfinite(lb), 0.0, -1.0)
-        self.ub = np.where(np.isfinite(ub), 0.0, 1.0)
-        self.b = np.zeros(self.m)
-        self._settle(np.where(self.c < 0, _AT_UB, _AT_LB), self.c)
-        self._dual(self.c, "phase 1")
-        self.lb, self.ub, self.b = lb, ub, b
-        d = self._reduced(self.c)
-        return self._settle(self._rest(d), d)
+        return d
 
     def _invert(self):
         """The inverse of the basis matrix, in block form.
@@ -668,21 +630,20 @@ class _Simplex:
         """Column *j* in the current basis, ``binv @ a[:, j]``."""
         return self.binv @ self.a[:, j]
 
-    def _dual(self, cost, phase, d=None, cutoff=np.inf):
-        """Run a bounded dual simplex for the given cost vector from a dual
-        feasible basis until the basis is primal feasible; returns "Optimal"
-        then, or "Infeasible" when a violated row has no entering column.
-        Its pivots count as phase 1 or as dual iterations by *phase*.  One
-        rule holds at every pivot (see the module docstring): deterministic
-        by its ties, finite by the iteration limit, which raises
-        ``InvalidProblem``.  *d*, when given, are the reduced costs of
-        *cost* on the current basis.
+    def _dual(self, phase, d=None, cutoff=np.inf):
+        """Run a bounded dual simplex from a dual feasible basis until the
+        basis is primal feasible; returns "Optimal" then, or "Infeasible"
+        when a violated row has no entering column.  Its pivots count as
+        phase 1 or as dual iterations by *phase*.  One rule holds at every
+        pivot (see the module docstring): deterministic by its ties, finite
+        by the iteration limit, which raises ``InvalidProblem``.  *d*, when
+        given, are the reduced costs on the current basis.
 
         The objective of a dual feasible basis bounds the optimum from
         below, and no pivot lowers it: each raises it by the dual step
         times the leaving row's violation, a product already in true units,
         since the column scales are powers of two.  So the objective is
-        ``cost @ x`` once and then tracked per pivot, and once it reaches
+        ``c @ x`` once and then tracked per pivot, and once it reaches
         *cutoff* the loop returns "Cutoff".
 
         The basic values and bounds and each column's entering direction
@@ -698,15 +659,12 @@ class _Simplex:
             return "Optimal"
         basis, x, lb, ub = self.basis, self.x, self.lb, self.ub
         if d is None:
-            d = self._reduced(cost)  # updated per pivot
-        objective = cost @ x  # raised per pivot
+            d = self._reduced()  # updated per pivot
+        objective = self.c @ x  # raised per pivot
         xb, lb_b, ub_b = x[basis], lb[basis], ub[basis]
-        # the direction each column may enter in: 0 when basic or fixed;
-        # no column becomes free here, and a free one may move either way
+        # the direction each column may enter in: 0 when basic or fixed
         movable = lb < ub
         up = np.where(movable, _UP[self.status], 0.0)
-        free = movable & (self.status == _FREE)
-        any_free = free.any()
         limit = 2000 + 200 * (self.m + self.a.shape[1])
         try:
             while True:
@@ -733,10 +691,7 @@ class _Simplex:
                 # repair row r
                 alpha = self.binv[r] @ self.a
                 sigma = -alpha if rising else alpha
-                eligible = sigma * up > 1e-9
-                if any_free:
-                    eligible |= free & (np.abs(sigma) > 1e-9)
-                cols = eligible.nonzero()[0]
+                cols = (sigma * up > 1e-9).nonzero()[0]
                 if not cols.size:
                     return "Infeasible"
                 size = np.abs(alpha[cols])
@@ -768,7 +723,6 @@ class _Simplex:
                 lb_b[r], ub_b[r] = lb[enter], ub[enter]
                 up[out] = _UP[hit] if movable[out] else 0.0
                 up[enter] = 0.0
-                free[enter] = False
                 self._replace(r, enter, w, hit, phase)
         finally:
             x[basis] = xb
@@ -783,19 +737,9 @@ class _Simplex:
                 "rounds": self.rounds}
 
     def solve(self):
-        d, wrong = self._start()
-        if wrong.any() and self._phase_one().any():
-            if self.held.size:
-                # the costs may be dual feasible over every row
-                self._set_rows(np.arange(self.problem.n_cons))
-                self.held = self.held[:0]
-                self.rounds += 1
-                return self.solve()
-            # dual infeasible: unbounded if feasible, which zero costs decide
-            found = self._dual(np.zeros(self.c.size), "phase 1") == "Optimal"
-            return Solution(status="Unbounded" if found else "Infeasible",
-                            stats=self._stats())
-        # a named start is dual feasible, so its pivots are dual iterations
+        """Solve from ``_start``, which is dual feasible; a cold solve's
+        pivots count as phase 1 and a named start's as dual iterations."""
+        d = self._start()
         return self._finish("phase 1" if d is None else "dual", d)
 
     def resolve(self, lb, ub, basis, status, cutoff=np.inf):
@@ -815,13 +759,12 @@ class _Simplex:
         self.ub[:n] = ub / self.col_scale
         live = (basis == self.basis).all()
         self.basis = basis.copy()
-        self.status = status.copy()
         self.iterations = self.phase1_iterations = self.dual_iterations = 0
         self.refactorizations = 0
         self.rounds = 1
         if not live:
             self._refactor("dual")
-        self._place()
+        self._place(status.copy())
         return self._finish("dual", cutoff=cutoff)
 
     def _violated(self):
@@ -873,7 +816,7 @@ class _Simplex:
         costs on the current basis, for the first round.  A round that ends
         "Infeasible" or at the *cutoff* ends the solve with that status."""
         while True:
-            status = self._dual(self.c, phase, d, cutoff)
+            status = self._dual(phase, d, cutoff)
             if status != "Optimal":
                 return Solution(status=status, stats=self._stats())
             new = self._violated()
@@ -902,19 +845,17 @@ class _Simplex:
     def _duality_gap(self, objective, duals, reduced):
         p = self.problem
         dual_obj = float(duals @ p.rhs) if p.n_cons else 0.0
-        # the bounds of this solve, unscaled exactly (powers of two); slack
-        # reduced costs are -duals; only rows whose slack can move a finite
-        # amount contribute nothing (slack bounds are 0 or infinite)
+        # the structural bounds of this solve, unscaled exactly (powers of
+        # two), all finite; the slacks add nothing, since a nonbasic slack
+        # rests at 0 and a basic one prices at 0
         lb = self.lb[: self.n_struct] * self.col_scale
         ub = self.ub[: self.n_struct] * self.col_scale
-        at_lb = (reduced > 0) & np.isfinite(lb)
-        at_ub = (reduced < 0) & np.isfinite(ub)
         # the dual objective, then the bound terms, accumulated left to
         # right in place, in the order a scalar loop would
         sums = np.zeros(p.n_vars + 1)
         sums[0] = dual_obj
-        np.multiply(reduced, lb, out=sums[1:], where=at_lb)
-        np.multiply(reduced, ub, out=sums[1:], where=at_ub)
+        np.multiply(reduced, lb, out=sums[1:], where=reduced > 0)
+        np.multiply(reduced, ub, out=sums[1:], where=reduced < 0)
         return objective - float(np.add.accumulate(sums, out=sums)[-1])
 
 

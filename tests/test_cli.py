@@ -1,6 +1,7 @@
 """Configuration parsing and command line contract tests."""
 
 import filecmp
+import math
 import os
 import re
 
@@ -393,6 +394,8 @@ class TestExitCodes:
          "h2_demand_kg_day: expected a non-negative number, got -100"),
         ({"imports": {"node": 0, "cap_kg_per_day": -5}},
          "imports.cap_kg_per_day: expected a non-negative number, got -5"),
+        ({"imports": {"node": 0, "cap_kg_per_day": math.inf}},
+         "imports.cap_kg_per_day: expected a non-negative number, got inf"),
         ({"stations": {"cars_twh": -1}},
          "stations.cars_twh: expected a non-negative number, got -1"),
         ({"stations": {"trucks_twh": -0.5}},

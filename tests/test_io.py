@@ -137,6 +137,7 @@ class TestReadNetwork:
         ("lines", ["0,0,1,-5,0.1", "1,1,2,100,0.1"], "capacity_mw"),
         ("lines", ["0,0,1,100,0.1", "1,1,1,100,0.1"], "to"),
         ("generators", ["0,0,dispatchable,20,-300"], "capacity_mw"),
+        ("generators", ["0,0,Wind,0,300"], "kind"),
     ])
     def test_bad_row(self, tmp_path, name, rows, column):
         with pytest.raises(IoError, match=rf"{name}\.csv: .* column {column}"):

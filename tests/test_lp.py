@@ -150,56 +150,6 @@ class TestKnownLPs:
         problem = build_problem([0.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
         assert solve_lp(problem).status == "Infeasible"
 
-    def test_unbounded(self):
-        problem = build_problem([-1.0], [[1.0]], [GE], [0.0], [0.0], [np.inf])
-        assert solve_lp(problem).status == "Unbounded"
-
-    def test_free_variables(self):
-        # free variable must be able to go negative
-        sol = solve_lp(build_problem([1.0], [[1.0]], [LE], [-5.0], [-np.inf],
-                                     [np.inf]))
-        assert sol.status == "Unbounded"
-
-        sol = solve_lp(build_problem([-1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]],
-                                     [EQ, LE], [-3.0, 1.0], [-np.inf] * 2,
-                                     [np.inf] * 2))
-        assert sol.status == "Optimal"
-        assert sol.x[0] == pytest.approx(-1.0)
-        assert sol.x[1] == pytest.approx(-2.0)
-
-    # costs that no basis prices right, as phase 1 proves; then a feasible
-    # problem is unbounded, an infeasible one infeasible
-    DUAL_INFEASIBLE = {
-        # min -z on a zero column z >= 0, next to x >= 2 on x in [0, 1]
-        "both infeasible": ("Infeasible", [0.0, -1.0], [[1.0, 0.0]], [GE],
-                            [2.0], [0.0, 0.0], [1.0, np.inf]),
-        # min 2 y s.t. x - y >= -1 with y <= 4 and no lower bound
-        "upper-only column": ("Unbounded", [0.0, 2.0], [[1.0, -1.0]], [GE],
-                              [-1.0], [0.0, -np.inf], [1.0, 4.0]),
-        # min y s.t. x + y <= 3 with y free
-        "free column": ("Unbounded", [0.0, 1.0], [[1.0, 1.0]], [LE], [3.0],
-                        [0.0, -np.inf], [1.0, np.inf]),
-    }
-
-    @pytest.mark.parametrize("case", DUAL_INFEASIBLE)
-    def test_dual_infeasible(self, case):
-        status, *instance = self.DUAL_INFEASIBLE[case]
-        sol = solve_lp(build_problem(*instance))
-        assert sol.status == status
-        assert sol.stats["iterations"] == sol.stats["phase1_iterations"]
-        assert_highs_status(instance, status)
-
-    @pytest.mark.parametrize("sense, x, objective", [
-        (EQ, [2.0, 3.0], 1.0), (LE, [2.0, 0.0], -2.0), (GE, [2.0, 3.0], 1.0)])
-    def test_upper_bounded_only_column(self, sense, x, objective):
-        # min -x + y s.t. x + y (sense) 5, x <= 2 with no lower bound: the
-        # column must never step past its upper bound
-        sol = solve_lp(build_problem([-1.0, 1.0], [[1.0, 1.0]], [sense],
-                                     [5.0], [-np.inf, 0.0], [2.0, 10.0]))
-        assert sol.status == "Optimal"
-        assert sol.x == pytest.approx(x)
-        assert sol.objective == pytest.approx(objective)
-
     def test_validation(self):
         with pytest.raises(InvalidProblem):
             LinearProblem(c=np.array([np.nan]), lb=np.zeros(1),
@@ -244,28 +194,22 @@ def highs(optimize, c, a, senses, b, lb, ub):
         method="highs")
 
 
-def assert_highs_status(instance, status):
-    """HiGHS, where scipy is present, gives *instance* the *status*."""
-    try:
-        from scipy import optimize
-    except ImportError:
-        return
-    ref = highs(optimize, *map(np.asarray, instance))
-    assert TestMixedLPsAgainstHighs.STATUS[ref.status] == status
-
-
 def mixed_instance(rng, infeasible):
-    """Random LP with LE/GE/EQ rows and boxed, lower-only, upper-only and
-    free columns; feasible at an interior point unless *infeasible*, which
-    adds a GE copy of one row whose rhs exceeds the row's LE rhs."""
+    """Random LP with LE/GE/EQ rows and boxed columns: narrow boxes, and
+    boxes whose lower, upper or both bounds lie 10 to 100 further out, so
+    that the cold start may sit far from every feasible point; feasible at
+    an interior point unless *infeasible*, which adds a GE copy of one row
+    whose rhs exceeds the row's LE rhs."""
     m, n = (int(k) for k in rng.integers(3, 13, 2))
     c = rng.uniform(-5, 5, n)
     a = rng.uniform(-3, 3, (m, n)) * (rng.random((m, n)) < 0.7)
-    kind = rng.choice(4, n, p=[0.4, 0.2, 0.2, 0.2])  # box, lower, upper, free
+    # narrow, wide below, wide above, wide both ways
+    kind = rng.choice(4, n, p=[0.4, 0.2, 0.2, 0.2])
     lo = rng.uniform(-3, 0, n)
     hi = lo + rng.uniform(0.5, 6, n)
-    lb = np.where(kind <= 1, lo, -np.inf)
-    ub = np.where(kind % 2 == 0, hi, np.inf)
+    far = rng.uniform(10, 100, (2, n))
+    lb = np.where(kind <= 1, lo, lo - far[0])
+    ub = np.where(kind % 2 == 0, hi, hi + far[1])
     x0 = lo + rng.uniform(0.1, 0.9, n) * (hi - lo)
     senses = [str(s) for s in rng.choice([LE, GE, EQ], m, p=[0.45, 0.4, 0.15])]
     sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
@@ -281,11 +225,11 @@ def mixed_instance(rng, infeasible):
 
 class TestMixedLPsAgainstHighs:
     """Status and objective against HiGHS on LPs with every row sense and
-    every kind of column bound, including infeasible and unbounded ones.
-    Infeasibility is found by the dual simplex of phase 1, on a violated
-    row that no column can repair."""
+    narrow and wide boxes, including infeasible ones.  Infeasibility is
+    found by the dual simplex, on a violated row that no column can
+    repair."""
 
-    STATUS = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
+    STATUS = {0: "Optimal", 2: "Infeasible"}
 
     def test_matches_highs(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -299,46 +243,47 @@ class TestMixedLPsAgainstHighs:
             if sol.optimal:
                 assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
             seen.add(sol.status)
-        assert seen == {"Optimal", "Infeasible", "Unbounded"}
+        assert seen == {"Optimal", "Infeasible"}
 
 
-class TestDualPhaseOne:
-    """Cold solves whose slack start is neither primal nor dual feasible:
-    phase 1 solves the auxiliary problem with the dual simplex on the true
-    costs, or proves them dual infeasible."""
+class TestBoxedColumns:
+    """Every column is boxed: an infinite bound is rejected, by the
+    constructor and by ``derive``, and so the cold slack start, which
+    rests each column at the bound its cost prefers, is dual feasible."""
 
-    def test_matches_highs(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(1414)
-        kinds, seen = set(), set()
-        for k in range(80):
-            instance = mixed_instance(rng, infeasible=k % 3 == 2)
-            problem = build_problem(*instance)
-            start = _Simplex(problem)
-            n, status = problem.n_vars, start._rest()
-            wrong = (start.lb < start.ub) & h2grid.lp._improving(status,
-                                                                 start.c)
-            x = np.select([status == h2grid.lp._AT_LB,
-                           status == h2grid.lp._AT_UB], [start.lb, start.ub])
-            xb = start.b - start.a[:, :n] @ x[:n]
-            if not (wrong.any() and np.any((xb < start.lb[n:] - 1e-7)
-                                           | (xb > start.ub[n:] + 1e-7))):
-                continue  # the slack start is primal or dual feasible
-            c, st = start.c[wrong], status[wrong]
-            kinds.update(kind for kind, drawn in (
-                ("lower", np.any((st == h2grid.lp._AT_LB) & (c < 0))),
-                ("upper", np.any((st == h2grid.lp._AT_UB) & (c > 0))),
-                ("free", np.any(st == h2grid.lp._FREE))) if drawn)
-            sol = solve_lp(problem)
-            ref = highs(optimize, *instance)
-            assert sol.status == TestMixedLPsAgainstHighs.STATUS[ref.status]
-            if sol.optimal:
-                assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
-            assert sol.stats["phase1_iterations"] > 0
-            assert solve_lp(problem).stats == sol.stats  # counters repeat
-            seen.add(sol.status)
-        assert kinds == {"lower", "upper", "free"}
-        assert "Infeasible" in seen
+    @pytest.mark.parametrize("lb, ub", [
+        ([-np.inf, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
+        ([0.0, -np.inf], [1.0, -np.inf]), ([np.inf, 0.0], [np.inf, 1.0])])
+    def test_infinite_bound_is_rejected(self, lb, ub):
+        problem = build_problem([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0],
+                                [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(InvalidProblem, match="^infinite variable bound$"):
+            dataclasses.replace(problem, lb=lb, ub=ub)
+        with pytest.raises(InvalidProblem, match="^infinite variable bound$"):
+            problem.derive(lb, ub, problem.rhs)
+
+    def test_cold_start_is_dual_feasible(self):
+        rng = np.random.default_rng(3030)
+        flipped = 0
+        for k in range(60):
+            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
+            lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.5)
+            for p in (problem, dataclasses.replace(problem, lazy_rows=lazy)):
+                simplex = _Simplex(p)
+                assert simplex._start() is None
+                d = simplex._reduced()
+                assert d.tobytes() == simplex.c.tobytes()  # identity basis
+                wrong = ((simplex.lb < simplex.ub)
+                         & h2grid.lp._improving(simplex.status, d))
+                assert not wrong.any()
+                # columns whose cost pulls them off their resting bound
+                flipped += int(np.sum(simplex._rest() != simplex._rest(d)))
+        assert flipped > 100
+
+
+class TestSitingRoot:
+    """Cold solves of siting root relaxations: HiGHS's optimum in a bounded
+    number of pivots."""
 
     def test_large_siting_root(self):
         # the root relaxation of a 120 x 30 siting MILP by volume: 391 rows,
@@ -462,7 +407,7 @@ class TestBlockInverse:
     def test_matches_full_inverse(self):
         rng = np.random.default_rng(1212)
         errors, kinds = [], set()
-        for k in range(60):
+        for k in range(80):
             problem = build_problem(*mixed_instance(rng, k % 4 == 3))
             lazy = np.flatnonzero(rng.random(problem.n_cons) < 0.5)
             simplex = InverseLog(dataclasses.replace(problem, lazy_rows=lazy))
@@ -720,19 +665,19 @@ def scalar_pow2_scale(v):
 
 def scalar_rest(lo, hi):
     """Starting value and status of one column: the lower bound unless the
-    upper one is the only finite bound or both are finite, <= 0 and < 0;
-    free columns rest at zero."""
+    upper one is the only finite bound (a GE row's slack) or both are
+    finite, <= 0 and < 0."""
     if np.isfinite(lo) and (lo >= 0 or not np.isfinite(hi) or hi > 0):
         return lo, 0
-    if np.isfinite(hi):
-        return hi, 1
-    return 0.0, 3
+    return hi, 1
 
 
-BOUND_PAIRS = [(-np.inf, np.inf), (-np.inf, -1.0), (-np.inf, 0.0),
-               (-np.inf, 2.0), (-2.0, np.inf), (-2.0, -1.0), (-2.0, 0.0),
-               (-2.0, 3.0), (0.0, 0.0), (0.0, 4.0), (0.0, np.inf),
-               (1.5, 2.0), (1.5, np.inf), (-0.0, 1.0)]
+# the structural columns' bounds; the slacks' one-sided pairs come from the
+# row senses
+BOUND_PAIRS = [(-50.0, -1.0), (-50.0, 0.0), (-50.0, 2.0), (-2.0, 40.0),
+               (-2.0, -1.0), (-2.0, 0.0), (-2.0, -0.0), (-2.0, 3.0),
+               (0.0, 0.0), (0.0, 4.0), (0.0, 40.0), (1.5, 2.0), (1.5, 40.0),
+               (-0.0, 1.0)]
 
 
 class TestSetupArrays:
@@ -768,27 +713,21 @@ class TestSetupArrays:
             assert simplex.ub[n:].tobytes() == slack_ub.tobytes()
 
             # the slack start: every slack basic at its row's residual, the
-            # identity inverse, each boxed column at the bound its cost
-            # prefers, and the movable columns that still price wrong
+            # identity inverse and each structural column at the bound its
+            # cost prefers
             rest = [scalar_rest(lo, hi)
                     for lo, hi in zip(simplex.lb, simplex.ub)]
             x = [v for v, _ in rest]
             status = [s for _, s in rest]
-            wrong = [False] * (n + m)
             for j in range(n):
                 c, lo, hi = simplex.c[j], simplex.lb[j], simplex.ub[j]
-                off = ((status[j] == 0 and c < -h2grid.lp.OPT_TOL)
-                       or (status[j] == 1 and c > h2grid.lp.OPT_TOL)
-                       or (status[j] == 3 and abs(c) > h2grid.lp.OPT_TOL))
-                if off and np.isfinite(lo) and np.isfinite(hi):
+                if ((status[j] == 0 and c < -h2grid.lp.OPT_TOL)
+                        or (status[j] == 1 and c > h2grid.lp.OPT_TOL)):
                     x[j], status[j] = (hi, 1) if status[j] == 0 else (lo, 0)
-                else:
-                    wrong[j] = off and lo < hi
             resid = simplex.b - simplex.a @ np.array(x)
             for i in range(m):
                 x[n + i], status[n + i] = resid[i], 2
-            d, got = simplex._start()  # a cold start computes no d
-            assert d is None and np.array_equal(got, wrong)
+            assert simplex._start() is None  # a cold start computes no d
             assert simplex.x.tobytes() == np.array(x).tobytes()
             assert np.array_equal(simplex.status, status)
             assert np.array_equal(simplex.basis, np.arange(n, n + m))
@@ -798,37 +737,17 @@ class TestSetupArrays:
             reduced = rng.uniform(-2, 2, n) * (rng.random(n) < 0.7)
             expected = float(duals @ problem.rhs)
             for j in range(n):
-                if reduced[j] > 0 and np.isfinite(lb[j]):
+                if reduced[j] > 0:
                     expected += reduced[j] * lb[j]
-                elif reduced[j] < 0 and np.isfinite(ub[j]):
+                elif reduced[j] < 0:
                     expected += reduced[j] * ub[j]
             assert simplex._duality_gap(1.25, duals, reduced) == 1.25 - expected
 
 
 class TestScaledMatrix:
-    """A problem may carry its dense matrix pre-scaled; it must solve as
-    the same problem given as triplets does."""
-
-    def test_matches_triplet_problem(self):
-        rng = np.random.default_rng(31)
-        for k in range(30):
-            problem = build_problem(*mixed_instance(rng, k % 4 == 3))
-            dense = problem.dense_matrix()
-            empty = np.zeros(0)
-            given = dataclasses.replace(problem, a_rows=empty, a_cols=empty,
-                                        a_vals=empty,
-                                        matrix=scale_matrix(dense))
-            assert given.dense_matrix().tobytes() == dense.tobytes()
-            simplex, reference = _Simplex(given), _Simplex(problem)
-            for name in ("row_scale", "col_scale", "a_all", "b_all"):
-                assert (getattr(simplex, name).tobytes()
-                        == getattr(reference, name).tobytes())
-            sol, want = simplex.solve(), reference.solve()
-            assert sol.status == want.status
-            assert sol.stats == want.stats
-            if want.optimal:
-                assert sol.x.tobytes() == want.x.tobytes()
-                assert sol.duals.tobytes() == want.duals.tobytes()
+    """A problem may carry its dense matrix pre-scaled: the matrix
+    round-trips to the bit, and the scaling and the constructor check their
+    input."""
 
     def test_dense_matrix_round_trips(self):
         # a ScaledMatrix keeps only the scaled matrix; the scales are powers
@@ -1345,38 +1264,8 @@ class TestLazyRows:
                 assert abs(sol.duality_gap) <= 1e-9 * max(1.0,
                                                           abs(sol.objective))
                 assert np.all(sol.duals[simplex.held] == 0.0)
-        assert seen == {"Optimal", "Infeasible", "Unbounded"}
+        assert seen == {"Optimal", "Infeasible"}
         assert max(rounds) >= 3
-
-    def test_unbounded_active_rows(self):
-        # min -x - y s.t. x - y = 0 alone is unbounded; the held-back
-        # x + y <= 4 bounds it, so every row is activated and solved again
-        rows = [[1.0, -1.0], [1.0, 1.0]]
-        bounds = (np.zeros(2), np.full(2, np.inf))
-        assert solve_lp(build_problem([-1.0, -1.0], rows[:1], [EQ], [0.0],
-                                      *bounds)).status == "Unbounded"
-        problem = build_problem([-1.0, -1.0], rows, [EQ, LE], [0.0, 4.0],
-                                *bounds)
-        for lazy in ((1,), (0, 1)):
-            sol = solve_lp(dataclasses.replace(problem, lazy_rows=lazy))
-            assert sol.status == "Optimal"
-            assert sol.x == pytest.approx([2.0, 2.0])
-            assert sol.objective == pytest.approx(-4.0)
-            assert sol.stats["rounds"] == 2
-
-    def test_infeasible_with_dual_infeasible_active_rows(self):
-        # min -x - y s.t. x - y = 0 alone is unbounded; the held-back
-        # x + y <= 4 and x + y >= 5 contradict each other, so every row is
-        # activated and the problem is infeasible
-        instance = ([-1.0, -1.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]],
-                    [EQ, LE, GE], [0.0, 4.0, 5.0], np.zeros(2),
-                    np.full(2, np.inf))
-        assert_highs_status(instance, "Infeasible")
-        for lazy in ((1, 2), (0, 1, 2)):
-            sol = solve_lp(dataclasses.replace(build_problem(*instance),
-                                               lazy_rows=lazy))
-            assert sol.status == "Infeasible"
-            assert sol.stats["rounds"] == 2
 
     def test_infeasible_in_round_two(self):
         # x + y >= 2 holds at the first optimum, which the held-back
@@ -1434,11 +1323,6 @@ class TestNoActiveRows:
         assert sol.duals.tolist() == [0.0, -2.0]
         assert sol.stats["rounds"] == 2
 
-    def test_no_rows_unbounded(self):
-        sol = solve_lp(build_problem([1.0, -2.0], np.zeros((0, 2)), [], [],
-                                     [0.0, 0.0], [3.0, np.inf]))
-        assert sol.status == "Unbounded"
-
 
 def dual_feasible_start(rng, problem):
     """Costs and a one-column start that make *problem* dual feasible at the
@@ -1446,7 +1330,7 @@ def dual_feasible_start(rng, problem):
     on an LE row, >= 0 on a GE row, so its resting slack prices right), a
     random column j with a nonzero entry in that row, basic there with
     ``c_j = a_rj y``, and every other column priced ``a_j' y`` plus a margin
-    whose sign suits the bound it rests at (none for a free column)."""
+    whose sign suits the bound it rests at."""
     a = problem.dense_matrix()
     n = a.shape[1]
     rows = np.setdiff1d(np.arange(a.shape[0]), problem.lazy_rows)
@@ -1459,7 +1343,7 @@ def dual_feasible_start(rng, problem):
     y[r] = sign * rng.uniform(0, 3)
     status = np.array([scalar_rest(lo, hi)[1]
                        for lo, hi in zip(problem.lb, problem.ub)])
-    margin = np.select([status == 0, status == 1], [1.0, -1.0], 0.0)
+    margin = np.where(status == 0, 1.0, -1.0)
     margin[j] = 0.0
     c = a.T @ y + margin * rng.uniform(0, 2, n) * (rng.random(n) < 0.8)
     return dataclasses.replace(problem, c=c, start=(r, j))

@@ -1,5 +1,5 @@
 """Property tests: the pricing rules of the simplex against their explicit
-three-case forms, over every status and at the tolerances' edges."""
+two-case forms, over every status and at the tolerances' edges."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from h2grid.lp import OPT_TOL, _improving
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-AT_LB, AT_UB, BASIC, FREE = 0, 1, 2, 3
+AT_LB, AT_UB, BASIC = 0, 1, 2
 ENTER_TOL = 1e-9  # the dual simplex's smallest usable pivot
 
 
@@ -21,17 +21,15 @@ def edges(tol):
 
 
 def columns(tol):
-    return st.lists(st.tuples(st.integers(AT_LB, FREE), edges(tol)),
+    return st.lists(st.tuples(st.integers(AT_LB, BASIC), edges(tol)),
                     min_size=1, max_size=16)
 
 
-def three_cases(status, v, tol):
-    """Moving up off a lower bound pays for ``v < -tol``, down off an upper
-    bound for ``v > tol`` and either way off a free column for ``|v| >
-    tol``; a basic column never moves."""
+def two_cases(status, v, tol):
+    """Moving up off a lower bound pays for ``v < -tol`` and down off an
+    upper bound for ``v > tol``; a basic column never moves."""
     return (((status == AT_LB) & (v < -tol))
-            | ((status == AT_UB) & (v > tol))
-            | ((status == FREE) & (np.abs(v) > tol)))
+            | ((status == AT_UB) & (v > tol)))
 
 
 def split(cols):
@@ -41,21 +39,20 @@ def split(cols):
 
 @hypothesis.settings(database=None, deadline=None, derandomize=True)
 @hypothesis.given(columns(OPT_TOL))
-def test_improving_is_the_three_cases(cols):
+def test_improving_is_the_two_cases(cols):
     status, d = split(cols)
     assert np.array_equal(_improving(status, d),
-                          three_cases(status, d, OPT_TOL))
+                          two_cases(status, d, OPT_TOL))
 
 
 @hypothesis.settings(database=None, deadline=None, derandomize=True)
 @hypothesis.given(columns(ENTER_TOL))
-def test_entering_table_is_the_three_cases(cols):
+def test_entering_table_is_the_two_cases(cols):
     # the dual simplex lets a column enter when it moves the leaving row
     # towards its bound: sigma > 0 at a lower bound, sigma < 0 at an upper
-    # bound, either sign when free; the table form multiplies sigma by the
-    # column's direction, which is exact for +-1 and 0
+    # bound; the table form multiplies sigma by the column's direction,
+    # which is exact for +-1 and 0
     status, sigma = split(cols)
-    up = np.array([1.0, -1.0, 0.0, 0.0])
+    up = np.array([1.0, -1.0, 0.0])
     table = sigma * up[status] > ENTER_TOL
-    table |= (status == FREE) & (np.abs(sigma) > ENTER_TOL)
-    assert np.array_equal(table, three_cases(status, -sigma, ENTER_TOL))
+    assert np.array_equal(table, two_cases(status, -sigma, ENTER_TOL))

@@ -20,10 +20,10 @@ two hash seeds depends on state it should not::
 
 The set, all of it drawn from fixed seeds:
 
-* ``mixed_instance`` LPs (``tests/test_lp.py``: every row sense, boxed,
-  one-sided and free columns, some infeasible), each solved as it is, with
-  about half of its rows lazy, and from a dual feasible start of one
-  column, with and without lazy rows;
+* ``mixed_instance`` LPs (``tests/test_lp.py``: every row sense, boxed
+  columns, as every LP's are, narrow and wide, some infeasible), each
+  solved as it is, with about half of its rows lazy, and from a dual
+  feasible start of one column, with and without lazy rows;
 * ``random_chain`` siting MILPs (``tests/test_chain.py``) and their root
   relaxations, each also rebuilt from its triplet views as the benchmark's
   siting check rebuilds it (``.triplets``, whose line must equal the
