@@ -150,6 +150,49 @@ class TestKnownLPs:
         problem = build_problem([0.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
         assert solve_lp(problem).status == "Infeasible"
 
+    # LPs that had no finite bound on one column, boxed far out: the cold
+    # start rests the column at the bound its cost prefers, and the dual
+    # simplex alone finds the optimum at that far bound or the infeasibility
+    FAR_BOUND = {
+        # min -z on a zero column z in [0, 1e3], next to x >= 2 on x in [0, 1]
+        "both infeasible": ("Infeasible", None, [0.0, -1.0], [[1.0, 0.0]],
+                            [GE], [2.0], [0.0, 0.0], [1.0, 1e3]),
+        # min 2 y s.t. x - y >= -1 with y in [-1e3, 4]
+        "far lower bound": ("Optimal", -2e3, [0.0, 2.0], [[1.0, -1.0]], [GE],
+                            [-1.0], [0.0, -1e3], [1.0, 4.0]),
+        # min y s.t. x + y <= 3 with y in [-1e3, 1e3]
+        "far both ways": ("Optimal", -1e3, [0.0, 1.0], [[1.0, 1.0]], [LE],
+                          [3.0], [0.0, -1e3], [1.0, 1e3]),
+    }
+
+    @pytest.mark.parametrize("case", FAR_BOUND)
+    def test_far_bound(self, case):
+        status, objective, *instance = self.FAR_BOUND[case]
+        sol = solve_lp(build_problem(*instance))
+        assert sol.status == status
+        assert sol.stats["iterations"] == sol.stats["phase1_iterations"]
+        if objective is not None:
+            assert sol.objective == pytest.approx(objective)
+        try:
+            from scipy import optimize
+        except ImportError:
+            return
+        ref = highs(optimize, *map(np.asarray, instance))
+        assert TestMixedLPsAgainstHighs.STATUS[ref.status] == status
+        if objective is not None:
+            assert ref.fun == pytest.approx(objective)
+
+    @pytest.mark.parametrize("sense, x, objective", [
+        (EQ, [2.0, 3.0], 1.0), (LE, [2.0, 0.0], -2.0), (GE, [2.0, 3.0], 1.0)])
+    def test_column_far_below_rests_at_upper_bound(self, sense, x, objective):
+        # min -x + y s.t. x + y (sense) 5, x in [-1e6, 2]: the column starts
+        # at its upper bound and must never step past it
+        sol = solve_lp(build_problem([-1.0, 1.0], [[1.0, 1.0]], [sense],
+                                     [5.0], [-1e6, 0.0], [2.0, 10.0]))
+        assert sol.status == "Optimal"
+        assert sol.x == pytest.approx(x)
+        assert sol.objective == pytest.approx(objective)
+
     def test_validation(self):
         with pytest.raises(InvalidProblem):
             LinearProblem(c=np.array([np.nan]), lb=np.zeros(1),
@@ -1266,6 +1309,40 @@ class TestLazyRows:
                 assert np.all(sol.duals[simplex.held] == 0.0)
         assert seen == {"Optimal", "Infeasible"}
         assert max(rounds) >= 3
+
+    def test_far_optimum_of_active_rows(self):
+        # min -x - y s.t. x - y = 0 alone is optimal at the far corner
+        # (1e3, 1e3); the held-back x + y <= 4 cuts it off and is added
+        rows = [[1.0, -1.0], [1.0, 1.0]]
+        bounds = (np.zeros(2), np.full(2, 1e3))
+        alone = solve_lp(build_problem([-1.0, -1.0], rows[:1], [EQ], [0.0],
+                                       *bounds))
+        assert alone.status == "Optimal"
+        assert alone.x.tolist() == [1e3, 1e3]
+        problem = build_problem([-1.0, -1.0], rows, [EQ, LE], [0.0, 4.0],
+                                *bounds)
+        # with no active row the box optimum violates only x + y <= 4, and
+        # the optimum with that row alone then violates x - y = 0
+        for lazy, rounds in (((1,), 2), ((0, 1), 3)):
+            sol = solve_lp(dataclasses.replace(problem, lazy_rows=lazy))
+            assert sol.status == "Optimal"
+            assert sol.x == pytest.approx([2.0, 2.0])
+            assert sol.objective == pytest.approx(-4.0)
+            assert sol.stats["rounds"] == rounds
+
+    def test_infeasible_after_far_optimum(self):
+        # min -x - y s.t. x - y = 0 alone is optimal at (1e3, 1e3); the
+        # held-back x + y <= 4 and x + y >= 5 contradict each other
+        instance = ([-1.0, -1.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 1.0]],
+                    [EQ, LE, GE], [0.0, 4.0, 5.0], np.zeros(2),
+                    np.full(2, 1e3))
+        # each round adds the rows its optimum violates; the third holds
+        # both x + y rows, which no point satisfies together
+        for lazy in ((1, 2), (0, 1, 2)):
+            sol = solve_lp(dataclasses.replace(build_problem(*instance),
+                                               lazy_rows=lazy))
+            assert sol.status == "Infeasible"
+            assert sol.stats["rounds"] == 3
 
     def test_infeasible_in_round_two(self):
         # x + y >= 2 holds at the first optimum, which the held-back
