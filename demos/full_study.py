@@ -22,15 +22,17 @@ def main():
                  for s in (UNIFORM, NODAL) for t in (FLAT, REAL_TIME)]
     report = run_full_study(case, scenarios)
 
-    print(f"baseline: {report.baseline_demand_mwh:,.0f} MWh, "
-          f"mean price {report.baseline_mean_price:.2f} EUR/MWh, "
-          f"congestion {report.baseline_congestion_eur:,.0f} EUR")
+    baseline = report.baseline_uniform
+    print(f"baseline: {baseline.total_energy_mwh:,.0f} MWh, "
+          f"mean price {baseline.mean_price:.2f} EUR/MWh, "
+          f"congestion {baseline.congestion_cost_eur:,.0f} EUR")
     print(f"{'scenario':26s} {'congestion EUR':>15s} {'vs base':>8s} "
           f"{'EUR/kg':>7s}")
-    base = report.baseline_congestion_eur
+    base = baseline.congestion_cost_eur
     for r in report.results:
-        delta = 100.0 * (r.congestion_cost_eur - base) / base
-        print(f"{r.scenario.name:26s} {r.congestion_cost_eur:15,.0f} "
+        cost = r.summary.congestion_cost_eur
+        delta = 100.0 * (cost - base) / base
+        print(f"{r.scenario.name:26s} {cost:15,.0f} "
               f"{delta:+7.1f}% {r.breakdown['total']:7.2f}")
 
     print("\nuniform-minus-nodal mean price by node (positive favors "

@@ -22,8 +22,7 @@ from . import io as iomod
 from .chain import (CARRIER_DEFAULTS, TariffMap, build_chain_problem,
                     solve_chain)
 from .demand import (CAR_STATION_TURNOVER, TRUCK_STATION_TURNOVER,
-                     build_consumption_set, industrial_site_demand,
-                     plan_stations)
+                     build_consumption_set, plan_stations)
 from .dispatch import MODE_NODAL, MODE_UNIFORM_REDISPATCH, run_year
 from .errors import (ChainInfeasible, ConfigError, H2GridError,
                      InfeasibleHour, InfeasibleRedispatch, IoError,

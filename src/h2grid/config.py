@@ -12,9 +12,9 @@ run ignore.  A scalar or section value must match its field's type: a
 number for a float field (an int or a float, not a bool), an integer for an
 int field and true or false for a bool field.  Values must also lie in
 their range (``check_ranges``): ``hours`` positive and ``seed``
-non-negative, also after the command line overrides them, and the economic
-values a formula divides by, or reads as a share, rate or period, before
-any model runs.
+non-negative, also after the command line overrides them, the economic
+values a formula divides by, or reads as a share, rate or period, and
+every other number finite, before any model runs.
 Every omitted economic value falls back to the package default, and the
 effective configuration can be echoed back to YAML; loading that echo
 reproduces the same configuration.
@@ -189,14 +189,17 @@ _PERIOD = (lambda v: v >= 1, "at least 1 year")
 # numpy's generators reject negative seeds; capacity factor, efficiency,
 # energy use and speed are divisors, and the annuity needs a period of a
 # year or more at a finite non-negative rate; demands, volumes and
-# capacities are finite amounts (an infinite import capacity would leave the
-# siting LP's import column unboxed), and a synthetic network has two
-# regions
+# capacities and the import price are finite amounts (an infinite import
+# capacity would leave the siting LP's import column unboxed), and a
+# synthetic network has two regions; every other number must be finite
 _RANGES = {
     "hours": (lambda v: v >= 1, "a positive integer"),
     "seed": (lambda v: v >= 0, "a non-negative integer"),
     "h2_demand_kg_day": _NONNEG,
     "imports.cap_kg_per_day": _NONNEG,
+    "imports.cost_eur_per_kg": _NONNEG,
+    "production.cap_min_mw": _NONNEG,
+    "production.cap_max_mw": _NONNEG,
     "stations.cars_twh": _NONNEG,
     "stations.trucks_twh": _NONNEG,
     "synthetic.n_nodes": (lambda v: v >= 2, "an integer of at least 2"),
@@ -216,8 +219,9 @@ _RANGES = {
 
 
 def check_ranges(cfg):
-    """Raise on the first value of ``_RANGES`` outside its range; a null
-    section has nothing to check."""
+    """Raise on the first value of ``_RANGES`` outside its range, then on
+    the first float field still holding an infinity or NaN; a null section
+    has nothing to check."""
     for path, (ok, expected) in _RANGES.items():
         section = path.rpartition(".")[0]
         if section and lookup(cfg, section) is None:
@@ -225,6 +229,17 @@ def check_ranges(cfg):
         if not ok(lookup(cfg, path)):
             raise ConfigError(f"{path}: expected {expected}, "
                               f"got {lookup(cfg, path)!r}")
+    for name in ("", *_SECTIONS):
+        section = lookup(cfg, name) if name else cfg
+        if section is None:
+            continue
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            # an int (a float field takes one) is always finite
+            if isinstance(value, float) and not math.isfinite(value):
+                path = f"{name}.{f.name}" if name else f.name
+                raise ConfigError(f"{path}: expected a finite number, "
+                                  f"got {value!r}")
 
 
 def reject_ignored(cfg):

@@ -106,7 +106,6 @@ class AnnualDispatchSummary:
     price_series: np.ndarray                 # uniform price per hour
     nodal_price_series: np.ndarray           # (hours, nodes), both modes
     mean_price: float                        # None for nodal runs
-    mean_nodal_prices: np.ndarray            # per node, both modes
     congestion_cost_eur: float
     redispatch_cost_series: np.ndarray       # per hour, both modes
     total_energy_mwh: float
@@ -442,7 +441,6 @@ def run_year(system, hours, mode):
         nodal_price_series=nodal_series,
         mean_price=(float(price_series.mean())
                     if mode == MODE_UNIFORM_REDISPATCH else None),
-        mean_nodal_prices=nodal_series.mean(axis=0),
         congestion_cost_eur=float(redispatch_series.sum()),
         redispatch_cost_series=redispatch_series,
         total_energy_mwh=float(total_energy),

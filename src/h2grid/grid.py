@@ -15,9 +15,6 @@ import numpy as np
 from .dispatch import DispatchTables
 from .errors import EmptyNetwork, InvalidLine, NetworkDisconnected
 
-# default transmission capacity per voltage class, MW
-LINE_CAPACITY_MW = {"kV220": 490.0, "kV380": 1700.0}
-
 DISPATCHABLE, SOLAR, WIND = "dispatchable", "solar", "wind"
 RENEWABLE_KINDS = (SOLAR, WIND)
 

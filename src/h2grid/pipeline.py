@@ -13,6 +13,10 @@ One rule, ``_price_signal``, gives both the tariffs and the fed-back loads
 the series a site sees (uniform, or its node's column of the nodal view) and
 the hours it runs (every hour when flat, the cheapest share of that series
 when real-time); the pipeline is deliberately non-iterative.
+
+The report stores each number once, in the dispatch year it comes from:
+its rows read the baseline and feedback years' totals, and its nodal
+baseline is a view of the uniform + redispatch year.
 """
 
 from dataclasses import dataclass, field, replace
@@ -47,38 +51,39 @@ class ScenarioResult:
     tariffs: TariffMap
     design: object
     breakdown: dict                  # EUR/kg end-use cost components
-    summary: object                  # post-feedback AnnualDispatchSummary,
-                                     # without its nodal view
+    summary: object                  # post-feedback AnnualDispatchSummary
+                                     # without its nodal view: the home of
+                                     # the scenario's totals
     added_energy_mwh: float
-    demand_mwh: float
-    mean_price: float
-    congestion_cost_eur: float
+
+
+def _totals(summary):
+    return (summary.total_energy_mwh, summary.mean_price,
+            summary.congestion_cost_eur)
 
 
 @dataclass(frozen=True)
 class StudyReport:
-    hours: int
-    baseline_demand_mwh: float
-    baseline_mean_price: float
-    baseline_congestion_eur: float
     baseline_uniform: object
-    baseline_nodal: object
     results: tuple
     nodal_price_spread: dict = field(default_factory=dict)  # node -> EUR/MWh
 
+    @property
+    def baseline_nodal(self):
+        """The baseline year read as a nodal market: the redispatch LPs'
+        nodal prices, and uniform + redispatch generation and costs, as a
+        nodal year's would be."""
+        return replace(self.baseline_uniform, mode=MODE_NODAL,
+                       price_series=None, mean_price=None)
+
     def rows(self):
         """Table rows: (name, demand MWh, mean price, congestion EUR,
-        deltas vs baseline in percent)."""
-        rows = [("baseline", self.baseline_demand_mwh,
-                 self.baseline_mean_price, self.baseline_congestion_eur,
-                 0.0, 0.0, 0.0)]
+        deltas vs baseline in percent), read from the dispatch years."""
+        base = _totals(self.baseline_uniform)
+        rows = [("baseline", *base, 0.0, 0.0, 0.0)]
         for r in self.results:
-            rows.append((
-                r.scenario.name, r.demand_mwh, r.mean_price,
-                r.congestion_cost_eur,
-                _pct(r.demand_mwh, self.baseline_demand_mwh),
-                _pct(r.mean_price, self.baseline_mean_price),
-                _pct(r.congestion_cost_eur, self.baseline_congestion_eur)))
+            totals = _totals(r.summary)
+            rows.append((r.scenario.name, *totals, *map(_pct, totals, base)))
         return rows
 
 
@@ -93,7 +98,7 @@ def _pct(value, base):
 RANK_DECIMALS = 6
 
 
-def _cheapest_hours(prices, share=0.7):
+def _cheapest_hours(prices, share):
     """Indices of the cheapest share of hours; ties (equal to RANK_DECIMALS
     decimals) break by hour."""
     t = len(prices)
@@ -113,20 +118,15 @@ def _price_signal(baseline, scenario, nodes, cheap_share):
     A uniform signal is the market price, one series for every node; a
     nodal one is the node's column of the baseline's nodal view.  A flat
     tariff runs every hour (``EVERY_HOUR``), a real-time one the cheapest
-    *cheap_share* of its series, the uniform series ranked once.  With no
-    baseline a flat electrolyzer still runs every hour, on no series; a
-    real-time one, or a baseline without the series, raises
-    IncompleteBaseline.
+    *cheap_share* of its series, the uniform series ranked once.  A
+    baseline without the series raises IncompleteBaseline.
     """
     nodal = scenario.spatial == NODAL
     real_time = scenario.temporal == REAL_TIME
-    prices = getattr(baseline, "nodal_price_series" if nodal
-                     else "price_series", None)
+    prices = baseline.nodal_price_series if nodal else baseline.price_series
     if prices is None:
-        if baseline is not None or real_time:
-            raise IncompleteBaseline(
-                f"{scenario.spatial} baseline price series missing")
-        return {n: (None, EVERY_HOUR) for n in nodes}
+        raise IncompleteBaseline(
+            f"{scenario.spatial} baseline price series missing")
 
     def run_hours(series):
         return _cheapest_hours(series, cheap_share) if real_time \
@@ -138,7 +138,7 @@ def _price_signal(baseline, scenario, nodes, cheap_share):
     return {n: (prices[:, n], run_hours(prices[:, n])) for n in nodes}
 
 
-def derive_tariffs(baseline, scenario, node_ids, ngp=0.03, cheap_share=0.7):
+def derive_tariffs(baseline, scenario, node_ids, ngp, cheap_share):
     """Per-node production tariffs (EUR/kWh) from the baseline year.
 
     A node's tariff is the mean of the price series its electrolyzer sees
@@ -146,7 +146,7 @@ def derive_tariffs(baseline, scenario, node_ids, ngp=0.03, cheap_share=0.7):
     the cheapest *cheap_share* of hours when real-time.  The downstream
     price for conversion and stations is always the flat uniform mean.
     """
-    if baseline is None or baseline.price_series is None:
+    if baseline.price_series is None:
         raise IncompleteBaseline("uniform baseline price series missing")
     signal = _price_signal(baseline, scenario, node_ids, cheap_share)
     return TariffMap(
@@ -155,8 +155,8 @@ def derive_tariffs(baseline, scenario, node_ids, ngp=0.03, cheap_share=0.7):
         ep_uniform=float(baseline.price_series.mean()) / 1000.0, ngp=ngp)
 
 
-def electrolyzer_loads(design, scenario, system, production, baseline=None,
-                       cheap_share=0.7):
+def electrolyzer_loads(design, scenario, system, production, baseline,
+                       cheap_share):
     """Hourly electric load (MW) per node implied by the chain design.
 
     A site draws HP * EC / 24 kW in the hours ``_price_signal`` runs it:
@@ -239,13 +239,10 @@ def run_scenario(case, scenario, baseline):
     # that the report would otherwise keep once per scenario
     summary = replace(
         run_year(fed_back, fed_back.horizon, MODE_UNIFORM_REDISPATCH),
-        nodal_price_series=None, mean_nodal_prices=None)
+        nodal_price_series=None)
     return ScenarioResult(
         scenario=scenario, tariffs=tariffs, design=design,
-        breakdown=breakdown, summary=summary, added_energy_mwh=added_mwh,
-        demand_mwh=summary.total_energy_mwh,
-        mean_price=summary.mean_price,
-        congestion_cost_eur=summary.congestion_cost_eur)
+        breakdown=breakdown, summary=summary, added_energy_mwh=added_mwh)
 
 
 def run_full_study(case, scenarios):
@@ -263,19 +260,8 @@ def run_full_study(case, scenarios):
             exc.args = (f"scenario {scenario.name}: {message}",) + exc.args[1:]
             raise
 
-    spread = {
-        n.id: float(baseline.mean_price - baseline.mean_nodal_prices[n.id])
-        for n in case.candidates}
-    return StudyReport(
-        hours=baseline.hours,
-        baseline_demand_mwh=baseline.total_energy_mwh,
-        baseline_mean_price=baseline.mean_price,
-        baseline_congestion_eur=baseline.congestion_cost_eur,
-        baseline_uniform=baseline,
-        # the same pass read as a nodal market: its prices are the
-        # redispatch LPs' nodal prices, and its generation and costs are
-        # those of uniform + redispatch, as a nodal year's would be
-        baseline_nodal=replace(baseline, mode=MODE_NODAL, price_series=None,
-                               mean_price=None),
-        results=tuple(results),
-        nodal_price_spread=spread)
+    nodal_means = baseline.nodal_price_series.mean(axis=0)
+    spread = {n.id: float(baseline.mean_price - nodal_means[n.id])
+              for n in case.candidates}
+    return StudyReport(baseline_uniform=baseline, results=tuple(results),
+                       nodal_price_spread=spread)

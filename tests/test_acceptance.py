@@ -205,9 +205,9 @@ def test_criterion_4_congestion_signs(fixture_study):
     with criterion(4, "congestion up under uniform-flat, down under "
                       "nodal-flat"):
         results, report = fixture_study
-        base = report.baseline_congestion_eur
-        assert results["uniform_flat_LH2"].congestion_cost_eur > base
-        assert results["nodal_flat_LH2"].congestion_cost_eur < base
+        base = report.baseline_uniform.congestion_cost_eur
+        assert results["uniform_flat_LH2"].summary.congestion_cost_eur > base
+        assert results["nodal_flat_LH2"].summary.congestion_cost_eur < base
 
 
 def test_criterion_5_end_use_cost_ordering(fixture_study):

@@ -396,6 +396,23 @@ class TestExitCodes:
          "imports.cap_kg_per_day: expected a non-negative number, got -5"),
         ({"imports": {"node": 0, "cap_kg_per_day": math.inf}},
          "imports.cap_kg_per_day: expected a non-negative number, got inf"),
+        ({"imports": {"node": 0, "cost_eur_per_kg": math.inf}},
+         "imports.cost_eur_per_kg: expected a non-negative number, got inf"),
+        ({"imports": {"node": 0, "x": math.inf}},
+         "imports.x: expected a finite number, got inf"),
+        ({"production": {"cap_max_mw": -5}},
+         "production.cap_max_mw: expected a non-negative number, got -5"),
+        ({"production": {"cap_max_mw": math.inf}},
+         "production.cap_max_mw: expected a non-negative number, got inf"),
+        ({"production": {"cap_min_mw": -1.0}},
+         "production.cap_min_mw: expected a non-negative number, got -1.0"),
+        ({"production": {"o_and_m": math.inf}},
+         "production.o_and_m: expected a finite number, got inf"),
+        ({"production": {"ec_kwh_per_kg": math.inf}},
+         "production.ec_kwh_per_kg: expected a finite number, got inf"),
+        ({"transport": {"fuel_eur_per_kg": math.nan}},
+         "transport.fuel_eur_per_kg: expected a finite number, got nan"),
+        ({"ngp": -math.inf}, "ngp: expected a finite number, got -inf"),
         ({"stations": {"cars_twh": -1}},
          "stations.cars_twh: expected a non-negative number, got -1"),
         ({"stations": {"trucks_twh": -0.5}},

@@ -23,7 +23,9 @@ NONNEG = st.floats(0.0, allow_infinity=False)
 # the values check_ranges accepts, for the section values it checks
 RANGED = {"capacity_factor": SHARES, "ee": SHARES, "ec_kwh_per_kg": POSITIVE,
           "speed_km_per_hour": POSITIVE, "wacc": NONNEG,
-          "cap_kg_per_day": NONNEG, "cars_twh": NONNEG, "trucks_twh": NONNEG,
+          "cap_kg_per_day": NONNEG, "cost_eur_per_kg": NONNEG,
+          "cap_min_mw": NONNEG, "cap_max_mw": NONNEG,
+          "cars_twh": NONNEG, "trucks_twh": NONNEG,
           "n_nodes": st.integers(2, 10**6), "congestion": FRACTIONS,
           "mean_demand_mw": NONNEG, "renewable_share": FRACTIONS}
 

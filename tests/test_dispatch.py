@@ -623,8 +623,9 @@ class TestRunYear:
         system = two_node_system(hours=6)
         summary = run_year(system, 6, MODE_NODAL)
         assert summary.nodal_price_series.shape == (6, 2)
-        assert summary.mean_nodal_prices[0] == pytest.approx(10.0, abs=1e-6)
-        assert summary.mean_nodal_prices[1] == pytest.approx(50.0, abs=1e-6)
+        means = summary.nodal_price_series.mean(axis=0)
+        assert means[0] == pytest.approx(10.0, abs=1e-6)
+        assert means[1] == pytest.approx(50.0, abs=1e-6)
 
     def test_nodal_year_reports_its_redispatch_cost(self):
         # the nodal LP is the redispatch LP, so both modes report the same

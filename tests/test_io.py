@@ -263,8 +263,7 @@ class TestWriteDispatchOutputs:
         nodal = np.array([odd, odd[::-1], odd[1:] + odd[:1]]).T
         summary = AnnualDispatchSummary(
             mode=mode, hours=5, price_series=np.array(odd),
-            nodal_price_series=nodal, mean_price=1.0,
-            mean_nodal_prices=nodal.mean(axis=0), congestion_cost_eur=2.0,
+            nodal_price_series=nodal, mean_price=1.0, congestion_cost_eur=2.0,
             redispatch_cost_series=np.array(odd[::-1]), total_energy_mwh=3.0,
             generation_mwh=np.zeros(1))
         out, ref = tmp_path / "out", tmp_path / "ref"

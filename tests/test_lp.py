@@ -890,7 +890,8 @@ class TestTripletViews:
                     == fingerprint(solve_lp(problem)))
         rebuilt(case.system.dispatch_tables.network)
         tariffs = derive_tariffs(baseline, Scenario(NODAL, FLAT, "LH2"),
-                                 [n.id for n in case.candidates])
+                                 [n.id for n in case.candidates], case.ngp,
+                                 case.cheap_share)
         self.assert_root_round_trips(build_chain_problem(
             case.sinks, case.candidates, tariffs, CARRIER_DEFAULTS["LH2"],
             case.production, case.transport, case.import_spec).lp)

@@ -1,5 +1,7 @@
 """Scenario pipeline tests: tariff derivation, load feedback, scaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,10 @@ def make_design(hp_by_node):
         annual_kg=total * 365.0)
 
 
+# the study's default natural gas price and real-time share
+NGP, CHEAP_SHARE = StudyCase.ngp, StudyCase.cheap_share
+
+
 class TestDeriveTariffs:
     # ten hours: seven at 10 EUR/MWh, three at 100 EUR/MWh
     PRICES = [10.0] * 7 + [100.0] * 3
@@ -43,14 +49,14 @@ class TestDeriveTariffs:
     def test_flat_uniform(self):
         t = derive_tariffs(FakeSummary(self.PRICES),
                            Scenario(spatial=UNIFORM, temporal=FLAT),
-                           [0, 1])
+                           [0, 1], NGP, CHEAP_SHARE)
         assert t.ep_node[0] == pytest.approx(0.037)  # 37 EUR/MWh in EUR/kWh
         assert t.ep_uniform == pytest.approx(0.037)
 
     def test_real_time_uniform_takes_cheap_hours(self):
         t = derive_tariffs(FakeSummary(self.PRICES),
                            Scenario(spatial=UNIFORM, temporal=REAL_TIME),
-                           [0])
+                           [0], NGP, CHEAP_SHARE)
         # cheapest 70% of ten hours is exactly the seven 10 EUR hours
         assert t.ep_node[0] == pytest.approx(0.010)
         assert t.ep_uniform == pytest.approx(0.037)  # downstream stays flat
@@ -58,16 +64,17 @@ class TestDeriveTariffs:
     def test_nodal_is_per_node(self):
         nodal = np.column_stack([np.full(10, 20.0), self.PRICES])
         t = derive_tariffs(FakeSummary(self.PRICES, nodal),
-                           Scenario(spatial=NODAL, temporal=FLAT), [0, 1])
+                           Scenario(spatial=NODAL, temporal=FLAT), [0, 1],
+                           NGP, CHEAP_SHARE)
         assert t.ep_node[0] == pytest.approx(0.020)
         assert t.ep_node[1] == pytest.approx(0.037)
 
     def test_missing_baseline_raises(self):
         with pytest.raises(IncompleteBaseline):
-            derive_tariffs(FakeSummary(), Scenario(), [0])
+            derive_tariffs(FakeSummary(), Scenario(), [0], NGP, CHEAP_SHARE)
         with pytest.raises(IncompleteBaseline):
             derive_tariffs(FakeSummary(self.PRICES), Scenario(spatial=NODAL),
-                           [0])
+                           [0], NGP, CHEAP_SHARE)
 
 
 def tiny_system(hours=10, n=2):
@@ -85,8 +92,10 @@ class TestElectrolyzerLoads:
         # 50,400 kg/day at 47.6 kWh/kg is 99.96 MW around the clock
         system = tiny_system(hours=10)
         loads = electrolyzer_loads(make_design({0: 50_400.0, 1: 0.0}),
-                                   Scenario(temporal=FLAT),
-                                   system, ProductionParams())
+                                   Scenario(temporal=FLAT), system,
+                                   ProductionParams(),
+                                   FakeSummary(np.full(10, 40.0)),
+                                   CHEAP_SHARE)
         assert loads.shape == (10, 2)
         assert np.all(loads[:, 0] == pytest.approx(99.96))
         assert np.all(loads[:, 1] == 0.0)
@@ -96,10 +105,10 @@ class TestElectrolyzerLoads:
         prices = FakeSummary([10.0] * 7 + [100.0] * 3)
         flat = electrolyzer_loads(make_design({0: 50_400.0}),
                                   Scenario(temporal=FLAT), system,
-                                  ProductionParams(), prices)
+                                  ProductionParams(), prices, CHEAP_SHARE)
         rt = electrolyzer_loads(make_design({0: 50_400.0}),
                                 Scenario(temporal=REAL_TIME), system,
-                                ProductionParams(), prices)
+                                ProductionParams(), prices, CHEAP_SHARE)
         assert rt.sum() == pytest.approx(flat.sum())
         assert np.count_nonzero(rt[:, 0]) == 7
         assert np.all(rt[7:, 0] == 0.0)
@@ -115,7 +124,8 @@ class TestElectrolyzerLoads:
         design = make_design({0: 50_400.0})
         exact, perturbed = (
             electrolyzer_loads(design, Scenario(temporal=REAL_TIME), system,
-                               ProductionParams(), FakeSummary(p))
+                               ProductionParams(), FakeSummary(p),
+                               CHEAP_SHARE)
             for p in (prices, noisy))
         assert np.array_equal(np.flatnonzero(exact[:, 0]), np.arange(7))
         assert np.array_equal(perturbed, exact)
@@ -125,7 +135,17 @@ class TestElectrolyzerLoads:
         with pytest.raises(IncompleteBaseline):
             electrolyzer_loads(make_design({0: 100.0}),
                                Scenario(temporal=REAL_TIME), system,
-                               ProductionParams())
+                               ProductionParams(), FakeSummary(), CHEAP_SHARE)
+
+    @pytest.mark.parametrize("spatial", [UNIFORM, NODAL])
+    def test_flat_needs_series(self, spatial):
+        # a flat site runs every hour, yet it reads the same signal rule,
+        # which has no series to give it
+        with pytest.raises(IncompleteBaseline):
+            electrolyzer_loads(make_design({0: 100.0}),
+                               Scenario(spatial=spatial, temporal=FLAT),
+                               tiny_system(), ProductionParams(),
+                               FakeSummary(), CHEAP_SHARE)
 
 
 class TestAdditionality:
@@ -177,7 +197,7 @@ class TestFullStudy:
         case = congested_fixture(seed=20240, hours=12)
         report = run_full_study(case, [])
         assert report.results == ()
-        assert report.baseline_demand_mwh > 0
+        assert report.baseline_uniform.total_energy_mwh > 0
         assert set(report.nodal_price_spread) == {
             n.id for n in case.candidates}
 
@@ -195,7 +215,6 @@ class TestFullStudy:
         # feedback year
         summary = report.results[0].summary
         assert summary.nodal_price_series is None
-        assert summary.mean_nodal_prices is None
         assert summary.price_series.shape == (12,)
 
     @pytest.mark.parametrize("kind, context", [
@@ -206,12 +225,11 @@ class TestFullStudy:
         def fail(*args):
             raise kind("x", **context)
 
-        # the study reads its nodal baseline off the uniform+redispatch
-        # year with dataclasses.replace, so the stub returns such a year
+        # the stub returns a uniform+redispatch year, as run_year would
         baseline = AnnualDispatchSummary(
             mode=MODE_UNIFORM_REDISPATCH, hours=0, price_series=np.zeros(0),
             nodal_price_series=np.zeros((0, 0)), mean_price=0.0,
-            mean_nodal_prices=np.zeros(0), congestion_cost_eur=0.0,
+            congestion_cost_eur=0.0,
             redispatch_cost_series=np.zeros(0), total_energy_mwh=0.0,
             generation_mwh=np.zeros(0))
         monkeypatch.setattr(pipeline, "run_year", lambda *args: baseline)
@@ -231,13 +249,60 @@ class TestFullStudy:
         report = run_full_study(case, [
             Scenario(spatial=UNIFORM, temporal=temporal, carrier="LH2")
             for temporal in (FLAT, REAL_TIME)])
-        assert report.hours == case.system.horizon == 48
+        baseline = report.baseline_uniform
+        assert baseline.hours == case.system.horizon == 48
         for r in report.results:
             want = (sum(r.design.hp_kg_day.values())
                     * case.production.ec_kwh_per_kg / 1000.0 * 48 / 24)
             assert r.added_energy_mwh == pytest.approx(want, rel=1e-12)
-            assert r.demand_mwh - report.baseline_demand_mwh == (
-                pytest.approx(want, rel=1e-9))
+            assert (r.summary.total_energy_mwh - baseline.total_energy_mwh
+                    == pytest.approx(want, rel=1e-9))
+
+
+class TestOneHome:
+    """The report stores each study number once: its rows, nodal spread
+    and nodal baseline are read from the dispatch years it keeps."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        case = congested_fixture(seed=42, hours=24)
+        return case, run_full_study(case, [
+            Scenario(UNIFORM, FLAT, "GH2"), Scenario(NODAL, REAL_TIME, "GH2")])
+
+    def test_rows_read_the_summaries(self, study):
+        _, report = study
+
+        def totals(summary):
+            return (summary.total_energy_mwh, summary.mean_price,
+                    summary.congestion_cost_eur)
+
+        base = totals(report.baseline_uniform)
+        want = [("baseline", *base, 0.0, 0.0, 0.0)]
+        for r in report.results:
+            got = totals(r.summary)
+            want.append((r.scenario.name, *got,
+                         *(pipeline._pct(v, b) for v, b in zip(got, base))))
+        assert len(want) == 3
+        assert repr(report.rows()) == repr(want)
+
+    def test_spread_is_uniform_minus_nodal_mean(self, study):
+        case, report = study
+        baseline = report.baseline_uniform
+        means = baseline.nodal_price_series.mean(axis=0)
+        assert set(report.nodal_price_spread) == {
+            n.id for n in case.candidates}
+        for node, spread in report.nodal_price_spread.items():
+            assert repr(spread) == repr(float(baseline.mean_price
+                                              - means[node]))
+
+    def test_nodal_baseline_is_a_view(self, study):
+        _, report = study
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "baseline_uniform", "results", "nodal_price_spread"]
+        view, year = report.baseline_nodal, report.baseline_uniform
+        assert view.mode == MODE_NODAL and year.mode != MODE_NODAL
+        assert view.nodal_price_series is year.nodal_price_series
+        assert view.generation_mwh is year.generation_mwh
 
 
 class TestBaselineNodalView:
@@ -252,7 +317,7 @@ class TestBaselineNodalView:
     full rents (``TestRunYear::test_overload_below_flow_tol``).  The
     systems below reach no such hour, so they are equal bit for bit."""
 
-    FIELDS = ("nodal_price_series", "mean_nodal_prices", "generation_mwh",
+    FIELDS = ("nodal_price_series", "generation_mwh",
               "redispatch_cost_series", "total_energy_mwh")
 
     def check(self, case):

@@ -27,7 +27,8 @@ The set, all of it drawn from fixed seeds:
 * ``random_chain`` siting MILPs (``tests/test_chain.py``) and their root
   relaxations, each also rebuilt from its triplet views as the benchmark's
   siting check rebuilds it (``.triplets``, whose line must equal the
-  ``.root`` one), random knapsacks, and warm re-solves of chain
+  ``.root`` one: the tool prints every line, then exits 1 naming the first
+  pair that differs), random knapsacks, and warm re-solves of chain
   relaxations with binaries fixed, as branch and bound makes them;
 * every network LP of the uniform+redispatch baseline year of the
   168-hour ``congested10`` fixture (seed 42, as the golden study), and of
@@ -223,18 +224,27 @@ def market_digest(system, hours):
 
 
 def main():
-    count = 0
+    """Print every line; return 1 if a ``.triplets`` line differs from its
+    ``.root`` line, else 0."""
+    digests, differs = {}, []
     for source in (mixed_lps, milps, warm_resolves, network_lps):
         for name, solve, *args in source():
             sol = outcome(solve, *args)
-            print(name, digest(sol))
+            digests[name] = digest(sol)
+            print(name, digests[name])
             if solve is solve_milp:
                 print(f"{name}.tree", tree_digest(sol))
-            count += 1
+            root = name.removesuffix(".triplets") + ".root"
+            if name.endswith(".triplets") and digests[name] != digests[root]:
+                differs.append(f"{name} differs from {root}")
     for label, system, hours in dispatched_systems():
         print(f"{label}.market", market_digest(system, hours))
-    print(f"{count} problems", file=sys.stderr)
+    print(f"{len(digests)} problems", file=sys.stderr)
+    if differs:
+        print(differs[0], file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
